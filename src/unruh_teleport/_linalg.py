@@ -24,10 +24,6 @@ CNOT = np.array(
 )
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
-
-
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 

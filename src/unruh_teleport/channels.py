@@ -18,9 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import PAULIS
-from .errors import DomainError
+from .errors import DomainError, check_choice
 
 PRESET_NAMES = ("bell-phi-plus", "bell-psi-minus", "werner", "x-state")
+# The x-state used by the figure presets and the verification suite.
+X_STATE_EXAMPLE = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
 
 EIGENVALUE_TOL = 1e-12
 
@@ -59,8 +61,10 @@ def preset_dyadic(
     """Expand a named channel preset to its correlation triple.
 
     ``werner`` requires ``fidelity`` in [0, 1] and maps to (-F, -F, -F);
-    ``x-state`` requires all three coefficients explicitly.
+    ``x-state`` requires all three coefficients explicitly; the other
+    presets ignore them.
     """
+    check_choice("channel preset", preset, PRESET_NAMES)
     if preset == "bell-phi-plus":
         return CorrelationDyadic(1.0, -1.0, 1.0)
     if preset == "bell-psi-minus":
@@ -71,11 +75,9 @@ def preset_dyadic(
         if not (math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0):
             raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
         return CorrelationDyadic(-fidelity, -fidelity, -fidelity)
-    if preset == "x-state":
-        if c11 is None or c22 is None or c33 is None:
-            raise DomainError("x-state preset requires c11, c22 and c33")
-        return CorrelationDyadic(c11, c22, c33)
-    raise DomainError(f"unknown channel preset {preset!r}, expected one of {PRESET_NAMES}")
+    if c11 is None or c22 is None or c33 is None:
+        raise DomainError("x-state preset requires c11, c22 and c33")
+    return CorrelationDyadic(c11, c22, c33)
 
 
 def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
@@ -99,3 +101,13 @@ def validate_physical(d: CorrelationDyadic, tol: float = EIGENVALUE_TOL) -> Phys
     eigenvalues = np.linalg.eigvalsh(dyadic_to_density(d))
     smallest = float(eigenvalues[0])
     return PhysicalityCheck(smallest >= -tol, smallest)
+
+
+def require_physical(d: CorrelationDyadic) -> None:
+    """Raise DomainError unless the induced density matrix is positive semidefinite."""
+    check = validate_physical(d)
+    if not check.physical:
+        raise DomainError(
+            f"channel dyadic {d.as_tuple()} is unphysical "
+            f"(min eigenvalue {check.min_eigenvalue:.3e})"
+        )

@@ -17,20 +17,31 @@ from typing import Any
 
 import numpy as np
 
-from .channels import PRESET_NAMES, CorrelationDyadic, dyadic_to_density, preset_dyadic, validate_physical
+from .channels import (
+    PRESET_NAMES,
+    CorrelationDyadic,
+    dyadic_to_density,
+    preset_dyadic,
+    require_physical,
+    validate_physical,
+)
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
-from .fisher import DEFAULT_FD_STEP, fisher
+from .fisher import DEFAULT_FD_STEP, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, fisher
 from .sweep import (
     DEFAULT_GRID,
     FIGURE_IDS,
     FIGURE_PRESETS,
+    FORMATS,
     Axis,
     SweepSpec,
+    channel_block,
+    complex_pair,
     emit,
     figure_spec,
     render_rows,
     run_sweep,
     spec_from_dict,
+    unruh_block,
 )
 from .teleport import InputState, bloch_of, teleport_analytic
 from .unruh import (
@@ -42,6 +53,8 @@ from .unruh import (
     r_from_acceleration,
 )
 from .verify import verify
+
+REPORT_FORMATS = ("json", "text")
 
 _ANGLE_RE = re.compile(
     r"^\s*(-?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$", re.IGNORECASE
@@ -111,20 +124,25 @@ def _add_r_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--c", type=float, help="speed of light (m/s)")
 
 
+def _add_fisher_args(parser: argparse.ArgumentParser, norm: str, param: bool | None) -> None:
+    """Add --param (required if True, optional if False, absent if None), --norm, --method."""
+    if param is not None:
+        parser.add_argument("--param", choices=PARAM_NAMES, required=param)
+    parser.add_argument("--norm", choices=NORM_NAMES, default=norm)
+    parser.add_argument("--method", choices=METHOD_NAMES, default="analytic")
+
+
 def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | None]:
-    explicit = (args.c11, args.c22, args.c33)
-    has_explicit = any(v is not None for v in explicit)
-    if args.preset is not None and args.preset != "x-state" and has_explicit:
-        raise DomainError(f"--preset {args.preset} conflicts with explicit --c11/--c22/--c33")
-    if args.preset == "x-state" or (args.preset is None and has_explicit):
-        if any(v is None for v in explicit):
-            raise DomainError("x-state channels need all of --c11, --c22 and --c33")
-        return preset_dyadic("x-state", c11=args.c11, c22=args.c22, c33=args.c33), "x-state"
-    if args.preset is None:
+    has_explicit = any(v is not None for v in (args.c11, args.c22, args.c33))
+    preset = args.preset or ("x-state" if has_explicit else None)
+    if preset is None:
         raise DomainError("specify a channel with --preset or --c11/--c22/--c33")
-    if args.preset == "werner":
-        return preset_dyadic("werner", fidelity=args.fidelity), "werner"
-    return preset_dyadic(args.preset), args.preset
+    if preset != "x-state" and has_explicit:
+        raise DomainError(f"--preset {preset} conflicts with explicit --c11/--c22/--c33")
+    dyadic = preset_dyadic(
+        preset, fidelity=args.fidelity, c11=args.c11, c22=args.c22, c33=args.c33
+    )
+    return dyadic, preset
 
 
 def _resolve_weights(args: argparse.Namespace) -> tuple[complex, complex, str | None]:
@@ -162,12 +180,8 @@ def _resolve_unruh(args: argparse.Namespace) -> tuple[UnruhParams, str | None]:
     return UnruhParams(r, qr, ql), mode
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
 def _matrix_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_pair(complex(z)) for z in row] for row in m]
+    return [[complex_pair(complex(z)) for z in row] for row in m]
 
 
 def _matrix_text(m: np.ndarray, indent: str = "  ") -> str:
@@ -176,22 +190,6 @@ def _matrix_text(m: np.ndarray, indent: str = "  ") -> str:
         cells = [f"{z.real:+.10f}{z.imag:+.10f}i" for z in row]
         lines.append(indent + "  ".join(cells))
     return "\n".join(lines)
-
-
-def _channel_info(dyadic: CorrelationDyadic, preset: str | None) -> dict[str, Any]:
-    info: dict[str, Any] = {}
-    if preset is not None:
-        info["preset"] = preset
-    info.update(c11=dyadic.c11, c22=dyadic.c22, c33=dyadic.c33)
-    return info
-
-
-def _unruh_info(u: UnruhParams, mode: str | None) -> dict[str, Any]:
-    info: dict[str, Any] = {"r": u.r}
-    if mode is not None:
-        info["mode"] = mode
-    info.update(qr=_complex_pair(u.qr), ql=_complex_pair(u.ql))
-    return info
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -205,7 +203,7 @@ def _cmd_channel(args: argparse.Namespace) -> int:
     dyadic, preset = _resolve_dyadic(args)
     check = validate_physical(dyadic)
     payload: dict[str, Any] = {
-        "channel": _channel_info(dyadic, preset),
+        "channel": channel_block(dyadic, preset),
         "physical": check.physical,
         "min_eigenvalue": check.min_eigenvalue,
         "density": _matrix_json(dyadic_to_density(dyadic)),
@@ -217,9 +215,9 @@ def _cmd_channel(args: argparse.Namespace) -> int:
         u = UnruhParams(r, qr, ql)
         channel = accelerate(dyadic, u)
         accelerated = accelerated_density(channel)
-        payload["unruh"] = _unruh_info(u, mode)
+        payload["unruh"] = unruh_block(u.qr, u.ql, mode, r=u.r)
         payload["coefficients"] = {
-            name: _complex_pair(value)
+            name: complex_pair(value)
             for name, value in zip(
                 ("b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8"), channel.as_tuple()
             )
@@ -245,6 +243,7 @@ def _cmd_channel(args: argparse.Namespace) -> int:
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
     dyadic, preset = _resolve_dyadic(args)
+    require_physical(dyadic)
     u, mode = _resolve_unruh(args)
     state = InputState(args.theta, args.phi)
     bob = teleport_analytic(state, accelerate(dyadic, u))
@@ -252,8 +251,8 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
     payload = {
         "theta": state.theta,
         "phi": state.phi,
-        "channel": _channel_info(dyadic, preset),
-        "unruh": _unruh_info(u, mode),
+        "channel": channel_block(dyadic, preset),
+        "unruh": unruh_block(u.qr, u.ql, mode, r=u.r),
         "outcome_prob": bob.outcome_prob,
         "rho": _matrix_json(bob.rho),
         "rho_normalized": _matrix_json(bob.rho_normalized),
@@ -279,6 +278,7 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
     dyadic, preset = _resolve_dyadic(args)
+    require_physical(dyadic)
     u, mode = _resolve_unruh(args)
     state = InputState(args.theta, args.phi)
     result = fisher(
@@ -293,8 +293,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "pure_branch": result.pure_branch,
         "clamped": result.clamped,
         "point": {"theta": state.theta, "phi": state.phi, "r": u.r},
-        "channel": _channel_info(dyadic, preset),
-        "unruh": _unruh_info(u, mode),
+        "channel": channel_block(dyadic, preset),
+        "unruh": unruh_block(u.qr, u.ql, mode, r=u.r),
     }
     _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -310,13 +310,12 @@ def _parse_axis_specs(specs: list[str]) -> tuple[Axis, ...]:
             try:
                 name, rest = text.split("=", 1)
                 start_s, stop_s, count_s = rest.split(":")
+                count = int(count_s)
             except ValueError:
                 raise DomainError(
                     f"bad axis spec {text!r}; expected name=start:stop:count"
                 ) from None
-            axes.append(
-                Axis(name.strip(), parse_angle(start_s), parse_angle(stop_s), int(count_s))
-            )
+            axes.append(Axis(name.strip(), parse_angle(start_s), parse_angle(stop_s), count))
     return tuple(axes)
 
 
@@ -340,7 +339,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         qr, ql, mode = _resolve_weights(args)
         fixed = {}
         swept = {axis.name for axis in axes}
-        for name in ("theta", "phi", "r"):
+        for name in PARAM_NAMES:
             value = getattr(args, name)
             if name not in swept and value is not None:
                 fixed[name] = value
@@ -356,12 +355,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             channel_preset=preset,
             unruh_mode=mode,
         )
-    rows = run_sweep(spec)
-    if args.out is None:
-        sys.stdout.write(render_rows(spec, rows, args.format))
-    else:
-        emit(spec, rows, args.format, args.out)
-    return 0
+    return _run_and_write(spec, args)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -377,6 +371,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if args.id is None:
         raise DomainError("--id is required (or use --list)")
     spec = figure_spec(args.id, grid=args.grid, norm=args.norm, method=args.method)
+    return _run_and_write(spec, args)
+
+
+def _run_and_write(spec: SweepSpec, args: argparse.Namespace) -> int:
     rows = run_sweep(spec)
     if args.out is None:
         sys.stdout.write(render_rows(spec, rows, args.format))
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p_channel)
     _add_r_args(p_channel)
     _add_weight_args(p_channel)
-    p_channel.add_argument("--format", choices=("json", "text"), default="text")
+    p_channel.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_channel.add_argument("--out", help="write to a file instead of stdout")
     p_channel.set_defaults(handler=_cmd_channel)
 
@@ -416,16 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p_teleport)
     _add_r_args(p_teleport)
     _add_weight_args(p_teleport)
-    p_teleport.add_argument("--format", choices=("json", "text"), default="text")
+    p_teleport.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_teleport.add_argument("--out", help="write to a file instead of stdout")
     p_teleport.set_defaults(handler=_cmd_teleport)
 
     p_fisher = sub.add_parser("fisher", help="Fisher information at a single point")
-    p_fisher.add_argument("--param", choices=("theta", "phi", "r"), required=True)
-    p_fisher.add_argument(
-        "--norm", choices=("normalized", "as-published"), default="normalized"
-    )
-    p_fisher.add_argument("--method", choices=("analytic", "fd"), default="analytic")
+    _add_fisher_args(p_fisher, "normalized", param=True)
     p_fisher.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
     p_fisher.add_argument("--theta", type=parse_angle, required=True)
     p_fisher.add_argument("--phi", type=parse_angle, required=True)
@@ -436,11 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher.set_defaults(handler=_cmd_fisher)
 
     p_sweep = sub.add_parser("sweep", help="evaluate Fisher information on a grid")
-    p_sweep.add_argument("--param", choices=("theta", "phi", "r"))
-    p_sweep.add_argument(
-        "--norm", choices=("normalized", "as-published"), default="normalized"
-    )
-    p_sweep.add_argument("--method", choices=("analytic", "fd"), default="analytic")
+    _add_fisher_args(p_sweep, "normalized", param=False)
     p_sweep.add_argument(
         "--grid",
         action="append",
@@ -448,13 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=START:STOP:COUNT",
         help="swept axis, e.g. theta=0:pi:64 (repeatable, or comma separated)",
     )
-    p_sweep.add_argument("--theta", type=parse_angle, help="fixed value when not swept")
-    p_sweep.add_argument("--phi", type=parse_angle, help="fixed value when not swept")
-    p_sweep.add_argument("--r", type=parse_angle, help="fixed value when not swept")
+    for name in PARAM_NAMES:
+        p_sweep.add_argument(f"--{name}", type=parse_angle, help="fixed value when not swept")
     _add_channel_args(p_sweep)
     _add_weight_args(p_sweep)
     p_sweep.add_argument("--spec", help="load the sweep spec from a JSON file")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--format", choices=FORMATS, default="csv")
     p_sweep.add_argument("--out", help="write to a file instead of stdout")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -462,11 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_figures.add_argument("--id", choices=FIGURE_IDS)
     p_figures.add_argument("--list", action="store_true", help="list the preset table")
     p_figures.add_argument("--grid", type=int, default=DEFAULT_GRID, help="points per axis")
-    p_figures.add_argument(
-        "--norm", choices=("normalized", "as-published"), default="as-published"
-    )
-    p_figures.add_argument("--method", choices=("analytic", "fd"), default="analytic")
-    p_figures.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_fisher_args(p_figures, "as-published", param=None)
+    p_figures.add_argument("--format", choices=FORMATS, default="csv")
     p_figures.add_argument("--out", help="write to a file instead of stdout")
     p_figures.set_defaults(handler=_cmd_figures)
 
@@ -486,10 +472,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 1
         return args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DegenerateBranchError as exc:
+    except (DomainError, DegenerateBranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of named choices."""
 
 
 class DomainError(ValueError):
@@ -11,3 +11,9 @@ class DegenerateBranchError(ArithmeticError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed, indicating a bug rather than bad input."""
+
+
+def check_choice(kind: str, value: object, choices: tuple[str, ...]) -> None:
+    """Raise DomainError unless ``value`` is one of the named ``choices``."""
+    if value not in choices:
+        raise DomainError(f"unknown {kind} {value!r}, expected one of {choices}")

@@ -25,16 +25,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import CorrelationDyadic
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_choice
 from .teleport import InputState, _branch_rho, bloch_of
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")
-MODE_NAMES = ("normalized", "as-published")
+NORM_NAMES = ("normalized", "as-published")
 METHOD_NAMES = ("analytic", "fd")
 
 PURE_BRANCH_EPS = 1e-9
 DEFAULT_FD_STEP = 1e-5
+# Largest step whose one-sided r stencils (r + 2h, r - 2h) stay inside [0, pi/4].
+MAX_FD_STEP = R_MAX / 3.0
 NEGATIVE_CLAMP = 1e-9
 
 
@@ -58,16 +60,6 @@ class FisherResult:
     clamped: bool
 
 
-def _check_param(param: str) -> None:
-    if param not in PARAM_NAMES:
-        raise DomainError(f"unknown estimand {param!r}, expected one of {PARAM_NAMES}")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODE_NAMES:
-        raise DomainError(f"unknown normalization mode {mode!r}, expected one of {MODE_NAMES}")
-
-
 def _bloch_raw(
     theta: float, phi: float, d: CorrelationDyadic, u: UnruhParams, mode: str
 ) -> np.ndarray:
@@ -87,7 +79,7 @@ def bloch_teleported(
     state: InputState, d: CorrelationDyadic, u: UnruhParams, mode: str = "normalized"
 ) -> np.ndarray:
     """Bloch vector of the teleported branch state in the requested mode."""
-    _check_mode(mode)
+    check_choice("normalization mode", mode, NORM_NAMES)
     return _bloch_raw(state.theta, state.phi, d, u, mode)
 
 
@@ -165,15 +157,19 @@ def bloch_partial(
     method: str = "analytic",
     fd_step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Partial derivative of the Bloch vector with respect to one estimand."""
-    _check_param(param)
-    _check_mode(mode)
+    """Partial derivative of the Bloch vector with respect to one estimand.
+
+    ``fd_step`` is used by ``method="fd"`` only and must lie in (0, pi/12].
+    """
+    check_choice("estimand", param, PARAM_NAMES)
+    check_choice("normalization mode", mode, NORM_NAMES)
+    check_choice("derivative method", method, METHOD_NAMES)
     if method == "analytic":
         ds = _bloch_partial_analytic(state.theta, state.phi, d, u, param)
         return 4.0 * ds if mode == "normalized" else ds
-    if method == "fd":
-        return _bloch_partial_fd(state.theta, state.phi, d, u, param, mode, fd_step)
-    raise DomainError(f"unknown derivative method {method!r}, expected one of {METHOD_NAMES}")
+    if not (math.isfinite(fd_step) and 0.0 < fd_step <= MAX_FD_STEP):
+        raise DomainError(f"fd_step must lie in (0, pi/12], got {fd_step}")
+    return _bloch_partial_fd(state.theta, state.phi, d, u, param, mode, fd_step)
 
 
 def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:

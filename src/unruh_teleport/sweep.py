@@ -11,13 +11,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .channels import CorrelationDyadic, validate_physical
-from .errors import DomainError
-from .fisher import METHOD_NAMES, MODE_NAMES, PARAM_NAMES, fisher
+from .channels import X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
+from .errors import DomainError, check_choice
+from .fisher import METHOD_NAMES, NORM_NAMES, PARAM_NAMES, fisher
 from .teleport import InputState
 from .unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 
-VARIABLES = ("theta", "phi", "r")
 VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
     "theta": (0.0, math.pi),
     "phi": (0.0, 2.0 * math.pi),
@@ -25,6 +24,9 @@ VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
 }
 
 DEFAULT_GRID = 64
+# Largest number of grid points one sweep may ask for (1024 x 1024).
+MAX_POINTS = 2**20
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class Axis:
     count: int
 
     def __post_init__(self) -> None:
-        if self.name not in VARIABLES:
-            raise DomainError(f"unknown sweep variable {self.name!r}, expected one of {VARIABLES}")
+        check_choice("sweep variable", self.name, PARAM_NAMES)
         if self.count < 2:
             raise DomainError(f"axis {self.name} needs count >= 2, got {self.count}")
         lo, hi = VARIABLE_DOMAINS[self.name]
@@ -78,26 +79,26 @@ class SweepSpec:
     figure: str | None = None
 
     def __post_init__(self) -> None:
-        if self.estimand not in PARAM_NAMES:
-            raise DomainError(f"unknown estimand {self.estimand!r}")
-        if self.norm not in MODE_NAMES:
-            raise DomainError(f"unknown normalization mode {self.norm!r}")
-        if self.method not in METHOD_NAMES:
-            raise DomainError(f"unknown derivative method {self.method!r}")
+        check_choice("estimand", self.estimand, PARAM_NAMES)
+        check_choice("normalization mode", self.norm, NORM_NAMES)
+        check_choice("derivative method", self.method, METHOD_NAMES)
         if isinstance(self.fixed, Mapping):
             object.__setattr__(
                 self,
                 "fixed",
-                tuple((name, float(self.fixed[name])) for name in VARIABLES if name in self.fixed),
+                tuple((name, float(self.fixed[name])) for name in PARAM_NAMES if name in self.fixed),
             )
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"a sweep takes 1 or 2 axes, got {len(self.axes)}")
+        points = math.prod(axis.count for axis in self.axes)
+        if points > MAX_POINTS:
+            raise DomainError(f"sweep of {points} points exceeds the limit of {MAX_POINTS}")
         swept = [axis.name for axis in self.axes]
         fixed_names = [name for name, _ in self.fixed]
-        if sorted(swept + fixed_names) != sorted(VARIABLES):
+        if sorted(swept + fixed_names) != sorted(PARAM_NAMES):
             raise DomainError(
-                f"swept {swept} and fixed {fixed_names} must partition {set(VARIABLES)}"
+                f"swept {swept} and fixed {fixed_names} must partition {set(PARAM_NAMES)}"
             )
         for name, value in self.fixed:
             lo, hi = VARIABLE_DOMAINS[name]
@@ -117,12 +118,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Points iterate with the first axis outermost; the channel is rejected
     up front if its initial state is unphysical.
     """
-    check = validate_physical(spec.dyadic)
-    if not check.physical:
-        raise DomainError(
-            f"channel dyadic {spec.dyadic.as_tuple()} is unphysical "
-            f"(min eigenvalue {check.min_eigenvalue:.3e})"
-        )
+    require_physical(spec.dyadic)
     values = dict(spec.fixed)
     grids = [axis.points() for axis in spec.axes]
     names = spec.axis_names
@@ -174,16 +170,6 @@ FIGURE_PRESETS: dict[str, tuple[str, tuple[str, ...], dict[str, float], str, str
 
 FIGURE_IDS = tuple(FIGURE_PRESETS)
 
-X_STATE_PRESET = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
-
-
-def _preset_dyadic_for_figure(preset: str) -> CorrelationDyadic:
-    if preset == "x-state":
-        return CorrelationDyadic(**X_STATE_PRESET)
-    if preset == "bell-phi-plus":
-        return CorrelationDyadic(1.0, -1.0, 1.0)
-    return CorrelationDyadic(-1.0, -1.0, -1.0)
-
 
 def figure_spec(
     fig_id: str,
@@ -192,8 +178,7 @@ def figure_spec(
     method: str = "analytic",
 ) -> SweepSpec:
     """Expand a figure preset to a sweep over the full variable domains."""
-    if fig_id not in FIGURE_PRESETS:
-        raise DomainError(f"unknown figure preset {fig_id!r}, expected one of {FIGURE_IDS}")
+    check_choice("figure preset", fig_id, FIGURE_IDS)
     estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[fig_id]
     qr, ql = MODE_WEIGHTS[unruh_mode]
     axes = tuple(Axis(name, *VARIABLE_DOMAINS[name], count=grid) for name in swept)
@@ -201,7 +186,7 @@ def figure_spec(
         estimand=estimand,
         norm=norm,
         method=method,
-        dyadic=_preset_dyadic_for_figure(channel_preset),
+        dyadic=preset_dyadic(channel_preset, **X_STATE_EXAMPLE),
         qr=qr,
         ql=ql,
         axes=axes,
@@ -217,23 +202,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def complex_pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def channel_block(d: CorrelationDyadic, preset: str | None) -> dict[str, Any]:
+    """The ``channel`` object of the JSON outputs: optional preset, then c11..c33."""
+    block: dict[str, Any] = {} if preset is None else {"preset": preset}
+    block.update(c11=d.c11, c22=d.c22, c33=d.c33)
+    return block
+
+
+def unruh_block(
+    qr: complex, ql: complex, mode: str | None, r: float | None = None
+) -> dict[str, Any]:
+    """The ``unruh`` object of the JSON outputs: optional r and mode, then the weights."""
+    block: dict[str, Any] = {} if r is None else {"r": r}
+    if mode is not None:
+        block["mode"] = mode
+    block.update(qr=complex_pair(qr), ql=complex_pair(ql))
+    return block
+
+
 def spec_to_dict(spec: SweepSpec) -> dict[str, Any]:
-    channel: dict[str, Any] = {}
-    if spec.channel_preset is not None:
-        channel["preset"] = spec.channel_preset
-    channel.update(
-        c11=spec.dyadic.c11, c22=spec.dyadic.c22, c33=spec.dyadic.c33
-    )
-    unruh: dict[str, Any] = {}
-    if spec.unruh_mode is not None:
-        unruh["mode"] = spec.unruh_mode
-    unruh.update(qr=[spec.qr.real, spec.qr.imag], ql=[spec.ql.real, spec.ql.imag])
     payload: dict[str, Any] = {
         "estimand": spec.estimand,
         "norm": spec.norm,
         "method": spec.method,
-        "channel": channel,
-        "unruh": unruh,
+        "channel": channel_block(spec.dyadic, spec.channel_preset),
+        "unruh": unruh_block(spec.qr, spec.ql, spec.unruh_mode),
         "axes": [
             {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
             for a in spec.axes
@@ -271,7 +268,9 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             unruh_mode=unruh.get("mode"),
             figure=payload.get("figure"),
         )
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
 
 
@@ -333,11 +332,10 @@ def parse_json_rows(text: str) -> list[SweepRow]:
 
 
 def render_rows(spec: SweepSpec, rows: list[SweepRow], fmt: str) -> str:
+    check_choice("output format", fmt, FORMATS)
     if fmt == "csv":
         return rows_to_csv(spec, rows)
-    if fmt == "json":
-        return rows_to_json(spec, rows)
-    raise DomainError(f"unknown output format {fmt!r}, expected csv or json")
+    return rows_to_json(spec, rows)
 
 
 def emit(spec: SweepSpec, rows: list[SweepRow], fmt: str, destination: str | Path) -> None:

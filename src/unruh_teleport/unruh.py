@@ -27,19 +27,19 @@ import numpy as np
 
 from ._linalg import IDENTITY_2, partial_trace
 from .channels import CorrelationDyadic, dyadic_to_density
-from .errors import DomainError
+from .errors import DomainError, check_choice
 
 R_MAX = math.pi / 4
 WEIGHT_NORM_TOL = 1e-12
 CHANNEL_TOL = 1e-12
 
-MODE_NAMES = ("wsma", "bsma")
 # wsma: excitation purely in the right-moving mode (single-mode approximation).
 # bsma: equal right/left mixing (beyond the single-mode approximation).
 MODE_WEIGHTS: dict[str, tuple[complex, complex]] = {
     "wsma": (1.0 + 0.0j, 0.0j),
     "bsma": (complex(1.0 / math.sqrt(2.0)), complex(1.0 / math.sqrt(2.0))),
 }
+MODE_NAMES = tuple(MODE_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class UnruhParams:
         if not (math.isfinite(self.r) and 0.0 <= self.r <= R_MAX):
             raise DomainError(f"r must lie in [0, pi/4], got {self.r}")
         norm = abs(self.qr) ** 2 + abs(self.ql) ** 2
-        if abs(norm - 1.0) > WEIGHT_NORM_TOL:
+        if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:  # also rejects NaN weights
             raise DomainError(
                 f"|qr|^2 + |ql|^2 must equal 1 within {WEIGHT_NORM_TOL}, got {norm}"
             )
@@ -62,8 +62,7 @@ class UnruhParams:
 
 def mode_params(r: float, mode: str = "wsma") -> UnruhParams:
     """UnruhParams for one of the named mode presets."""
-    if mode not in MODE_WEIGHTS:
-        raise DomainError(f"unknown mode preset {mode!r}, expected one of {MODE_NAMES}")
+    check_choice("mode preset", mode, MODE_NAMES)
     qr, ql = MODE_WEIGHTS[mode]
     return UnruhParams(r, qr, ql)
 

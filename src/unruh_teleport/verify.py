@@ -15,9 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import hermiticity_gap, min_eigenvalue
-from .channels import CorrelationDyadic, dyadic_to_density, preset_dyadic, validate_physical
+from .channels import (
+    X_STATE_EXAMPLE,
+    CorrelationDyadic,
+    dyadic_to_density,
+    preset_dyadic,
+    validate_physical,
+)
 from .errors import DomainError
-from .fisher import bloch_partial, bloch_teleported, fisher, fisher_from_bloch
+from .fisher import NORM_NAMES, PARAM_NAMES, bloch_partial, bloch_teleported, fisher, fisher_from_bloch
 from .sampling import sample_dyadic, sample_input, sample_unruh
 from .teleport import (
     InputState,
@@ -100,6 +106,8 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     """Run every oracle cross-check and invariant suite with seeded draws."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
 
@@ -136,8 +144,8 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     # counted only where the derivative is not degenerate).
     err = 0.0
     for state, d, u in draws:
-        for mode in ("normalized", "as-published"):
-            for param in ("theta", "phi", "r"):
+        for mode in NORM_NAMES:
+            for param in PARAM_NAMES:
                 analytic = bloch_partial(state, d, u, param, mode, "analytic")
                 scale = float(np.linalg.norm(analytic))
                 if scale <= DERIV_FLOOR:
@@ -172,7 +180,7 @@ def _invariant_suite(
         preset_dyadic("werner", fidelity=0.0),
         preset_dyadic("werner", fidelity=0.5),
         preset_dyadic("werner", fidelity=1.0),
-        preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7),
+        preset_dyadic("x-state", **X_STATE_EXAMPLE),
     ]
     for d in presets:
         m = dyadic_to_density(d)
@@ -234,8 +242,8 @@ def _invariant_suite(
     # Fisher values: finite and non-negative for every estimand and mode.
     worst = 0.0
     for state, d, u in draws:
-        for mode in ("normalized", "as-published"):
-            for param in ("theta", "phi", "r"):
+        for mode in NORM_NAMES:
+            for param in PARAM_NAMES:
                 value = fisher(state, d, u, param, mode=mode).value
                 worst = max(worst, math.inf if not math.isfinite(value) else -value)
     checks.append(_check(5, "fisher finite and non-negative", max(0.0, worst), FISHER_TOL))
@@ -276,7 +284,7 @@ def _invariant_suite(
         u = mode_params(0.0, "wsma")
         for theta, phi in ((0.3, 0.7), (1.2, 2.5), (2.4, 4.9)):
             state = InputState(theta, phi)
-            for param in ("theta", "phi", "r"):
+            for param in PARAM_NAMES:
                 f_n = fisher(state, d, u, param, mode="normalized").value
                 f_p = fisher(state, d, u, param, mode="as-published").value
                 err = max(err, abs(f_p - f_n / 16.0))

@@ -277,3 +277,102 @@ class TestExitCodes:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["unruh"]["qr"] == [0.6, 0.8]
+
+
+def _spec_payload(**changes):
+    payload = {
+        "estimand": "theta",
+        "norm": "normalized",
+        "method": "analytic",
+        "channel": {"preset": "bell-phi-plus", "c11": 1.0, "c22": -1.0, "c33": 1.0},
+        "unruh": {"mode": "wsma", "qr": [1.0, 0.0], "ql": [0.0, 0.0]},
+        "axes": [{"name": "r", "start": 0.0, "stop": 0.5, "count": 3}],
+        "fixed": {"theta": 1.0, "phi": 1.0},
+    }
+    return {**payload, **changes}
+
+
+POINT = ["--theta", "1", "--phi", "1", "--r", "0.1"]
+UNPHYSICAL = ["--c11", "1", "--c22", "1", "--c33", "1"]
+FD = ["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus", "--method", "fd"]
+
+
+class TestInputBoundary:
+    """Every bad input ends in exit 1 and a single ``error:`` line; good ones still run."""
+
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [
+            (["sweep", "--param", "theta", "--grid", "theta=0:pi:abc", "--phi", "1",
+              "--r", "0", "--preset", "bell-phi-plus"], None),
+            (["sweep"], _spec_payload(channel={"c11": "x", "c22": -1.0, "c33": 1.0})),
+            (["sweep"], _spec_payload(axes=[{"name": "r", "start": 0, "stop": 1, "count": "x"}])),
+            (["sweep"], _spec_payload(fixed=[])),
+            (["fisher", "--param", "theta", *POINT, *UNPHYSICAL], None),
+            (["teleport", *POINT, *UNPHYSICAL], None),
+            ([*FD, "--fd-step", "0"], None),
+            ([*FD, "--fd-step", "nan"], None),
+            ([*FD, "--fd-step=-1e-5"], None),
+            ([*FD, "--fd-step", "0.3"], None),
+            (["figures", "--id", "1a", "--grid", "100000"], None),
+            (["verify", "--seed", "-5"], None),
+            (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
+              "--qr", "nan", "--ql", "0"], None),
+        ],
+        ids=[
+            "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
+            "teleport-unphysical", "fd-step-zero", "fd-step-nan", "fd-step-negative",
+            "fd-step-too-large", "grid-too-large", "negative-seed", "nan-weight",
+        ],
+    )
+    def test_one_line_error(self, argv, spec, tmp_path, capsys):
+        if spec is not None:
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(json.dumps(spec), encoding="utf-8")
+            argv = [*argv, "--spec", str(spec_file)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_channel_still_reports_unphysical(self, capsys):
+        assert main(["channel", *UNPHYSICAL, "--r", "0.1"]) == 0
+        assert "physical: False" in capsys.readouterr().out
+
+    def test_largest_fd_step_keeps_r_stencils_in_domain(self, capsys):
+        for r in ("0", "pi/8", "pi/4"):
+            argv = ["fisher", "--param", "r", "--theta", "1", "--phi", "1", "--r", r,
+                    "--preset", "bell-phi-plus", "--method", "fd", "--fd-step", repr(math.pi / 12)]
+            assert main(argv) == 0
+            assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
+
+
+def test_cli_choices_are_library_tuples():
+    from unruh_teleport.channels import PRESET_NAMES
+    from unruh_teleport.cli import REPORT_FORMATS, build_parser
+    from unruh_teleport.fisher import METHOD_NAMES, NORM_NAMES, PARAM_NAMES
+    from unruh_teleport.sweep import FIGURE_IDS, FORMATS
+    from unruh_teleport.unruh import MODE_NAMES
+
+    expected = {
+        "param": PARAM_NAMES,
+        "norm": NORM_NAMES,
+        "method": METHOD_NAMES,
+        "preset": PRESET_NAMES,
+        "mode": MODE_NAMES,
+        "id": FIGURE_IDS,
+    }
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    seen = set()
+    for name, sub in subparsers.items():
+        for action in sub._actions:
+            if action.choices is None:
+                continue
+            if action.dest == "format":
+                assert action.choices in (FORMATS, REPORT_FORMATS), name
+                continue
+            assert action.choices is expected[action.dest], (name, action.dest)
+            seen.add(action.dest)
+    assert seen == set(expected)

@@ -218,3 +218,32 @@ class TestEmission:
         rows = run_sweep(spec)
         with pytest.raises(DomainError):
             render_rows(spec, rows, "parquet")
+
+
+class TestSingleSources:
+    def test_figure_channels_are_the_named_presets(self):
+        from unruh_teleport import preset_dyadic
+
+        x_state = preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)
+        for fig_id in FIGURE_PRESETS:
+            spec = figure_spec(fig_id, grid=2)
+            preset = spec.channel_preset
+            expected = x_state if preset == "x-state" else preset_dyadic(preset)
+            assert spec.dyadic == expected, fig_id
+
+    def test_every_emitted_spec_loads(self):
+        for fig_id in FIGURE_PRESETS:
+            spec = figure_spec(fig_id, grid=3)
+            assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        # A named preset next to explicit coefficients, without the fidelity.
+        payload = spec_to_dict(basic_spec(dyadic=CorrelationDyadic(-0.3, -0.3, -0.3),
+                                          channel_preset="werner"))
+        assert spec_from_dict(payload).dyadic == CorrelationDyadic(-0.3, -0.3, -0.3)
+
+    def test_grid_size_bound(self):
+        axes = (Axis("theta", 0.0, math.pi, 1024), Axis("r", 0.0, math.pi / 4, 1024))
+        assert basic_spec(axes=axes).axes == axes
+        with pytest.raises(DomainError, match="exceeds"):
+            basic_spec(axes=(Axis("theta", 0.0, math.pi, 1025), axes[1]))
+        with pytest.raises(DomainError, match="exceeds"):
+            figure_spec("1a", grid=100000)
