@@ -139,6 +139,8 @@ def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | 
         raise DomainError("specify a channel with --preset or --c11/--c22/--c33")
     if preset != "x-state" and has_explicit:
         raise DomainError(f"--preset {preset} conflicts with explicit --c11/--c22/--c33")
+    if preset != "werner" and args.fidelity is not None:
+        raise DomainError(f"--fidelity applies to the werner preset only, not {preset}")
     dyadic = preset_dyadic(
         preset, fidelity=args.fidelity, c11=args.c11, c22=args.c22, c33=args.c33
     )
@@ -319,11 +321,16 @@ def _parse_axis_specs(specs: list[str]) -> tuple[Axis, ...]:
     return tuple(axes)
 
 
+# Sweep flags that a --spec file already fixes.
+_SPEC_FIELDS = (
+    "param", *PARAM_NAMES, "preset", "fidelity", "c11", "c22", "c33", "mode", "qr", "ql",
+)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        conflicting = args.param is not None or args.grid or args.preset is not None
-        if conflicting:
-            raise DomainError("--spec replaces --param/--grid and the channel flags")
+        if args.grid or any(getattr(args, name) is not None for name in _SPEC_FIELDS):
+            raise DomainError("--spec already fixes the estimand, grid, point, channel and weights")
         try:
             payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -337,12 +344,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axes = _parse_axis_specs(args.grid)
         dyadic, preset = _resolve_dyadic(args)
         qr, ql, mode = _resolve_weights(args)
-        fixed = {}
-        swept = {axis.name for axis in axes}
-        for name in PARAM_NAMES:
-            value = getattr(args, name)
-            if name not in swept and value is not None:
-                fixed[name] = value
+        # A value given for a swept variable fails the partition check of SweepSpec.
+        fixed = {k: getattr(args, k) for k in PARAM_NAMES if getattr(args, k) is not None}
         spec = SweepSpec(
             estimand=args.param,
             norm=args.norm,

@@ -12,21 +12,25 @@ Two normalization modes are supported. ``normalized`` uses the Bloch vector
 of the trace-1 conditional state (the physically standard choice and the
 default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
-its vectors are exactly four times smaller. Bloch components are always
-obtained as traces of the branch matrix, never from separately tabulated
-component formulas.
+its vectors are exactly four times smaller. Bloch components are read from
+the closed-form branch entries as the traces tr(rho sigma) reduce to:
+sx = Re(rho01 + rho10), sy = Im rho10 - Im rho01, sz = rho00 - rho11.
+
+The private functions are one array kernel that broadcasts over a point
+mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
+it at one point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DomainError, check_choice
-from .teleport import InputState, _branch_rho, bloch_of
+from .teleport import InputState, _abs2, _branch_entries
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")
@@ -60,92 +64,117 @@ class FisherResult:
     clamped: bool
 
 
-def _bloch_raw(
-    theta: float, phi: float, d: CorrelationDyadic, u: UnruhParams, mode: str
-) -> np.ndarray:
-    """Bloch vector of the branch state at raw angles, without range checks.
+def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
+    """The fields of the three value types are the kernel's arguments."""
+    return {**vars(state), **vars(d), **vars(u)}
 
-    The closed-form branch matrix extends smoothly to any real theta and
-    phi, which the finite-difference stencils rely on.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, summed exactly as the 1-d ``a @ b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _bloch(p: dict, mode: str) -> np.ndarray:
+    """Bloch vectors (last axis) of the branch state at raw angles, without range checks.
+
+    The closed-form branch matrix extends smoothly to any real theta, phi
+    and r, which the finite-difference stencils rely on.
     """
-    rho = _branch_rho(theta, phi, d.c11, d.c22, d.c33, u.r, u.qr, u.ql)
-    s = bloch_of(rho)
+    check_choice("normalization mode", mode, NORM_NAMES)
+    r00, r01, r10, r11 = _branch_entries(**p)
+    s = np.stack(np.broadcast_arrays(r01.real + r10.real, r10.imag - r01.imag, r00 - r11), -1)
     if mode == "normalized":
-        return s / float(rho[0, 0].real + rho[1, 1].real)
+        return s / np.expand_dims(r00 + r11, -1)
     return s
 
 
-def bloch_teleported(
-    state: InputState, d: CorrelationDyadic, u: UnruhParams, mode: str = "normalized"
-) -> np.ndarray:
-    """Bloch vector of the teleported branch state in the requested mode."""
-    check_choice("normalization mode", mode, NORM_NAMES)
-    return _bloch_raw(state.theta, state.phi, d, u, mode)
-
-
-def _bloch_partial_analytic(
-    theta: float, phi: float, d: CorrelationDyadic, u: UnruhParams, param: str
-) -> np.ndarray:
+def _partial_analytic(p: dict, param: str) -> np.ndarray:
     """Hand-derived partials of the branch Bloch components (branch-weighted scale).
 
     Derived by differentiating the trace expressions of the closed-form
     branch matrix; cross-validated against central differences before being
     trusted anywhere.
     """
-    cr, sr = math.cos(u.r), math.sin(u.r)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    big_r, big_l = abs(u.qr) ** 2, abs(u.ql) ** 2
-    uu = u.qr.conjugate() * cr + u.ql * sr
-    vv = u.qr.conjugate() * cr - u.ql * sr
+    theta, phi, r, qr, ql = p["theta"], p["phi"], p["r"], p["qr"], p["ql"]
+    c11, c22, c33 = p["c11"], p["c22"], p["c33"]
+    cr, sr = np.cos(r), np.sin(r)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    uu = qr.conjugate() * cr + ql * sr
+    vv = qr.conjugate() * cr - ql * sr
     if param == "theta":
-        dsx = (ct / 4.0) * (d.c11 * cp * uu.real - d.c22 * sp * vv.imag)
-        dsy = -(ct / 4.0) * (d.c11 * cp * uu.imag + d.c22 * sp * vv.real)
-        dsz = (d.c33 * st / 8.0) * ((big_l - big_r) - math.cos(2.0 * u.r))
+        dsx = (ct / 4.0) * (c11 * cp * uu.real - c22 * sp * vv.imag)
+        dsy = -(ct / 4.0) * (c11 * cp * uu.imag + c22 * sp * vv.real)
+        dsz = (c33 * st / 8.0) * ((_abs2(ql) - _abs2(qr)) - np.cos(2.0 * r))
     elif param == "phi":
-        dsx = (st / 4.0) * (-d.c11 * sp * uu.real - d.c22 * cp * vv.imag)
-        dsy = -(st / 4.0) * (-d.c11 * sp * uu.imag + d.c22 * cp * vv.real)
+        dsx = (st / 4.0) * (-c11 * sp * uu.real - c22 * cp * vv.imag)
+        dsy = -(st / 4.0) * (-c11 * sp * uu.imag + c22 * cp * vv.real)
         dsz = 0.0
     else:
-        du = -u.qr.conjugate() * sr + u.ql * cr
-        dv = -u.qr.conjugate() * sr - u.ql * cr
-        dsx = (st / 4.0) * (d.c11 * cp * du.real - d.c22 * sp * dv.imag)
-        dsy = -(st / 4.0) * (d.c11 * cp * du.imag + d.c22 * sp * dv.real)
-        dsz = -(math.sin(2.0 * u.r) / 4.0) * (1.0 + d.c33 * ct)
-    return np.array([dsx, dsy, dsz])
+        du = -qr.conjugate() * sr + ql * cr
+        dv = -qr.conjugate() * sr - ql * cr
+        dsx = (st / 4.0) * (c11 * cp * du.real - c22 * sp * dv.imag)
+        dsy = -(st / 4.0) * (c11 * cp * du.imag + c22 * sp * dv.real)
+        dsz = -(np.sin(2.0 * r) / 4.0) * (1.0 + c33 * ct)
+    return np.stack(np.broadcast_arrays(dsx, dsy, dsz), -1)
 
 
-def _bloch_partial_fd(
-    theta: float,
-    phi: float,
-    d: CorrelationDyadic,
-    u: UnruhParams,
-    param: str,
-    mode: str,
-    h: float,
-) -> np.ndarray:
-    def s_at(t: float, p: float, rr: float) -> np.ndarray:
-        return _bloch_raw(t, p, d, replace(u, r=rr), mode)
+def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Partial derivatives of the Bloch vectors; ``h`` is the fd step, in (0, pi/12]."""
+    check_choice("estimand", param, PARAM_NAMES)
+    check_choice("normalization mode", mode, NORM_NAMES)
+    check_choice("derivative method", method, METHOD_NAMES)
+    if method == "analytic":
+        ds = _partial_analytic(p, param)
+        return 4.0 * ds if mode == "normalized" else ds
+    if not (math.isfinite(h) and 0.0 < h <= MAX_FD_STEP):
+        raise DomainError(f"fd_step must lie in (0, pi/12], got {h}")
 
-    if param == "theta":
-        return (s_at(theta + h, phi, u.r) - s_at(theta - h, phi, u.r)) / (2.0 * h)
-    if param == "phi":
-        return (s_at(theta, phi + h, u.r) - s_at(theta, phi - h, u.r)) / (2.0 * h)
-    r = u.r
-    if r - h >= 0.0 and r + h <= R_MAX:
-        return (s_at(theta, phi, r + h) - s_at(theta, phi, r - h)) / (2.0 * h)
+    def s_at(step: float) -> np.ndarray:
+        return _bloch({**p, param: p[param] + step}, mode)
+
+    plus, minus = s_at(h), s_at(-h)
+    central = (plus - minus) / (2.0 * h)
+    if param != "r":
+        return central
     # Second-order one-sided stencils keep every evaluation inside [0, pi/4].
-    if r - h < 0.0:
-        return (
-            -3.0 * s_at(theta, phi, r)
-            + 4.0 * s_at(theta, phi, r + h)
-            - s_at(theta, phi, r + 2.0 * h)
-        ) / (2.0 * h)
-    return (
-        3.0 * s_at(theta, phi, r)
-        - 4.0 * s_at(theta, phi, r - h)
-        + s_at(theta, phi, r - 2.0 * h)
-    ) / (2.0 * h)
+    s = _bloch(p, mode)
+    low = (-3.0 * s + 4.0 * plus - s_at(2.0 * h)) / (2.0 * h)
+    high = (3.0 * s - 4.0 * minus + s_at(-2.0 * h)) / (2.0 * h)
+    r = np.expand_dims(p["r"], -1)
+    return np.where(r - h < 0.0, low, np.where(r + h > R_MAX, high, central))
+
+
+def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fisher values, pure-branch flags and clamp flags over the leading axes."""
+    norm2 = _dot(s, s)
+    if np.any(np.sqrt(norm2) > 1.0 + 1e-12):
+        largest = float(np.sqrt(np.max(norm2)))
+        raise DomainError(f"|s| = {largest} exceeds 1, not a physical Bloch vector")
+    gap = 1.0 - norm2
+    pure = gap <= PURE_BRANCH_EPS
+    dd, sd = _dot(ds, ds), _dot(s, ds)
+    # float_power squares as the scalar formula's ``** 2`` did (libm pow).
+    value = np.where(pure, dd, dd + np.float_power(sd, 2.0) / np.where(pure, 1.0, gap))
+    if np.any(value < -NEGATIVE_CLAMP):
+        raise ConsistencyError(
+            f"Fisher information {float(np.min(value))} is negative beyond rounding"
+        )
+    clamped = value < 0.0
+    return np.where(clamped, 0.0, value), pure, clamped
+
+
+def _fisher(
+    p: dict, param: str, mode: str, method: str, fd_step: float = DEFAULT_FD_STEP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _fisher_from_bloch(_bloch(p, mode), _partial(p, param, mode, method, fd_step))
+
+
+def bloch_teleported(
+    state: InputState, d: CorrelationDyadic, u: UnruhParams, mode: str = "normalized"
+) -> np.ndarray:
+    """Bloch vector of the teleported branch state in the requested mode."""
+    return _bloch(_point(state, d, u), mode)
 
 
 def bloch_partial(
@@ -161,15 +190,7 @@ def bloch_partial(
 
     ``fd_step`` is used by ``method="fd"`` only and must lie in (0, pi/12].
     """
-    check_choice("estimand", param, PARAM_NAMES)
-    check_choice("normalization mode", mode, NORM_NAMES)
-    check_choice("derivative method", method, METHOD_NAMES)
-    if method == "analytic":
-        ds = _bloch_partial_analytic(state.theta, state.phi, d, u, param)
-        return 4.0 * ds if mode == "normalized" else ds
-    if not (math.isfinite(fd_step) and 0.0 < fd_step <= MAX_FD_STEP):
-        raise DomainError(f"fd_step must lie in (0, pi/12], got {fd_step}")
-    return _bloch_partial_fd(state.theta, state.phi, d, u, param, mode, fd_step)
+    return _partial(_point(state, d, u), param, mode, method, fd_step)
 
 
 def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
@@ -180,24 +201,10 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     results (above -1e-9) clamp to zero with the clamp recorded; anything
     more negative indicates a bug and raises.
     """
-    s = np.asarray(s, dtype=float)
-    ds = np.asarray(ds, dtype=float)
-    norm2 = float(s @ s)
-    if math.sqrt(norm2) > 1.0 + 1e-12:
-        raise DomainError(f"|s| = {math.sqrt(norm2)} exceeds 1, not a physical Bloch vector")
-    gap = 1.0 - norm2
-    if gap > PURE_BRANCH_EPS:
-        value = float(ds @ ds) + float(s @ ds) ** 2 / gap
-        pure = False
-    else:
-        value = float(ds @ ds)
-        pure = True
-    clamped = False
-    if value < 0.0:
-        if value < -NEGATIVE_CLAMP:
-            raise ConsistencyError(f"Fisher information {value} is negative beyond rounding")
-        value, clamped = 0.0, True
-    return FisherValue(value=value, pure_branch=pure, clamped=clamped)
+    value, pure, clamped = _fisher_from_bloch(
+        np.asarray(s, dtype=float), np.asarray(ds, dtype=float)
+    )
+    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=bool(clamped))
 
 
 def fisher(
@@ -211,15 +218,13 @@ def fisher(
     fd_step: float = DEFAULT_FD_STEP,
 ) -> FisherResult:
     """Fisher information of the teleported state for one estimand."""
-    s = bloch_teleported(state, d, u, mode)
-    ds = bloch_partial(state, d, u, param, mode, method, fd_step)
-    fv = fisher_from_bloch(s, ds)
+    value, pure, clamped = _fisher(_point(state, d, u), param, mode, method, fd_step)
     return FisherResult(
-        value=fv.value,
+        value=float(value),
         param=param,
         mode=mode,
         method=method,
         fd_step=fd_step if method == "fd" else None,
-        pure_branch=fv.pure_branch,
-        clamped=fv.clamped,
+        pure_branch=bool(pure),
+        clamped=bool(clamped),
     )

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -13,8 +13,7 @@ import numpy as np
 
 from .channels import X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 from .errors import DomainError, check_choice
-from .fisher import METHOD_NAMES, NORM_NAMES, PARAM_NAMES, fisher
-from .teleport import InputState
+from .fisher import METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _fisher
 from .unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 
 VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
@@ -40,6 +39,8 @@ class Axis:
 
     def __post_init__(self) -> None:
         check_choice("sweep variable", self.name, PARAM_NAMES)
+        if isinstance(self.count, bool) or not isinstance(self.count, Integral):
+            raise DomainError(f"axis {self.name} count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise DomainError(f"axis {self.name} needs count >= 2, got {self.count}")
         lo, hi = VARIABLE_DOMAINS[self.name]
@@ -83,6 +84,8 @@ class SweepSpec:
         check_choice("normalization mode", self.norm, NORM_NAMES)
         check_choice("derivative method", self.method, METHOD_NAMES)
         if isinstance(self.fixed, Mapping):
+            for name in self.fixed:
+                check_choice("fixed variable", name, PARAM_NAMES)
             object.__setattr__(
                 self,
                 "fixed",
@@ -98,7 +101,7 @@ class SweepSpec:
         fixed_names = [name for name, _ in self.fixed]
         if sorted(swept + fixed_names) != sorted(PARAM_NAMES):
             raise DomainError(
-                f"swept {swept} and fixed {fixed_names} must partition {set(PARAM_NAMES)}"
+                f"swept {swept} and fixed {fixed_names} must partition {PARAM_NAMES}"
             )
         for name, value in self.fixed:
             lo, hi = VARIABLE_DOMAINS[name]
@@ -116,32 +119,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the Fisher information on every grid point of the spec.
 
     Points iterate with the first axis outermost; the channel is rejected
-    up front if its initial state is unphysical.
+    up front if its initial state is unphysical. The whole grid is one
+    call of the broadcast Fisher kernel.
     """
     require_physical(spec.dyadic)
-    values = dict(spec.fixed)
-    grids = [axis.points() for axis in spec.axes]
-    names = spec.axis_names
-    rows: list[SweepRow] = []
-    for coords in itertools.product(*grids):
-        for name, value in zip(names, coords):
-            values[name] = float(value)
-        result = fisher(
-            InputState(values["theta"], values["phi"]),
-            spec.dyadic,
-            UnruhParams(values["r"], spec.qr, spec.ql),
-            spec.estimand,
-            mode=spec.norm,
-            method=spec.method,
-        )
-        rows.append(
-            SweepRow(
-                coords=tuple(float(c) for c in coords),
-                fisher=result.value,
-                pure_branch=result.pure_branch,
-            )
-        )
-    return rows
+    coords = [g.ravel() for g in np.meshgrid(*(a.points() for a in spec.axes), indexing="ij")]
+    point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
+             **dict(zip(spec.axis_names, coords))}
+    value, pure, _ = _fisher(point, spec.estimand, spec.norm, spec.method)
+    return [
+        SweepRow(coords=c, fisher=f, pure_branch=b)
+        for c, f, b in zip(zip(*(g.tolist() for g in coords)), value.tolist(), pure.tolist())
+    ]
 
 
 # Named dataset presets with panel-style ids, covering the standard
@@ -252,7 +241,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         qr = complex(*unruh["qr"])
         ql = complex(*unruh["ql"])
         axes = tuple(
-            Axis(a["name"], float(a["start"]), float(a["stop"]), int(a["count"]))
+            Axis(a["name"], float(a["start"]), float(a["stop"]), a["count"])
             for a in payload["axes"]
         )
         return SweepSpec(

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ._linalg import CNOT, HADAMARD, IDENTITY_2, PAULIS, partial_trace
 from .channels import CorrelationDyadic
@@ -97,26 +98,32 @@ def teleport_analytic(state: InputState, ch: AcceleratedChannel) -> BobState:
     return _bob_state(rho)
 
 
-def _branch_rho(
-    theta: float,
-    phi: float,
-    c11: float,
-    c22: float,
-    c33: float,
-    r: float,
-    qr: complex,
-    ql: complex,
-) -> np.ndarray:
-    """Branch state written directly in the angles and channel parameters.
+def _abs2(z: ArrayLike) -> np.ndarray:
+    """Elementwise ``abs(z) ** 2`` to the bit: hypot, then libm pow (not always x * x)."""
+    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2.0)
 
-    Algebraically identical to the coefficient form; both off-diagonals are
-    spelled out independently so their mutual conjugacy stays a meaningful
-    cross-check.
+
+def _branch_entries(
+    theta: ArrayLike,
+    phi: ArrayLike,
+    c11: ArrayLike,
+    c22: ArrayLike,
+    c33: ArrayLike,
+    r: ArrayLike,
+    qr: ArrayLike,
+    ql: ArrayLike,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (rho00, rho01, rho10, rho11) of the branch state, written
+    directly in the angles and channel parameters.
+
+    Broadcasts over every argument. Algebraically identical to the
+    coefficient form; both off-diagonals are spelled out independently so
+    their mutual conjugacy stays a meaningful cross-check.
     """
-    cr, sr = math.cos(r), math.sin(r)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    big_r, big_l = abs(qr) ** 2, abs(ql) ** 2
+    cr, sr = np.cos(r), np.sin(r)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    big_r, big_l = _abs2(qr), _abs2(ql)
     r00 = (cr * cr * (1.0 + c33 * ct) + big_l * (1.0 - c33 * ct)) / 8.0
     r11 = (sr * sr * (1.0 + c33 * ct) + big_r * (1.0 - c33 * ct)) / 8.0
     r01 = (st / 8.0) * (
@@ -127,7 +134,7 @@ def _branch_rho(
         c11 * cp * (ql.conjugate() * sr + qr * cr)
         + 1.0j * c22 * sp * (ql.conjugate() * sr - qr * cr)
     )
-    return np.array([[r00, r01], [r10, r11]], dtype=complex)
+    return r00, r01, r10, r11
 
 
 def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> BobState:
@@ -136,8 +143,8 @@ def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams
     Redundant with ``teleport_analytic`` composed with ``accelerate``; kept
     as an independent evaluation path for the verification suite.
     """
-    rho = _branch_rho(state.theta, state.phi, d.c11, d.c22, d.c33, u.r, u.qr, u.ql)
-    return _bob_state(rho)
+    r00, r01, r10, r11 = _branch_entries(**vars(state), **vars(d), **vars(u))
+    return _bob_state(np.array([[r00, r01], [r10, r11]], dtype=complex))
 
 
 def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> BobState:

@@ -23,11 +23,13 @@ from .channels import (
     validate_physical,
 )
 from .errors import DomainError
-from .fisher import NORM_NAMES, PARAM_NAMES, bloch_partial, bloch_teleported, fisher, fisher_from_bloch
+from .fisher import (
+    NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, _point, fisher
+)
 from .sampling import sample_dyadic, sample_input, sample_unruh
+from .sweep import MAX_POINTS
 from .teleport import (
     InputState,
-    bloch_of,
     teleport_analytic,
     teleport_circuit_oracle,
     teleport_closed_form,
@@ -104,8 +106,9 @@ def _check(section: int, name: str, max_error: float, tolerance: float | None) -
 
 def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     """Run every oracle cross-check and invariant suite with seeded draws."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    # The batched Fisher checks hold arrays sized by the trials.
+    if not 1 <= trials <= MAX_POINTS:
+        raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -116,45 +119,40 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
         (sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(trials)
     ]
 
-    # [1] closed-form coefficients against the embedding-isometry oracle.
-    err = 0.0
-    for _, d, u in draws:
-        closed = accelerated_density(accelerate(d, u))
-        oracle = bogoliubov_oracle(d, u)
-        err = max(err, float(np.max(np.abs(closed - oracle))))
-    checks.append(_check(1, "max elementwise difference", err, EQUIV_TOL))
-
-    # [2] coefficient-form branch state against the three-qubit circuit.
-    err = 0.0
+    # [1] closed-form coefficients against the embedding-isometry oracle,
+    # [2] the coefficient-form branch state against the three-qubit circuit,
+    # [3] the coefficient form against the explicit angle form.
+    err1 = err2 = err3 = 0.0
     for state, d, u in draws:
-        analytic = teleport_analytic(state, accelerate(d, u))
-        circuit = teleport_circuit_oracle(state, bogoliubov_oracle(d, u))
-        err = max(err, float(np.max(np.abs(analytic.rho - circuit.rho))))
-    checks.append(_check(2, "max elementwise difference", err, EQUIV_TOL))
+        channel, oracle = accelerate(d, u), bogoliubov_oracle(d, u)
+        rho = teleport_analytic(state, channel).rho
+        circuit = teleport_circuit_oracle(state, oracle).rho
+        closed = teleport_closed_form(state, d, u).rho
+        err1 = max(err1, float(np.max(np.abs(accelerated_density(channel) - oracle))))
+        err2 = max(err2, float(np.max(np.abs(rho - circuit))))
+        err3 = max(err3, float(np.max(np.abs(rho - closed))))
+    checks.append(_check(1, "max elementwise difference", err1, EQUIV_TOL))
+    checks.append(_check(2, "max elementwise difference", err2, EQUIV_TOL))
+    checks.append(_check(3, "max elementwise difference", err3, EQUIV_TOL))
 
-    # [3] coefficient form against the explicit angle form.
-    err = 0.0
-    for state, d, u in draws:
-        a = teleport_analytic(state, accelerate(d, u))
-        b = teleport_closed_form(state, d, u)
-        err = max(err, float(np.max(np.abs(a.rho - b.rho))))
-    checks.append(_check(3, "max elementwise difference", err, EQUIV_TOL))
+    # Every draw as one array per kernel argument, for the batched Fisher checks.
+    points = [_point(*draw) for draw in draws]
+    batch = {key: np.array([p[key] for p in points]) for key in points[0]}
 
     # [4] analytic partials against central differences (relative error,
     # counted only where the derivative is not degenerate).
     err = 0.0
-    for state, d, u in draws:
-        for mode in NORM_NAMES:
-            for param in PARAM_NAMES:
-                analytic = bloch_partial(state, d, u, param, mode, "analytic")
-                scale = float(np.linalg.norm(analytic))
-                if scale <= DERIV_FLOOR:
-                    continue
-                numeric = bloch_partial(state, d, u, param, mode, "fd")
-                err = max(err, float(np.linalg.norm(analytic - numeric)) / scale)
+    for mode in NORM_NAMES:
+        for param in PARAM_NAMES:
+            analytic = _partial(batch, param, mode, "analytic")
+            numeric = _partial(batch, param, mode, "fd")
+            scale = _norm(analytic)
+            kept = scale > DERIV_FLOOR
+            if kept.any():
+                err = max(err, float(np.max(_norm(analytic - numeric)[kept] / scale[kept])))
     checks.append(_check(4, "max relative difference", err, DERIV_TOL))
 
-    checks.extend(_invariant_suite(draws))
+    checks.extend(_invariant_suite(draws, batch))
 
     # [6] size of the Hermiticity violation if b7 were assembled with the
     # correlation combinations swapped. Informational only.
@@ -167,8 +165,14 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, as ``np.linalg.norm`` of one vector."""
+    return np.sqrt(_dot(v, v))
+
+
 def _invariant_suite(
     draws: list[tuple[InputState, CorrelationDyadic, UnruhParams]],
+    batch: dict[str, np.ndarray],
 ) -> list[Check]:
     checks: list[Check] = []
 
@@ -230,64 +234,53 @@ def _invariant_suite(
     checks.append(_check(5, "branch state positive", err_psd, EQUIV_TOL))
 
     # Bloch vectors stay inside the physical ball in both modes.
-    err_norm = err_quarter = 0.0
-    for state, d, u in draws:
-        s_n = bloch_teleported(state, d, u, "normalized")
-        s_p = bloch_teleported(state, d, u, "as-published")
-        err_norm = max(err_norm, max(0.0, float(np.linalg.norm(s_n)) - 1.0))
-        err_quarter = max(err_quarter, max(0.0, float(np.linalg.norm(s_p)) - 0.25))
+    s_n = _bloch(batch, "normalized")
+    err_norm = max(0.0, float(np.max(_norm(s_n))) - 1.0)
+    err_quarter = max(0.0, float(np.max(_norm(_bloch(batch, "as-published")))) - 0.25)
     checks.append(_check(5, "normalized bloch norm <= 1", err_norm, EQUIV_TOL))
     checks.append(_check(5, "as-published bloch norm <= 1/4", err_quarter, EQUIV_TOL))
 
     # Fisher values: finite and non-negative for every estimand and mode.
     worst = 0.0
-    for state, d, u in draws:
-        for mode in NORM_NAMES:
-            for param in PARAM_NAMES:
-                value = fisher(state, d, u, param, mode=mode).value
-                worst = max(worst, math.inf if not math.isfinite(value) else -value)
+    for mode in NORM_NAMES:
+        for param in PARAM_NAMES:
+            value = _fisher(batch, param, mode, "analytic")[0]
+            worst = max(worst, float(np.max(np.where(np.isfinite(value), -value, math.inf))))
     checks.append(_check(5, "fisher finite and non-negative", max(0.0, worst), FISHER_TOL))
 
     # Reflection invariance: negating one fixed Bloch component everywhere
     # leaves the Fisher value unchanged.
-    err = 0.0
     flip = np.array([1.0, -1.0, 1.0])
-    for state, d, u in draws:
-        s = bloch_teleported(state, d, u, "normalized")
-        ds = bloch_partial(state, d, u, "theta", "normalized", "analytic")
-        a = fisher_from_bloch(s, ds).value
-        b = fisher_from_bloch(s * flip, ds * flip).value
-        err = max(err, abs(a - b))
+    ds = _partial(batch, "theta", "normalized", "analytic")
+    a = _fisher_from_bloch(s_n, ds)[0]
+    b = _fisher_from_bloch(s_n * flip, ds * flip)[0]
+    err = float(np.max(np.abs(a - b)))
     checks.append(_check(5, "fisher invariant under s_y reflection", err, 1e-15))
 
     # Closed-form anchor: weight-angle information equals cos(r)^2 for the
     # (1,-1,1) Bell channel in the single-mode limit.
-    err = 0.0
     phi_plus = preset_dyadic("bell-phi-plus")
-    for theta in np.linspace(0.0, math.pi, 7):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 7):
-            for r in np.linspace(0.0, R_MAX, 7):
-                value = fisher(
-                    InputState(float(theta), float(phi)),
-                    phi_plus,
-                    mode_params(float(r), "wsma"),
-                    "theta",
-                ).value
-                err = max(err, abs(value - math.cos(float(r)) ** 2))
+    grid = np.meshgrid(
+        np.linspace(0.0, math.pi, 7),
+        np.linspace(0.0, 2.0 * math.pi, 7),
+        np.linspace(0.0, R_MAX, 7),
+        indexing="ij",
+    )
+    anchor = {**vars(phi_plus), **vars(mode_params(0.0, "wsma")), **dict(zip(PARAM_NAMES, grid))}
+    value = _fisher(anchor, "theta", "normalized", "analytic")[0]
+    err = float(np.max(np.abs(value - np.float_power(np.cos(anchor["r"]), 2.0))))
     checks.append(_check(5, "anchor: weight information = cos(r)^2", err, FISHER_TOL))
 
     # Mode scaling at r=0 for maximally entangled channels: the
     # as-published value is exactly 1/16 of the normalized one.
     err = 0.0
+    angles = {"theta": np.array([0.3, 1.2, 2.4]), "phi": np.array([0.7, 2.5, 4.9])}
     for preset in ("bell-phi-plus", "bell-psi-minus"):
-        d = preset_dyadic(preset)
-        u = mode_params(0.0, "wsma")
-        for theta, phi in ((0.3, 0.7), (1.2, 2.5), (2.4, 4.9)):
-            state = InputState(theta, phi)
-            for param in PARAM_NAMES:
-                f_n = fisher(state, d, u, param, mode="normalized").value
-                f_p = fisher(state, d, u, param, mode="as-published").value
-                err = max(err, abs(f_p - f_n / 16.0))
+        p = {**vars(preset_dyadic(preset)), **vars(mode_params(0.0, "wsma")), **angles}
+        for param in PARAM_NAMES:
+            f_n = _fisher(p, param, "normalized", "analytic")[0]
+            f_p = _fisher(p, param, "as-published", "analytic")[0]
+            err = max(err, float(np.max(np.abs(f_p - f_n / 16.0))))
     checks.append(_check(5, "mode scaling 1/16 at r=0", err, FISHER_TOL))
 
     # Mixed-branch value stays continuous as the pure shell is approached.

@@ -318,11 +318,28 @@ class TestInputBoundary:
             (["verify", "--seed", "-5"], None),
             (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
               "--qr", "nan", "--ql", "0"], None),
+            (["sweep"], _spec_payload(fixed={"theta": 1.0, "phi": 1.0, "bogus": 7})),
+            (["sweep"], _spec_payload(axes=[{"name": "r", "start": 0, "stop": 0.5, "count": 3.9}])),
+            (["sweep", "--theta", "1"], _spec_payload()),
+            (["sweep", "--c11", "0.5"], _spec_payload()),
+            (["sweep", "--fidelity", "0.5"], _spec_payload()),
+            (["sweep", "--mode", "bsma"], _spec_payload()),
+            (["sweep", "--qr", "1", "--ql", "0"], _spec_payload()),
+            (["sweep", "--param", "theta", "--grid", "theta=0:pi:3", "--theta", "1", "--phi", "1",
+              "--r", "0", "--preset", "bell-phi-plus"], None),
+            (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
+              "--fidelity", "0.3"], None),
+            (["teleport", *POINT, "--c11", "-0.5", "--c22", "-0.5", "--c33", "-0.5",
+              "--fidelity", "0.5"], None),
+            (["verify", "--trials", str(2**20 + 1)], None),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
             "teleport-unphysical", "fd-step-zero", "fd-step-nan", "fd-step-negative",
             "fd-step-too-large", "grid-too-large", "negative-seed", "nan-weight",
+            "spec-unknown-fixed", "spec-count-float", "spec-with-theta",
+            "spec-with-c11", "spec-with-fidelity", "spec-with-mode", "spec-with-weights",
+            "swept-and-fixed", "fidelity-with-bell", "fidelity-with-x-state", "trials-too-many",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

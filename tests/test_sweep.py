@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from unruh_teleport import (
+    FIGURE_IDS,
     Axis,
     CorrelationDyadic,
     DomainError,
+    InputState,
     SweepSpec,
+    UnruhParams,
     emit,
     figure_spec,
+    fisher,
     run_sweep,
 )
 from unruh_teleport.sweep import (
@@ -247,3 +251,62 @@ class TestSingleSources:
             basic_spec(axes=(Axis("theta", 0.0, math.pi, 1025), axes[1]))
         with pytest.raises(DomainError, match="exceeds"):
             figure_spec("1a", grid=100000)
+
+
+def _assert_rows_match_scalar_fisher(spec):
+    """Every row equals, bit for bit, the scalar ``fisher`` at that point."""
+    rows = run_sweep(spec)
+    assert len(rows) == math.prod(axis.count for axis in spec.axes)
+    for row in rows:
+        values = {**dict(spec.fixed), **dict(zip(spec.axis_names, row.coords))}
+        expected = fisher(
+            InputState(values["theta"], values["phi"]),
+            spec.dyadic,
+            UnruhParams(values["r"], spec.qr, spec.ql),
+            spec.estimand,
+            mode=spec.norm,
+            method=spec.method,
+        )
+        assert (row.fisher, row.pure_branch) == (expected.value, expected.pure_branch), row
+
+
+class TestOneKernel:
+    """Grids and scalar points are the same kernel, so they agree exactly."""
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_figure_rows_equal_scalar_fisher(self, fig_id):
+        for norm in ("normalized", "as-published"):
+            for method in ("analytic", "fd"):
+                _assert_rows_match_scalar_fisher(
+                    figure_spec(fig_id, grid=9, norm=norm, method=method)
+                )
+
+    def test_fd_r_sweep_through_both_edges(self):
+        # With the 1e-5 step, the narrow axes mix points that take a
+        # one-sided stencil (within a step of an edge) with central ones.
+        for start, stop in ((0.0, math.pi / 4), (0.0, 3e-5), (math.pi / 4 - 3e-5, math.pi / 4)):
+            for norm in ("normalized", "as-published"):
+                spec = basic_spec(
+                    estimand="r",
+                    norm=norm,
+                    method="fd",
+                    dyadic=CorrelationDyadic(-0.9, -0.8, -0.7),
+                    qr=0.6 + 0.0j,
+                    ql=0.48 + 0.64j,
+                    axes=(Axis("r", start, stop, 7),),
+                    fixed={"theta": 1.1, "phi": 2.3},
+                    channel_preset=None,
+                    unruh_mode=None,
+                )
+                _assert_rows_match_scalar_fisher(spec)
+
+
+class TestSpecInputs:
+    def test_count_must_be_an_integer(self):
+        for count in (True, 3.9, "3"):
+            with pytest.raises(DomainError, match="integer"):
+                Axis("r", 0.0, 0.5, count)
+
+    def test_unknown_fixed_name(self):
+        with pytest.raises(DomainError, match="fixed variable"):
+            basic_spec(fixed={"phi": 1.0, "bogus": 7.0})

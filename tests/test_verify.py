@@ -37,3 +37,9 @@ def test_informational_check_does_not_gate():
 def test_trials_validated():
     with pytest.raises(DomainError):
         verify(trials=0)
+
+
+def test_trials_bounded_before_any_draw():
+    # Rejected up front: the batched checks would hold arrays of this size.
+    with pytest.raises(DomainError, match="trials"):
+        verify(trials=2**20 + 1)
