@@ -25,6 +25,8 @@ PRESET_NAMES = ("bell-phi-plus", "bell-psi-minus", "werner", "x-state")
 X_STATE_EXAMPLE = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
 
 EIGENVALUE_TOL = 1e-12
+# sigma (x) sigma for sx, sy, sz: the terms the correlation triple weighs.
+_PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
     coefficients and is checked by :func:`validate_physical`.
     """
     m = np.eye(4, dtype=complex)
-    for c, sigma in zip(d.as_tuple(), PAULIS):
-        m += c * np.kron(sigma, sigma)
+    for c, pair in zip(d.as_tuple(), _PAULI_PAIRS):
+        m += c * pair
     return m / 4.0
 
 

@@ -72,6 +72,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if match.group(1) else 1.0
         coefficient = float(match.group(2)) if match.group(2) else 1.0
         denominator = float(match.group(3)) if match.group(3) else 1.0
+        if denominator == 0.0:
+            raise DomainError(f"cannot parse angle {text!r}: zero denominator")
         return sign * coefficient * math.pi / denominator
     try:
         return float(text)
@@ -124,12 +126,15 @@ def _add_r_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--c", type=float, help="speed of light (m/s)")
 
 
-def _add_fisher_args(parser: argparse.ArgumentParser, norm: str, param: bool | None) -> None:
-    """Add --param (required if True, optional if False, absent if None), --norm, --method."""
+def _add_fisher_args(parser: argparse.ArgumentParser, norm: str | None, param: bool | None) -> None:
+    """Add --param (required if True, optional if False, absent if None), --norm, --method.
+
+    ``norm=None`` leaves --norm and --method without a default."""
     if param is not None:
         parser.add_argument("--param", choices=PARAM_NAMES, required=param)
     parser.add_argument("--norm", choices=NORM_NAMES, default=norm)
-    parser.add_argument("--method", choices=METHOD_NAMES, default="analytic")
+    method = None if norm is None else "analytic"
+    parser.add_argument("--method", choices=METHOD_NAMES, default=method)
 
 
 def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | None]:
@@ -323,17 +328,21 @@ def _parse_axis_specs(specs: list[str]) -> tuple[Axis, ...]:
 
 # Sweep flags that a --spec file already fixes.
 _SPEC_FIELDS = (
-    "param", *PARAM_NAMES, "preset", "fidelity", "c11", "c22", "c33", "mode", "qr", "ql",
+    "param", "norm", "method", *PARAM_NAMES,
+    "preset", "fidelity", "c11", "c22", "c33", "mode", "qr", "ql",
 )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
         if args.grid or any(getattr(args, name) is not None for name in _SPEC_FIELDS):
-            raise DomainError("--spec already fixes the estimand, grid, point, channel and weights")
+            raise DomainError(
+                "--spec already fixes the estimand, normalization, method, grid, point, "
+                "channel and weights"
+            )
         try:
             payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DomainError(f"invalid JSON in {args.spec}: {exc}") from exc
         spec = spec_from_dict(payload)
     else:
@@ -348,8 +357,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed = {k: getattr(args, k) for k in PARAM_NAMES if getattr(args, k) is not None}
         spec = SweepSpec(
             estimand=args.param,
-            norm=args.norm,
-            method=args.method,
+            norm=args.norm or "normalized",
+            method=args.method or "analytic",
             dyadic=dyadic,
             qr=qr,
             ql=ql,
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher.set_defaults(handler=_cmd_fisher)
 
     p_sweep = sub.add_parser("sweep", help="evaluate Fisher information on a grid")
-    _add_fisher_args(p_sweep, "normalized", param=False)
+    _add_fisher_args(p_sweep, None, param=False)
     p_sweep.add_argument(
         "--grid",
         action="append",

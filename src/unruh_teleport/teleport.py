@@ -30,6 +30,12 @@ from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .unruh import AcceleratedChannel, UnruhParams
 
 DEGENERATE_PROB = 1e-15
+# Constant factors of the circuit on (unknown, sender, receiver): CNOT from the
+# unknown qubit onto the sender's, Hadamard on the unknown qubit, and the
+# projector onto the sender's 00 outcome.
+_CNOT_GATE = np.kron(CNOT, IDENTITY_2)
+_HADAMARD_GATE = np.kron(HADAMARD, np.eye(4, dtype=complex))
+_PROJ_00 = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), IDENTITY_2)
 
 
 @dataclass(frozen=True)
@@ -155,9 +161,7 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     qubit, projects the first two qubits onto |00> and traces them out.
     """
     full = np.kron(state.density(), channel_density)
-    u1 = np.kron(CNOT, IDENTITY_2)
-    u2 = np.kron(HADAMARD, np.eye(4, dtype=complex))
-    evolved = u2 @ u1 @ full @ u1.conj().T @ u2.conj().T
+    evolved = _HADAMARD_GATE @ _CNOT_GATE @ full @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T
 
     diag = np.diag(evolved).real
     branch_probs = [diag[base] + diag[base + 1] for base in (0, 2, 4, 6)]
@@ -166,10 +170,7 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
             f"branch probabilities sum to {sum(branch_probs)}, expected 1"
         )
 
-    proj00 = np.zeros((4, 4), dtype=complex)
-    proj00[0, 0] = 1.0
-    proj = np.kron(proj00, IDENTITY_2)
-    projected = proj @ evolved @ proj
+    projected = _PROJ_00 @ evolved @ _PROJ_00
     rho = partial_trace(projected, (2, 2, 2), keep=(2,))
     return _bob_state(rho)
 

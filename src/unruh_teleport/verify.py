@@ -5,11 +5,19 @@ contains six sections: channel oracle equivalence, teleportation oracle
 equivalence, agreement of the two branch-state forms, derivative
 cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
+
+``verify`` makes one pass over its seeded draws: the accelerated channel,
+both oracles, the two branch-state forms, the inertial channel and the
+swapped-b7 variant are each evaluated once per draw, and every check keeps a
+running maximum of its error. The Fisher-kernel checks then run once over
+arrays built from the same draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +44,6 @@ from .teleport import (
 )
 from .unruh import (
     R_MAX,
-    UnruhParams,
     accelerate,
     accelerate_swapped_b7,
     accelerated_density,
@@ -105,38 +112,62 @@ def _check(section: int, name: str, max_error: float, tolerance: float | None) -
 
 
 def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
-    """Run every oracle cross-check and invariant suite with seeded draws."""
+    """Run every oracle cross-check and invariant check with seeded draws."""
     # The batched Fisher checks hold arrays sized by the trials.
     if not 1 <= trials <= MAX_POINTS:
         raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    checks: list[Check] = []
 
     # Shared draw set: (input state, physical dyadic, acceleration params).
     draws = [
         (sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(trials)
     ]
 
-    # [1] closed-form coefficients against the embedding-isometry oracle,
-    # [2] the coefficient-form branch state against the three-qubit circuit,
-    # [3] the coefficient form against the explicit angle form.
-    err1 = err2 = err3 = 0.0
+    # The one pass over the draws. Each check keeps its largest error under
+    # its report name; the section [5] names come out in report order.
+    inertial = mode_params(0.0, "wsma")
+    worst: defaultdict[str, float] = defaultdict(float)
+    points = []
     for state, d, u in draws:
         channel, oracle = accelerate(d, u), bogoliubov_oracle(d, u)
-        rho = teleport_analytic(state, channel).rho
-        circuit = teleport_circuit_oracle(state, oracle).rho
-        closed = teleport_closed_form(state, d, u).rho
-        err1 = max(err1, float(np.max(np.abs(accelerated_density(channel) - oracle))))
-        err2 = max(err2, float(np.max(np.abs(rho - circuit))))
-        err3 = max(err3, float(np.max(np.abs(rho - closed))))
-    checks.append(_check(1, "max elementwise difference", err1, EQUIV_TOL))
-    checks.append(_check(2, "max elementwise difference", err2, EQUIV_TOL))
-    checks.append(_check(3, "max elementwise difference", err3, EQUIV_TOL))
+        m = accelerated_density(channel)
+        bob = teleport_analytic(state, channel)
+        identity = accelerated_density(accelerate(d, inertial)) - dyadic_to_density(d)
+        v = bogoliubov_isometry(u)
+        swapped = accelerate_swapped_b7(d, u)
+        for name, error in (
+            # [1] closed-form coefficients against the embedding-isometry oracle,
+            # [2] the coefficient-form branch state against the three-qubit
+            # circuit, [3] the coefficient form against the explicit angle form.
+            ("[1]", np.max(np.abs(m - oracle))),
+            ("[2]", np.max(np.abs(bob.rho - teleport_circuit_oracle(state, oracle).rho))),
+            ("[3]", np.max(np.abs(bob.rho - teleport_closed_form(state, d, u).rho))),
+            # [6] size of the Hermiticity violation if b7 were assembled with
+            # the correlation combinations swapped. Informational only.
+            ("[6]", abs(swapped.b7 - swapped.b6.conjugate())),
+            # Accelerated channels: trace, hermiticity, positivity, inertial identity.
+            ("accelerated channel unit trace", abs(float(np.trace(m).real) - 1.0)),
+            ("accelerated channel hermitian", hermiticity_gap(m)),
+            ("accelerated channel positive", -min_eigenvalue(m)),
+            ("identity channel at r=0 wsma", np.max(np.abs(identity))),
+            ("isometry columns orthonormal", np.max(np.abs(v.conj().T @ v - np.eye(2)))),
+            # Branch states: probability exactly 1/4, Hermitian, positive.
+            ("branch probability equals 1/4", abs(bob.outcome_prob - 0.25)),
+            ("branch state hermitian", hermiticity_gap(bob.rho)),
+            ("branch state positive", -min_eigenvalue(bob.rho_normalized)),
+        ):
+            worst[name] = max(worst[name], float(error))
+        points.append(_point(state, d, u))
+    checks = [
+        _check(1, "max elementwise difference", worst.pop("[1]"), EQUIV_TOL),
+        _check(2, "max elementwise difference", worst.pop("[2]"), EQUIV_TOL),
+        _check(3, "max elementwise difference", worst.pop("[3]"), EQUIV_TOL),
+    ]
+    swapped_gap = worst.pop("[6]")
 
     # Every draw as one array per kernel argument, for the batched Fisher checks.
-    points = [_point(*draw) for draw in draws]
     batch = {key: np.array([p[key] for p in points]) for key in points[0]}
 
     # [4] analytic partials against central differences (relative error,
@@ -152,31 +183,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
                 err = max(err, float(np.max(_norm(analytic - numeric)[kept] / scale[kept])))
     checks.append(_check(4, "max relative difference", err, DERIV_TOL))
 
-    checks.extend(_invariant_suite(draws, batch))
-
-    # [6] size of the Hermiticity violation if b7 were assembled with the
-    # correlation combinations swapped. Informational only.
-    err = 0.0
-    for _, d, u in draws:
-        swapped = accelerate_swapped_b7(d, u)
-        err = max(err, abs(swapped.b7 - swapped.b6.conjugate()))
-    checks.append(_check(6, "hermiticity gap |b7 - conj(b6)|", err, None))
-
-    return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, as ``np.linalg.norm`` of one vector."""
-    return np.sqrt(_dot(v, v))
-
-
-def _invariant_suite(
-    draws: list[tuple[InputState, CorrelationDyadic, UnruhParams]],
-    batch: dict[str, np.ndarray],
-) -> list[Check]:
-    checks: list[Check] = []
-
-    # Named presets build Hermitian, unit-trace, physical states.
+    # [5] Named presets build Hermitian, unit-trace, physical states.
     err_herm = err_trace = err_psd = 0.0
     presets = [
         preset_dyadic("bell-phi-plus"),
@@ -190,48 +197,20 @@ def _invariant_suite(
         m = dyadic_to_density(d)
         err_herm = max(err_herm, hermiticity_gap(m))
         err_trace = max(err_trace, abs(float(np.trace(m).real) - 1.0))
-        err_psd = max(err_psd, max(0.0, -validate_physical(d).min_eigenvalue))
+        err_psd = max(err_psd, -validate_physical(d).min_eigenvalue)
     checks.append(_check(5, "preset states hermitian", err_herm, EQUIV_TOL))
     checks.append(_check(5, "preset states unit trace", err_trace, EQUIV_TOL))
     checks.append(_check(5, "preset states positive", err_psd, EQUIV_TOL))
 
     # Eigenvalues of any dyadic-induced matrix sum to 1 (9x9x9 grid).
     err = 0.0
-    grid = np.linspace(-1.0, 1.0, 9)
-    for c11 in grid:
-        for c22 in grid:
-            for c33 in grid:
-                eig = np.linalg.eigvalsh(dyadic_to_density(CorrelationDyadic(c11, c22, c33)))
-                err = max(err, abs(float(eig.sum()) - 1.0))
+    for c in itertools.product(np.linspace(-1.0, 1.0, 9), repeat=3):
+        eig = np.linalg.eigvalsh(dyadic_to_density(CorrelationDyadic(*c)))
+        err = max(err, abs(float(eig.sum()) - 1.0))
     checks.append(_check(5, "dyadic grid eigenvalue sum", err, EQUIV_TOL))
 
-    # Accelerated channels: trace, hermiticity, positivity, inertial identity.
-    err_trace = err_herm = err_psd = err_id = err_iso = 0.0
-    for _, d, u in draws:
-        m = accelerated_density(accelerate(d, u))
-        err_trace = max(err_trace, abs(float(np.trace(m).real) - 1.0))
-        err_herm = max(err_herm, hermiticity_gap(m))
-        err_psd = max(err_psd, max(0.0, -min_eigenvalue(m)))
-        inertial = accelerated_density(accelerate(d, mode_params(0.0, "wsma")))
-        err_id = max(err_id, float(np.max(np.abs(inertial - dyadic_to_density(d)))))
-        v = bogoliubov_isometry(u)
-        err_iso = max(err_iso, float(np.max(np.abs(v.conj().T @ v - np.eye(2)))))
-    checks.append(_check(5, "accelerated channel unit trace", err_trace, EQUIV_TOL))
-    checks.append(_check(5, "accelerated channel hermitian", err_herm, EQUIV_TOL))
-    checks.append(_check(5, "accelerated channel positive", err_psd, EQUIV_TOL))
-    checks.append(_check(5, "identity channel at r=0 wsma", err_id, EQUIV_TOL))
-    checks.append(_check(5, "isometry columns orthonormal", err_iso, EQUIV_TOL))
-
-    # Branch states: probability exactly 1/4, Hermitian, positive.
-    err_prob = err_herm = err_psd = 0.0
-    for state, d, u in draws:
-        bob = teleport_analytic(state, accelerate(d, u))
-        err_prob = max(err_prob, abs(bob.outcome_prob - 0.25))
-        err_herm = max(err_herm, hermiticity_gap(bob.rho))
-        err_psd = max(err_psd, max(0.0, -min_eigenvalue(bob.rho_normalized)))
-    checks.append(_check(5, "branch probability equals 1/4", err_prob, EQUIV_TOL))
-    checks.append(_check(5, "branch state hermitian", err_herm, EQUIV_TOL))
-    checks.append(_check(5, "branch state positive", err_psd, EQUIV_TOL))
+    # The accelerated-channel and branch-state checks of the pass over the draws.
+    checks.extend(_check(5, name, error, EQUIV_TOL) for name, error in worst.items())
 
     # Bloch vectors stay inside the physical ball in both modes.
     s_n = _bloch(batch, "normalized")
@@ -241,12 +220,12 @@ def _invariant_suite(
     checks.append(_check(5, "as-published bloch norm <= 1/4", err_quarter, EQUIV_TOL))
 
     # Fisher values: finite and non-negative for every estimand and mode.
-    worst = 0.0
+    err = 0.0
     for mode in NORM_NAMES:
         for param in PARAM_NAMES:
             value = _fisher(batch, param, mode, "analytic")[0]
-            worst = max(worst, float(np.max(np.where(np.isfinite(value), -value, math.inf))))
-    checks.append(_check(5, "fisher finite and non-negative", max(0.0, worst), FISHER_TOL))
+            err = max(err, float(np.max(np.where(np.isfinite(value), -value, math.inf))))
+    checks.append(_check(5, "fisher finite and non-negative", err, FISHER_TOL))
 
     # Reflection invariance: negating one fixed Bloch component everywhere
     # leaves the Fisher value unchanged.
@@ -266,7 +245,7 @@ def _invariant_suite(
         np.linspace(0.0, R_MAX, 7),
         indexing="ij",
     )
-    anchor = {**vars(phi_plus), **vars(mode_params(0.0, "wsma")), **dict(zip(PARAM_NAMES, grid))}
+    anchor = {**vars(phi_plus), **vars(inertial), **dict(zip(PARAM_NAMES, grid))}
     value = _fisher(anchor, "theta", "normalized", "analytic")[0]
     err = float(np.max(np.abs(value - np.float_power(np.cos(anchor["r"]), 2.0))))
     checks.append(_check(5, "anchor: weight information = cos(r)^2", err, FISHER_TOL))
@@ -276,7 +255,7 @@ def _invariant_suite(
     err = 0.0
     angles = {"theta": np.array([0.3, 1.2, 2.4]), "phi": np.array([0.7, 2.5, 4.9])}
     for preset in ("bell-phi-plus", "bell-psi-minus"):
-        p = {**vars(preset_dyadic(preset)), **vars(mode_params(0.0, "wsma")), **angles}
+        p = {**vars(preset_dyadic(preset)), **vars(inertial), **angles}
         for param in PARAM_NAMES:
             f_n = _fisher(p, param, "normalized", "analytic")[0]
             f_p = _fisher(p, param, "as-published", "analytic")[0]
@@ -289,4 +268,10 @@ def _invariant_suite(
     err = abs(f_near.value - 1.0) if not f_near.pure_branch else math.inf
     checks.append(_check(5, "continuity near the pure shell", err, 1e-3))
 
-    return checks
+    checks.append(_check(6, "hermiticity gap |b7 - conj(b6)|", swapped_gap, None))
+    return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, as ``np.linalg.norm`` of one vector."""
+    return np.sqrt(_dot(v, v))

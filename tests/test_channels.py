@@ -107,6 +107,15 @@ class TestDyadicToDensity:
                     eig = np.linalg.eigvalsh(dyadic_to_density(CorrelationDyadic(c11, c22, c33)))
                     assert abs(eig.sum() - 1.0) < 1e-12
 
+    def test_result_does_not_alias_constants(self):
+        # The sigma (x) sigma products are built once; a caller that edits a
+        # returned matrix in place must not change the next result.
+        d = preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)
+        expected = dyadic_to_density(d).copy()
+        dyadic_to_density(d)[...] = 7.0
+        dyadic_to_density(CorrelationDyadic(0.0, 0.0, 0.0))[...] = -3.0
+        assert np.array_equal(dyadic_to_density(d), expected)
+
 
 class TestValidatePhysical:
     def test_singlet_is_physical_rank_one(self):

@@ -28,6 +28,8 @@ class TestAngleParsing:
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_angle("tau/4")
+        with pytest.raises(DomainError, match="zero denominator"):
+            parse_angle("pi/0")
 
 
 class TestComplexParsing:
@@ -332,6 +334,12 @@ class TestInputBoundary:
             (["teleport", *POINT, "--c11", "-0.5", "--c22", "-0.5", "--c33", "-0.5",
               "--fidelity", "0.5"], None),
             (["verify", "--trials", str(2**20 + 1)], None),
+            (["sweep", "--norm", "as-published"], _spec_payload()),
+            (["sweep", "--method", "fd"], _spec_payload()),
+            (["fisher", "--param", "theta", "--theta", "pi/0", "--phi", "1", "--r", "0.1",
+              "--preset", "bell-phi-plus"], None),
+            (["sweep", "--param", "theta", "--grid", "theta=0:pi/0:3", "--phi", "1",
+              "--r", "0", "--preset", "bell-phi-plus"], None),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -340,6 +348,8 @@ class TestInputBoundary:
             "spec-unknown-fixed", "spec-count-float", "spec-with-theta",
             "spec-with-c11", "spec-with-fidelity", "spec-with-mode", "spec-with-weights",
             "swept-and-fixed", "fidelity-with-bell", "fidelity-with-x-state", "trials-too-many",
+            "spec-with-norm", "spec-with-method", "angle-zero-denominator",
+            "grid-zero-denominator",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):
@@ -353,6 +363,21 @@ class TestInputBoundary:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in captured.err
+
+    def test_spec_file_not_utf8(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_bytes(b"\xff\xfe\x00")
+        assert main(["sweep", "--spec", str(spec_file)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_sweep_flags_default_to_normalized_analytic(self, capsys):
+        argv = ["sweep", "--param", "theta", "--grid", "theta=0:pi:3", "--phi", "1",
+                "--r", "0.1", "--preset", "bell-phi-plus", "--format", "json"]
+        assert main(argv) == 0
+        spec = json.loads(capsys.readouterr().out)["spec"]
+        assert (spec["norm"], spec["method"]) == ("normalized", "analytic")
 
     def test_channel_still_reports_unphysical(self, capsys):
         assert main(["channel", *UNPHYSICAL, "--r", "0.1"]) == 0

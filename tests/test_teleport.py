@@ -117,6 +117,18 @@ class TestCircuitOracle:
             bob = teleport_circuit_oracle(sample_input(rng), channel)
             assert np.max(np.abs(bob.rho_normalized - np.eye(2) / 2.0)) < 1e-12
 
+    def test_result_does_not_alias_constants(self):
+        # The gates and the projector are built once; editing a returned
+        # branch state in place must not change the next result.
+        state, oracle = InputState(1.0, 0.3), bogoliubov_oracle(X_STATE, mode_params(0.4, "bsma"))
+        expected = teleport_circuit_oracle(state, oracle)
+        first = teleport_circuit_oracle(state, oracle)
+        first.rho[...] = 5.0
+        first.rho_normalized[...] = 5.0
+        again = teleport_circuit_oracle(state, oracle)
+        assert np.array_equal(again.rho, expected.rho)
+        assert np.array_equal(again.rho_normalized, expected.rho_normalized)
+
     def test_unnormalized_channel_fails_probability_bookkeeping(self):
         channel = np.eye(4, dtype=complex) / 8.0  # trace 1/2
         with pytest.raises(ConsistencyError):

@@ -1,6 +1,10 @@
+import importlib
+
 import pytest
 
 from unruh_teleport import DomainError, verify
+
+VERIFY_MODULE = importlib.import_module("unruh_teleport.verify")
 
 
 def test_single_trial_contains_all_sections():
@@ -43,3 +47,33 @@ def test_trials_bounded_before_any_draw():
     # Rejected up front: the batched checks would hold arrays of this size.
     with pytest.raises(DomainError, match="trials"):
         verify(trials=2**20 + 1)
+
+
+def test_one_pass_evaluates_each_per_draw_quantity_once(monkeypatch):
+    # Counted at the names verify calls: the channel and the inertial channel
+    # are the two accelerate calls per draw; every other form and oracle runs once.
+    calls = dict.fromkeys(
+        ("accelerate", "teleport_analytic", "bogoliubov_oracle", "teleport_circuit_oracle",
+         "teleport_closed_form"),
+        0,
+    )
+
+    def counted(name):
+        original = getattr(VERIFY_MODULE, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(VERIFY_MODULE, name, counted(name))
+    assert verify(trials=7, seed=3).passed
+    assert calls == {
+        "accelerate": 14,
+        "teleport_analytic": 7,
+        "bogoliubov_oracle": 7,
+        "teleport_circuit_oracle": 7,
+        "teleport_closed_form": 7,
+    }
