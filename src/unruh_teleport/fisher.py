@@ -156,6 +156,9 @@ def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.nd
     dd, sd = _dot(ds, ds), _dot(s, ds)
     # float_power squares as the scalar formula's ``** 2`` did (libm pow).
     value = np.where(pure, dd, dd + np.float_power(sd, 2.0) / np.where(pure, 1.0, gap))
+    # NaN passes every comparison above; a non-finite value is a bug, not bad input.
+    if not np.all(np.isfinite(value)):
+        raise ConsistencyError(f"Fisher information {float(np.max(value))} is not finite")
     if np.any(value < -NEGATIVE_CLAMP):
         raise ConsistencyError(
             f"Fisher information {float(np.min(value))} is negative beyond rounding"

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class Axis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     coords: tuple[float, ...]
     fisher: float
     pure_branch: bool
@@ -127,10 +126,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
              **dict(zip(spec.axis_names, coords))}
     value, pure, _ = _fisher(point, spec.estimand, spec.norm, spec.method)
-    return [
-        SweepRow(coords=c, fisher=f, pure_branch=b)
-        for c, f, b in zip(zip(*(g.tolist() for g in coords)), value.tolist(), pure.tolist())
-    ]
+    return list(map(SweepRow, zip(*(g.tolist() for g in coords)), value.tolist(), pure.tolist()))
 
 
 # Named dataset presets with panel-style ids, covering the standard
@@ -184,11 +180,6 @@ def figure_spec(
         unruh_mode=unruh_mode,
         figure=fig_id,
     )
-
-
-def _fmt(x: float) -> str:
-    """Round-trippable decimal form (17 significant digits)."""
-    return format(float(x), ".17g")
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -263,31 +254,32 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
 
 
+def _cells(rows: list[SweepRow]) -> tuple[Any, ...]:
+    """Every cell of the rows in emission order; the flag is its text ``true``/``false``."""
+    return tuple([x for c, f, b in rows for x in (*c, f, "true" if b else "false")])
+
+
 def rows_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
+    """CSV with floats at 17 significant digits, so parsing restores them bit-exactly."""
     header = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-    lines = [header]
-    for row in rows:
-        cells = [_fmt(c) for c in row.coords]
-        cells.append(_fmt(row.fisher))
-        cells.append("true" if row.pure_branch else "false")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    line = "%.17g," * (len(spec.axes) + 1) + "%s"
+    return "\n".join([header, *[line] * len(rows)]) % _cells(rows) + "\n"
 
 
 def rows_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
-    names = spec.axis_names
-    payload = {
-        "spec": spec_to_dict(spec),
-        "rows": [
-            {
-                **{name: coord for name, coord in zip(names, row.coords)},
-                "fisher": row.fisher,
-                "pure_branch": row.pure_branch,
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps({"spec": ..., "rows": [...]}, indent=2)``, the rows as one template.
+
+    Its ``%s`` writes a float as ``str``, the ``float.__repr__`` that ``json`` writes;
+    Fisher values are finite, so ``json``'s ``NaN`` spelling never arises.
+    """
+    head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
+    if not rows:
+        return head + "\n"
+    names = [*spec.axis_names, "fisher", "pure_branch"]
+    item = "    {\n" + ",\n".join(f"      {json.dumps(n)}: %s" for n in names) + "\n    }"
+    body = ",\n".join([item] * len(rows)) % _cells(rows)
+    # head ends with the empty list: '"rows": []' + "\n}".
+    return head[: -len("]\n}")] + "\n" + body + "\n  ]\n}\n"
 
 
 def parse_csv_rows(text: str) -> list[SweepRow]:

@@ -106,6 +106,11 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger error, and NaN once either is NaN (``max(a, nan)`` returns ``a``)."""
+    return b if b > a or b != b else a
+
+
 def _check(section: int, name: str, max_error: float, tolerance: float | None) -> Check:
     passed = True if tolerance is None else max_error <= tolerance
     return Check(section, name, float(max_error), tolerance, passed)
@@ -158,7 +163,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
             ("branch state hermitian", hermiticity_gap(bob.rho)),
             ("branch state positive", -min_eigenvalue(bob.rho_normalized)),
         ):
-            worst[name] = max(worst[name], float(error))
+            worst[name] = _worst(worst[name], float(error))
         points.append(_point(state, d, u))
     checks = [
         _check(1, "max elementwise difference", worst.pop("[1]"), EQUIV_TOL),
@@ -171,16 +176,16 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     batch = {key: np.array([p[key] for p in points]) for key in points[0]}
 
     # [4] analytic partials against central differences (relative error,
-    # counted only where the derivative is not degenerate).
+    # counted unless the derivative is degenerate, so a NaN one counts).
     err = 0.0
     for mode in NORM_NAMES:
         for param in PARAM_NAMES:
             analytic = _partial(batch, param, mode, "analytic")
             numeric = _partial(batch, param, mode, "fd")
             scale = _norm(analytic)
-            kept = scale > DERIV_FLOOR
+            kept = ~(scale <= DERIV_FLOOR)
             if kept.any():
-                err = max(err, float(np.max(_norm(analytic - numeric)[kept] / scale[kept])))
+                err = _worst(err, float(np.max(_norm(analytic - numeric)[kept] / scale[kept])))
     checks.append(_check(4, "max relative difference", err, DERIV_TOL))
 
     # [5] Named presets build Hermitian, unit-trace, physical states.
@@ -195,9 +200,9 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     ]
     for d in presets:
         m = dyadic_to_density(d)
-        err_herm = max(err_herm, hermiticity_gap(m))
-        err_trace = max(err_trace, abs(float(np.trace(m).real) - 1.0))
-        err_psd = max(err_psd, -validate_physical(d).min_eigenvalue)
+        err_herm = _worst(err_herm, hermiticity_gap(m))
+        err_trace = _worst(err_trace, abs(float(np.trace(m).real) - 1.0))
+        err_psd = _worst(err_psd, -validate_physical(d).min_eigenvalue)
     checks.append(_check(5, "preset states hermitian", err_herm, EQUIV_TOL))
     checks.append(_check(5, "preset states unit trace", err_trace, EQUIV_TOL))
     checks.append(_check(5, "preset states positive", err_psd, EQUIV_TOL))
@@ -206,7 +211,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     err = 0.0
     for c in itertools.product(np.linspace(-1.0, 1.0, 9), repeat=3):
         eig = np.linalg.eigvalsh(dyadic_to_density(CorrelationDyadic(*c)))
-        err = max(err, abs(float(eig.sum()) - 1.0))
+        err = _worst(err, abs(float(eig.sum()) - 1.0))
     checks.append(_check(5, "dyadic grid eigenvalue sum", err, EQUIV_TOL))
 
     # The accelerated-channel and branch-state checks of the pass over the draws.
@@ -214,8 +219,8 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
 
     # Bloch vectors stay inside the physical ball in both modes.
     s_n = _bloch(batch, "normalized")
-    err_norm = max(0.0, float(np.max(_norm(s_n))) - 1.0)
-    err_quarter = max(0.0, float(np.max(_norm(_bloch(batch, "as-published")))) - 0.25)
+    err_norm = _worst(0.0, float(np.max(_norm(s_n))) - 1.0)
+    err_quarter = _worst(0.0, float(np.max(_norm(_bloch(batch, "as-published")))) - 0.25)
     checks.append(_check(5, "normalized bloch norm <= 1", err_norm, EQUIV_TOL))
     checks.append(_check(5, "as-published bloch norm <= 1/4", err_quarter, EQUIV_TOL))
 
@@ -224,7 +229,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     for mode in NORM_NAMES:
         for param in PARAM_NAMES:
             value = _fisher(batch, param, mode, "analytic")[0]
-            err = max(err, float(np.max(np.where(np.isfinite(value), -value, math.inf))))
+            err = _worst(err, float(np.max(np.where(np.isfinite(value), -value, math.inf))))
     checks.append(_check(5, "fisher finite and non-negative", err, FISHER_TOL))
 
     # Reflection invariance: negating one fixed Bloch component everywhere
@@ -259,7 +264,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
         for param in PARAM_NAMES:
             f_n = _fisher(p, param, "normalized", "analytic")[0]
             f_p = _fisher(p, param, "as-published", "analytic")[0]
-            err = max(err, float(np.max(np.abs(f_p - f_n / 16.0))))
+            err = _worst(err, float(np.max(np.abs(f_p - f_n / 16.0))))
     checks.append(_check(5, "mode scaling 1/16 at r=0", err, FISHER_TOL))
 
     # Mixed-branch value stays continuous as the pure shell is approached.

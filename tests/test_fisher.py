@@ -14,7 +14,9 @@ from unruh_teleport import (
     mode_params,
     preset_dyadic,
 )
+from unruh_teleport.fisher import _fisher
 from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
+from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
@@ -82,6 +84,13 @@ class TestFisherFromBloch:
     def test_overlong_vector_rejected(self):
         with pytest.raises(DomainError):
             fisher_from_bloch(np.array([1.1, 0.0, 0.0]), np.ones(3))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ConsistencyError, match="not finite"):
+            fisher_from_bloch(np.array([np.nan, 0.0, 0.0]), np.array([0.1, 0.0, 0.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConsistencyError, match="not finite"):
+                fisher_from_bloch(np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0]))
 
     def test_reflection_invariance(self):
         rng = np.random.default_rng(35)
@@ -205,6 +214,28 @@ class TestFisherProperties:
                     result = fisher(state, d, u, param, mode=mode)
                     assert math.isfinite(result.value)
                     assert result.value >= 0.0
+
+    def test_wsma_information_non_increasing_in_r(self):
+        # With wsma weights the receiver map is a generalized amplitude-damping
+        # family that composes in r, so by the data-processing inequality the
+        # normalized F_theta and F_phi cannot grow with r. One kernel call per
+        # draw and estimand evaluates the whole r grid.
+        qr, ql = MODE_WEIGHTS["wsma"]
+        r = np.linspace(0.0, R_MAX, 200)
+        rng = np.random.default_rng(44)
+        points = []
+        for _ in range(300):
+            state, d = sample_input(rng), sample_dyadic(rng)
+            points.append({**vars(state), **vars(d), "r": r, "qr": qr, "ql": ql})
+        theta, phi, grid_r = np.meshgrid(
+            np.linspace(0.0, math.pi, 13), np.linspace(0.0, 2.0 * math.pi, 13), r, indexing="ij"
+        )
+        for d in (PHI_PLUS, SINGLET):
+            points.append({**vars(d), "theta": theta, "phi": phi, "r": grid_r, "qr": qr, "ql": ql})
+        for i, p in enumerate(points):
+            for param in ("theta", "phi"):
+                value = _fisher(p, param, "normalized", "analytic")[0]
+                assert np.max(np.diff(value, axis=-1)) <= 1e-12, (i, param)
 
     def test_continuity_toward_pure_shell(self):
         result = fisher(InputState(1.0, 0.3), PHI_PLUS, mode_params(1e-4, "wsma"), "theta")

@@ -20,6 +20,7 @@ from unruh_teleport import (
 )
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
+    SweepRow,
     parse_csv_rows,
     parse_json_rows,
     rows_to_csv,
@@ -222,6 +223,69 @@ class TestEmission:
         rows = run_sweep(spec)
         with pytest.raises(DomainError):
             render_rows(spec, rows, "parquet")
+
+
+# Floats whose shortest repr and 17-digit forms differ most from naive text:
+# the smallest subnormal, inexact decimals, exponent switch points, and -0.0.
+AWKWARD = (5e-324, 0.1, 2.0 / 3.0, 1e16, 1e22, -0.0)
+
+
+def _reference_csv(spec, rows):
+    """The per-cell CSV renderer: every float through ``format(x, ".17g")``."""
+    lines = [",".join([*spec.axis_names, "fisher", "pure_branch"])]
+    for row in rows:
+        cells = [format(float(x), ".17g") for x in (*row.coords, row.fisher)]
+        cells.append("true" if row.pure_branch else "false")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(spec, rows):
+    """The whole payload through ``json.dumps(..., indent=2)``."""
+    entries = [
+        {**dict(zip(spec.axis_names, row.coords)), "fisher": row.fisher,
+         "pure_branch": row.pure_branch}
+        for row in rows
+    ]
+    return json.dumps({"spec": spec_to_dict(spec), "rows": entries}, indent=2) + "\n"
+
+
+class TestRenderContract:
+    """The one-template renderers write exactly the bytes of the references above."""
+
+    SPECS = {
+        "one-axis": dict(
+            axes=(Axis("r", 0.0, math.pi / 4, 2),),
+            fixed={"theta": 1.0, "phi": 0.5},
+            qr=0.6 + 0.0j,
+            ql=0.48 + 0.64j,
+            channel_preset=None,
+            unruh_mode=None,
+        ),
+        "two-axis": {},
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("flags", ("mixed", "all-true", "all-false", "empty"))
+    def test_bytes_match_reference(self, name, flags):
+        spec = basic_spec(**self.SPECS[name])
+        coords = list(itertools.product(AWKWARD, repeat=len(spec.axes)))
+        pure = {"mixed": [i % 3 == 0 for i in range(len(coords))],
+                "all-true": [True] * len(coords),
+                "all-false": [False] * len(coords),
+                "empty": []}[flags]
+        rows = [SweepRow(c, AWKWARD[-1 - i % len(AWKWARD)], b)
+                for i, (c, b) in enumerate(zip(coords, pure))]
+        assert rows_to_csv(spec, rows) == _reference_csv(spec, rows)
+        assert rows_to_json(spec, rows) == _reference_json(spec, rows)
+        assert parse_csv_rows(rows_to_csv(spec, rows)) == rows
+        assert parse_json_rows(rows_to_json(spec, rows)) == rows
+
+    def test_figure_sweep_matches_reference(self):
+        spec = figure_spec("3c", grid=7, norm="normalized", method="fd")
+        rows = run_sweep(spec)
+        assert rows_to_csv(spec, rows) == _reference_csv(spec, rows)
+        assert rows_to_json(spec, rows) == _reference_json(spec, rows)
 
 
 class TestSingleSources:

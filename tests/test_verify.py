@@ -1,5 +1,6 @@
 import importlib
 
+import numpy as np
 import pytest
 
 from unruh_teleport import DomainError, verify
@@ -77,3 +78,24 @@ def test_one_pass_evaluates_each_per_draw_quantity_once(monkeypatch):
         "teleport_circuit_oracle": 7,
         "teleport_closed_form": 7,
     }
+
+
+def test_nan_error_fails_the_check(monkeypatch):
+    # A running maximum must not drop a NaN error: max(worst, nan) keeps worst.
+    original = VERIFY_MODULE.bogoliubov_oracle
+    draws = []
+
+    def nan_on_second_draw(d, u):
+        draws.append(d)
+        m = original(d, u)
+        return np.full_like(m, np.nan) if len(draws) == 2 else m
+
+    monkeypatch.setattr(VERIFY_MODULE, "bogoliubov_oracle", nan_on_second_draw)
+    with np.errstate(invalid="ignore"):
+        report = verify(trials=5, seed=1)
+    assert report.passed is False
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.section, c.name) for c in failed] == [
+        (1, "max elementwise difference"), (2, "max elementwise difference")
+    ]
+    assert "result: FAIL" in report.render()
