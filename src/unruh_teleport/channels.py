@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ._linalg import PAULIS
 from .errors import DomainError, check_choice
@@ -27,6 +28,7 @@ X_STATE_EXAMPLE = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
 EIGENVALUE_TOL = 1e-12
 # sigma (x) sigma for sx, sy, sz: the terms the correlation triple weighs.
 _PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
+_IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,21 @@ def preset_dyadic(
     return CorrelationDyadic(c11, c22, c33)
 
 
+def _dyadic_to_density(c11: ArrayLike, c22: ArrayLike, c33: ArrayLike) -> np.ndarray:
+    """Density matrices (last two axes) of correlation triples; broadcasts."""
+    m = _IDENTITY_4
+    for c, pair in zip((c11, c22, c33), _PAULI_PAIRS):
+        m = m + np.asarray(c)[..., None, None] * pair
+    return m / 4.0
+
+
 def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
     """Dense 4x4 density matrix of the correlation triple.
 
     Hermitian with unit trace by construction; positivity depends on the
     coefficients and is checked by :func:`validate_physical`.
     """
-    m = np.eye(4, dtype=complex)
-    for c, pair in zip(d.as_tuple(), _PAULI_PAIRS):
-        m += c * pair
-    return m / 4.0
+    return _dyadic_to_density(*d.as_tuple())
 
 
 def validate_physical(d: CorrelationDyadic, tol: float = EIGENVALUE_TOL) -> PhysicalityCheck:

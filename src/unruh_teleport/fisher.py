@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _abs2
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DomainError, check_choice
-from .teleport import InputState, _abs2, _branch_entries
+from .teleport import InputState, _branch_entries
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")

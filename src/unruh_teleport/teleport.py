@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._linalg import CNOT, HADAMARD, IDENTITY_2, PAULIS, partial_trace
+from ._linalg import CNOT, HADAMARD, IDENTITY_2, PAULIS, _abs2, _kron, _matrices, partial_trace
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .unruh import AcceleratedChannel, UnruhParams
@@ -86,27 +86,30 @@ def _bob_state(rho: np.ndarray) -> BobState:
     return BobState(rho=rho, outcome_prob=prob, rho_normalized=rho / prob)
 
 
-def teleport_analytic(state: InputState, ch: AcceleratedChannel) -> BobState:
-    """Branch state assembled from the channel coefficients."""
-    alpha, beta = state.alpha, state.beta
-    a2 = alpha * alpha
-    sb = math.sin(state.theta / 2.0)
-    b2 = sb * sb
+def _branch_matrix(r00: ArrayLike, r01: ArrayLike, r10: ArrayLike, r11: ArrayLike) -> np.ndarray:
+    """Complex 2x2 matrices (last two axes) from their entries; broadcasts."""
+    return _matrices(2, 2, {(0, 0): r00, (0, 1): r01, (1, 0): r10, (1, 1): r11})
+
+
+def _teleport_analytic(theta: ArrayLike, phi: ArrayLike, *b: ArrayLike) -> np.ndarray:
+    """Branch matrices (last two axes) of :func:`teleport_analytic` from the angles and
+    the coefficients b1..b8; broadcasts over every argument."""
+    b1, b2, b3, b4, b5, b6, b7, b8 = b
+    alpha = np.cos(theta / 2.0)
+    sb = np.sin(theta / 2.0)
+    beta = sb * np.exp(1.0j * phi)
+    alpha2 = alpha * alpha
+    beta2 = sb * sb
     ab = alpha * beta.conjugate()
     ba = ab.conjugate()
-    rho = 0.5 * np.array(
-        [
-            [a2 * ch.b1 + b2 * ch.b5, ab * ch.b2 + ba * ch.b6],
-            [ab * ch.b7 + ba * ch.b3, a2 * ch.b4 + b2 * ch.b8],
-        ],
-        dtype=complex,
+    return 0.5 * _branch_matrix(
+        alpha2 * b1 + beta2 * b5, ab * b2 + ba * b6, ab * b7 + ba * b3, alpha2 * b4 + beta2 * b8
     )
-    return _bob_state(rho)
 
 
-def _abs2(z: ArrayLike) -> np.ndarray:
-    """Elementwise ``abs(z) ** 2`` to the bit: hypot, then libm pow (not always x * x)."""
-    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2.0)
+def teleport_analytic(state: InputState, ch: AcceleratedChannel) -> BobState:
+    """Branch state assembled from the channel coefficients."""
+    return _bob_state(_teleport_analytic(state.theta, state.phi, *ch.as_tuple()))
 
 
 def _branch_entries(
@@ -149,8 +152,28 @@ def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams
     Redundant with ``teleport_analytic`` composed with ``accelerate``; kept
     as an independent evaluation path for the verification suite.
     """
-    r00, r01, r10, r11 = _branch_entries(**vars(state), **vars(d), **vars(u))
-    return _bob_state(np.array([[r00, r01], [r10, r11]], dtype=complex))
+    return _bob_state(_branch_matrix(*_branch_entries(**vars(state), **vars(d), **vars(u))))
+
+
+def _teleport_circuit_oracle(
+    theta: ArrayLike, phi: ArrayLike, channel_density: np.ndarray
+) -> np.ndarray:
+    """Branch matrices (last two axes) of :func:`teleport_circuit_oracle`; broadcasts."""
+    beta = np.sin(theta / 2.0) * np.exp(1.0j * phi)
+    amp = _matrices(2, 1, {(0, 0): np.cos(theta / 2.0), (1, 0): beta})
+    input_density = amp * np.swapaxes(amp, -1, -2).conj()
+    evolved = (
+        _HADAMARD_GATE @ _CNOT_GATE @ _kron(input_density, channel_density)
+        @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T
+    )
+
+    # The four branch probabilities sum to the trace.
+    total = np.trace(evolved, axis1=-2, axis2=-1).real
+    off = np.abs(total - 1.0) > 1e-9
+    if np.any(off):
+        raise ConsistencyError(f"branch probabilities sum to {total[off][0]}, expected 1")
+
+    return partial_trace(_PROJ_00 @ evolved @ _PROJ_00, (2, 2, 2), keep=(2,))
 
 
 def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> BobState:
@@ -160,19 +183,7 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     applies CNOT (control = unknown qubit) then Hadamard on the unknown
     qubit, projects the first two qubits onto |00> and traces them out.
     """
-    full = np.kron(state.density(), channel_density)
-    evolved = _HADAMARD_GATE @ _CNOT_GATE @ full @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T
-
-    diag = np.diag(evolved).real
-    branch_probs = [diag[base] + diag[base + 1] for base in (0, 2, 4, 6)]
-    if abs(sum(branch_probs) - 1.0) > 1e-9:
-        raise ConsistencyError(
-            f"branch probabilities sum to {sum(branch_probs)}, expected 1"
-        )
-
-    projected = _PROJ_00 @ evolved @ _PROJ_00
-    rho = partial_trace(projected, (2, 2, 2), keep=(2,))
-    return _bob_state(rho)
+    return _bob_state(_teleport_circuit_oracle(state.theta, state.phi, channel_density))
 
 
 def bloch_of(rho: np.ndarray) -> np.ndarray:

@@ -24,9 +24,10 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from ._linalg import IDENTITY_2, partial_trace
-from .channels import CorrelationDyadic, dyadic_to_density
+from ._linalg import IDENTITY_2, _abs2, _kron, _matrices, partial_trace
+from .channels import CorrelationDyadic, _dyadic_to_density
 from .errors import DomainError, check_choice
 
 R_MAX = math.pi / 4
@@ -107,20 +108,44 @@ class AcceleratedChannel:
     def __post_init__(self, validate: bool) -> None:
         if not validate:
             return
+        # Written as ``not ... <=`` so that a NaN coefficient fails every check.
         trace = self.b1 + self.b4 + self.b5 + self.b8
-        if abs(trace - 1.0) > CHANNEL_TOL:
+        if not abs(trace - 1.0) <= CHANNEL_TOL:
             raise DomainError(f"diagonal coefficients must sum to 1, got {trace}")
-        if abs(self.b3 - self.b2.conjugate()) > CHANNEL_TOL:
+        if not abs(self.b3 - self.b2.conjugate()) <= CHANNEL_TOL:
             raise DomainError("b3 must equal conj(b2)")
-        if abs(self.b7 - self.b6.conjugate()) > CHANNEL_TOL:
+        if not abs(self.b7 - self.b6.conjugate()) <= CHANNEL_TOL:
             raise DomainError("b7 must equal conj(b6)")
         for name in ("b1", "b4", "b5", "b8"):
             value = getattr(self, name)
-            if abs(value.imag) > CHANNEL_TOL or value.real < -CHANNEL_TOL:
+            if not (abs(value.imag) <= CHANNEL_TOL and value.real >= -CHANNEL_TOL):
                 raise DomainError(f"{name} must be real and non-negative, got {value}")
 
     def as_tuple(self) -> tuple[complex, ...]:
         return (self.b1, self.b2, self.b3, self.b4, self.b5, self.b6, self.b7, self.b8)
+
+
+def _accelerate(
+    c11: ArrayLike, c22: ArrayLike, c33: ArrayLike, r: ArrayLike, qr: ArrayLike, ql: ArrayLike
+) -> tuple[np.ndarray, ...]:
+    """Coefficients (b1, ..., b8) of :func:`accelerate`; broadcasts over every argument."""
+    a1 = (1.0 + c33) / 4.0
+    a2 = (1.0 - c33) / 4.0
+    a3 = (c11 + c22) / 4.0
+    a4 = (c11 - c22) / 4.0
+    cr, sr = np.cos(r), np.sin(r)
+    big_r, big_l = _abs2(qr), _abs2(ql)
+    qrc, qlc = qr.conjugate(), ql.conjugate()
+    return (
+        a1 * cr * cr + a2 * big_l,
+        a4 * qrc * cr + a3 * ql * sr,
+        a3 * qlc * sr + a4 * qr * cr,
+        a1 * sr * sr + a2 * big_r,
+        a2 * cr * cr + a1 * big_l,
+        a3 * qrc * cr + a4 * ql * sr,
+        a3 * qr * cr + a4 * qlc * sr,
+        a2 * sr * sr + a1 * big_r,
+    )
 
 
 def accelerate(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
@@ -132,23 +157,17 @@ def accelerate(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
     alternative that swaps them is kept in :func:`accelerate_swapped_b7`
     purely so the verification report can show the size of the violation.
     """
-    a1 = (1.0 + d.c33) / 4.0
-    a2 = (1.0 - d.c33) / 4.0
-    a3 = (d.c11 + d.c22) / 4.0
-    a4 = (d.c11 - d.c22) / 4.0
-    cr, sr = math.cos(u.r), math.sin(u.r)
-    big_r, big_l = abs(u.qr) ** 2, abs(u.ql) ** 2
-    qrc, qlc = u.qr.conjugate(), u.ql.conjugate()
-    return AcceleratedChannel(
-        b1=a1 * cr * cr + a2 * big_l,
-        b2=a4 * qrc * cr + a3 * u.ql * sr,
-        b3=a3 * qlc * sr + a4 * u.qr * cr,
-        b4=a1 * sr * sr + a2 * big_r,
-        b5=a2 * cr * cr + a1 * big_l,
-        b6=a3 * qrc * cr + a4 * u.ql * sr,
-        b7=a3 * u.qr * cr + a4 * qlc * sr,
-        b8=a2 * sr * sr + a1 * big_r,
-    )
+    b = _accelerate(*d.as_tuple(), u.r, u.qr, u.ql)
+    return AcceleratedChannel(*(np.asarray(x).item() for x in b))
+
+
+def _swapped_b7(
+    c11: ArrayLike, c22: ArrayLike, r: ArrayLike, qr: ArrayLike, ql: ArrayLike
+) -> np.ndarray:
+    """The b7 of :func:`accelerate_swapped_b7`; broadcasts over every argument."""
+    a3 = (c11 + c22) / 4.0
+    a4 = (c11 - c22) / 4.0
+    return a3 * ql.conjugate() * np.sin(r) + a4 * qr * np.cos(r)
 
 
 def accelerate_swapped_b7(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
@@ -160,28 +179,30 @@ def accelerate_swapped_b7(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedCh
     tests exercise it to demonstrate the cross-checks catch it.
     """
     good = accelerate(d, u)
-    a3 = (d.c11 + d.c22) / 4.0
-    a4 = (d.c11 - d.c22) / 4.0
-    cr, sr = math.cos(u.r), math.sin(u.r)
-    swapped = a3 * u.ql.conjugate() * sr + a4 * u.qr * cr
+    swapped = np.asarray(_swapped_b7(d.c11, d.c22, u.r, u.qr, u.ql)).item()
     return AcceleratedChannel(
         good.b1, good.b2, good.b3, good.b4, good.b5, good.b6, swapped, good.b8,
         validate=False,
     )
 
 
+# (row, column) of b1..b8 in the dense matrix, per the AcceleratedChannel docstring.
+_PLACES = ((0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (2, 1), (1, 2), (3, 3))
+
+
+def _accelerated_density(*b: ArrayLike) -> np.ndarray:
+    """Dense 4x4 matrices (last two axes) of the coefficients b1..b8; broadcasts."""
+    return _matrices(4, 4, dict(zip(_PLACES, b)))
+
+
 def accelerated_density(ch: AcceleratedChannel) -> np.ndarray:
     """Dense 4x4 matrix with b1..b8 placed per the class docstring."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = ch.b1
-    m[0, 3] = ch.b2
-    m[3, 0] = ch.b3
-    m[1, 1] = ch.b4
-    m[2, 2] = ch.b5
-    m[2, 1] = ch.b6
-    m[1, 2] = ch.b7
-    m[3, 3] = ch.b8
-    return m
+    return _accelerated_density(*ch.as_tuple())
+
+
+def _bogoliubov_isometry(r: ArrayLike, qr: ArrayLike, ql: ArrayLike) -> np.ndarray:
+    """4x2 isometries (last two axes) of :func:`bogoliubov_isometry`; broadcasts."""
+    return _matrices(4, 2, {(0, 0): np.cos(r), (3, 0): np.sin(r), (2, 1): qr, (1, 1): ql})
 
 
 def bogoliubov_isometry(u: UnruhParams) -> np.ndarray:
@@ -190,12 +211,17 @@ def bogoliubov_isometry(u: UnruhParams) -> np.ndarray:
     Columns are the images of |0> and |1>; rows are ordered |00>, |01>,
     |10>, |11> over (accessible mode, disconnected mode).
     """
-    v = np.zeros((4, 2), dtype=complex)
-    v[0, 0] = math.cos(u.r)
-    v[3, 0] = math.sin(u.r)
-    v[2, 1] = u.qr
-    v[1, 1] = u.ql
-    return v
+    return _bogoliubov_isometry(u.r, u.qr, u.ql)
+
+
+def _bogoliubov_oracle(
+    c11: ArrayLike, c22: ArrayLike, c33: ArrayLike, r: ArrayLike, qr: ArrayLike, ql: ArrayLike
+) -> np.ndarray:
+    """Channel matrices (last two axes) of :func:`bogoliubov_oracle`; broadcasts."""
+    rho = _dyadic_to_density(c11, c22, c33)
+    embed = _kron(IDENTITY_2, _bogoliubov_isometry(r, qr, ql))
+    big = embed @ rho @ np.swapaxes(embed, -1, -2).conj()
+    return partial_trace(big, (2, 2, 2), keep=(0, 1))
 
 
 def bogoliubov_oracle(d: CorrelationDyadic, u: UnruhParams) -> np.ndarray:
@@ -205,7 +231,4 @@ def bogoliubov_oracle(d: CorrelationDyadic, u: UnruhParams) -> np.ndarray:
     the three-factor space (sender, accessible mode, disconnected mode) and
     traces out the last factor.
     """
-    rho = dyadic_to_density(d)
-    embed = np.kron(IDENTITY_2, bogoliubov_isometry(u))
-    big = embed @ rho @ embed.conj().T
-    return partial_trace(big, (2, 2, 2), keep=(0, 1))
+    return _bogoliubov_oracle(*d.as_tuple(), u.r, u.qr, u.ql)

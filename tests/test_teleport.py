@@ -18,11 +18,14 @@ from unruh_teleport import (
     teleport_circuit_oracle,
     teleport_closed_form,
 )
+from unruh_teleport import teleport
+from unruh_teleport.fisher import _point
 from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
 X_STATE = preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)
+EPS = np.finfo(float).eps
 
 
 class TestInputState:
@@ -189,3 +192,25 @@ class TestBlochOf:
             state, d, u = sample_input(rng), sample_dyadic(rng), sample_unruh(rng)
             s = bloch_of(teleport_closed_form(state, d, u).rho_normalized)
             assert np.linalg.norm(s) <= 1.0 + 1e-12
+
+
+class TestBroadcastForms:
+    def test_stacked_draws_equal_the_public_functions(self):
+        # Each broadcasting form over stacked draws gives, at every draw, the
+        # public function's branch matrix at that draw: bit for bit, except
+        # that numpy's array loops may fuse the coefficient form's complex
+        # products (multiply-add) where its scalar arithmetic does not.
+        rng = np.random.default_rng(12)
+        draws = [(sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(40)]
+        points = [_point(*draw) for draw in draws]
+        p = {key: np.array([q[key] for q in points]) for key in points[0]}
+        channels = [accelerate(d, u) for _, d, u in draws]
+        b = [np.array(column) for column in zip(*(ch.as_tuple() for ch in channels))]
+        oracles = np.array([bogoliubov_oracle(d, u) for _, d, u in draws])
+        analytic = teleport._teleport_analytic(p["theta"], p["phi"], *b)
+        circuit = teleport._teleport_circuit_oracle(p["theta"], p["phi"], oracles)
+        closed = teleport._branch_matrix(*teleport._branch_entries(**p))
+        for i, ((state, d, u), ch) in enumerate(zip(draws, channels)):
+            assert np.max(np.abs(analytic[i] - teleport_analytic(state, ch).rho)) <= EPS
+            assert np.array_equal(circuit[i], teleport_circuit_oracle(state, oracles[i]).rho)
+            assert np.array_equal(closed[i], teleport_closed_form(state, d, u).rho)

@@ -17,6 +17,8 @@ from unruh_teleport import (
     preset_dyadic,
     r_from_acceleration,
 )
+from unruh_teleport import unruh
+from unruh_teleport.channels import _dyadic_to_density
 from unruh_teleport.sampling import sample_dyadic, sample_unruh
 from unruh_teleport.unruh import accelerate_swapped_b7
 
@@ -147,6 +149,18 @@ class TestChannelValidation:
         with pytest.raises(DomainError, match="b1"):
             AcceleratedChannel(-0.1, 0, 0, 0.35, 0.35, 0, 0, 0.4)
 
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(DomainError):
+            AcceleratedChannel(math.nan, 0j, 0j, 0.0, 0.0, 0j, 0j, 0.0)
+
+    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("nan", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_in_any_coefficient_rejected(self, index, nan):
+        coefficients = [0.25, 0j, 0j, 0.25, 0.25, 0j, 0j, 0.25]
+        coefficients[index] = nan
+        with pytest.raises(DomainError):
+            AcceleratedChannel(*coefficients)
+
 
 class TestBogoliubovOracle:
     def test_isometry_orthonormal(self):
@@ -186,3 +200,27 @@ class TestSwappedB7Variant:
         d = CorrelationDyadic(0.6, 0.0, 0.3)
         u = mode_params(math.pi / 8, "wsma")
         assert abs(accelerate_swapped_b7(d, u).b7 - accelerate(d, u).b7) < 1e-15
+
+
+class TestBroadcastForms:
+    def test_stacked_draws_equal_the_public_functions(self):
+        # Each broadcasting form over stacked draws gives, at every draw, the
+        # public function's result at that draw, bit for bit.
+        rng = np.random.default_rng(11)
+        draws = [(sample_dyadic(rng), sample_unruh(rng)) for _ in range(40)]
+        c = {key: np.array([getattr(d, key) for d, _ in draws]) for key in ("c11", "c22", "c33")}
+        w = {key: np.array([getattr(u, key) for _, u in draws]) for key in ("r", "qr", "ql")}
+        b = unruh._accelerate(**c, **w)
+        density = unruh._accelerated_density(*b)
+        swapped = unruh._swapped_b7(c["c11"], c["c22"], **w)
+        isometry = unruh._bogoliubov_isometry(**w)
+        oracle = unruh._bogoliubov_oracle(**c, **w)
+        dyadic = _dyadic_to_density(**c)
+        for i, (d, u) in enumerate(draws):
+            ch = accelerate(d, u)
+            assert [x[i] for x in b] == list(ch.as_tuple())
+            assert np.array_equal(density[i], accelerated_density(ch))
+            assert swapped[i] == accelerate_swapped_b7(d, u).b7
+            assert np.array_equal(isometry[i], bogoliubov_isometry(u))
+            assert np.array_equal(oracle[i], bogoliubov_oracle(d, u))
+            assert np.array_equal(dyadic[i], dyadic_to_density(d))
