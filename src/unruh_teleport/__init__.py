@@ -12,7 +12,6 @@ from .channels import (
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .fisher import (
     DEFAULT_FD_STEP,
-    FisherResult,
     FisherValue,
     bloch_partial,
     bloch_teleported,
@@ -62,7 +61,6 @@ __all__ = [
     "DegenerateBranchError",
     "DomainError",
     "FIGURE_IDS",
-    "FisherResult",
     "FisherValue",
     "InputState",
     "MODE_NAMES",

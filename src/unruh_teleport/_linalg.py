@@ -70,16 +70,6 @@ def _hermiticity_gaps(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
-def hermiticity_gap(m: np.ndarray) -> float:
-    """Largest elementwise deviation of ``m`` from its conjugate transpose."""
-    return float(_hermiticity_gaps(m))
-
-
 def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalues of Hermitian matrices, over leading axes."""
     return np.linalg.eigvalsh(m)[..., 0]
-
-
-def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(_min_eigenvalues(m))

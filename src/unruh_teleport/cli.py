@@ -292,10 +292,10 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         state, dyadic, u, args.param, mode=args.norm, method=args.method, fd_step=args.fd_step
     )
     payload = {
-        "param": result.param,
-        "norm": result.mode,
-        "method": result.method,
-        "fd_step": result.fd_step,
+        "param": args.param,
+        "norm": args.norm,
+        "method": args.method,
+        "fd_step": args.fd_step if args.method == "fd" else None,
         "value": result.value,
         "pure_branch": result.pure_branch,
         "clamped": result.clamped,

@@ -13,12 +13,12 @@ of the trace-1 conditional state (the physically standard choice and the
 default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
 its vectors are exactly four times smaller. Bloch components are read from
-the closed-form branch entries as the traces tr(rho sigma) reduce to:
-sx = Re(rho01 + rho10), sy = Im rho10 - Im rho01, sz = rho00 - rho11.
+the closed-form branch entries (``teleport._bloch_components``).
 
 The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
-it at one point.
+it at one point. The kernel trusts its callers: the public functions and
+``SweepSpec`` check the named choices and the fd step with ``check_args``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from ._linalg import _abs2
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DomainError, check_choice
-from .teleport import InputState, _branch_entries
+from .teleport import InputState, _bloch_components, _branch_entries
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")
@@ -52,17 +52,18 @@ class FisherValue:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class FisherResult:
-    """Fisher information with full provenance of how it was computed."""
-
-    value: float
-    param: str
-    mode: str
-    method: str
-    fd_step: float | None
-    pure_branch: bool
-    clamped: bool
+def check_args(
+    param: str | None, mode: str, method: str = "analytic", fd_step: float = DEFAULT_FD_STEP
+) -> None:
+    """Raise DomainError unless the kernel's arguments are valid, in this order:
+    estimand (unless None), normalization mode, derivative method, and the fd
+    step, which must lie in (0, pi/12] when the method is ``fd``."""
+    if param is not None:
+        check_choice("estimand", param, PARAM_NAMES)
+    check_choice("normalization mode", mode, NORM_NAMES)
+    check_choice("derivative method", method, METHOD_NAMES)
+    if method == "fd" and not (math.isfinite(fd_step) and 0.0 < fd_step <= MAX_FD_STEP):
+        raise DomainError(f"fd_step must lie in (0, pi/12], got {fd_step}")
 
 
 def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
@@ -81,9 +82,8 @@ def _bloch(p: dict, mode: str) -> np.ndarray:
     The closed-form branch matrix extends smoothly to any real theta, phi
     and r, which the finite-difference stencils rely on.
     """
-    check_choice("normalization mode", mode, NORM_NAMES)
     r00, r01, r10, r11 = _branch_entries(**p)
-    s = np.stack(np.broadcast_arrays(r01.real + r10.real, r10.imag - r01.imag, r00 - r11), -1)
+    s = _bloch_components(r00, r01, r10, r11)
     if mode == "normalized":
         return s / np.expand_dims(r00 + r11, -1)
     return s
@@ -122,14 +122,9 @@ def _partial_analytic(p: dict, param: str) -> np.ndarray:
 
 def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Partial derivatives of the Bloch vectors; ``h`` is the fd step, in (0, pi/12]."""
-    check_choice("estimand", param, PARAM_NAMES)
-    check_choice("normalization mode", mode, NORM_NAMES)
-    check_choice("derivative method", method, METHOD_NAMES)
     if method == "analytic":
         ds = _partial_analytic(p, param)
         return 4.0 * ds if mode == "normalized" else ds
-    if not (math.isfinite(h) and 0.0 < h <= MAX_FD_STEP):
-        raise DomainError(f"fd_step must lie in (0, pi/12], got {h}")
 
     def s_at(step: float) -> np.ndarray:
         return _bloch({**p, param: p[param] + step}, mode)
@@ -178,6 +173,7 @@ def bloch_teleported(
     state: InputState, d: CorrelationDyadic, u: UnruhParams, mode: str = "normalized"
 ) -> np.ndarray:
     """Bloch vector of the teleported branch state in the requested mode."""
+    check_args(None, mode)
     return _bloch(_point(state, d, u), mode)
 
 
@@ -194,6 +190,7 @@ def bloch_partial(
 
     ``fd_step`` is used by ``method="fd"`` only and must lie in (0, pi/12].
     """
+    check_args(param, mode, method, fd_step)
     return _partial(_point(state, d, u), param, mode, method, fd_step)
 
 
@@ -220,15 +217,8 @@ def fisher(
     mode: str = "normalized",
     method: str = "analytic",
     fd_step: float = DEFAULT_FD_STEP,
-) -> FisherResult:
+) -> FisherValue:
     """Fisher information of the teleported state for one estimand."""
+    check_args(param, mode, method, fd_step)
     value, pure, clamped = _fisher(_point(state, d, u), param, mode, method, fd_step)
-    return FisherResult(
-        value=float(value),
-        param=param,
-        mode=mode,
-        method=method,
-        fd_step=fd_step if method == "fd" else None,
-        pure_branch=bool(pure),
-        clamped=bool(clamped),
-    )
+    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=bool(clamped))

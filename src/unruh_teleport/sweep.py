@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 from .errors import DomainError, check_choice
-from .fisher import METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _fisher
+from .fisher import PARAM_NAMES, _fisher, check_args
 from .unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 
 VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
@@ -79,9 +79,7 @@ class SweepSpec:
     figure: str | None = None
 
     def __post_init__(self) -> None:
-        check_choice("estimand", self.estimand, PARAM_NAMES)
-        check_choice("normalization mode", self.norm, NORM_NAMES)
-        check_choice("derivative method", self.method, METHOD_NAMES)
+        check_args(self.estimand, self.norm, self.method)
         if isinstance(self.fixed, Mapping):
             for name in self.fixed:
                 check_choice("fixed variable", name, PARAM_NAMES)

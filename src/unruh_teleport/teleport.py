@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._linalg import CNOT, HADAMARD, IDENTITY_2, PAULIS, _abs2, _kron, _matrices, partial_trace
+from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices, partial_trace
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .unruh import AcceleratedChannel, UnruhParams
@@ -186,6 +186,18 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     return _bob_state(_teleport_circuit_oracle(state.theta, state.phi, channel_density))
 
 
+def _bloch_components(r00: ArrayLike, r01: ArrayLike, r10: ArrayLike, r11: ArrayLike) -> np.ndarray:
+    """Bloch components (tr(rho sx), tr(rho sy), tr(rho sz)), last axis, of 2x2 matrices
+    given by their entries, as the traces reduce to: sx = Re(rho01 + rho10),
+    sy = Im rho10 - Im rho01, sz = Re(rho00 - rho11). Broadcasts.
+
+    Adding 0.0 writes a zero component as +0.0, the sign the traces of matrix
+    products give it (Im rho10 = -0.0 and Im rho01 = +0.0 would give sy = -0.0).
+    """
+    s = (r01.real + r10.real, r10.imag - r01.imag, (r00 - r11).real)
+    return np.stack(np.broadcast_arrays(*s), -1) + 0.0
+
+
 def bloch_of(rho: np.ndarray) -> np.ndarray:
     """Bloch components (tr(rho sx), tr(rho sy), tr(rho sz)) of a 2x2 matrix."""
-    return np.array([np.trace(rho @ sigma).real for sigma in PAULIS])
+    return _bloch_components(rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1])

@@ -139,6 +139,18 @@ class TestFisherCommand:
         assert payload["method"] == "fd"
         assert payload["fd_step"] == 1e-5
 
+    def test_analytic_json_echoes_arguments(self, capsys):
+        code = main(
+            ["fisher", "--param", "phi", "--norm", "as-published", "--theta", "1", "--phi", "1",
+             "--preset", "bell-phi-plus", "--r", "0.3", "--fd-step", "0.01"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["param"], payload["norm"], payload["method"]) == (
+            "phi", "as-published", "analytic"
+        )
+        assert payload["fd_step"] is None
+
     def test_r_from_acceleration_triple(self, capsys):
         accel = math.pi / math.log(2.0)
         code = main(

@@ -276,12 +276,33 @@ class TestFisherProperties:
         f2 = fisher(InputState(2.0 * math.pi / 3, math.pi / 4), X_STATE, u, "theta").value
         assert abs(f1 - f2) > 0.05
 
-    def test_fd_method_records_step(self):
+    def test_fd_method_matches_analytic(self):
         result = fisher(
             InputState(1.0, 1.0), PHI_PLUS, mode_params(0.1, "wsma"), "theta", method="fd"
         )
-        assert result.method == "fd"
-        assert result.fd_step == 1e-5
         analytic = fisher(InputState(1.0, 1.0), PHI_PLUS, mode_params(0.1, "wsma"), "theta")
-        assert analytic.fd_step is None
         assert abs(result.value - analytic.value) < 1e-6
+
+
+BAD_FD_STEPS = (0.0, math.nan, -1e-5, math.pi / 12 + 1e-9)
+
+
+class TestLibraryBoundary:
+    """The public functions check the fd step themselves, not only the CLI."""
+
+    @pytest.mark.parametrize("fd_step", BAD_FD_STEPS)
+    def test_fd_step_out_of_range(self, fd_step):
+        state, u = InputState(1.0, 1.0), mode_params(0.1, "wsma")
+        with pytest.raises(DomainError, match="fd_step"):
+            fisher(state, PHI_PLUS, u, "r", method="fd", fd_step=fd_step)
+        with pytest.raises(DomainError, match="fd_step"):
+            bloch_partial(state, PHI_PLUS, u, "r", method="fd", fd_step=fd_step)
+
+    @pytest.mark.parametrize("fd_step", BAD_FD_STEPS)
+    def test_analytic_ignores_fd_step(self, fd_step):
+        state, u = InputState(1.0, 1.0), mode_params(0.1, "wsma")
+        assert fisher(state, PHI_PLUS, u, "r", fd_step=fd_step) == fisher(state, PHI_PLUS, u, "r")
+        assert np.array_equal(
+            bloch_partial(state, PHI_PLUS, u, "r", fd_step=fd_step),
+            bloch_partial(state, PHI_PLUS, u, "r"),
+        )

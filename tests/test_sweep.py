@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -85,6 +86,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             basic_spec(estimand="psi")
 
+    @pytest.mark.parametrize(
+        "param,norm,method",
+        [("psi", "normalized", "analytic"), ("theta", "raw", "analytic"),
+         ("theta", "normalized", "spectral"), ("psi", "raw", "spectral")],
+    )
+    def test_sweeps_and_scalar_calls_share_one_check(self, param, norm, method):
+        with pytest.raises(DomainError) as sweep_error:
+            basic_spec(estimand=param, norm=norm, method=method)
+        with pytest.raises(DomainError) as scalar_error:
+            fisher(InputState(1.0, 1.0), PHI_PLUS, UnruhParams(0.1, 1.0, 0.0), param,
+                   mode=norm, method=method)
+        assert str(sweep_error.value) == str(scalar_error.value)
+
     def test_weight_normalization_checked(self):
         with pytest.raises(DomainError):
             basic_spec(qr=1.0 + 0.0j, ql=1.0 + 0.0j)
@@ -116,6 +130,19 @@ class TestRunSweep:
         spec = basic_spec(dyadic=CorrelationDyadic(1.0, 1.0, 1.0), channel_preset=None)
         with pytest.raises(DomainError, match="unphysical"):
             run_sweep(spec)
+
+    def test_kernel_makes_no_name_checks(self, monkeypatch):
+        # The package's ``fisher`` attribute is the function, not the module.
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        specs = [basic_spec(), basic_spec(estimand="r", norm="as-published", method="fd")]
+        calls = []
+        check_choice = fisher_module.check_choice
+        monkeypatch.setattr(
+            fisher_module, "check_choice", lambda *a: calls.append(a) or check_choice(*a)
+        )
+        for spec in specs:
+            run_sweep(spec)
+        assert calls == []
 
     def test_deterministic(self):
         assert run_sweep(basic_spec()) == run_sweep(basic_spec())
