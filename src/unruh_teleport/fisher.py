@@ -124,6 +124,10 @@ def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_
     """Partial derivatives of the Bloch vectors; ``h`` is the fd step, in (0, pi/12]."""
     if method == "analytic":
         ds = _partial_analytic(p, param)
+        # The normalized vector is s / tr, so its partial is ds / tr: the factor
+        # 4.0 is 1/tr, exact because the branch trace is identically 1/4 at every
+        # theta, phi and r. verify's "branch probability equals 1/4" check and its
+        # section [4] (analytic against central differences) guard this.
         return 4.0 * ds if mode == "normalized" else ds
 
     def s_at(step: float) -> np.ndarray:

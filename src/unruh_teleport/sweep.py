@@ -5,16 +5,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
-from .channels import X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
-from .errors import DomainError, check_choice
+from .channels import (
+    PRESET_NAMES, X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
+)
+from .errors import DomainError, check_choice, check_integer
 from .fisher import PARAM_NAMES, _fisher, check_args
-from .unruh import MODE_WEIGHTS, R_MAX, UnruhParams
+from .unruh import MODE_NAMES, MODE_WEIGHTS, R_MAX, UnruhParams
 
 VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
     "theta": (0.0, math.pi),
@@ -39,8 +40,7 @@ class Axis:
 
     def __post_init__(self) -> None:
         check_choice("sweep variable", self.name, PARAM_NAMES)
-        if isinstance(self.count, bool) or not isinstance(self.count, Integral):
-            raise DomainError(f"axis {self.name} count must be an integer, got {self.count!r}")
+        check_integer(f"axis {self.name} count", self.count)
         if self.count < 2:
             raise DomainError(f"axis {self.name} needs count >= 2, got {self.count}")
         lo, hi = VARIABLE_DOMAINS[self.name]
@@ -106,6 +106,21 @@ class SweepSpec:
                 raise DomainError(f"fixed {name} = {value} outside [{lo}, {hi}]")
         # Mode-weight normalization is enforced by UnruhParams construction.
         UnruhParams(0.0, self.qr, self.ql)
+        # The preset and mode names are echoed in the JSON spec, so each must
+        # give this spec's numbers. werner is (-F, -F, -F) with F in [0, 1].
+        if self.channel_preset is not None:
+            check_choice("channel preset", self.channel_preset, PRESET_NAMES)
+            d = self.dyadic
+            if preset_dyadic(self.channel_preset, fidelity=max(-d.c11, 0.0), **vars(d)) != d:
+                raise DomainError(
+                    f"channel preset {self.channel_preset} does not give {d.as_tuple()}"
+                )
+        if self.unruh_mode is not None:
+            check_choice("mode preset", self.unruh_mode, MODE_NAMES)
+            if MODE_WEIGHTS[self.unruh_mode] != (self.qr, self.ql):
+                raise DomainError(
+                    f"mode preset {self.unruh_mode} does not give qr={self.qr}, ql={self.ql}"
+                )
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -227,8 +242,10 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         dyadic = CorrelationDyadic(
             float(channel["c11"]), float(channel["c22"]), float(channel["c33"])
         )
-        qr = complex(*unruh["qr"])
-        ql = complex(*unruh["ql"])
+        weights = [unruh["qr"], unruh["ql"]]
+        if not all(isinstance(w, list) and len(w) == 2 for w in weights):
+            raise DomainError(f"unruh qr and ql must be [re, im] lists, got {weights}")
+        qr, ql = (complex(*w) for w in weights)
         axes = tuple(
             Axis(a["name"], float(a["start"]), float(a["stop"]), a["count"])
             for a in payload["axes"]

@@ -6,14 +6,18 @@ equivalence, agreement of the two branch-state forms, derivative
 cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
 
-``verify`` builds one array per kernel argument from its seeded draws. Over
-blocks of ``BLOCK`` draws it runs each broadcasting form once over the stacked
-draws: the accelerated channel together with its inertial counterpart, both
-oracles, the two branch-state forms, the isometry and the swapped-b7 variant.
-Each check folds the block's per-draw errors into a running maximum and keeps
-the draw behind it, which a failed check names. The oracles stay independent:
-they share no code with the coefficient form, the angle closed form or the
-Fisher kernel. The Fisher-kernel checks then run once over the whole arrays.
+``CHECKS`` lists every check in report order with its tolerance. Three
+producers give each check its errors under (section, name). ``_draw_errors``
+runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
+accelerated channel together with its inertial counterpart, both oracles, the
+two branch-state forms, the isometry and the swapped-b7 variant.
+``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws.
+``_fixed_errors`` covers the presets, a grid of channels and the Fisher
+anchors. One fold reduces each check's errors to its largest. Every check
+with per-draw errors (16 gated ones and the informational one) keeps the draw
+behind that error, which a failed check names; the fixed-input checks name
+none. The oracles stay independent: they share no code with the coefficient
+form, the angle closed form or the Fisher kernel.
 """
 
 from __future__ import annotations
@@ -26,28 +30,18 @@ import numpy as np
 
 from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
 from .channels import X_STATE_EXAMPLE, _dyadic_to_density, preset_dyadic
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
     NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, _point, fisher
 )
 from .sampling import sample_dyadic, sample_input, sample_unruh
 from .sweep import MAX_POINTS
 from .teleport import (
-    InputState,
-    _branch_entries,
-    _branch_matrix,
-    _teleport_analytic,
-    _teleport_circuit_oracle,
+    InputState, _branch_entries, _branch_matrix, _teleport_analytic, _teleport_circuit_oracle
 )
 from .unruh import (
-    R_MAX,
-    UnruhParams,
-    _accelerate,
-    _accelerated_density,
-    _bogoliubov_isometry,
-    _bogoliubov_oracle,
-    _swapped_b7,
-    mode_params,
+    R_MAX, UnruhParams, _accelerate, _accelerated_density, _bogoliubov_isometry,
+    _bogoliubov_oracle, _swapped_b7, mode_params,
 )
 
 EQUIV_TOL = 1e-12
@@ -62,6 +56,35 @@ BLOCK = 64
 # A draw's index and its (name, value) pairs of the kernel arguments.
 Draw = tuple[int, tuple[tuple[str, float | complex], ...]]
 
+# Every check in report order: (section, name, tolerance); a tolerance of
+# None marks the informational entry.
+CHECKS: tuple[tuple[int, str, float | None], ...] = (
+    (1, "max elementwise difference", EQUIV_TOL),
+    (2, "max elementwise difference", EQUIV_TOL),
+    (3, "max elementwise difference", EQUIV_TOL),
+    (4, "max relative difference", DERIV_TOL),
+    (5, "preset states hermitian", EQUIV_TOL),
+    (5, "preset states unit trace", EQUIV_TOL),
+    (5, "preset states positive", EQUIV_TOL),
+    (5, "dyadic grid eigenvalue sum", EQUIV_TOL),
+    (5, "accelerated channel unit trace", EQUIV_TOL),
+    (5, "accelerated channel hermitian", EQUIV_TOL),
+    (5, "accelerated channel positive", EQUIV_TOL),
+    (5, "identity channel at r=0 wsma", EQUIV_TOL),
+    (5, "isometry columns orthonormal", EQUIV_TOL),
+    (5, "branch probability equals 1/4", EQUIV_TOL),
+    (5, "branch state hermitian", EQUIV_TOL),
+    (5, "branch state positive", EQUIV_TOL),
+    (5, "normalized bloch norm <= 1", EQUIV_TOL),
+    (5, "as-published bloch norm <= 1/4", EQUIV_TOL),
+    (5, "fisher finite and non-negative", FISHER_TOL),
+    (5, "fisher invariant under s_y reflection", 1e-15),
+    (5, "anchor: weight information = cos(r)^2", FISHER_TOL),
+    (5, "mode scaling 1/16 at r=0", FISHER_TOL),
+    (5, "continuity near the pure shell", 1e-3),
+    (6, "hermiticity gap |b7 - conj(b6)|", None),
+)
+
 
 @dataclass(frozen=True)
 class Check:
@@ -69,8 +92,11 @@ class Check:
     name: str
     max_error: float
     tolerance: float | None  # None marks an informational entry
-    passed: bool
     draw: Draw | None = None  # the draw with the largest error, for per-draw checks
+
+    @property
+    def passed(self) -> bool:
+        return self.tolerance is None or self.max_error <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -114,28 +140,6 @@ class VerifyReport:
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"result: {verdict} ({len(gated)} gated checks)")
         return "\n".join(lines) + "\n"
-
-
-def _worse(a: float, b: float) -> bool:
-    """Whether error ``b`` is worse than ``a``: larger, or the first NaN
-    (``max(a, nan)`` returns ``a`` and would drop it)."""
-    return b > a or (b != b and a == a)
-
-
-def _worst(a: float, b: float) -> float:
-    """The worse of two errors; NaN once either is NaN."""
-    return b if _worse(a, b) else a
-
-
-def _check(
-    section: int,
-    name: str,
-    max_error: float,
-    tolerance: float | None,
-    draw: Draw | None = None,
-) -> Check:
-    passed = True if tolerance is None else max_error <= tolerance
-    return Check(section, name, float(max_error), tolerance, passed, draw)
 
 
 def _draws(trials: int, seed: int) -> dict[str, np.ndarray]:
@@ -198,49 +202,46 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
     }
 
 
-def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
-    """Run every oracle cross-check and invariant check with seeded draws."""
-    # The batched Fisher checks hold arrays sized by the trials.
-    if not 1 <= trials <= MAX_POINTS:
-        raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    batch = _draws(trials, seed)
+def _kernel_errors(p: dict) -> dict[tuple[int, str], np.ndarray | float]:
+    """Per-draw errors of the checks that run the Bloch and Fisher kernels over
+    all draws at once, under their (section, report name)."""
+    combos = [(param, mode) for mode in NORM_NAMES for param in PARAM_NAMES]
+    # [4] analytic partials against central differences: the relative error,
+    # counted unless the derivative is degenerate (so a NaN one counts), worst
+    # over every estimand and mode.
+    relative = 0.0
+    for param, mode in combos:
+        analytic = _partial(p, param, mode, "analytic")
+        scale = _norm(analytic)
+        difference = _norm(analytic - _partial(p, param, mode, "fd"))
+        kept = ~(scale <= DERIV_FLOOR)
+        relative = np.maximum(
+            relative, np.divide(difference, scale, out=np.zeros_like(scale), where=kept)
+        )
+    s_n = _bloch(p, "normalized")
+    ds = _partial(p, "theta", "normalized", "analytic")
+    flip = np.array([1.0, -1.0, 1.0])
+    return {
+        (4, "max relative difference"): relative,
+        # Bloch vectors stay inside the physical ball in both modes.
+        (5, "normalized bloch norm <= 1"): _norm(s_n) - 1.0,
+        (5, "as-published bloch norm <= 1/4"): _norm(_bloch(p, "as-published")) - 0.25,
+        # Fisher values are non-negative for every estimand and mode, and
+        # negating one fixed Bloch component everywhere leaves them unchanged.
+        (5, "fisher finite and non-negative"): _kernel_error(
+            lambda: np.max([-_fisher(p, param, mode, "analytic")[0] for param, mode in combos], 0)
+        ),
+        (5, "fisher invariant under s_y reflection"): _kernel_error(
+            lambda: np.abs(
+                _fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(s_n * flip, ds * flip)[0]
+            )
+        ),
+    }
 
-    # Each block of draws runs every broadcasting form once. Each check keeps
-    # its largest error and that draw's index under its (section, name).
-    inertial = mode_params(0.0, "wsma")
-    worst: dict[tuple[int, str], tuple[float, int | None]] = {}
-    for start in range(0, trials, BLOCK):
-        block = {key: column[start:start + BLOCK] for key, column in batch.items()}
-        for key, errors in _draw_errors(block, inertial).items():
-            i = int(np.argmax(errors))  # the first NaN, else the first largest error
-            error, index = worst.get(key, (0.0, None))
-            if _worse(error, float(errors[i])):
-                error, index = float(errors[i]), start + i
-            worst[key] = (error, index)
-    per_draw = []
-    for (section, name), (error, index) in worst.items():
-        draw = None
-        if index is not None:
-            draw = (index, tuple((key, column[index].item()) for key, column in batch.items()))
-        per_draw.append(_check(section, name, error, None if section == 6 else EQUIV_TOL, draw))
-    checks = [c for c in per_draw if c.section <= 3]
 
-    # [4] analytic partials against central differences (relative error,
-    # counted unless the derivative is degenerate, so a NaN one counts).
-    err = 0.0
-    for mode in NORM_NAMES:
-        for param in PARAM_NAMES:
-            analytic = _partial(batch, param, mode, "analytic")
-            numeric = _partial(batch, param, mode, "fd")
-            scale = _norm(analytic)
-            kept = ~(scale <= DERIV_FLOOR)
-            if kept.any():
-                err = _worst(err, float(np.max(_norm(analytic - numeric)[kept] / scale[kept])))
-    checks.append(_check(4, "max relative difference", err, DERIV_TOL))
-
-    # [5] Named presets build Hermitian, unit-trace, physical states.
+def _fixed_errors() -> dict[tuple[int, str], float]:
+    """Errors of the checks on fixed inputs, each reduced to one number."""
+    # Named presets build Hermitian, unit-trace, physical states.
     presets = [
         preset_dyadic("bell-phi-plus"),
         preset_dyadic("bell-psi-minus"),
@@ -251,73 +252,70 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     ]
     m = _dyadic_to_density(*np.array([d.as_tuple() for d in presets]).T)
     trace = np.trace(m, axis1=-2, axis2=-1).real
-    for name, errors in (
-        ("preset states hermitian", _hermiticity_gaps(m)),
-        ("preset states unit trace", np.abs(trace - 1.0)),
-        ("preset states positive", -_min_eigenvalues(m)),
-    ):
-        checks.append(_check(5, name, _worst(0.0, float(np.max(errors))), EQUIV_TOL))
-
-    # Eigenvalues of any dyadic-induced matrix sum to 1 (9x9x9 grid, one
-    # c11 plane at a time).
+    # Eigenvalues of any dyadic-induced matrix sum to 1 (9x9x9 grid, one c11
+    # plane at a time).
     axis = np.linspace(-1.0, 1.0, 9)
     c22, c33 = np.meshgrid(axis, axis, indexing="ij")
-    err = 0.0
-    for c11 in axis:
-        eig_sum = np.linalg.eigvalsh(_dyadic_to_density(c11, c22, c33)).sum(-1)
-        err = _worst(err, float(np.max(np.abs(eig_sum - 1.0))))
-    checks.append(_check(5, "dyadic grid eigenvalue sum", err, EQUIV_TOL))
+    eig_sums = [np.linalg.eigvalsh(_dyadic_to_density(c11, c22, c33)).sum(-1) for c11 in axis]
+    return {
+        (5, "preset states hermitian"): np.max(_hermiticity_gaps(m)),
+        (5, "preset states unit trace"): np.max(np.abs(trace - 1.0)),
+        (5, "preset states positive"): np.max(-_min_eigenvalues(m)),
+        (5, "dyadic grid eigenvalue sum"): np.max(np.abs(np.array(eig_sums) - 1.0)),
+        (5, "anchor: weight information = cos(r)^2"): _kernel_error(_anchor_error),
+        (5, "mode scaling 1/16 at r=0"): _kernel_error(_mode_scaling_error),
+        (5, "continuity near the pure shell"): _kernel_error(_continuity_error),
+    }
 
-    # The accelerated-channel and branch-state checks of the blocks of draws.
-    checks.extend(c for c in per_draw if c.section == 5)
 
-    # Bloch vectors stay inside the physical ball in both modes.
-    s_n = _bloch(batch, "normalized")
-    err_norm = _worst(0.0, float(np.max(_norm(s_n))) - 1.0)
-    err_quarter = _worst(0.0, float(np.max(_norm(_bloch(batch, "as-published")))) - 0.25)
-    checks.append(_check(5, "normalized bloch norm <= 1", err_norm, EQUIV_TOL))
-    checks.append(_check(5, "as-published bloch norm <= 1/4", err_quarter, EQUIV_TOL))
+def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
+    """Run every oracle cross-check and invariant check with seeded draws."""
+    check_integer("trials", trials)
+    check_integer("seed", seed)
+    # The batched Fisher checks hold arrays sized by the trials.
+    if not 1 <= trials <= MAX_POINTS:
+        raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    batch = _draws(trials, seed)
 
-    # The Fisher-value checks. The kernel raises ConsistencyError on a
-    # non-finite value; that fails the check with an infinite error.
-    for name, error, tolerance in (
-        ("fisher finite and non-negative", lambda: _fisher_sign_error(batch), FISHER_TOL),
-        ("fisher invariant under s_y reflection", lambda: _reflection_error(batch, s_n), 1e-15),
-        ("anchor: weight information = cos(r)^2", _anchor_error, FISHER_TOL),
-        ("mode scaling 1/16 at r=0", _mode_scaling_error, FISHER_TOL),
-        ("continuity near the pure shell", _continuity_error, 1e-3),
-    ):
-        checks.append(_check(5, name, _kernel_error(error), tolerance))
+    # Each block of draws runs every broadcasting form once.
+    inertial = mode_params(0.0, "wsma")
+    blocks = [
+        _draw_errors({key: column[start:start + BLOCK] for key, column in batch.items()}, inertial)
+        for start in range(0, trials, BLOCK)
+    ]
+    produced = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    produced.update(_kernel_errors(batch))
+    produced.update(_fixed_errors())
+    listed = [(section, name) for section, name, _ in CHECKS]
+    if sorted(produced) != sorted(listed):
+        unmatched = sorted(produced.keys() ^ set(listed))
+        raise ConsistencyError(f"checks not both produced and listed once: {unmatched}")
 
-    checks.extend(c for c in per_draw if c.section == 6)
+    # One fold. An error array names its worst draw: the first NaN, else the
+    # first largest error. A scalar names none. An error at or below zero
+    # reads 0 and names no draw.
+    checks = []
+    for section, name, tolerance in CHECKS:
+        errors = np.asarray(produced[section, name])
+        index = int(np.argmax(errors))
+        error = float(errors.flat[index])
+        draw = None
+        if not (error > 0.0 or math.isnan(error)):
+            error = 0.0
+        elif errors.ndim:
+            draw = (index, tuple((key, column[index].item()) for key, column in batch.items()))
+        checks.append(Check(section, name, error, tolerance, draw))
     return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
 
 
-def _kernel_error(error: Callable[[], float]) -> float:
-    """The error of a Fisher-kernel check, or inf once the kernel meets a non-finite value."""
+def _kernel_error(error: Callable[[], np.ndarray | float]) -> np.ndarray | float:
+    """The errors of a Fisher-kernel check, or inf once the kernel meets a non-finite value."""
     try:
         return error()
     except ConsistencyError:
         return math.inf
-
-
-def _fisher_sign_error(batch: dict) -> float:
-    """Fisher values are non-negative for every estimand and mode (the kernel
-    raises on a non-finite one)."""
-    err = 0.0
-    for mode in NORM_NAMES:
-        for param in PARAM_NAMES:
-            err = _worst(err, float(np.max(-_fisher(batch, param, mode, "analytic")[0])))
-    return err
-
-
-def _reflection_error(batch: dict, s_n: np.ndarray) -> float:
-    """Negating one fixed Bloch component everywhere leaves the Fisher value unchanged."""
-    flip = np.array([1.0, -1.0, 1.0])
-    ds = _partial(batch, "theta", "normalized", "analytic")
-    a = _fisher_from_bloch(s_n, ds)[0]
-    b = _fisher_from_bloch(s_n * flip, ds * flip)[0]
-    return float(np.max(np.abs(a - b)))
 
 
 def _anchor_error() -> float:
@@ -335,21 +333,21 @@ def _anchor_error() -> float:
         **dict(zip(PARAM_NAMES, grid)),
     }
     value = _fisher(anchor, "theta", "normalized", "analytic")[0]
-    return float(np.max(np.abs(value - np.float_power(np.cos(anchor["r"]), 2.0))))
+    return np.max(np.abs(value - np.float_power(np.cos(anchor["r"]), 2.0)))
 
 
 def _mode_scaling_error() -> float:
     """At r=0 for maximally entangled channels the as-published value is
     exactly 1/16 of the normalized one."""
-    err = 0.0
     angles = {"theta": np.array([0.3, 1.2, 2.4]), "phi": np.array([0.7, 2.5, 4.9])}
+    errors = []
     for preset in ("bell-phi-plus", "bell-psi-minus"):
         p = {**vars(preset_dyadic(preset)), **vars(mode_params(0.0, "wsma")), **angles}
         for param in PARAM_NAMES:
             f_n = _fisher(p, param, "normalized", "analytic")[0]
             f_p = _fisher(p, param, "as-published", "analytic")[0]
-            err = _worst(err, float(np.max(np.abs(f_p - f_n / 16.0))))
-    return err
+            errors.append(np.abs(f_p - f_n / 16.0))
+    return np.max(errors)
 
 
 def _continuity_error() -> float:

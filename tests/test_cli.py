@@ -352,6 +352,20 @@ class TestInputBoundary:
               "--preset", "bell-phi-plus"], None),
             (["sweep", "--param", "theta", "--grid", "theta=0:pi/0:3", "--phi", "1",
               "--r", "0", "--preset", "bell-phi-plus"], None),
+            (["sweep"], _spec_payload(
+                channel={"preset": "bogus", "c11": 1.0, "c22": -1.0, "c33": 1.0})),
+            (["sweep"], _spec_payload(
+                channel={"preset": "bell-psi-minus", "c11": 1.0, "c22": -1.0, "c33": 1.0})),
+            (["sweep"], _spec_payload(
+                channel={"preset": "werner", "c11": -0.5, "c22": -0.5, "c33": -0.4})),
+            (["sweep"], _spec_payload(
+                channel={"preset": "werner", "c11": 0.3, "c22": 0.3, "c33": 0.3})),
+            (["sweep"], _spec_payload(
+                unruh={"mode": "bogus", "qr": [1.0, 0.0], "ql": [0.0, 0.0]})),
+            (["sweep"], _spec_payload(
+                unruh={"mode": "bsma", "qr": [1.0, 0.0], "ql": [0.0, 0.0]})),
+            (["sweep"], _spec_payload(unruh={"qr": "1", "ql": [0.0, 0.0]})),
+            (["sweep"], _spec_payload(unruh={"qr": [0.6], "ql": [0.8, 0.0]})),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -361,7 +375,9 @@ class TestInputBoundary:
             "spec-with-c11", "spec-with-fidelity", "spec-with-mode", "spec-with-weights",
             "swept-and-fixed", "fidelity-with-bell", "fidelity-with-x-state", "trials-too-many",
             "spec-with-norm", "spec-with-method", "angle-zero-denominator",
-            "grid-zero-denominator",
+            "grid-zero-denominator", "spec-unknown-preset", "spec-preset-mismatch",
+            "spec-werner-mismatch", "spec-werner-positive", "spec-unknown-mode",
+            "spec-mode-mismatch", "spec-weight-string", "spec-weight-short",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

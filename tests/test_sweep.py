@@ -8,6 +8,7 @@ import pytest
 
 from unruh_teleport import (
     FIGURE_IDS,
+    MODE_WEIGHTS,
     Axis,
     CorrelationDyadic,
     DomainError,
@@ -17,6 +18,7 @@ from unruh_teleport import (
     emit,
     figure_spec,
     fisher,
+    preset_dyadic,
     run_sweep,
 )
 from unruh_teleport.sweep import (
@@ -401,3 +403,27 @@ class TestSpecInputs:
     def test_unknown_fixed_name(self):
         with pytest.raises(DomainError, match="fixed variable"):
             basic_spec(fixed={"phi": 1.0, "bogus": 7.0})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"channel_preset": "bogus"},
+            {"channel_preset": "bell-psi-minus"},
+            {"channel_preset": "werner", "dyadic": CorrelationDyadic(0.3, 0.3, 0.3)},
+            {"unruh_mode": "bogus"},
+            {"unruh_mode": "bsma"},
+        ],
+    )
+    def test_preset_and_mode_names_must_give_the_numbers(self, overrides):
+        with pytest.raises(DomainError, match="preset"):
+            basic_spec(**overrides)
+
+    def test_named_presets_and_modes_load(self):
+        for fidelity in (0.0, 0.37, 1.0):
+            werner = preset_dyadic("werner", fidelity=fidelity)
+            spec = basic_spec(dyadic=werner, channel_preset="werner")
+            assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        qr, ql = MODE_WEIGHTS["bsma"]
+        spec = basic_spec(qr=qr, ql=ql, unruh_mode="bsma")
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+        assert basic_spec(qr=0.6 + 0.8j, ql=0.0j, unruh_mode=None).unruh_mode is None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from unruh_teleport import DomainError, verify
+from unruh_teleport import ConsistencyError, DomainError, verify
 from unruh_teleport.cli import main
 from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
 from unruh_teleport.verify import VerifyReport
@@ -224,3 +224,77 @@ def test_non_finite_fisher_value_report_from_the_cli(monkeypatch, capsys):
     assert out.startswith("verification report: trials=3 seed=1\n")
     assert "[6] swapped-b7 variant (informational)" in out
     assert out.endswith("result: FAIL (23 gated checks)\n")
+
+
+def _nan_at_draw_two(monkeypatch, name, hit):
+    # verify's own name for a kernel function returns NaN at draw 2 on the calls
+    # that ``hit`` picks from the arguments after the point mapping.
+    original = getattr(VERIFY_MODULE, name)
+
+    def nan_at_two(p, *args):
+        out = original(p, *args)
+        if hit(*args):
+            out = out.copy()
+            out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(VERIFY_MODULE, name, nan_at_two)
+
+
+def test_derivative_check_names_its_worst_draw(monkeypatch):
+    _nan_at_draw_two(monkeypatch, "_partial", lambda param, mode, method: method == "fd")
+    report = verify(trials=5, seed=1)
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.section, c.name, c.draw[0]) for c in failed] == [(4, "max relative difference", 2)]
+    assert math.isnan(failed[0].max_error)
+    assert "      worst draw: 2 theta=" in report.render()
+
+
+def test_bloch_norm_check_names_its_worst_draw(monkeypatch):
+    _nan_at_draw_two(monkeypatch, "_bloch", lambda mode: mode == "as-published")
+    report = verify(trials=5, seed=1)
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.draw[0]) for c in failed] == [("as-published bloch norm <= 1/4", 2)]
+    assert report.render().count("worst draw: 2 theta=") == 1
+
+
+def test_kernel_failure_names_no_draw(monkeypatch):
+    _nan_off_diagonal(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        report = verify(trials=3, seed=1)
+    infinite = [c for c in report.checks if c.max_error == math.inf]
+    assert [c.name for c in infinite] == [
+        "fisher finite and non-negative",
+        "fisher invariant under s_y reflection",
+        "anchor: weight information = cos(r)^2",
+        "mode scaling 1/16 at r=0",
+        "continuity near the pure shell",
+    ]
+    assert all(c.draw is None for c in infinite)
+
+
+@pytest.mark.parametrize("checks", ["drop-last", "add-one", "repeat-one"])
+def test_checks_table_matches_the_producers(monkeypatch, checks):
+    table = VERIFY_MODULE.CHECKS
+    changed = {
+        "drop-last": table[:-1],
+        "add-one": (*table, (5, "not produced", 1e-12)),
+        "repeat-one": (*table, table[0]),
+    }[checks]
+    monkeypatch.setattr(VERIFY_MODULE, "CHECKS", changed)
+    with pytest.raises(ConsistencyError, match="produced and listed once"):
+        verify(trials=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "trials,seed", [(2.5, 1), (3, 1.5), (True, 1), (3, False), ("3", 1), (3, None)]
+)
+def test_trials_and_seed_must_be_integers(trials, seed):
+    with pytest.raises(DomainError, match=r"(trials|seed) must be an integer, got "):
+        verify(trials, seed)
+
+
+def test_numpy_integers_are_accepted():
+    report = verify(np.int64(2), np.int32(5))
+    assert report.passed
+    assert report.render().startswith("verification report: trials=2 seed=5\n")
