@@ -29,6 +29,8 @@ EIGENVALUE_TOL = 1e-12
 # sigma (x) sigma for sx, sy, sz: the terms the correlation triple weighs.
 _PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
 _IDENTITY_4 = np.eye(4, dtype=complex)
+# Signs of (c11, c22, c33) in the eigenvalues of the correlation-diagonal states.
+_BELL_SIGNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,15 @@ def _dyadic_to_density(c11: ArrayLike, c22: ArrayLike, c33: ArrayLike) -> np.nda
     for c, pair in zip((c11, c22, c33), _PAULI_PAIRS):
         m = m + np.asarray(c)[..., None, None] * pair
     return m / 4.0
+
+
+def _bell_eigenvalues(c11: ArrayLike, c22: ArrayLike, c33: ArrayLike) -> np.ndarray:
+    """Eigenvalues (last axis, unsorted) of the density matrices of correlation
+    triples; broadcasts. The states are Bell-diagonal, so each eigenvalue is
+    (1 +- c11 +- c22 +- c33)/4 (R. & M. Horodecki, PRA 54, 1838 (1996))."""
+    eigenvalues = np.stack([1.0 + a * c11 + b * c22 + c * c33 for a, b, c in _BELL_SIGNS], -1)
+    eigenvalues /= 4.0
+    return eigenvalues
 
 
 def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:

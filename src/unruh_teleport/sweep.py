@@ -250,7 +250,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             Axis(a["name"], float(a["start"]), float(a["stop"]), a["count"])
             for a in payload["axes"]
         )
-        return SweepSpec(
+        spec = SweepSpec(
             estimand=payload["estimand"],
             norm=payload["norm"],
             method=payload["method"],
@@ -267,6 +267,16 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
+    # The figure id is echoed in the JSON spec, so it must give this spec. It is
+    # checked here: SweepSpec cannot call figure_spec, which builds a SweepSpec.
+    if spec.figure is not None:
+        check_choice("figure preset", spec.figure, FIGURE_IDS)
+        # A figure sweeps two axes of one count, so its spec stays within MAX_POINTS.
+        grid = spec.axes[0].count
+        square = [axis.count for axis in spec.axes] == [grid, grid]
+        if not (square and figure_spec(spec.figure, grid, spec.norm, spec.method) == spec):
+            raise DomainError(f"figure {spec.figure} does not give this spec")
+    return spec
 
 
 def _cells(rows: list[SweepRow]) -> tuple[Any, ...]:

@@ -6,6 +6,9 @@ equivalence, agreement of the two branch-state forms, derivative
 cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
 
+The seeded draws are the scalar samplers' draws, bit for bit, from
+``sampling.sample_draws``: one buffer of doubles in stream order, a
+closed-form accept rule, and each decision confirmed by ``eigvalsh``.
 ``CHECKS`` lists every check in report order with its tolerance. Three
 producers give each check its errors under (section, name). ``_draw_errors``
 runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
@@ -32,9 +35,9 @@ from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
 from .channels import X_STATE_EXAMPLE, _dyadic_to_density, preset_dyadic
 from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
-    NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, _point, fisher
+    NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, fisher
 )
-from .sampling import sample_dyadic, sample_input, sample_unruh
+from .sampling import sample_draws
 from .sweep import MAX_POINTS
 from .teleport import (
     InputState, _branch_entries, _branch_matrix, _teleport_analytic, _teleport_circuit_oracle
@@ -48,9 +51,10 @@ EQUIV_TOL = 1e-12
 DERIV_TOL = 1e-6
 DERIV_FLOOR = 1e-3
 FISHER_TOL = 1e-9
-# Draws per pass of the broadcasting forms. It bounds the stacked (draws, 8, 8)
-# arrays: at 64 each stays under 128 KiB. Blocks of 256 ran at most a few
-# percent faster and kept about 0.6 MB more memory resident over repeated runs.
+# Draws per pass of the broadcasting forms, and candidates per eigvalsh pass of
+# the sampler. It bounds the stacked (draws, 8, 8) arrays: at 64 each stays
+# under 128 KiB. Blocks of 256 ran at most a few percent faster and kept about
+# 0.6 MB more memory resident over repeated runs.
 BLOCK = 64
 
 # A draw's index and its (name, value) pairs of the kernel arguments.
@@ -140,16 +144,6 @@ class VerifyReport:
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"result: {verdict} ({len(gated)} gated checks)")
         return "\n".join(lines) + "\n"
-
-
-def _draws(trials: int, seed: int) -> dict[str, np.ndarray]:
-    """The shared seeded draws (input state, physical dyadic, acceleration
-    params) as one array per kernel argument."""
-    rng = np.random.default_rng(seed)
-    points = [
-        _point(sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(trials)
-    ]
-    return {key: np.array([p[key] for p in points]) for key in points[0]}
 
 
 def _largest(m: np.ndarray) -> np.ndarray:
@@ -277,7 +271,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
         raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    batch = _draws(trials, seed)
+    batch = sample_draws(seed, trials, BLOCK)
 
     # Each block of draws runs every broadcasting form once.
     inertial = mode_params(0.0, "wsma")

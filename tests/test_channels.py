@@ -10,6 +10,7 @@ from unruh_teleport import (
     preset_dyadic,
     validate_physical,
 )
+from unruh_teleport.channels import _bell_eigenvalues, _dyadic_to_density
 
 KET_00 = np.array([1, 0, 0, 0], dtype=complex)
 KET_01 = np.array([0, 1, 0, 0], dtype=complex)
@@ -143,3 +144,21 @@ class TestValidatePhysical:
     def test_never_raises(self):
         check = validate_physical(CorrelationDyadic(1.0, 1.0, -1.0))
         assert isinstance(check.physical, bool)
+
+
+class TestBellEigenvalues:
+    @staticmethod
+    def _assert_matches_eigvalsh(c11, c22, c33):
+        closed = np.sort(_bell_eigenvalues(c11, c22, c33), axis=-1)
+        dense = np.linalg.eigvalsh(_dyadic_to_density(c11, c22, c33))
+        assert np.max(np.abs(closed - dense)) <= 1e-15
+
+    def test_closed_form_matches_eigvalsh_on_the_dyadic_grid(self):
+        axis = np.linspace(-1.0, 1.0, 9)
+        self._assert_matches_eigvalsh(*np.meshgrid(axis, axis, axis, indexing="ij"))
+
+    @pytest.mark.parametrize("c", [(1.0, 1.0, -1.0), (-1.0, -1.0, -1.0), (1.0, -1.0, 1.0)])
+    def test_closed_form_matches_eigvalsh_at_the_edges(self, c):
+        self._assert_matches_eigvalsh(*c)
+        # Rank one at every edge point: three zero eigenvalues and one equal to 1.
+        assert sorted(_bell_eigenvalues(*c).tolist()) == [0.0, 0.0, 0.0, 1.0]

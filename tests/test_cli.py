@@ -6,6 +6,7 @@ import pytest
 from unruh_teleport import InputState, fisher, mode_params, preset_dyadic
 from unruh_teleport.cli import main, parse_angle, parse_complex
 from unruh_teleport.errors import DomainError
+from unruh_teleport.sweep import FIGURE_IDS
 
 
 class TestAngleParsing:
@@ -232,6 +233,15 @@ class TestFiguresCommand:
     def test_id_required(self, capsys):
         assert main(["figures"]) == 1
 
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_spec_block_reruns_byte_identically(self, fig_id, tmp_path, capsys):
+        assert main(["figures", "--id", fig_id, "--grid", "3", "--format", "json"]) == 0
+        emitted = capsys.readouterr().out
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(json.loads(emitted)["spec"]), encoding="utf-8")
+        assert main(["sweep", "--spec", str(spec_file), "--format", "json"]) == 0
+        assert capsys.readouterr().out == emitted
+
 
 class TestVerifyCommand:
     def test_small_run_contains_all_sections(self, capsys):
@@ -366,6 +376,8 @@ class TestInputBoundary:
                 unruh={"mode": "bsma", "qr": [1.0, 0.0], "ql": [0.0, 0.0]})),
             (["sweep"], _spec_payload(unruh={"qr": "1", "ql": [0.0, 0.0]})),
             (["sweep"], _spec_payload(unruh={"qr": [0.6], "ql": [0.8, 0.0]})),
+            (["sweep"], _spec_payload(figure="bogus")),
+            (["sweep"], _spec_payload(figure="1a")),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -378,6 +390,7 @@ class TestInputBoundary:
             "grid-zero-denominator", "spec-unknown-preset", "spec-preset-mismatch",
             "spec-werner-mismatch", "spec-werner-positive", "spec-unknown-mode",
             "spec-mode-mismatch", "spec-weight-string", "spec-weight-short",
+            "spec-unknown-figure", "spec-figure-mismatch",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

@@ -418,6 +418,20 @@ class TestSpecInputs:
         with pytest.raises(DomainError, match="preset"):
             basic_spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "figure,counts", [("bogus", (3, 3)), ("4d", (3, 3)), ("1a", (3, 3)), ("1b", (3, 4)),
+                          ("1b", (2000,)), ("1b", (900, 1100))]
+    )
+    def test_figure_label_must_give_the_spec(self, figure, counts):
+        payload = spec_to_dict(figure_spec("1b", grid=3))
+        payload["figure"] = figure
+        payload["axes"] = [{**axis, "count": n} for axis, n in zip(payload["axes"], counts)]
+        if len(counts) == 1:
+            payload["fixed"]["r"] = 0.1
+        message = "unknown figure preset" if figure == "bogus" else "does not give this spec"
+        with pytest.raises(DomainError, match=message):
+            spec_from_dict(payload)
+
     def test_named_presets_and_modes_load(self):
         for fidelity in (0.0, 0.37, 1.0):
             werner = preset_dyadic("werner", fidelity=fidelity)

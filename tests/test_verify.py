@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 
@@ -298,3 +299,31 @@ def test_numpy_integers_are_accepted():
     report = verify(np.int64(2), np.int32(5))
     assert report.passed
     assert report.render().startswith("verification report: trials=2 seed=5\n")
+
+
+# SHA-256 of `verify` reports, pinned at the per-draw rejection sampler that
+# sample_draws replaced: the draws, and so the rng stream, stay the same.
+REPORT_SHA256 = {
+    (1, 42): "b06127f93e82c1e4ae658d5d7096da2710d6efe38436cff0a47fe32b0cf8c164",
+    (1, 7): "4b72109b7323bc17a9ab6cf39a3dc6d445f830aa087cf67797b79f3d715dfefd",
+    (1, 123): "e8205898efa05f289bceddd5fa9c91bdc8090246720bc3611e0a955fedeb6cf7",
+    (1, 1): "5cb07fec32a959e1f481c9cdbb06c29c665360ac67b647c57a8e53b2634101b1",
+    (1, 2): "2e2be8ef2f04e925b954b14d9075f8e96db018d6c311db0cf428ae9f40178e38",
+    (7, 42): "be4ad5b3177aa33ef94d6a148f2db99af567010318805fa9aa02b22fb757c2b8",
+    (7, 7): "26351d7a047e0e9f2290d3b5f2d9febf0bc0a3e941d891acb5d3a47ea2e7100f",
+    (7, 123): "fe2ac210ee148edae4e229ccdcc79efbb101a5c27ff4e6aff10fbeae8ddae6e5",
+    (7, 1): "3119d7f3a2f4117c879202590dcae102c379ad1b3805cd330f73507fff597db8",
+    (7, 2): "52cd2337f9bc5d581445250b1a6669ac68f406791260d7361d240e001a2437cf",
+    (1000, 42): "d0b4d73d75cb435800dd5e6c64880786a4d7a7d71c624f36dda7a2e3bb46e465",
+    (1000, 7): "42e7993434842ab40b9f2805be7a954bb56fa0a8a812ac4819d168e13b81fcb2",
+    (1000, 123): "0d3521aadce27ab5e523a8058d800772e0660af2ec687c36b90df986e1f4ea6e",
+    (1000, 1): "b77c86934b6dcc23909dd14af9866d970d2efa91947fbbdb64f2d4a6848c2c21",
+    (1000, 2): "592f142345781f8fd92266961e5c23e050f2d94ea2e092e12a2107dea0cc797c",
+}
+
+
+@pytest.mark.parametrize("trials,seed", list(REPORT_SHA256))
+def test_reports_are_pinned(trials, seed, capsys):
+    assert main(["verify", "--trials", str(trials), "--seed", str(seed)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_SHA256[trials, seed]
