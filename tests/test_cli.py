@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -459,3 +460,88 @@ def test_cli_choices_are_library_tuples():
             assert action.choices is expected[action.dest], (name, action.dest)
             seen.add(action.dest)
     assert seen == set(expected)
+
+
+# SHA-256 of `figures` outputs, pinned at the one-template renderer that the
+# columnar renderer replaced: all 16 figures as published (analytic) at 64^2
+# in both formats, and normalized fd sweeps with an r axis, which take the
+# pure branch and both one-sided r stencils.
+FIGURE_SHA256 = {
+    ('--id', '1a', '--grid', '64', '--format', 'csv'):
+        "6446f41a1b331c673c50a337d9d82b1d1d487519913a8f1d1ea0ca15fe9d830f",
+    ('--id', '1a', '--grid', '64', '--format', 'json'):
+        "e7665cafb00bbddaea79979202d3b287f09d503f0bb721064075aa3ad1e67e63",
+    ('--id', '1b', '--grid', '64', '--format', 'csv'):
+        "1ed2b21d68fd343054af8b9447c9148ce6644f1fabdab8d4b8f945be49ff3023",
+    ('--id', '1b', '--grid', '64', '--format', 'json'):
+        "01fcfd92eeef41a1e32a669137e736c775c834b690e055516c4e047c0208c939",
+    ('--id', '2a', '--grid', '64', '--format', 'csv'):
+        "19ae07556f06a09239c70bc03bab4e729631041e301524e442cebf7452a84f21",
+    ('--id', '2a', '--grid', '64', '--format', 'json'):
+        "f7abd494bd1ca696bc149b89b2f36896e5f0d76bad5c8d5608a6cf7684c6b93d",
+    ('--id', '2c', '--grid', '64', '--format', 'csv'):
+        "a4ce415813675019b67979d470ee01473c17f14d63e661b1a2ca9d582a22b639",
+    ('--id', '2c', '--grid', '64', '--format', 'json'):
+        "0b75ee07e52912f2b85a8133d1d74d2c11b891b2e49eb897387c4a6ad67e7fd8",
+    ('--id', '3a', '--grid', '64', '--format', 'csv'):
+        "7127219bf2331f7e88a74135a01156aa497b150bbfdf8ccb839dfe30d406bb0c",
+    ('--id', '3a', '--grid', '64', '--format', 'json'):
+        "f59a1026dc649c8359c75beca328dd3a0946d06aa39d59541571cd88bcce237f",
+    ('--id', '3c', '--grid', '64', '--format', 'csv'):
+        "17831e36a87df7aac346cc42eae4fbf8909f9232f6b1f50c1a981c535f5acac4",
+    ('--id', '3c', '--grid', '64', '--format', 'json'):
+        "37c9a4e4cf23598d61f4e7f9bdf9b45bcc31d14b5a9405fad6dfd8d05fdd016d",
+    ('--id', '4a', '--grid', '64', '--format', 'csv'):
+        "6d4553182ed60e580e5418fe7e4424b770bf2cb5367ba61296e7663badc942f1",
+    ('--id', '4a', '--grid', '64', '--format', 'json'):
+        "d73416b84c77cc1faf0d6d5aaf0982d275019a775d556ee14b4138a80666cb55",
+    ('--id', '4b', '--grid', '64', '--format', 'csv'):
+        "468e0a3ab6c4a21b3da0d6be12c12902175c62dcf256e1c3763f3e947685c045",
+    ('--id', '4b', '--grid', '64', '--format', 'json'):
+        "817e84fe88c3c1645c263fae4b90165f5d00c95a3a2fbaed101c6c47ea411525",
+    ('--id', '4c', '--grid', '64', '--format', 'csv'):
+        "cb28e5260f217b9dc320cc8e07017798c47104c06356832ffe967c4a8acb1580",
+    ('--id', '4c', '--grid', '64', '--format', 'json'):
+        "59e320b11719efa1794a76f24ddd39f63e8260e1b35b2fa385d0286cee655236",
+    ('--id', '4d', '--grid', '64', '--format', 'csv'):
+        "39a892c7432e2d4ab9eac40cc62c8b3adada6940e0da11127b66094775b7eb55",
+    ('--id', '4d', '--grid', '64', '--format', 'json'):
+        "5fa7ffb6e0a322d184ae5df005a5403b4386d1c3e9000c839bc8184c07cde199",
+    ('--id', '5a', '--grid', '64', '--format', 'csv'):
+        "ebf117863b426356b125dff2ac58ff374f47ad1e5b92a0c4f196fa00ec9b4729",
+    ('--id', '5a', '--grid', '64', '--format', 'json'):
+        "6405add1246fd71cd91fad84684636ef1c339c04b4adc20839fb974558d14f1a",
+    ('--id', '5c', '--grid', '64', '--format', 'csv'):
+        "3f667cdc6729cd4692bf68c32adc84ca5639b3eb732bd396df5b9d28e42f5475",
+    ('--id', '5c', '--grid', '64', '--format', 'json'):
+        "56bf9b4a5effb81322961e4036761df3a861c7ea97ba54d0ad780f795b189a64",
+    ('--id', '6a', '--grid', '64', '--format', 'csv'):
+        "19732114d23a0fe5c2b7e6e91a61dbc8a882555acc004205738faa5fda2bc23a",
+    ('--id', '6a', '--grid', '64', '--format', 'json'):
+        "1ee610e3013faffd1dccdf42e9d0300ead57c805b798b1b996677da43b10b06f",
+    ('--id', '6b', '--grid', '64', '--format', 'csv'):
+        "0b851642fcb212930d56a0242720bd1d5494d2ec52c97095c147c89dc1c83d81",
+    ('--id', '6b', '--grid', '64', '--format', 'json'):
+        "27b0f2b9c7da9adb7edfa509a3f2e75a07498d71b53a890cd4ddf6bfae43eb8a",
+    ('--id', '6c', '--grid', '64', '--format', 'csv'):
+        "abf9aaee938e69d3718de283f2ff8520e67c3f4f8cef9072258c77232ed17773",
+    ('--id', '6c', '--grid', '64', '--format', 'json'):
+        "9888c82879fa96844a758464dcb8fc56a40e2c242238b57ff43b99c4d9c1f1da",
+    ('--id', '6d', '--grid', '64', '--format', 'csv'):
+        "be2e8cf3c6a7808a1c7689cc469f84eb1534477a277f160a4fc75f74a716c580",
+    ('--id', '6d', '--grid', '64', '--format', 'json'):
+        "94c1bf9c66185dbc1cad89303f6be4e83d9e906023a4217f5834980f68631ed7",
+    ('--id', '1a', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
+        "807c5501e72c41ed2bc2eda84d1ed3c62211aa1c04b9d2762486d1a1e32aa132",
+    ('--id', '4b', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
+        "48b4024405767eef5e06604055887b435ffbd6363784463b274e6763b1935d62",
+    ('--id', '6c', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
+        "8004da82d448baed0ab2901d0f8d006397cff8feed60a98b1955b9c8808edede",
+}
+
+
+@pytest.mark.parametrize("argv", list(FIGURE_SHA256), ids=" ".join)
+def test_figure_outputs_are_pinned(argv, capsys):
+    assert main(["figures", *argv]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FIGURE_SHA256[argv]
