@@ -38,7 +38,6 @@ from .sweep import (
     complex_pair,
     emit,
     figure_spec,
-    render_rows,
     run_sweep,
     spec_from_dict,
     unruh_block,
@@ -387,11 +386,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _run_and_write(spec: SweepSpec, args: argparse.Namespace) -> int:
-    rows = run_sweep(spec)
-    if args.out is None:
-        sys.stdout.write(render_rows(spec, rows, args.format))
-    else:
-        emit(spec, rows, args.format, args.out)
+    emit(spec, run_sweep(spec), args.format, args.out)
     return 0
 
 

@@ -1,12 +1,20 @@
-"""Parameter-grid sweeps, figure dataset presets and CSV/JSON emission."""
+"""Parameter-grid sweeps, figure dataset presets and CSV/JSON emission.
+
+A sweep stays in the Fisher kernel's columns from evaluation to the emitted
+text, and a non-finite Fisher value is refused before anything is written.
+"""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -127,19 +135,56 @@ class SweepSpec:
         return tuple(axis.name for axis in self.axes)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+@dataclass(frozen=True, eq=False)
+class SweepRows(Sequence[SweepRow]):
+    """A sweep's rows as the kernel's read-only columns.
+
+    ``points`` holds each axis's grid values, outer axis first; ``fisher`` and
+    ``pure`` hold one entry per point of their product. Indexing and iteration
+    yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
+    list of its rows.
+    """
+
+    points: tuple[tuple[float, ...], ...]
+    fisher: np.ndarray
+    pure: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.fisher)
+
+    def __getitem__(self, index: Any) -> Any:
+        flat = range(len(self))[index]
+        if isinstance(flat, range):
+            return [self[i] for i in flat]
+        at = np.unravel_index(flat, [len(axis) for axis in self.points])
+        coords = tuple(axis[i] for axis, i in zip(self.points, at))
+        return SweepRow(coords, float(self.fisher[flat]), bool(self.pure[flat]))
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return map(SweepRow, itertools.product(*self.points), self.fisher.tolist(),
+                   self.pure.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, SweepRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def run_sweep(spec: SweepSpec) -> SweepRows:
     """Evaluate the Fisher information on every grid point of the spec.
 
     Points iterate with the first axis outermost; the channel is rejected
     up front if its initial state is unphysical. The whole grid is one
-    call of the broadcast Fisher kernel.
+    call of the broadcast Fisher kernel, whose columns come back as they are.
     """
     require_physical(spec.dyadic)
-    coords = [g.ravel() for g in np.meshgrid(*(a.points() for a in spec.axes), indexing="ij")]
+    points = [a.points() for a in spec.axes]
+    coords = [g.ravel() for g in np.meshgrid(*points, indexing="ij")]
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
              **dict(zip(spec.axis_names, coords))}
     value, pure, _ = _fisher(point, spec.estimand, spec.norm, spec.method)
-    return list(map(SweepRow, zip(*(g.tolist() for g in coords)), value.tolist(), pure.tolist()))
+    value.flags.writeable = pure.flags.writeable = False
+    return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)
 
 
 # Named dataset presets with panel-style ids, covering the standard
@@ -279,32 +324,59 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
     return spec
 
 
-def _cells(rows: list[SweepRow]) -> tuple[Any, ...]:
-    """Every cell of the rows in emission order; the flag is its text ``true``/``false``."""
-    return tuple([x for c, f, b in rows for x in (*c, f, "true" if b else "false")])
+def _points_text(rows: Sequence[SweepRow], axis_fmts: list[str], off: str, on: str) -> str:
+    """Per point its coordinates through ``axis_fmts``, then its Fisher value through
+    ``off``, or ``on`` for a pure-branch point, as one template filled by one ``%``.
+
+    Sweep columns format each axis value once and take the templates from the
+    product of those strings; other rows format each point's coordinates.
+    """
+    # ``off`` rides on the last axis format, its ``%`` escaped to survive that format.
+    fmts = [*axis_fmts[:-1], axis_fmts[-1] + off.replace("%", "%%")]
+    if isinstance(rows, SweepRows):
+        lines = [""]
+        for fmt, points in zip(fmts, rows.points):
+            texts = [fmt % x for x in points]
+            lines = [line + text for line in lines for text in texts]
+        fisher, pure = rows.fisher, rows.pure
+    else:
+        fmt = "".join(fmts)
+        lines = [fmt % row.coords for row in rows]
+        fisher = np.array([row.fisher for row in rows], dtype=float)
+        pure = [bool(row.pure_branch) for row in rows]
+    finite = np.isfinite(fisher)
+    if not finite.all():
+        row = rows[int(np.argmin(finite))]
+        raise DomainError(f"refusing to render the non-finite Fisher value {row.fisher} "
+                          f"at {row.coords}")
+    for i in np.flatnonzero(pure).tolist():
+        lines[i] = lines[i][: -len(off)] + on
+    return "".join(lines) % tuple(fisher.tolist())
 
 
-def rows_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
+def rows_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     """CSV with floats at 17 significant digits, so parsing restores them bit-exactly."""
     header = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-    line = "%.17g," * (len(spec.axes) + 1) + "%s"
-    return "\n".join([header, *[line] * len(rows)]) % _cells(rows) + "\n"
+    body = _points_text(rows, ["%.17g,"] * len(spec.axes), "%.17g,false\n", "%.17g,true\n")
+    return header + "\n" + body
 
 
-def rows_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
-    """``json.dumps({"spec": ..., "rows": [...]}, indent=2)``, the rows as one template.
+def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
+    """``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte.
 
-    Its ``%s`` writes a float as ``str``, the ``float.__repr__`` that ``json`` writes;
-    Fisher values are finite, so ``json``'s ``NaN`` spelling never arises.
+    Each row's keys and separators sit in its template, whose ``%s`` writes a
+    float as ``float.__repr__``, as ``json`` does. A non-finite Fisher value is
+    refused, since JSON has no spelling for it.
     """
     head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
-    if not rows:
+    keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
+    value = '      "fisher": %s,\n      "pure_branch": '
+    body = _points_text(rows, ["    {\n" + keys[0], *keys[1:]], value + "false\n    },\n",
+                        value + "true\n    },\n")
+    if not body:
         return head + "\n"
-    names = [*spec.axis_names, "fisher", "pure_branch"]
-    item = "    {\n" + ",\n".join(f"      {json.dumps(n)}: %s" for n in names) + "\n    }"
-    body = ",\n".join([item] * len(rows)) % _cells(rows)
-    # head ends with the empty list: '"rows": []' + "\n}".
-    return head[: -len("]\n}")] + "\n" + body + "\n  ]\n}\n"
+    # head ends with the empty list: '"rows": []' + "\n}"; body ends with "},\n".
+    return head[: -len("]\n}")] + "\n" + body[: -len(",\n")] + "\n  ]\n}\n"
 
 
 def parse_csv_rows(text: str) -> list[SweepRow]:
@@ -337,16 +409,21 @@ def parse_json_rows(text: str) -> list[SweepRow]:
     ]
 
 
-def render_rows(spec: SweepSpec, rows: list[SweepRow], fmt: str) -> str:
+def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:
     check_choice("output format", fmt, FORMATS)
     if fmt == "csv":
         return rows_to_csv(spec, rows)
     return rows_to_json(spec, rows)
 
 
-def emit(spec: SweepSpec, rows: list[SweepRow], fmt: str, destination: str | Path) -> None:
-    """Write the rendered sweep to ``destination`` (UTF-8, trailing newline)."""
+def emit(
+    spec: SweepSpec, rows: Sequence[SweepRow], fmt: str, destination: str | Path | None = None
+) -> None:
+    """Write the rendered sweep to ``destination`` (UTF-8), or to stdout if it is None."""
     if not rows:
         raise DomainError("refusing to emit an empty sweep")
     text = render_rows(spec, rows, fmt)
-    Path(destination).write_text(text, encoding="utf-8")
+    if destination is None:
+        sys.stdout.write(text)
+    else:
+        Path(destination).write_text(text, encoding="utf-8")

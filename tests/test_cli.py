@@ -234,6 +234,16 @@ class TestFiguresCommand:
     def test_id_required(self, capsys):
         assert main(["figures"]) == 1
 
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_stdout_and_out_file_get_the_same_bytes(self, fmt, tmp_path, capsys):
+        argv = ["figures", "--id", "1b", "--grid", "8", "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / f"1b.{fmt}"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode("utf-8")
+
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_spec_block_reruns_byte_identically(self, fig_id, tmp_path, capsys):
         assert main(["figures", "--id", fig_id, "--grid", "3", "--format", "json"]) == 0
@@ -540,7 +550,9 @@ FIGURE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("argv", list(FIGURE_SHA256), ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", list(FIGURE_SHA256), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
 def test_figure_outputs_are_pinned(argv, capsys):
     assert main(["figures", *argv]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -24,6 +24,7 @@ from unruh_teleport import (
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
     SweepRow,
+    SweepRows,
     parse_csv_rows,
     parse_json_rows,
     rows_to_csv,
@@ -315,6 +316,86 @@ class TestRenderContract:
         rows = run_sweep(spec)
         assert rows_to_csv(spec, rows) == _reference_csv(spec, rows)
         assert rows_to_json(spec, rows) == _reference_json(spec, rows)
+        for fig_id in FIGURE_IDS:
+            for norm, method in (("as-published", "analytic"), ("normalized", "fd")):
+                spec = figure_spec(fig_id, grid=5, norm=norm, method=method)
+                rows = run_sweep(spec)
+                assert rows_to_csv(spec, rows) == _reference_csv(spec, rows), (fig_id, norm)
+                assert rows_to_json(spec, rows) == _reference_json(spec, rows), (fig_id, norm)
+
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_non_finite_fisher_is_refused(self, value, tmp_path, capsys):
+        spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
+        hand_built = [SweepRow((0.0,), 1.0, False), SweepRow((0.1,), value, False)]
+        columns = SweepRows(((0.0, 0.1),), np.array([1.0, value]), np.array([False, False]))
+        for rows in (hand_built, columns):
+            for render in (rows_to_csv, rows_to_json):
+                with pytest.raises(DomainError, match=r"non-finite Fisher value .* at \(0\.1,\)"):
+                    render(spec, rows)
+            for fmt in ("csv", "json"):
+                with pytest.raises(DomainError, match="non-finite"):
+                    emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+                with pytest.raises(DomainError, match="non-finite"):
+                    emit(spec, rows, fmt)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
+
+class TestSweepRows:
+    """``run_sweep`` returns the kernel's columns as a read-only sequence of rows."""
+
+    def _rows_and_reference(self):
+        spec = basic_spec()
+        rows = run_sweep(spec)
+        grid = itertools.product(*(np.linspace(a.start, a.stop, a.count) for a in spec.axes))
+        reference = [SweepRow((float(t), float(r)), f, b) for (t, r), f, b
+                     in zip(grid, rows.fisher.tolist(), rows.pure.tolist())]
+        return rows, reference
+
+    def test_length_index_slice_and_iteration(self):
+        rows, reference = self._rows_and_reference()
+        assert len(rows) == len(reference) == 25
+        assert 0 < sum(row.pure_branch for row in reference) < 25
+        for i in range(-25, 25):
+            assert rows[i] == reference[i] and type(rows[i]) is SweepRow, i
+        for i in (25, -26):
+            with pytest.raises(IndexError):
+                rows[i]
+        for cut in (slice(None), slice(3, 11), slice(-4, None), slice(None, None, -3),
+                    slice(20, 2, -7), slice(30, 40)):
+            assert rows[cut] == reference[cut], cut
+        assert list(rows) == reference
+        assert all(type(x) is float for row in rows for x in (*row.coords, row.fisher))
+
+    def test_equal_to_the_list_of_its_rows_both_ways(self):
+        rows, reference = self._rows_and_reference()
+        assert rows == reference and reference == rows
+        assert not (rows != reference or reference != rows)
+        assert rows == run_sweep(basic_spec())
+        changed = list(reference)
+        changed[7] = changed[7]._replace(fisher=changed[7].fisher + 1e-12)
+        assert rows != changed and changed != rows
+        assert rows != reference[:-1] and reference[:-1] != rows
+        assert rows != tuple(reference)
+
+    def test_read_only(self):
+        rows, _ = self._rows_and_reference()
+        with pytest.raises(ValueError):
+            rows.fisher[0] = 1.0
+        with pytest.raises(ValueError):
+            rows.pure[0] = True
+        with pytest.raises(TypeError):
+            rows[0] = SweepRow((0.0, 0.0), 1.0, False)
+
+    def test_emit_refuses_an_empty_sweep(self, tmp_path, capsys):
+        empty = SweepRows(((),), np.array([]), np.array([], dtype=bool))
+        for rows in ([], empty):
+            with pytest.raises(DomainError, match="empty"):
+                emit(basic_spec(), rows, "json", tmp_path / "nothing.json")
+            with pytest.raises(DomainError, match="empty"):
+                emit(basic_spec(), rows, "csv")
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
 
 
 class TestSingleSources:
