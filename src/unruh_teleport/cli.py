@@ -41,6 +41,7 @@ from .sweep import (
     run_sweep,
     spec_from_dict,
     unruh_block,
+    write_output,
 )
 from .teleport import InputState, bloch_of, teleport_analytic
 from .unruh import (
@@ -117,23 +118,15 @@ def _add_weight_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--ql", type=parse_complex, help="left-mode weight")
 
 
-def _add_r_args(parser: argparse.ArgumentParser) -> None:
+def _add_point_args(parser: argparse.ArgumentParser) -> None:
+    """The channel, acceleration and mode-weight groups of a single-point command."""
+    _add_channel_args(parser)
     group = parser.add_argument_group("acceleration")
     group.add_argument("--r", type=parse_angle, help="acceleration parameter in [0, pi/4]")
     group.add_argument("--omega", type=float, help="mode frequency (rad/s)")
     group.add_argument("--accel", type=float, help="proper acceleration (m/s^2)")
     group.add_argument("--c", type=float, help="speed of light (m/s)")
-
-
-def _add_fisher_args(parser: argparse.ArgumentParser, norm: str | None, param: bool | None) -> None:
-    """Add --param (required if True, optional if False, absent if None), --norm, --method.
-
-    ``norm=None`` leaves --norm and --method without a default."""
-    if param is not None:
-        parser.add_argument("--param", choices=PARAM_NAMES, required=param)
-    parser.add_argument("--norm", choices=NORM_NAMES, default=norm)
-    method = None if norm is None else "analytic"
-    parser.add_argument("--method", choices=METHOD_NAMES, default=method)
+    _add_weight_args(parser)
 
 
 def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | None]:
@@ -152,125 +145,113 @@ def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | 
 
 
 def _resolve_weights(args: argparse.Namespace) -> tuple[complex, complex, str | None]:
-    has_explicit = args.qr is not None or args.ql is not None
-    if has_explicit:
-        if args.mode is not None:
-            raise DomainError("--mode conflicts with explicit --qr/--ql")
-        if args.qr is None or args.ql is None:
-            raise DomainError("--qr and --ql must be given together")
-        return args.qr, args.ql, None
-    mode = args.mode if args.mode is not None else "wsma"
-    qr, ql = MODE_WEIGHTS[mode]
-    return qr, ql, mode
+    if args.qr is None and args.ql is None:
+        mode = args.mode or "wsma"
+        return (*MODE_WEIGHTS[mode], mode)
+    if args.mode is not None:
+        raise DomainError("--mode conflicts with explicit --qr/--ql")
+    if args.qr is None or args.ql is None:
+        raise DomainError("--qr and --ql must be given together")
+    return args.qr, args.ql, None
 
 
-def _resolve_r(args: argparse.Namespace, required: bool = True) -> float | None:
+def _resolve_unruh(
+    args: argparse.Namespace, required: bool
+) -> tuple[UnruhParams, dict[str, Any]] | None:
+    """The acceleration and mode weights, with their ``unruh`` block; None if no
+    acceleration is given and none is ``required``."""
     triple = (args.omega, args.accel, args.c)
     has_triple = any(v is not None for v in triple)
     if args.r is not None and has_triple:
         raise DomainError("give either --r or the --omega/--accel/--c triple, not both")
-    if args.r is not None:
-        return args.r
-    if has_triple:
-        if any(v is None for v in triple):
-            raise DomainError("--omega, --accel and --c must be given together")
-        return r_from_acceleration(args.omega, args.accel, args.c)
-    if required:
-        raise DomainError("specify the acceleration with --r or --omega/--accel/--c")
-    return None
-
-
-def _resolve_unruh(args: argparse.Namespace) -> tuple[UnruhParams, str | None]:
-    r = _resolve_r(args, required=True)
+    if has_triple and any(v is None for v in triple):
+        raise DomainError("--omega, --accel and --c must be given together")
+    if args.r is None and not has_triple:
+        if required:
+            raise DomainError("specify the acceleration with --r or --omega/--accel/--c")
+        if any(v is not None for v in (args.mode, args.qr, args.ql)):
+            raise DomainError("--mode, --qr and --ql apply only with --r or --omega/--accel/--c")
+        return None
+    r = args.r if args.r is not None else r_from_acceleration(args.omega, args.accel, args.c)
     qr, ql, mode = _resolve_weights(args)
-    return UnruhParams(r, qr, ql), mode
+    return UnruhParams(r, qr, ql), unruh_block(qr, ql, mode, r=r)
+
+
+def _resolve_point(
+    args: argparse.Namespace,
+) -> tuple[InputState, CorrelationDyadic, UnruhParams, dict[str, Any]]:
+    """The input state, physical channel and acceleration of ``teleport`` and ``fisher``,
+    with the ``channel`` and ``unruh`` blocks of their reports."""
+    dyadic, preset = _resolve_dyadic(args)
+    require_physical(dyadic)
+    u, unruh = _resolve_unruh(args, required=True)
+    state = InputState(args.theta, args.phi)
+    return state, dyadic, u, {"channel": channel_block(dyadic, preset), "unruh": unruh}
 
 
 def _matrix_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_pair(complex(z)) for z in row] for row in m]
 
 
-def _matrix_text(m: np.ndarray, indent: str = "  ") -> str:
+def _matrix_text(m: np.ndarray) -> str:
     lines = []
     for row in m:
         cells = [f"{z.real:+.10f}{z.imag:+.10f}i" for z in row]
-        lines.append(indent + "  ".join(cells))
+        lines.append("  " + "  ".join(cells))
     return "\n".join(lines)
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _report(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> int:
+    """Write the payload as JSON, or the text lines under ``--format text``."""
+    text = "\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2)
+    write_output(text + "\n", args.out)
+    return 0
 
 
 def _cmd_channel(args: argparse.Namespace) -> int:
     dyadic, preset = _resolve_dyadic(args)
     check = validate_physical(dyadic)
+    density = dyadic_to_density(dyadic)
     payload: dict[str, Any] = {
         "channel": channel_block(dyadic, preset),
         "physical": check.physical,
         "min_eigenvalue": check.min_eigenvalue,
-        "density": _matrix_json(dyadic_to_density(dyadic)),
+        "density": _matrix_json(density),
     }
-    accelerated = None
-    r = _resolve_r(args, required=False)
-    if r is not None:
-        qr, ql, mode = _resolve_weights(args)
-        u = UnruhParams(r, qr, ql)
-        channel = accelerate(dyadic, u)
-        accelerated = accelerated_density(channel)
-        payload["unruh"] = unruh_block(u.qr, u.ql, mode, r=u.r)
-        payload["coefficients"] = {
-            name: complex_pair(value)
-            for name, value in zip(
-                ("b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8"), channel.as_tuple()
-            )
-        }
-        payload["accelerated_density"] = _matrix_json(accelerated)
-
-    if args.format == "json":
-        _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
     lines = [
         f"channel: {payload['channel']}",
         f"physical: {check.physical} (min eigenvalue {check.min_eigenvalue:+.3e})",
         "density:",
-        _matrix_text(dyadic_to_density(dyadic)),
+        _matrix_text(density),
     ]
-    if accelerated is not None:
-        lines.append(f"unruh: {payload['unruh']}")
-        lines.append("accelerated density:")
-        lines.append(_matrix_text(accelerated))
-    _write_or_print("\n".join(lines) + "\n", args.out)
-    return 0
+    resolved = _resolve_unruh(args, required=False)
+    if resolved is not None:
+        u, payload["unruh"] = resolved
+        channel = accelerate(dyadic, u)
+        accelerated = accelerated_density(channel)
+        payload["coefficients"] = {name: complex_pair(b) for name, b in vars(channel).items()}
+        payload["accelerated_density"] = _matrix_json(accelerated)
+        lines += [f"unruh: {payload['unruh']}", "accelerated density:", _matrix_text(accelerated)]
+    return _report(args, payload, lines)
 
 
 def _cmd_teleport(args: argparse.Namespace) -> int:
-    dyadic, preset = _resolve_dyadic(args)
-    require_physical(dyadic)
-    u, mode = _resolve_unruh(args)
-    state = InputState(args.theta, args.phi)
+    state, dyadic, u, blocks = _resolve_point(args)
     bob = teleport_analytic(state, accelerate(dyadic, u))
     bloch = bloch_of(bob.rho_normalized)
     payload = {
         "theta": state.theta,
         "phi": state.phi,
-        "channel": channel_block(dyadic, preset),
-        "unruh": unruh_block(u.qr, u.ql, mode, r=u.r),
+        **blocks,
         "outcome_prob": bob.outcome_prob,
         "rho": _matrix_json(bob.rho),
         "rho_normalized": _matrix_json(bob.rho_normalized),
         "bloch": {"sx": bloch[0], "sy": bloch[1], "sz": bloch[2]},
     }
-    if args.format == "json":
-        _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
-        return 0
     lines = [
         f"input: theta={state.theta:.10g} phi={state.phi:.10g}",
-        f"channel: {payload['channel']}",
-        f"unruh: {payload['unruh']}",
+        f"channel: {blocks['channel']}",
+        f"unruh: {blocks['unruh']}",
         f"outcome probability: {bob.outcome_prob:.12g}",
         "branch state (unnormalized):",
         _matrix_text(bob.rho),
@@ -278,15 +259,11 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
         _matrix_text(bob.rho_normalized),
         f"bloch vector: ({bloch[0]:+.10f}, {bloch[1]:+.10f}, {bloch[2]:+.10f})",
     ]
-    _write_or_print("\n".join(lines) + "\n", args.out)
-    return 0
+    return _report(args, payload, lines)
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
-    dyadic, preset = _resolve_dyadic(args)
-    require_physical(dyadic)
-    u, mode = _resolve_unruh(args)
-    state = InputState(args.theta, args.phi)
+    state, dyadic, u, blocks = _resolve_point(args)
     result = fisher(
         state, dyadic, u, args.param, mode=args.norm, method=args.method, fd_step=args.fd_step
     )
@@ -299,11 +276,9 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "pure_branch": result.pure_branch,
         "clamped": result.clamped,
         "point": {"theta": state.theta, "phi": state.phi, "r": u.r},
-        "channel": channel_block(dyadic, preset),
-        "unruh": unruh_block(u.qr, u.ql, mode, r=u.r),
+        **blocks,
     }
-    _write_or_print(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    return _report(args, payload, [])
 
 
 def _parse_axis_specs(specs: list[str]) -> tuple[Axis, ...]:
@@ -366,33 +341,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             channel_preset=preset,
             unruh_mode=mode,
         )
-    return _run_and_write(spec, args)
+    emit(spec, run_sweep(spec), args.format, args.out)
+    return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     if args.list:
+        if args.id is not None:
+            raise DomainError("--list takes no --id")
+        lines = []
         for fig_id in FIGURE_IDS:
             estimand, swept, fixed, channel, mode = FIGURE_PRESETS[fig_id]
             fixed_text = ", ".join(f"{k}={v:.6g}" for k, v in fixed.items())
-            print(
+            lines.append(
                 f"{fig_id}: F_{estimand}({', '.join(swept)}) at {fixed_text}, "
-                f"{channel}, {mode}"
+                f"{channel}, {mode}\n"
             )
+        write_output("".join(lines), args.out)
         return 0
     if args.id is None:
         raise DomainError("--id is required (or use --list)")
     spec = figure_spec(args.id, grid=args.grid, norm=args.norm, method=args.method)
-    return _run_and_write(spec, args)
-
-
-def _run_and_write(spec: SweepSpec, args: argparse.Namespace) -> int:
     emit(spec, run_sweep(spec), args.format, args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(trials=args.trials, seed=args.seed)
-    sys.stdout.write(report.render())
+    write_output(report.render(), None)
     return 0 if report.passed else 2
 
 
@@ -408,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_channel = sub.add_parser("channel", help="inspect an initial or accelerated channel")
-    _add_channel_args(p_channel)
-    _add_r_args(p_channel)
-    _add_weight_args(p_channel)
+    _add_point_args(p_channel)
     p_channel.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_channel.add_argument("--out", help="write to a file instead of stdout")
     p_channel.set_defaults(handler=_cmd_channel)
@@ -418,26 +392,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_teleport = sub.add_parser("teleport", help="teleport a state and print the branch result")
     p_teleport.add_argument("--theta", type=parse_angle, required=True)
     p_teleport.add_argument("--phi", type=parse_angle, required=True)
-    _add_channel_args(p_teleport)
-    _add_r_args(p_teleport)
-    _add_weight_args(p_teleport)
+    _add_point_args(p_teleport)
     p_teleport.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p_teleport.add_argument("--out", help="write to a file instead of stdout")
     p_teleport.set_defaults(handler=_cmd_teleport)
 
     p_fisher = sub.add_parser("fisher", help="Fisher information at a single point")
-    _add_fisher_args(p_fisher, "normalized", param=True)
+    p_fisher.add_argument("--param", choices=PARAM_NAMES, required=True)
+    p_fisher.add_argument("--norm", choices=NORM_NAMES, default="normalized")
+    p_fisher.add_argument("--method", choices=METHOD_NAMES, default="analytic")
     p_fisher.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
     p_fisher.add_argument("--theta", type=parse_angle, required=True)
     p_fisher.add_argument("--phi", type=parse_angle, required=True)
-    _add_channel_args(p_fisher)
-    _add_r_args(p_fisher)
-    _add_weight_args(p_fisher)
+    _add_point_args(p_fisher)
     p_fisher.add_argument("--out", help="write to a file instead of stdout")
-    p_fisher.set_defaults(handler=_cmd_fisher)
+    p_fisher.set_defaults(handler=_cmd_fisher, format="json")
 
     p_sweep = sub.add_parser("sweep", help="evaluate Fisher information on a grid")
-    _add_fisher_args(p_sweep, None, param=False)
+    p_sweep.add_argument("--param", choices=PARAM_NAMES)
+    p_sweep.add_argument("--norm", choices=NORM_NAMES)
+    p_sweep.add_argument("--method", choices=METHOD_NAMES)
     p_sweep.add_argument(
         "--grid",
         action="append",
@@ -458,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_figures.add_argument("--id", choices=FIGURE_IDS)
     p_figures.add_argument("--list", action="store_true", help="list the preset table")
     p_figures.add_argument("--grid", type=int, default=DEFAULT_GRID, help="points per axis")
-    _add_fisher_args(p_figures, "as-published", param=None)
+    p_figures.add_argument("--norm", choices=NORM_NAMES, default="as-published")
+    p_figures.add_argument("--method", choices=METHOD_NAMES, default="analytic")
     p_figures.add_argument("--format", choices=FORMATS, default="csv")
     p_figures.add_argument("--out", help="write to a file instead of stdout")
     p_figures.set_defaults(handler=_cmd_figures)

@@ -1,7 +1,7 @@
 """Parameter-grid sweeps, figure dataset presets and CSV/JSON emission.
 
 A sweep stays in the Fisher kernel's columns from evaluation to the emitted
-text, and a non-finite Fisher value is refused before anything is written.
+text, and a non-finite value in any column is refused before writing.
 """
 
 from __future__ import annotations
@@ -338,17 +338,18 @@ def _points_text(rows: Sequence[SweepRow], axis_fmts: list[str], off: str, on: s
         for fmt, points in zip(fmts, rows.points):
             texts = [fmt % x for x in points]
             lines = [line + text for line in lines for text in texts]
-        fisher, pure = rows.fisher, rows.pure
+        fisher, pure, points = rows.fisher, rows.pure, rows.points
     else:
         fmt = "".join(fmts)
-        lines = [fmt % row.coords for row in rows]
+        points = [row.coords for row in rows]
+        lines = [fmt % coords for coords in points]
         fisher = np.array([row.fisher for row in rows], dtype=float)
         pure = [bool(row.pure_branch) for row in rows]
-    finite = np.isfinite(fisher)
-    if not finite.all():
-        row = rows[int(np.argmin(finite))]
-        raise DomainError(f"refusing to render the non-finite Fisher value {row.fisher} "
-                          f"at {row.coords}")
+    if not (np.isfinite(fisher).all() and all(map(math.isfinite, itertools.chain(*points)))):
+        row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
+        value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
+        kind = "Fisher value" if not math.isfinite(row.fisher) else "coordinate"
+        raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     for i in np.flatnonzero(pure).tolist():
         lines[i] = lines[i][: -len(off)] + on
     return "".join(lines) % tuple(fisher.tolist())
@@ -365,8 +366,8 @@ def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     """``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte.
 
     Each row's keys and separators sit in its template, whose ``%s`` writes a
-    float as ``float.__repr__``, as ``json`` does. A non-finite Fisher value is
-    refused, since JSON has no spelling for it.
+    float as ``float.__repr__``, as ``json`` does. A non-finite Fisher value or
+    coordinate is refused, since JSON has no spelling for it.
     """
     head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
     keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
@@ -416,14 +417,18 @@ def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:
     return rows_to_json(spec, rows)
 
 
-def emit(
-    spec: SweepSpec, rows: Sequence[SweepRow], fmt: str, destination: str | Path | None = None
-) -> None:
-    """Write the rendered sweep to ``destination`` (UTF-8), or to stdout if it is None."""
-    if not rows:
-        raise DomainError("refusing to emit an empty sweep")
-    text = render_rows(spec, rows, fmt)
+def write_output(text: str, destination: str | Path | None) -> None:
+    """Write ``text`` to ``destination`` (UTF-8), or to stdout if it is None."""
     if destination is None:
         sys.stdout.write(text)
     else:
         Path(destination).write_text(text, encoding="utf-8")
+
+
+def emit(
+    spec: SweepSpec, rows: Sequence[SweepRow], fmt: str, destination: str | Path | None = None
+) -> None:
+    """Write the rendered sweep through :func:`write_output`; an empty sweep is refused."""
+    if not rows:
+        raise DomainError("refusing to emit an empty sweep")
+    write_output(render_rows(spec, rows, fmt), destination)

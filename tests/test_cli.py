@@ -234,6 +234,14 @@ class TestFiguresCommand:
     def test_id_required(self, capsys):
         assert main(["figures"]) == 1
 
+    def test_list_to_out_file_gets_the_stdout_bytes(self, tmp_path, capsys):
+        assert main(["figures", "--list"]) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / "listed.txt"
+        assert main(["figures", "--list", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == printed.encode("utf-8")
+
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_stdout_and_out_file_get_the_same_bytes(self, fmt, tmp_path, capsys):
         argv = ["figures", "--id", "1b", "--grid", "8", "--format", fmt]
@@ -389,6 +397,9 @@ class TestInputBoundary:
             (["sweep"], _spec_payload(unruh={"qr": [0.6], "ql": [0.8, 0.0]})),
             (["sweep"], _spec_payload(figure="bogus")),
             (["sweep"], _spec_payload(figure="1a")),
+            (["channel", "--preset", "bell-phi-plus", "--mode", "bsma"], None),
+            (["channel", "--preset", "bell-phi-plus", "--qr", "5", "--ql", "0"], None),
+            (["figures", "--list", "--id", "1a", "--grid", "1"], None),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -401,7 +412,8 @@ class TestInputBoundary:
             "grid-zero-denominator", "spec-unknown-preset", "spec-preset-mismatch",
             "spec-werner-mismatch", "spec-werner-positive", "spec-unknown-mode",
             "spec-mode-mismatch", "spec-weight-string", "spec-weight-short",
-            "spec-unknown-figure", "spec-figure-mismatch",
+            "spec-unknown-figure", "spec-figure-mismatch", "channel-mode-without-r",
+            "channel-weights-without-r", "figures-list-with-id",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

@@ -340,6 +340,23 @@ class TestRenderContract:
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("value", (math.inf, math.nan))
+    def test_non_finite_coordinate_is_refused(self, value, tmp_path, capsys):
+        spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
+        hand_built = [SweepRow((0.0,), 1.0, False), SweepRow((value,), 2.0, False)]
+        columns = SweepRows(((0.0, value),), np.array([1.0, 2.0]), np.array([False, False]))
+        for rows in (hand_built, columns):
+            for render in (rows_to_csv, rows_to_json):
+                with pytest.raises(DomainError, match=rf"non-finite coordinate {value} at \({value},\)"):
+                    render(spec, rows)
+            for fmt in ("csv", "json"):
+                with pytest.raises(DomainError, match="non-finite coordinate"):
+                    emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+                with pytest.raises(DomainError, match="non-finite coordinate"):
+                    emit(spec, rows, fmt)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
 
 class TestSweepRows:
     """``run_sweep`` returns the kernel's columns as a read-only sequence of rows."""
