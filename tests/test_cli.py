@@ -571,6 +571,13 @@ def test_figure_outputs_are_pinned(argv, capsys):
     assert digest == FIGURE_SHA256[argv]
 
 
+@pytest.mark.parametrize("fig_id", FIGURE_IDS)
+def test_figure_defaults_are_grid_64_csv(fig_id, capsys):
+    assert main(["figures", "--id", fig_id]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FIGURE_SHA256["--id", fig_id, "--grid", "64", "--format", "csv"]
+
+
 # Inputs of the pinned single-point reports: every channel preset, every way
 # of giving the mode weights, and both ways of giving the acceleration.
 REPORT_CHANNELS = {

@@ -327,3 +327,9 @@ def test_reports_are_pinned(trials, seed, capsys):
     assert main(["verify", "--trials", str(trials), "--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REPORT_SHA256[trials, seed]
+
+
+def test_report_defaults_are_1000_trials_seed_42(capsys):
+    assert main(["verify"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_SHA256[1000, 42]
