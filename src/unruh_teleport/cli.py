@@ -13,7 +13,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .channels import (
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .fisher import DEFAULT_FD_STEP, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, fisher
 from .sweep import (
-    DEFAULT_GRID,
     FIGURE_IDS,
     FIGURE_PRESETS,
     FORMATS,
@@ -129,15 +128,26 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     _add_weight_args(parser)
 
 
+def _given(args: argparse.Namespace, names: Iterable[str]) -> dict[str, Any]:
+    """The flags among ``names`` given on the command line, in parser order."""
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
+def _refuse_unread(args: argparse.Namespace, names: Iterable[str], where: str) -> None:
+    """Refuse the given flags among ``names``, which the command path ``where``
+    describes never reads, in one message that names each of them."""
+    unread = [f"--{name.replace('_', '-')}" for name in _given(args, names)]
+    if unread:
+        raise DomainError(f"{', '.join(unread)} not read {where}")
+
+
 def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | None]:
     has_explicit = any(v is not None for v in (args.c11, args.c22, args.c33))
     preset = args.preset or ("x-state" if has_explicit else None)
     if preset is None:
         raise DomainError("specify a channel with --preset or --c11/--c22/--c33")
-    if preset != "x-state" and has_explicit:
-        raise DomainError(f"--preset {preset} conflicts with explicit --c11/--c22/--c33")
-    if preset != "werner" and args.fidelity is not None:
-        raise DomainError(f"--fidelity applies to the werner preset only, not {preset}")
+    reads = {"werner": {"fidelity"}, "x-state": {"c11", "c22", "c33"}}.get(preset, set())
+    _refuse_unread(args, {"fidelity", "c11", "c22", "c33"} - reads, f"with --preset {preset}")
     dyadic = preset_dyadic(
         preset, fidelity=args.fidelity, c11=args.c11, c22=args.c22, c33=args.c33
     )
@@ -148,8 +158,7 @@ def _resolve_weights(args: argparse.Namespace) -> tuple[complex, complex, str | 
     if args.qr is None and args.ql is None:
         mode = args.mode or "wsma"
         return (*MODE_WEIGHTS[mode], mode)
-    if args.mode is not None:
-        raise DomainError("--mode conflicts with explicit --qr/--ql")
+    _refuse_unread(args, ("mode",), "with --qr/--ql")
     if args.qr is None or args.ql is None:
         raise DomainError("--qr and --ql must be given together")
     return args.qr, args.ql, None
@@ -161,18 +170,18 @@ def _resolve_unruh(
     """The acceleration and mode weights, with their ``unruh`` block; None if no
     acceleration is given and none is ``required``."""
     triple = (args.omega, args.accel, args.c)
-    has_triple = any(v is not None for v in triple)
-    if args.r is not None and has_triple:
-        raise DomainError("give either --r or the --omega/--accel/--c triple, not both")
-    if has_triple and any(v is None for v in triple):
+    if args.r is not None:
+        _refuse_unread(args, ("omega", "accel", "c"), "with --r")
+        r = args.r
+    elif all(v is not None for v in triple):
+        r = r_from_acceleration(*triple)
+    elif any(v is not None for v in triple):
         raise DomainError("--omega, --accel and --c must be given together")
-    if args.r is None and not has_triple:
-        if required:
-            raise DomainError("specify the acceleration with --r or --omega/--accel/--c")
-        if any(v is not None for v in (args.mode, args.qr, args.ql)):
-            raise DomainError("--mode, --qr and --ql apply only with --r or --omega/--accel/--c")
+    elif required:
+        raise DomainError("specify the acceleration with --r or --omega/--accel/--c")
+    else:
+        _refuse_unread(args, ("mode", "qr", "ql"), "without --r or --omega/--accel/--c")
         return None
-    r = args.r if args.r is not None else r_from_acceleration(args.omega, args.accel, args.c)
     qr, ql, mode = _resolve_weights(args)
     return UnruhParams(r, qr, ql), unruh_block(qr, ql, mode, r=r)
 
@@ -300,20 +309,11 @@ def _parse_axis_specs(specs: list[str]) -> tuple[Axis, ...]:
     return tuple(axes)
 
 
-# Sweep flags that a --spec file already fixes.
-_SPEC_FIELDS = (
-    "param", "norm", "method", *PARAM_NAMES,
-    "preset", "fidelity", "c11", "c22", "c33", "mode", "qr", "ql",
-)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.spec is not None:
-        if args.grid or any(getattr(args, name) is not None for name in _SPEC_FIELDS):
-            raise DomainError(
-                "--spec already fixes the estimand, normalization, method, grid, point, "
-                "channel and weights"
-            )
+        # The spec file fixes every flag but where and how the rows are written.
+        flags = vars(args).keys() - {"command", "handler", "spec", "format", "out"}
+        _refuse_unread(args, flags, "with --spec")
         try:
             payload = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -347,8 +347,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     if args.list:
-        if args.id is not None:
-            raise DomainError("--list takes no --id")
+        _refuse_unread(args, ("id", "grid", "norm", "method", "format"), "with --list")
         lines = []
         for fig_id in FIGURE_IDS:
             estimand, swept, fixed, channel, mode = FIGURE_PRESETS[fig_id]
@@ -361,13 +360,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         return 0
     if args.id is None:
         raise DomainError("--id is required (or use --list)")
-    spec = figure_spec(args.id, grid=args.grid, norm=args.norm, method=args.method)
-    emit(spec, run_sweep(spec), args.format, args.out)
+    spec = figure_spec(args.id, **_given(args, ("grid", "norm", "method")))
+    emit(spec, run_sweep(spec), args.format or "csv", args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(trials=args.trials, seed=args.seed)
+    report = verify(**_given(args, ("trials", "seed")))
     write_output(report.render(), None)
     return 0 if report.passed else 2
 
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
             "parameters via Fisher information."
         ),
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_channel = sub.add_parser("channel", help="inspect an initial or accelerated channel")
     _add_point_args(p_channel)
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--grid",
         action="append",
-        default=[],
         metavar="NAME=START:STOP:COUNT",
         help="swept axis, e.g. theta=0:pi:64 (repeatable, or comma separated)",
     )
@@ -431,16 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_figures = sub.add_parser("figures", help="emit a named figure dataset preset")
     p_figures.add_argument("--id", choices=FIGURE_IDS)
     p_figures.add_argument("--list", action="store_true", help="list the preset table")
-    p_figures.add_argument("--grid", type=int, default=DEFAULT_GRID, help="points per axis")
-    p_figures.add_argument("--norm", choices=NORM_NAMES, default="as-published")
-    p_figures.add_argument("--method", choices=METHOD_NAMES, default="analytic")
-    p_figures.add_argument("--format", choices=FORMATS, default="csv")
+    p_figures.add_argument("--grid", type=int, help="points per axis")
+    p_figures.add_argument("--norm", choices=NORM_NAMES)
+    p_figures.add_argument("--method", choices=METHOD_NAMES)
+    p_figures.add_argument("--format", choices=FORMATS)
     p_figures.add_argument("--out", help="write to a file instead of stdout")
     p_figures.set_defaults(handler=_cmd_figures)
 
     p_verify = sub.add_parser("verify", help="run every oracle cross-check")
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--seed", type=int)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -450,9 +448,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "handler"):
-            parser.print_help()
-            return 1
         return args.handler(args)
     except (DomainError, DegenerateBranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,13 @@ from .teleport import InputState, _bloch_components, _branch_entries
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")
+VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
+    "theta": (0.0, math.pi),
+    "phi": (0.0, 2.0 * math.pi),
+    "r": (0.0, R_MAX),
+}
+# Largest number of sweep points, or of verify draws, one run may ask for (1024 x 1024).
+MAX_POINTS = 2**20
 NORM_NAMES = ("normalized", "as-published")
 METHOD_NAMES = ("analytic", "fd")
 

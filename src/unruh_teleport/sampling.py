@@ -17,7 +17,7 @@ from .channels import (
     EIGENVALUE_TOL, CorrelationDyadic, _bell_eigenvalues, _dyadic_to_density, validate_physical
 )
 from .errors import ConsistencyError, DomainError
-from .sweep import VARIABLE_DOMAINS
+from .fisher import VARIABLE_DOMAINS
 from .teleport import InputState
 from .unruh import R_MAX, WEIGHT_NORM_TOL, UnruhParams
 

@@ -22,18 +22,10 @@ from .channels import (
     PRESET_NAMES, X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 )
 from .errors import DomainError, check_choice, check_integer
-from .fisher import PARAM_NAMES, _fisher, check_args
-from .unruh import MODE_NAMES, MODE_WEIGHTS, R_MAX, UnruhParams
-
-VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
-    "theta": (0.0, math.pi),
-    "phi": (0.0, 2.0 * math.pi),
-    "r": (0.0, R_MAX),
-}
+from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, check_args
+from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
 DEFAULT_GRID = 64
-# Largest number of grid points one sweep may ask for (1024 x 1024).
-MAX_POINTS = 2**20
 FORMATS = ("csv", "json")
 
 
@@ -129,6 +121,16 @@ class SweepSpec:
                 raise DomainError(
                     f"mode preset {self.unruh_mode} does not give qr={self.qr}, ql={self.ql}"
                 )
+        # So is the figure id, which fixes all but the grid count, norm and method.
+        if self.figure is not None:
+            check_choice("figure preset", self.figure, FIGURE_IDS)
+            estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[self.figure]
+            axes = [Axis(name, *VARIABLE_DOMAINS[name], self.axes[0].count) for name in swept]
+            figure = (estimand, axes, fixed, channel_preset, unruh_mode,
+                      preset_dyadic(channel_preset, **X_STATE_EXAMPLE))
+            if (self.estimand, list(self.axes), dict(self.fixed), self.channel_preset,
+                    self.unruh_mode, self.dyadic) != figure:
+                raise DomainError(f"figure {self.figure} does not give this spec")
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -295,7 +297,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             Axis(a["name"], float(a["start"]), float(a["stop"]), a["count"])
             for a in payload["axes"]
         )
-        spec = SweepSpec(
+        return SweepSpec(
             estimand=payload["estimand"],
             norm=payload["norm"],
             method=payload["method"],
@@ -312,16 +314,6 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
-    # The figure id is echoed in the JSON spec, so it must give this spec. It is
-    # checked here: SweepSpec cannot call figure_spec, which builds a SweepSpec.
-    if spec.figure is not None:
-        check_choice("figure preset", spec.figure, FIGURE_IDS)
-        # A figure sweeps two axes of one count, so its spec stays within MAX_POINTS.
-        grid = spec.axes[0].count
-        square = [axis.count for axis in spec.axes] == [grid, grid]
-        if not (square and figure_spec(spec.figure, grid, spec.norm, spec.method) == spec):
-            raise DomainError(f"figure {spec.figure} does not give this spec")
-    return spec
 
 
 def _points_text(rows: Sequence[SweepRow], axis_fmts: list[str], off: str, on: str) -> str:

@@ -35,10 +35,9 @@ from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
 from .channels import X_STATE_EXAMPLE, _dyadic_to_density, preset_dyadic
 from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
-    NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, fisher
+    MAX_POINTS, NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, fisher
 )
 from .sampling import sample_draws
-from .sweep import MAX_POINTS
 from .teleport import (
     InputState, _branch_entries, _branch_matrix, _teleport_analytic, _teleport_circuit_oracle
 )

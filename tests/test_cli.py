@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from unruh_teleport import InputState, fisher, mode_params, preset_dyadic
@@ -311,6 +313,31 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_bare_invocation_is_one_line_error(self, capsys):
+        assert main([]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the following arguments are required: command\n"
+
+    def test_consistency_failure_is_exit_2(self, monkeypatch, capsys):
+        # The Fisher kernel's branch entries get a NaN off-diagonal.
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        original = fisher_module._branch_entries
+
+        def nan_entries(**p):
+            r00, r01, r10, r11 = original(**p)
+            return r00, r01 * np.nan, r10, r11
+
+        monkeypatch.setattr(fisher_module, "_branch_entries", nan_entries)
+        with np.errstate(invalid="ignore"):
+            code = main(["fisher", "--param", "theta", "--theta", "1", "--phi", "1",
+                         "--r", "0.1", "--preset", "bell-phi-plus"])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("internal consistency failure:")
+
     def test_explicit_weights_accepted(self, capsys):
         code = main(
             ["fisher", "--param", "r", "--theta", "1", "--phi", "1",
@@ -400,6 +427,25 @@ class TestInputBoundary:
             (["channel", "--preset", "bell-phi-plus", "--mode", "bsma"], None),
             (["channel", "--preset", "bell-phi-plus", "--qr", "5", "--ql", "0"], None),
             (["figures", "--list", "--id", "1a", "--grid", "1"], None),
+            (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
+              "--c11", "0.5"], None),
+            (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
+              "--mode", "bsma", "--qr", "1", "--ql", "0"], None),
+            (["channel", "--preset", "bell-phi-plus", "--omega", "1", "--accel", "2"], None),
+            (["teleport", "--theta", "1", "--phi", "1", "--preset", "bell-phi-plus"], None),
+            (["fisher", "--param", "r", "--theta", "1", "--phi", "1",
+              "--preset", "bell-phi-plus"], None),
+            (["sweep", "--grid", "theta=0:pi:3", "--phi", "1", "--r", "0",
+              "--preset", "bell-phi-plus"], None),
+            (["sweep", "--param", "theta", "--phi", "1", "--r", "0",
+              "--preset", "bell-phi-plus"], None),
+            (["sweep"], _spec_payload(fixed={}, axes=[
+                {"name": name, "start": 0.0, "stop": 0.5, "count": 2}
+                for name in ("theta", "phi", "r")])),
+            (["figures", "--list", "--format", "json"], None),
+            (["figures", "--list", "--grid", "8"], None),
+            (["figures", "--list", "--norm", "normalized"], None),
+            (["figures", "--list", "--method", "fd"], None),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -413,7 +459,11 @@ class TestInputBoundary:
             "spec-werner-mismatch", "spec-werner-positive", "spec-unknown-mode",
             "spec-mode-mismatch", "spec-weight-string", "spec-weight-short",
             "spec-unknown-figure", "spec-figure-mismatch", "channel-mode-without-r",
-            "channel-weights-without-r", "figures-list-with-id",
+            "channel-weights-without-r", "figures-list-with-id", "preset-with-coefficients",
+            "mode-with-weights", "partial-triple", "teleport-without-acceleration",
+            "fisher-without-acceleration", "sweep-without-param", "sweep-without-grid",
+            "spec-three-axes", "figures-list-with-format", "figures-list-with-grid",
+            "figures-list-with-norm", "figures-list-with-method",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):
@@ -427,6 +477,32 @@ class TestInputBoundary:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["figures", "--list", "--method", "fd", "--id", "1a"],
+             "--id, --method not read with --list"),
+            (["sweep", "--qr", "1", "--format", "json", "--theta", "1", "--grid", "r=0:1:2"],
+             "--grid, --theta, --qr not read with --spec"),
+            (["teleport", *POINT, "--c33", "0", "--fidelity", "0.5", "--preset", "bell-phi-plus"],
+             "--fidelity, --c33 not read with --preset bell-phi-plus"),
+            (["channel", "--preset", "werner", "--fidelity", "0.5", "--c11", "0", "--r", "0"],
+             "--c11 not read with --preset werner"),
+            (["fisher", "--param", "r", "--theta", "1", "--phi", "1", "--preset", "bell-phi-plus",
+              "--c", "1", "--r", "0.1", "--omega", "1"], "--omega, --c not read with --r"),
+            (["channel", "--preset", "bell-phi-plus", "--ql", "0", "--mode", "wsma"],
+             "--mode, --ql not read without --r or --omega/--accel/--c"),
+        ],
+        ids=["list", "spec", "preset", "werner", "r", "no-acceleration"],
+    )
+    def test_unread_flags_are_named_in_parser_order(self, argv, message, tmp_path, capsys):
+        if argv[0] == "sweep":
+            spec_file = tmp_path / "spec.json"
+            spec_file.write_text(json.dumps(_spec_payload()), encoding="utf-8")
+            argv = [*argv, "--spec", str(spec_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_spec_file_not_utf8(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import json
@@ -529,6 +530,16 @@ class TestSpecInputs:
         message = "unknown figure preset" if figure == "bogus" else "does not give this spec"
         with pytest.raises(DomainError, match=message):
             spec_from_dict(payload)
+
+    def test_figure_label_is_checked_by_the_spec_itself(self):
+        spec = figure_spec("1a", 8)
+        assert dataclasses.replace(spec, norm="normalized", method="fd").figure == "1a"
+        with pytest.raises(DomainError, match="figure 1a does not give this spec"):
+            dataclasses.replace(spec, estimand="phi")
+        with pytest.raises(DomainError, match="figure 1a does not give this spec"):
+            dataclasses.replace(spec, fixed={"phi": 1.0})
+        with pytest.raises(DomainError, match="figure 3c does not give this spec"):
+            dataclasses.replace(figure_spec("3c", 8), dyadic=CorrelationDyadic(-0.5, -0.5, -0.5))
 
     def test_named_presets_and_modes_load(self):
         for fidelity in (0.0, 0.37, 1.0):
