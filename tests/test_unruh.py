@@ -18,7 +18,7 @@ from unruh_teleport import (
     r_from_acceleration,
 )
 from unruh_teleport import unruh
-from unruh_teleport.channels import _dyadic_to_density
+from unruh_teleport.channels import PRESET_NAMES, X_STATE_EXAMPLE, _dyadic_to_density
 from unruh_teleport.sampling import sample_dyadic, sample_unruh
 from unruh_teleport.unruh import accelerate_swapped_b7
 
@@ -200,6 +200,20 @@ class TestSwappedB7Variant:
         d = CorrelationDyadic(0.6, 0.0, 0.3)
         u = mode_params(math.pi / 8, "wsma")
         assert abs(accelerate_swapped_b7(d, u).b7 - accelerate(d, u).b7) < 1e-15
+
+    def test_mutant_b7_is_b3_with_gap_from_c22(self):
+        # The mutant's b7 is b3 bit for bit, so b7 - conj(b6) reduces to
+        # (c22/2)(conj(ql) sin r - qr cos r): zero at bsma with r = pi/4.
+        rng = np.random.default_rng(29)
+        draws = [(sample_dyadic(rng), sample_unruh(rng)) for _ in range(200)]
+        presets = [preset_dyadic(name, fidelity=0.6, **X_STATE_EXAMPLE) for name in PRESET_NAMES]
+        draws += [(d, mode_params(r, mode)) for d in presets for mode in ("wsma", "bsma")
+                  for r in (0.0, math.pi / 8, math.pi / 4)]
+        for d, u in draws:
+            mutant = accelerate_swapped_b7(d, u)
+            assert mutant.b7 == accelerate(d, u).b3
+            gap = abs(d.c22) / 2.0 * abs(u.ql.conjugate() * math.sin(u.r) - u.qr * math.cos(u.r))
+            assert abs(abs(mutant.b7 - mutant.b6.conjugate()) - gap) <= 1e-15
 
 
 class TestBroadcastForms:
