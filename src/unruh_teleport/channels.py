@@ -21,7 +21,10 @@ from numpy.typing import ArrayLike
 from ._linalg import PAULIS
 from .errors import DomainError, check_choice
 
-PRESET_NAMES = ("bell-phi-plus", "bell-psi-minus", "werner", "x-state")
+# Each channel preset and the parameters it reads.
+PRESET_PARAMS = {"bell-phi-plus": (), "bell-psi-minus": (), "werner": ("fidelity",),
+                 "x-state": ("c11", "c22", "c33")}
+PRESET_NAMES = tuple(PRESET_PARAMS)
 # The x-state used by the figure presets and the verification suite.
 X_STATE_EXAMPLE = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
 
@@ -112,15 +115,15 @@ def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
     return _dyadic_to_density(*d.as_tuple())
 
 
-def validate_physical(d: CorrelationDyadic, tol: float = EIGENVALUE_TOL) -> PhysicalityCheck:
+def validate_physical(d: CorrelationDyadic) -> PhysicalityCheck:
     """Report whether the induced density matrix is positive semidefinite.
 
-    Returns a verdict plus the minimum eigenvalue; never raises. The ``tol``
-    slack absorbs eigensolver noise on rank-deficient states.
+    Returns a verdict plus the minimum eigenvalue; never raises. The
+    ``EIGENVALUE_TOL`` slack absorbs eigensolver noise on rank-deficient states.
     """
     eigenvalues = np.linalg.eigvalsh(dyadic_to_density(d))
     smallest = float(eigenvalues[0])
-    return PhysicalityCheck(smallest >= -tol, smallest)
+    return PhysicalityCheck(smallest >= -EIGENVALUE_TOL, smallest)
 
 
 def require_physical(d: CorrelationDyadic) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channels import (
     PRESET_NAMES,
+    PRESET_PARAMS,
     CorrelationDyadic,
     dyadic_to_density,
     preset_dyadic,
@@ -146,8 +147,8 @@ def _resolve_dyadic(args: argparse.Namespace) -> tuple[CorrelationDyadic, str | 
     preset = args.preset or ("x-state" if has_explicit else None)
     if preset is None:
         raise DomainError("specify a channel with --preset or --c11/--c22/--c33")
-    reads = {"werner": {"fidelity"}, "x-state": {"c11", "c22", "c33"}}.get(preset, set())
-    _refuse_unread(args, {"fidelity", "c11", "c22", "c33"} - reads, f"with --preset {preset}")
+    unread = set().union(*PRESET_PARAMS.values()) - set(PRESET_PARAMS[preset])
+    _refuse_unread(args, unread, f"with --preset {preset}")
     dyadic = preset_dyadic(
         preset, fidelity=args.fidelity, c11=args.c11, c22=args.c22, c33=args.c33
     )
@@ -272,15 +273,18 @@ def _cmd_teleport(args: argparse.Namespace) -> int:
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
+    if args.method == "analytic":
+        _refuse_unread(args, ("fd_step",), "with --method analytic")
+    fd_step = DEFAULT_FD_STEP if args.fd_step is None else args.fd_step
     state, dyadic, u, blocks = _resolve_point(args)
     result = fisher(
-        state, dyadic, u, args.param, mode=args.norm, method=args.method, fd_step=args.fd_step
+        state, dyadic, u, args.param, mode=args.norm, method=args.method, fd_step=fd_step
     )
     payload = {
         "param": args.param,
         "norm": args.norm,
         "method": args.method,
-        "fd_step": args.fd_step if args.method == "fd" else None,
+        "fd_step": fd_step if args.method == "fd" else None,
         "value": result.value,
         "pure_branch": result.pure_branch,
         "clamped": result.clamped,
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher.add_argument("--param", choices=PARAM_NAMES, required=True)
     p_fisher.add_argument("--norm", choices=NORM_NAMES, default="normalized")
     p_fisher.add_argument("--method", choices=METHOD_NAMES, default="analytic")
-    p_fisher.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP)
+    p_fisher.add_argument("--fd-step", type=float)
     p_fisher.add_argument("--theta", type=parse_angle, required=True)
     p_fisher.add_argument("--phi", type=parse_angle, required=True)
     _add_point_args(p_fisher)

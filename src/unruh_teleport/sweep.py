@@ -124,12 +124,8 @@ class SweepSpec:
         # So is the figure id, which fixes all but the grid count, norm and method.
         if self.figure is not None:
             check_choice("figure preset", self.figure, FIGURE_IDS)
-            estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[self.figure]
-            axes = [Axis(name, *VARIABLE_DOMAINS[name], self.axes[0].count) for name in swept]
-            figure = (estimand, axes, fixed, channel_preset, unruh_mode,
-                      preset_dyadic(channel_preset, **X_STATE_EXAMPLE))
-            if (self.estimand, list(self.axes), dict(self.fixed), self.channel_preset,
-                    self.unruh_mode, self.dyadic) != figure:
+            figure = _figure_fields(self.figure, self.axes[0].count)
+            if any(getattr(self, name) != value for name, value in figure.items()):
                 raise DomainError(f"figure {self.figure} does not give this spec")
 
     @property
@@ -216,6 +212,17 @@ FIGURE_PRESETS: dict[str, tuple[str, tuple[str, ...], dict[str, float], str, str
 FIGURE_IDS = tuple(FIGURE_PRESETS)
 
 
+def _figure_fields(fig_id: str, grid: int) -> dict[str, Any]:
+    """The SweepSpec fields that a figure id fixes, at ``grid`` points per axis,
+    in the spec's normalized form: every field but the norm, method and id."""
+    estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[fig_id]
+    qr, ql = MODE_WEIGHTS[unruh_mode]
+    axes = tuple(Axis(name, *VARIABLE_DOMAINS[name], count=grid) for name in swept)
+    return dict(estimand=estimand, dyadic=preset_dyadic(channel_preset, **X_STATE_EXAMPLE),
+                qr=qr, ql=ql, axes=axes, fixed=tuple(fixed.items()),
+                channel_preset=channel_preset, unruh_mode=unruh_mode)
+
+
 def figure_spec(
     fig_id: str,
     grid: int = DEFAULT_GRID,
@@ -224,22 +231,7 @@ def figure_spec(
 ) -> SweepSpec:
     """Expand a figure preset to a sweep over the full variable domains."""
     check_choice("figure preset", fig_id, FIGURE_IDS)
-    estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[fig_id]
-    qr, ql = MODE_WEIGHTS[unruh_mode]
-    axes = tuple(Axis(name, *VARIABLE_DOMAINS[name], count=grid) for name in swept)
-    return SweepSpec(
-        estimand=estimand,
-        norm=norm,
-        method=method,
-        dyadic=preset_dyadic(channel_preset, **X_STATE_EXAMPLE),
-        qr=qr,
-        ql=ql,
-        axes=axes,
-        fixed=dict(fixed),
-        channel_preset=channel_preset,
-        unruh_mode=unruh_mode,
-        figure=fig_id,
-    )
+    return SweepSpec(norm=norm, method=method, figure=fig_id, **_figure_fields(fig_id, grid))
 
 
 def complex_pair(z: complex) -> list[float]:

@@ -21,7 +21,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -161,29 +161,17 @@ def accelerate(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
     return AcceleratedChannel(*(np.asarray(x).item() for x in b))
 
 
-def _swapped_b7(
-    c11: ArrayLike, c22: ArrayLike, r: ArrayLike, qr: ArrayLike, ql: ArrayLike
-) -> np.ndarray:
-    """The b7 of :func:`accelerate_swapped_b7`; broadcasts over every argument."""
-    a3 = (c11 + c22) / 4.0
-    a4 = (c11 - c22) / 4.0
-    return a3 * ql.conjugate() * np.sin(r) + a4 * qr * np.cos(r)
-
-
 def accelerate_swapped_b7(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
-    """Variant with the (01,10) coefficient copied from the (11,00) one.
+    """Variant with the (01,10) coefficient copied from the (11,00) one: b7 := b3.
 
-    This plausible transcription slip breaks b7 = conj(b6) whenever the
-    symmetric and antisymmetric correlation combinations differ. It is never
-    used by any computation path; the verification report and the mutation
-    tests exercise it to demonstrate the cross-checks catch it.
+    This plausible transcription slip breaks b7 = conj(b6) by
+    |c22|/2 * |conj(ql) sin(r) - qr cos(r)|, which vanishes for c22 = 0 and
+    at bsma with r = pi/4. It is never used by any computation path; the
+    verification report and the mutation tests exercise it to demonstrate the
+    cross-checks catch it.
     """
     good = accelerate(d, u)
-    swapped = np.asarray(_swapped_b7(d.c11, d.c22, u.r, u.qr, u.ql)).item()
-    return AcceleratedChannel(
-        good.b1, good.b2, good.b3, good.b4, good.b5, good.b6, swapped, good.b8,
-        validate=False,
-    )
+    return replace(good, b7=good.b3, validate=False)
 
 
 # (row, column) of b1..b8 in the dense matrix, per the AcceleratedChannel docstring.

@@ -13,7 +13,7 @@ closed-form accept rule, and each decision confirmed by ``eigvalsh``.
 producers give each check its errors under (section, name). ``_draw_errors``
 runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
 accelerated channel together with its inertial counterpart, both oracles, the
-two branch-state forms, the isometry and the swapped-b7 variant.
+two branch-state forms and the isometry.
 ``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws.
 ``_fixed_errors`` covers the presets, a grid of channels and the Fisher
 anchors. One fold reduces each check's errors to its largest. Every check
@@ -43,7 +43,7 @@ from .teleport import (
 )
 from .unruh import (
     R_MAX, UnruhParams, _accelerate, _accelerated_density, _bogoliubov_isometry,
-    _bogoliubov_oracle, _swapped_b7, mode_params,
+    _bogoliubov_oracle, mode_params,
 )
 
 EQUIV_TOL = 1e-12
@@ -167,7 +167,6 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
     rho = _teleport_analytic(theta, phi, *b)
     circuit = _teleport_circuit_oracle(theta, phi, oracle)
     closed = _branch_matrix(*_branch_entries(**p))
-    swapped_b7 = _swapped_b7(c11, c22, r, qr, ql)
     identity = m_inertial - _dyadic_to_density(c11, c22, c33)
     v = _bogoliubov_isometry(r, qr, ql)
     gram = np.swapaxes(v, -1, -2).conj() @ v
@@ -179,9 +178,9 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
         (1, "max elementwise difference"): _largest(m - oracle),
         (2, "max elementwise difference"): _largest(rho - circuit),
         (3, "max elementwise difference"): _largest(rho - closed),
-        # [6] size of the Hermiticity violation if b7 were assembled with
-        # the correlation combinations swapped. Informational only.
-        (6, "hermiticity gap |b7 - conj(b6)|"): np.abs(swapped_b7 - b[5].conjugate()),
+        # [6] size of the Hermiticity violation if b7 were copied from b3,
+        # as in the swapped-b7 variant. Informational only.
+        (6, "hermiticity gap |b7 - conj(b6)|"): np.abs(b[2] - b[5].conjugate()),
         # Accelerated channels: trace, hermiticity, positivity, inertial identity.
         (5, "accelerated channel unit trace"): np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0),
         (5, "accelerated channel hermitian"): _hermiticity_gaps(m),

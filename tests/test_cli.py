@@ -146,7 +146,7 @@ class TestFisherCommand:
     def test_analytic_json_echoes_arguments(self, capsys):
         code = main(
             ["fisher", "--param", "phi", "--norm", "as-published", "--theta", "1", "--phi", "1",
-             "--preset", "bell-phi-plus", "--r", "0.3", "--fd-step", "0.01"]
+             "--preset", "bell-phi-plus", "--r", "0.3"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -203,6 +203,23 @@ class TestSweepCommand:
         assert code == 0
         rerun = json.loads(capsys.readouterr().out)
         assert rerun["rows"] == payload["rows"]
+
+    @pytest.mark.parametrize("grid", ["theta=0:pi:3,", ",theta=0:pi:3, ,"])
+    def test_empty_grid_chunks_are_skipped(self, grid, capsys):
+        argv = ["sweep", "--param", "theta", "--phi", "1", "--r", "0.1",
+                "--preset", "bell-phi-plus", "--grid"]
+        assert main([*argv, "theta=0:pi:3"]) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, grid]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_grid_of_empty_chunks_is_one_line_error(self, capsys):
+        argv = ["sweep", "--param", "theta", "--grid", ",", "--phi", "1", "--r", "0.1",
+                "--preset", "bell-phi-plus"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a sweep takes 1 or 2 axes, got 0\n"
 
     def test_missing_fixed_value(self, capsys):
         code = main(
@@ -446,6 +463,8 @@ class TestInputBoundary:
             (["figures", "--list", "--grid", "8"], None),
             (["figures", "--list", "--norm", "normalized"], None),
             (["figures", "--list", "--method", "fd"], None),
+            (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
+              "--fd-step", "0.3"], None),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -463,7 +482,7 @@ class TestInputBoundary:
             "mode-with-weights", "partial-triple", "teleport-without-acceleration",
             "fisher-without-acceleration", "sweep-without-param", "sweep-without-grid",
             "spec-three-axes", "figures-list-with-format", "figures-list-with-grid",
-            "figures-list-with-norm", "figures-list-with-method",
+            "figures-list-with-norm", "figures-list-with-method", "fd-step-with-analytic",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):
@@ -493,8 +512,10 @@ class TestInputBoundary:
               "--c", "1", "--r", "0.1", "--omega", "1"], "--omega, --c not read with --r"),
             (["channel", "--preset", "bell-phi-plus", "--ql", "0", "--mode", "wsma"],
              "--mode, --ql not read without --r or --omega/--accel/--c"),
+            (["fisher", "--param", "theta", "--fd-step", "1e-4", *POINT,
+              "--preset", "bell-phi-plus"], "--fd-step not read with --method analytic"),
         ],
-        ids=["list", "spec", "preset", "werner", "r", "no-acceleration"],
+        ids=["list", "spec", "preset", "werner", "r", "no-acceleration", "fd-step"],
     )
     def test_unread_flags_are_named_in_parser_order(self, argv, message, tmp_path, capsys):
         if argv[0] == "sweep":

@@ -226,7 +226,7 @@ class TestBroadcastForms:
         w = {key: np.array([getattr(u, key) for _, u in draws]) for key in ("r", "qr", "ql")}
         b = unruh._accelerate(**c, **w)
         density = unruh._accelerated_density(*b)
-        swapped = unruh._swapped_b7(c["c11"], c["c22"], **w)
+        swapped = b[2]
         isometry = unruh._bogoliubov_isometry(**w)
         oracle = unruh._bogoliubov_oracle(**c, **w)
         dyadic = _dyadic_to_density(**c)

@@ -58,7 +58,7 @@ def test_trials_bounded_before_any_draw():
 # The broadcasting forms verify runs over each block of draws, at verify's names.
 BLOCK_FORMS = (
     "_accelerate", "_accelerated_density", "_bogoliubov_oracle", "_bogoliubov_isometry",
-    "_swapped_b7", "_teleport_analytic", "_teleport_circuit_oracle", "_branch_entries",
+    "_teleport_analytic", "_teleport_circuit_oracle", "_branch_entries",
 )
 
 
