@@ -1179,3 +1179,56 @@ def test_report_outputs_are_pinned(case, capsys):
     assert main(REPORT_CASES[case]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REPORT_SHA256[case]
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+TOP_HELP_SHA256 = "181b10a9809b1b660ea82f4acc1a304574c0aa858efe4cfe280d4e98239fb0c0"
+
+# The parser's own text at COLUMNS=80: exit code, SHA-256 of stdout, stderr.
+# Help exits through SystemExit(0); usage errors are one line on exit 1.
+PARSER_TEXT = {
+    ("--help",): (0, TOP_HELP_SHA256, ""),
+    ("channel", "--help"):
+        (0, "7ed3b6c90ce3d7b148197ae358284ddb16f5f72a76fd741eaea219b1f7725aeb", ""),
+    ("teleport", "--help"):
+        (0, "f330e886ca7c62a53a115830704d9c9bbefcc887e13c310ce8286b90f9d2202a", ""),
+    ("fisher", "--help"):
+        (0, "94b286b4b55ca434fde603d4379d95ba7ce1e0798e1c278cb480f9a754852ed4", ""),
+    ("sweep", "--help"):
+        (0, "53a3f35119565c9e572ceaa583688686c7222d04f67c4afd4f19d8c5ef38a3c3", ""),
+    ("figures", "--help"):
+        (0, "39e99dba0ae7ad82b14c57f5ed023d97e4f52063cda2d751fe98a8c923ec5834", ""),
+    ("verify", "--help"):
+        (0, "d24ba71af0e0d571b7a79f61bbd0136e785a1e501dcbd3c61a17d4fcca43ecd8", ""),
+    (): (1, EMPTY_SHA256, "error: the following arguments are required: command\n"),
+    ("bogus",): (1, EMPTY_SHA256, "error: argument command: invalid choice: 'bogus' (choose "
+                 "from 'channel', 'teleport', 'fisher', 'sweep', 'figures', 'verify')\n"),
+    ("-h", "figures"): (0, TOP_HELP_SHA256, ""),
+    ("channel", "--format", "yaml"):
+        (1, EMPTY_SHA256, "error: argument --format: invalid choice: 'yaml' "
+         "(choose from 'json', 'text')\n"),
+    ("teleport", "--phi", "1"):
+        (1, EMPTY_SHA256, "error: the following arguments are required: --theta\n"),
+    ("fisher", "--param", "x"):
+        (1, EMPTY_SHA256, "error: argument --param: invalid choice: 'x' "
+         "(choose from 'theta', 'phi', 'r')\n"),
+    ("sweep", "--bogus"): (1, EMPTY_SHA256, "error: unrecognized arguments: --bogus\n"),
+    ("figures", "--id", "zz"):
+        (1, EMPTY_SHA256, "error: argument --id: invalid choice: 'zz' (choose from '1a', "
+         "'1b', '2a', '2c', '3a', '3c', '4a', '4b', '4c', '4d', '5a', '5c', '6a', '6b', "
+         "'6c', '6d')\n"),
+    ("verify", "--trials", "many"):
+        (1, EMPTY_SHA256, "error: argument --trials: invalid int value: 'many'\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_TEXT), ids=lambda argv: " ".join(argv) or "bare")
+def test_parser_text_is_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert (code, digest, captured.err) == PARSER_TEXT[argv]
