@@ -18,7 +18,7 @@ the closed-form branch entries (``teleport._bloch_components``).
 The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
 it at one point. The kernel trusts its callers: the public functions and
-``SweepSpec`` check the named choices and the fd step with ``check_args``.
+``SweepSpec`` check the named choices and the fd step first (``check_args``).
 """
 
 from __future__ import annotations
@@ -60,13 +60,12 @@ class FisherValue:
 
 
 def check_args(
-    param: str | None, mode: str, method: str = "analytic", fd_step: float = DEFAULT_FD_STEP
+    param: str, mode: str, method: str = "analytic", fd_step: float = DEFAULT_FD_STEP
 ) -> None:
     """Raise DomainError unless the kernel's arguments are valid, in this order:
-    estimand (unless None), normalization mode, derivative method, and the fd
-    step, which must lie in (0, pi/12] when the method is ``fd``."""
-    if param is not None:
-        check_choice("estimand", param, PARAM_NAMES)
+    estimand, normalization mode, derivative method, and the fd step, which
+    must lie in (0, pi/12] when the method is ``fd``."""
+    check_choice("estimand", param, PARAM_NAMES)
     check_choice("normalization mode", mode, NORM_NAMES)
     check_choice("derivative method", method, METHOD_NAMES)
     if method == "fd" and not (math.isfinite(fd_step) and 0.0 < fd_step <= MAX_FD_STEP):
@@ -184,7 +183,7 @@ def bloch_teleported(
     state: InputState, d: CorrelationDyadic, u: UnruhParams, mode: str = "normalized"
 ) -> np.ndarray:
     """Bloch vector of the teleported branch state in the requested mode."""
-    check_args(None, mode)
+    check_choice("normalization mode", mode, NORM_NAMES)
     return _bloch(_point(state, d, u), mode)
 
 

@@ -172,15 +172,15 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     """Evaluate the Fisher information on every grid point of the spec.
 
     Points iterate with the first axis outermost; the channel is rejected
-    up front if its initial state is unphysical. The whole grid is one
-    call of the broadcast Fisher kernel, whose columns come back as they are.
+    up front if its initial state is unphysical. The whole grid is one kernel
+    call on one column per axis (the open mesh), whose columns are raveled.
     """
     require_physical(spec.dyadic)
     points = [a.points() for a in spec.axes]
-    coords = [g.ravel() for g in np.meshgrid(*points, indexing="ij")]
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
-             **dict(zip(spec.axis_names, coords))}
+             **dict(zip(spec.axis_names, np.ix_(*points)))}
     value, pure, _ = _fisher(point, spec.estimand, spec.norm, spec.method)
+    value, pure = (np.broadcast_to(c, [len(p) for p in points]).ravel() for c in (value, pure))
     value.flags.writeable = pure.flags.writeable = False
     return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)
 

@@ -441,6 +441,7 @@ class TestInputBoundary:
             (["sweep"], _spec_payload(unruh={"qr": [0.6], "ql": [0.8, 0.0]})),
             (["sweep"], _spec_payload(figure="bogus")),
             (["sweep"], _spec_payload(figure="1a")),
+            (["sweep"], _spec_payload(estimand=None)),
             (["channel", "--preset", "bell-phi-plus", "--mode", "bsma"], None),
             (["channel", "--preset", "bell-phi-plus", "--qr", "5", "--ql", "0"], None),
             (["figures", "--list", "--id", "1a", "--grid", "1"], None),
@@ -477,7 +478,8 @@ class TestInputBoundary:
             "grid-zero-denominator", "spec-unknown-preset", "spec-preset-mismatch",
             "spec-werner-mismatch", "spec-werner-positive", "spec-unknown-mode",
             "spec-mode-mismatch", "spec-weight-string", "spec-weight-short",
-            "spec-unknown-figure", "spec-figure-mismatch", "channel-mode-without-r",
+            "spec-unknown-figure", "spec-figure-mismatch", "spec-null-estimand",
+            "channel-mode-without-r",
             "channel-weights-without-r", "figures-list-with-id", "preset-with-coefficients",
             "mode-with-weights", "partial-triple", "teleport-without-acceleration",
             "fisher-without-acceleration", "sweep-without-param", "sweep-without-grid",
@@ -579,6 +581,54 @@ def test_cli_choices_are_library_tuples():
             assert action.choices is expected[action.dest], (name, action.dest)
             seen.add(action.dest)
     assert seen == set(expected)
+
+
+ALL_COMMANDS = ["channel", "teleport", "fisher", "sweep", "figures", "verify"]
+
+
+class TestParserScope:
+    """``main`` builds only the subparser its first word names; for no word, ``-h``
+    or an unknown word it builds all six, whose parser writes the help and errors."""
+
+    @staticmethod
+    def _built(monkeypatch, argv):
+        cli = importlib.import_module("unruh_teleport.cli")
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+        (parser,) = built
+        return list(parser._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize(
+        "argv,names",
+        [
+            (["figures", "--list"], ["figures"]),
+            (["channel", "--preset", "bell-phi-plus"], ["channel"]),
+            (["sweep", "--bogus"], ["sweep"]),
+            (["bogus"], ALL_COMMANDS),
+            ([], ALL_COMMANDS),
+            (["-h", "figures"], ALL_COMMANDS),
+            (["--", "figures"], ALL_COMMANDS),
+        ],
+    )
+    def test_main_builds_the_named_subparser(self, argv, names, monkeypatch, capsys):
+        assert self._built(monkeypatch, argv) == names
+
+    def test_sys_argv_names_the_subparser(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["unruh-teleport", "figures", "--list"])
+        assert self._built(monkeypatch, None) == ["figures"]
+        assert capsys.readouterr().out.startswith("1a: ")
+
+    def test_build_parser_defaults_to_all_six(self):
+        from unruh_teleport.cli import COMMANDS, build_parser
+
+        assert list(COMMANDS) == ALL_COMMANDS
+        for command in (None, "bogus", "-h"):
+            parser = build_parser() if command is None else build_parser(command)
+            assert list(parser._subparsers._group_actions[0].choices) == ALL_COMMANDS
 
 
 # SHA-256 of `figures` outputs, pinned at the one-template renderer that the

@@ -22,6 +22,10 @@ from unruh_teleport import (
     preset_dyadic,
     run_sweep,
 )
+from unruh_teleport.fisher import (
+    METHOD_NAMES, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _fisher
+)
+from unruh_teleport.sampling import sample_dyadic, sample_unruh
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
     SweepRow,
@@ -150,6 +154,50 @@ class TestRunSweep:
 
     def test_deterministic(self):
         assert run_sweep(basic_spec()) == run_sweep(basic_spec())
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n_axes", [1, 2])
+    def test_open_mesh_matches_the_full_meshgrid(self, seed, n_axes):
+        # Seeded x-state channels and complex weights; the kernel evaluated on
+        # the full meshgrid, built here, is the reference, bit for bit.
+        rng = np.random.default_rng([seed, n_axes])
+        u = sample_unruh(rng)
+        names = [str(name) for name in rng.permutation(PARAM_NAMES)]
+        axes = []
+        for name in names[:n_axes]:
+            lo, hi = VARIABLE_DOMAINS[name]
+            start, stop = (lo, hi) if rng.random() < 0.5 else sorted(rng.uniform(lo, hi, 2))
+            axes.append(Axis(name, float(start), float(stop), int(rng.integers(2, 10))))
+        fixed = {name: float(rng.uniform(*VARIABLE_DOMAINS[name])) for name in names[n_axes:]}
+        base = basic_spec(dyadic=sample_dyadic(rng), qr=u.qr, ql=u.ql, axes=axes, fixed=fixed,
+                          channel_preset="x-state", unruh_mode=None)
+        grid = np.meshgrid(*(axis.points() for axis in axes), indexing="ij")
+        point = {**vars(base.dyadic), "qr": u.qr, "ql": u.ql, **fixed,
+                 **{axis.name: g.ravel() for axis, g in zip(axes, grid)}}
+        for param, norm, method in itertools.product(PARAM_NAMES, NORM_NAMES, METHOD_NAMES):
+            spec = dataclasses.replace(base, estimand=param, norm=norm, method=method)
+            rows = run_sweep(spec)
+            value, pure, _ = _fisher(point, param, norm, method)
+            assert rows.fisher.tobytes() == value.tobytes(), (param, norm, method)
+            assert rows.pure.tobytes() == pure.tobytes(), (param, norm, method)
+            for column in (rows.fisher, rows.pure):
+                assert column.ndim == 1 and column.flags.c_contiguous
+                assert not column.flags.writeable
+
+    def test_kernel_gets_one_column_per_axis(self, monkeypatch):
+        sweep_module = importlib.import_module("unruh_teleport.sweep")
+        kernel, sizes = sweep_module._fisher, []
+
+        def counted(p, *args):
+            sizes.append(max(np.size(v) for v in p.values()))
+            return kernel(p, *args)
+
+        monkeypatch.setattr(sweep_module, "_fisher", counted)
+        axes = (Axis("theta", 0.0, math.pi, 5), Axis("r", 0.0, math.pi / 4, 7))
+        run_sweep(basic_spec(axes=axes))
+        run_sweep(basic_spec(axes=axes, estimand="r", method="fd"))
+        run_sweep(figure_spec("4c", grid=16))
+        assert sizes == [7, 7, 16]
 
 
 class TestFigurePresets:
@@ -502,6 +550,12 @@ class TestSpecInputs:
     def test_unknown_fixed_name(self):
         with pytest.raises(DomainError, match="fixed variable"):
             basic_spec(fixed={"phi": 1.0, "bogus": 7.0})
+
+    @pytest.mark.parametrize("method", ["analytic", "fd"])
+    def test_estimand_must_be_named(self, method):
+        # Unchecked, a null estimand reads as F_r (analytic) or ends in a KeyError (fd).
+        with pytest.raises(DomainError, match="unknown estimand None"):
+            basic_spec(estimand=None, method=method)
 
     @pytest.mark.parametrize(
         "overrides",
