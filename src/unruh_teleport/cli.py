@@ -454,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser(*(sys.argv[1:] if argv is None else argv)[:1]).parse_args(argv)
         return COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's help action prints the help, then exits 0
+        return exc.code
     except (DomainError, DegenerateBranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

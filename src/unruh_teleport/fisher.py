@@ -47,7 +47,7 @@ METHOD_NAMES = ("analytic", "fd")
 
 PURE_BRANCH_EPS = 1e-9
 DEFAULT_FD_STEP = 1e-5
-# Largest step whose one-sided r stencils (r + 2h, r - 2h) stay inside [0, pi/4].
+# Largest fd step accepted: pi/12, a third of the r range.
 MAX_FD_STEP = R_MAX / 3.0
 NEGATIVE_CLAMP = 1e-9
 
@@ -86,7 +86,7 @@ def _bloch(p: dict, mode: str) -> np.ndarray:
     """Bloch vectors (last axis) of the branch state at raw angles, without range checks.
 
     The closed-form branch matrix extends smoothly to any real theta, phi
-    and r, which the finite-difference stencils rely on.
+    and r, so the central differences may step past the domain edges.
     """
     r00, r01, r10, r11 = _branch_entries(**p)
     s = _bloch_components(r00, r01, r10, r11)
@@ -127,7 +127,7 @@ def _partial_analytic(p: dict, param: str) -> np.ndarray:
 
 
 def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Partial derivatives of the Bloch vectors; ``h`` is the fd step, in (0, pi/12]."""
+    """Partial derivatives of the Bloch vectors; ``fd`` is a central difference of step ``h``."""
     if method == "analytic":
         ds = _partial_analytic(p, param)
         # The normalized vector is s / tr, so its partial is ds / tr: the factor
@@ -136,19 +136,8 @@ def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_
         # section [4] (analytic against central differences) guard this.
         return 4.0 * ds if mode == "normalized" else ds
 
-    def s_at(step: float) -> np.ndarray:
-        return _bloch({**p, param: p[param] + step}, mode)
-
-    plus, minus = s_at(h), s_at(-h)
-    central = (plus - minus) / (2.0 * h)
-    if param != "r":
-        return central
-    # Second-order one-sided stencils keep every evaluation inside [0, pi/4].
-    s = _bloch(p, mode)
-    low = (-3.0 * s + 4.0 * plus - s_at(2.0 * h)) / (2.0 * h)
-    high = (3.0 * s - 4.0 * minus + s_at(-2.0 * h)) / (2.0 * h)
-    r = np.expand_dims(p["r"], -1)
-    return np.where(r - h < 0.0, low, np.where(r + h > R_MAX, high, central))
+    plus, minus = (_bloch({**p, param: p[param] + step}, mode) for step in (h, -h))
+    return (plus - minus) / (2.0 * h)
 
 
 def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

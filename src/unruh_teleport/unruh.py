@@ -54,7 +54,10 @@ class UnruhParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r) and 0.0 <= self.r <= R_MAX):
             raise DomainError(f"r must lie in [0, pi/4], got {self.r}")
-        norm = abs(self.qr) ** 2 + abs(self.ql) ** 2
+        try:
+            norm = abs(self.qr) ** 2 + abs(self.ql) ** 2
+        except OverflowError:  # a weight above about 1e154 fails the check below as inf
+            norm = math.inf
         if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:  # also rejects NaN weights
             raise DomainError(
                 f"|qr|^2 + |ql|^2 must equal 1 within {WEIGHT_NORM_TOL}, got {norm}"

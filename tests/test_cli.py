@@ -466,6 +466,9 @@ class TestInputBoundary:
             (["figures", "--list", "--method", "fd"], None),
             (["fisher", "--param", "theta", *POINT, "--preset", "bell-phi-plus",
               "--fd-step", "0.3"], None),
+            (["fisher", "--param", "r", *POINT, "--preset", "bell-phi-plus",
+              "--qr", "1e200", "--ql", "0"], None),
+            (["sweep"], _spec_payload(unruh={"qr": [1e200, 0.0], "ql": [0.0, 0.0]})),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -485,6 +488,7 @@ class TestInputBoundary:
             "fisher-without-acceleration", "sweep-without-param", "sweep-without-grid",
             "spec-three-axes", "figures-list-with-format", "figures-list-with-grid",
             "figures-list-with-norm", "figures-list-with-method", "fd-step-with-analytic",
+            "huge-weight", "spec-huge-weight",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):
@@ -546,7 +550,7 @@ class TestInputBoundary:
         assert main(["channel", *UNPHYSICAL, "--r", "0.1"]) == 0
         assert "physical: False" in capsys.readouterr().out
 
-    def test_largest_fd_step_keeps_r_stencils_in_domain(self, capsys):
+    def test_largest_fd_step_at_r_edges(self, capsys):
         for r in ("0", "pi/8", "pi/4"):
             argv = ["fisher", "--param", "r", "--theta", "1", "--phi", "1", "--r", r,
                     "--preset", "bell-phi-plus", "--method", "fd", "--fd-step", repr(math.pi / 12)]
@@ -634,7 +638,7 @@ class TestParserScope:
 # SHA-256 of `figures` outputs, pinned at the one-template renderer that the
 # columnar renderer replaced: all 16 figures as published (analytic) at 64^2
 # in both formats, and normalized fd sweeps with an r axis, which take the
-# pure branch and both one-sided r stencils.
+# pure branch and, for F_r (6c), central differences through both r edges.
 FIGURE_SHA256 = {
     ('--id', '1a', '--grid', '64', '--format', 'csv'):
         "6446f41a1b331c673c50a337d9d82b1d1d487519913a8f1d1ea0ca15fe9d830f",
@@ -705,7 +709,7 @@ FIGURE_SHA256 = {
     ('--id', '4b', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
         "48b4024405767eef5e06604055887b435ffbd6363784463b274e6763b1935d62",
     ('--id', '6c', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "8004da82d448baed0ab2901d0f8d006397cff8feed60a98b1955b9c8808edede",
+        "07dd09bddbacc9f808a80183d969834d63b635861d4b1b55581a4a4fd92fa44d",
 }
 
 
@@ -1235,7 +1239,7 @@ EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 TOP_HELP_SHA256 = "181b10a9809b1b660ea82f4acc1a304574c0aa858efe4cfe280d4e98239fb0c0"
 
 # The parser's own text at COLUMNS=80: exit code, SHA-256 of stdout, stderr.
-# Help exits through SystemExit(0); usage errors are one line on exit 1.
+# Help returns 0; usage errors are one line on exit 1.
 PARSER_TEXT = {
     ("--help",): (0, TOP_HELP_SHA256, ""),
     ("channel", "--help"):
@@ -1282,3 +1286,66 @@ def test_parser_text_is_pinned(argv, monkeypatch, capsys):
     captured = capsys.readouterr()
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert (code, digest, captured.err) == PARSER_TEXT[argv]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["figures", "-h"], ["-h", "figures"]])
+def test_help_returns_zero(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: unruh-teleport") and captured.err == ""
+
+
+# A call of each subcommand that reads its numeric flags, as flag -> value.
+NUMERIC_BASE = {
+    "channel": {"preset": "bell-phi-plus", "r": "0.1"},
+    "teleport": {"theta": "1", "phi": "1", "preset": "bell-phi-plus", "r": "0.1"},
+    "fisher": {"param": "r", "method": "fd", "theta": "1", "phi": "1",
+               "preset": "bell-phi-plus", "r": "0.1"},
+    "sweep": {"param": "theta", "grid": "r=0:pi/4:3", "theta": "1", "phi": "1",
+              "preset": "bell-phi-plus"},
+    "figures": {"id": "6c", "grid": "4"},
+    "verify": {"trials": "10", "seed": "1"},
+}
+# What a flag brings along so that it is read, and the base flags it displaces.
+NUMERIC_COMPANIONS = {
+    "fidelity": ({"preset": "werner"}, ()),
+    "c11": ({"c22": "0", "c33": "0"}, ("preset",)),
+    "c22": ({"c11": "0", "c33": "0"}, ("preset",)),
+    "c33": ({"c11": "0", "c22": "0"}, ("preset",)),
+    "omega": ({"accel": "1", "c": "1"}, ("r",)),
+    "accel": ({"omega": "1", "c": "1"}, ("r",)),
+    "c": ({"omega": "1", "accel": "1"}, ("r",)),
+    "qr": ({"ql": "0"}, ()),
+    "ql": ({"qr": "1"}, ()),
+    ("sweep", "r"): ({"grid": "theta=0:pi:3"}, ("theta",)),
+}
+NUMERIC_VALUES = ("1e200", "-1e200", "nan", "inf", "1e-320")
+WEIGHT_VALUES = ("1e200+1e200i", "1e308+1e308i")
+
+
+def _numeric_cases():
+    from unruh_teleport.cli import COMMANDS, build_parser
+
+    for command in COMMANDS:
+        sub = build_parser(command)._subparsers._group_actions[0].choices[command]
+        for action in sub._actions:
+            if action.type in (float, int, parse_angle, parse_complex):
+                extra = WEIGHT_VALUES if action.type is parse_complex else ()
+                for value in (*NUMERIC_VALUES, *extra):
+                    yield command, action.dest, value
+
+
+@pytest.mark.parametrize("command,name,value", list(_numeric_cases()))
+def test_extreme_numeric_flag_never_raises(command, name, value, capsys):
+    with_, displaced = NUMERIC_COMPANIONS.get(
+        (command, name), NUMERIC_COMPANIONS.get(name, ({}, ()))
+    )
+    flags = {**NUMERIC_BASE[command], **with_, name: value}
+    argv = [command] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()
+                        if k not in displaced]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1), argv
+    if code == 1:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err

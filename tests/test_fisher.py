@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -14,9 +15,9 @@ from unruh_teleport import (
     mode_params,
     preset_dyadic,
 )
-from unruh_teleport.fisher import _fisher
+from unruh_teleport.fisher import DEFAULT_FD_STEP, MAX_FD_STEP, _fisher
 from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
-from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
+from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
@@ -139,7 +140,7 @@ class TestBlochPartial:
                     assert np.linalg.norm(analytic - numeric) / scale < 1e-6
                     checked += 1
 
-    def test_one_sided_stencils_at_r_endpoints(self):
+    def test_fd_matches_analytic_at_r_endpoints(self):
         rng = np.random.default_rng(39)
         for r in (0.0, 1e-7, math.pi / 4 - 1e-7, math.pi / 4):
             for _ in range(10):
@@ -149,6 +150,22 @@ class TestBlochPartial:
                 numeric = bloch_partial(state, d, u, "r", "normalized", "fd")
                 scale = max(np.linalg.norm(analytic), 1e-3)
                 assert np.linalg.norm(analytic - numeric) / scale < 1e-6
+
+    @pytest.mark.parametrize("h", [DEFAULT_FD_STEP, MAX_FD_STEP])
+    @pytest.mark.parametrize("r", [0.0, R_MAX])
+    def test_fd_r_is_one_central_difference(self, r, h, monkeypatch):
+        # The closed form is smooth past both r edges, so F_r steps to r - h and r + h only.
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        bloch, seen = fisher_module._bloch, []
+
+        def recording_bloch(p, mode):
+            seen.extend(np.ravel(p["r"]).tolist())
+            return bloch(p, mode)
+
+        monkeypatch.setattr(fisher_module, "_bloch", recording_bloch)
+        u = UnruhParams(r, 0.6 + 0.0j, 0.48 + 0.64j)
+        bloch_partial(InputState(1.1, 2.3), X_STATE, u, "r", method="fd", fd_step=h)
+        assert sorted(seen) == [r - h, r + h]
 
     def test_unknown_method(self):
         with pytest.raises(DomainError, match="method"):

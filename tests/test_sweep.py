@@ -522,8 +522,8 @@ class TestOneKernel:
                 )
 
     def test_fd_r_sweep_through_both_edges(self):
-        # With the 1e-5 step, the narrow axes mix points that take a
-        # one-sided stencil (within a step of an edge) with central ones.
+        # With the 1e-5 step, the narrow axes mix points whose central
+        # difference steps past an edge (within a step of it) with inner ones.
         for start, stop in ((0.0, math.pi / 4), (0.0, 3e-5), (math.pi / 4 - 3e-5, math.pi / 4)):
             for norm in ("normalized", "as-published"):
                 spec = basic_spec(

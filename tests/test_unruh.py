@@ -73,6 +73,15 @@ class TestUnruhParams:
             UnruhParams(0.1, 0.707 + 0j, 0.707 + 0j)
         UnruhParams(0.1, complex(math.cos(0.3)), complex(math.sin(0.3)))
 
+    @pytest.mark.parametrize(
+        "qr,ql",
+        [(1e200, 0j), (0j, -1e200j), (complex(1e308, 1e308), 0j), (complex(1.7e308, 1.7e308), 0j)],
+    )
+    def test_huge_weight_is_a_domain_error(self, qr, ql):
+        # Squaring |qr| overflows above about 1e154, and abs() itself above about 1.8e308.
+        with pytest.raises(DomainError, match=r"\|qr\|\^2 \+ \|ql\|\^2 must equal 1 .*got inf"):
+            UnruhParams(0.1, complex(qr), complex(ql))
+
 
 class TestAccelerate:
     def test_inertial_limit_is_identity_channel(self):
