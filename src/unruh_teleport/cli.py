@@ -84,8 +84,9 @@ def parse_angle(text: str) -> float:
 
 def parse_complex(text: str) -> complex:
     """Complex mode weight, written like '0.6+0.8i' (j also accepted)."""
+    value = text.strip()
     try:
-        return complex(text.strip().replace("i", "j"))
+        return complex(value[:-1] + "j" if value.endswith("i") else value)
     except ValueError:
         raise DomainError(
             f"cannot parse complex number {text!r}; use forms like 0.6+0.8i"

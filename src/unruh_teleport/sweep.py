@@ -308,11 +308,12 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
 
 
-def _points_text(rows: Sequence[SweepRow], axis_fmts: list[str], off: str, on: str) -> str:
-    """Per point its coordinates through ``axis_fmts``, then its Fisher value through
-    ``off``, or ``on`` for a pure-branch point, as one template filled by one ``%``.
+def _point_lines(rows: Sequence[SweepRow], axis_fmts: list[str], off: str,
+                 on: str) -> tuple[list[str], np.ndarray]:
+    """Per point a template line, its coordinates through ``axis_fmts`` then ``off``,
+    or ``on`` for a pure-branch point, with ``%s`` for its Fisher value; and that column.
 
-    Sweep columns format each axis value once and take the templates from the
+    Sweep columns format each axis value once and take the lines from the
     product of those strings; other rows format each point's coordinates.
     """
     # ``off`` rides on the last axis format, its ``%`` escaped to survive that format.
@@ -336,14 +337,84 @@ def _points_text(rows: Sequence[SweepRow], axis_fmts: list[str], off: str, on: s
         raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     for i in np.flatnonzero(pure).tolist():
         lines[i] = lines[i][: -len(off)] + on
-    return "".join(lines) % tuple(fisher.tolist())
+    return lines, fisher
+
+
+# The 10,000 four-digit strings, each as the uint32 that holds its bytes.
+_DIGITS4 = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48).T.copy().view(np.uint32).ravel()
+# The doubles nearest 10**-4..10**20, none below its power: x >= 10**m iff x >= _DECADES[m + 4].
+_DECADES = np.array([float(f"1e{m}") for m in range(-4, 21)])
+
+
+def _g17_layout() -> np.ndarray:
+    """Row ``(e + 4) * 17 + t``: for a value of decimal exponent e in -4..16 and t
+    trailing zero digits, the source of each of its 22 bytes among "000", the 17
+    digits, the point and a NUL (bytes 0-2, 3-19, 20 and 21)."""
+    j, e, t = np.arange(22), np.arange(-4, 17)[:, None, None], np.arange(17)[:, None]
+    point = np.maximum(e + 1, 1)
+    source = np.where(j == point, 20, np.maximum(3 + j - np.where(e < 0, 1 - e, j > point), 0))
+    length = np.where(t >= 16 - e, point, 18 - t - np.minimum(e, 0))
+    return np.where(j < length, source, 21).astype(np.uint8).reshape(-1, 22)
+
+
+_G17_LAYOUT = _g17_layout()
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``a`` into two halves of at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hi, lo`` with ``hi + lo == x * 10**k`` exactly, for k in 0..20 (Dekker's two-product)."""
+    p = _DECADES[k + 4]
+    (xh, xl), (ph, pl), hi = _split(x), _split(p), x * p
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _g17(column: np.ndarray) -> list[bytes]:
+    """``[b"%.17g" % x for x in column]``, byte for byte, 65,536 values at a time.
+
+    A value in [1e-4, 1e17) is scaled by Dekker's two-product to ``hi + lo`` in
+    [1e16, 1e17), exactly, rounded half to even to 17 digits and laid out in
+    %g's fixed notation. Zero, negatives and the rest go through ``%``.
+    """
+    texts: list[bytes] = []
+    for start in range(0, len(column), 1 << 16):
+        chunk = column[start : start + (1 << 16)]
+        ok = (chunk >= 1e-4) & (chunk < 1e17)
+        x = np.where(ok, chunk, 1.0)
+        e = np.searchsorted(_DECADES, x, side="right") - 5
+        hi, lo = _times_pow10(x, 16 - e)
+        # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds hi + lo half to even.
+        digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        ok &= digits < 10**17
+        words = np.full((len(chunk), 6), np.frombuffer(b".\0\0\0", np.uint32)[0])
+        for i in range(4, -1, -1):
+            digits, words[:, i] = digits // 10_000, _DIGITS4[digits % 10_000]
+        source = words.view(np.uint8)
+        zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
+        layout = np.take(_G17_LAYOUT, (e + 4) * 17 + zeros, axis=0)
+        rows, text = np.arange(0, source.size, 24), np.empty((len(chunk), 22), np.uint8)
+        for j in range(22):  # by column: an index of every byte would take 176 B a value
+            text[:, j] = source.ravel()[rows + layout[:, j]]
+        chunk_texts = text.view("S22").ravel().tolist()
+        rest = np.flatnonzero(~ok)
+        for i, value in zip(rest.tolist(), chunk[rest].tolist()):
+            chunk_texts[i] = b"%.17g" % value
+        texts += chunk_texts
+    return texts
 
 
 def rows_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     """CSV with floats at 17 significant digits, so parsing restores them bit-exactly."""
-    header = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-    body = _points_text(rows, ["%.17g,"] * len(spec.axes), "%.17g,false\n", "%.17g,true\n")
-    return header + "\n" + body
+    lines, fisher = _point_lines(rows, ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n")
+    lines.insert(0, ",".join([*spec.axis_names, "fisher", "pure_branch"]) + "\n")
+    template = "".join(lines).encode()
+    del lines  # before _g17's bytes fill the template: the lines take twice its room
+    return (template % tuple(_g17(fisher))).decode("ascii")
 
 
 def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
@@ -356,42 +427,14 @@ def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
     keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
     value = '      "fisher": %s,\n      "pure_branch": '
-    body = _points_text(rows, ["    {\n" + keys[0], *keys[1:]], value + "false\n    },\n",
-                        value + "true\n    },\n")
-    if not body:
+    lines, fisher = _point_lines(rows, ["    {\n" + keys[0], *keys[1:]],
+                                 value + "false\n    },\n", value + "true\n    },\n")
+    if not lines:
         return head + "\n"
-    # head ends with the empty list: '"rows": []' + "\n}"; body ends with "},\n".
-    return head[: -len("]\n}")] + "\n" + body[: -len(",\n")] + "\n  ]\n}\n"
-
-
-def parse_csv_rows(text: str) -> list[SweepRow]:
-    lines = text.strip("\n").split("\n")
-    columns = lines[0].split(",")
-    coord_count = len(columns) - 2
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append(
-            SweepRow(
-                coords=tuple(float(c) for c in cells[:coord_count]),
-                fisher=float(cells[coord_count]),
-                pure_branch=cells[coord_count + 1] == "true",
-            )
-        )
-    return rows
-
-
-def parse_json_rows(text: str) -> list[SweepRow]:
-    payload = json.loads(text)
-    names = [axis["name"] for axis in payload["spec"]["axes"]]
-    return [
-        SweepRow(
-            coords=tuple(float(entry[name]) for name in names),
-            fisher=float(entry["fisher"]),
-            pure_branch=bool(entry["pure_branch"]),
-        )
-        for entry in payload["rows"]
-    ]
+    # The rows go inside head's '"rows": []' + "\n}", the last without its ",\n".
+    lines[0] = head[: -len("]\n}")] + "\n" + lines[0]
+    lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
+    return "".join(lines) % tuple(fisher.tolist())
 
 
 def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:

@@ -21,7 +21,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -157,24 +157,11 @@ def accelerate(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
     The four auxiliary combinations are a1 = (1+c33)/4, a2 = (1-c33)/4,
     a3 = (c11+c22)/4 and a4 = (c11-c22)/4. Hermiticity requires
     b7 = conj(b6), which fixes the roles of a3 and a4 in b7; the broken
-    alternative that swaps them is kept in :func:`accelerate_swapped_b7`
-    purely so the verification report can show the size of the violation.
+    alternative that swaps them (b7 := b3) is a mutant of the tests, and the
+    verification report reads b3 to show the size of the violation.
     """
     b = _accelerate(*d.as_tuple(), u.r, u.qr, u.ql)
     return AcceleratedChannel(*(np.asarray(x).item() for x in b))
-
-
-def accelerate_swapped_b7(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
-    """Variant with the (01,10) coefficient copied from the (11,00) one: b7 := b3.
-
-    This plausible transcription slip breaks b7 = conj(b6) by
-    |c22|/2 * |conj(ql) sin(r) - qr cos(r)|, which vanishes for c22 = 0 and
-    at bsma with r = pi/4. It is never used by any computation path; the
-    verification report and the mutation tests exercise it to demonstrate the
-    cross-checks catch it.
-    """
-    good = accelerate(d, u)
-    return replace(good, b7=good.b3, validate=False)
 
 
 # (row, column) of b1..b8 in the dense matrix, per the AcceleratedChannel docstring.

@@ -6,6 +6,7 @@ criterion next to its tolerance.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from unruh_teleport import (
 )
 from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
 from unruh_teleport.sweep import FIGURE_IDS, render_rows
-from unruh_teleport.unruh import accelerate_swapped_b7
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
@@ -247,7 +247,8 @@ def test_criterion_8_mutation_detected():
     # Hermiticity gate for a channel whose cross terms differ.
     d = SINGLET
     u = mode_params(math.pi / 8, "wsma")
-    mutant = accelerate_swapped_b7(d, u)
+    good = accelerate(d, u)
+    mutant = replace(good, b7=good.b3, validate=False)  # the swapped-b7 slip: b7 := b3
 
     m = accelerated_density(mutant)
     hermiticity_violation = float(np.max(np.abs(m - m.conj().T)))

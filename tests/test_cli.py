@@ -42,6 +42,19 @@ class TestComplexParsing:
         assert parse_complex("1") == 1.0 + 0.0j
         assert parse_complex("0.5j") == 0.5j
 
+    def test_only_a_trailing_i_is_the_imaginary_unit(self):
+        assert parse_complex("inf") == complex("inf")
+        z = parse_complex("nan+infi")
+        assert math.isnan(z.real) and z.imag == math.inf
+        assert parse_complex(" 0.6+0.8i ") == 0.6 + 0.8j
+
+    @pytest.mark.parametrize("weight", ("inf", "-inf", "infi"))
+    def test_infinite_weight_reaches_the_weight_check(self, weight, capsys):
+        argv = ["fisher", "--param", "r", "--theta", "1", "--phi", "1", "--r", "0.1",
+                "--preset", "bell-phi-plus", f"--qr={weight}", "--ql", "0"]
+        assert main(argv) == 1
+        assert "|qr|^2 + |ql|^2 must equal 1" in capsys.readouterr().err
+
     def test_rejects_garbage(self):
         with pytest.raises(DomainError):
             parse_complex("one half")

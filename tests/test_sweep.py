@@ -28,10 +28,9 @@ from unruh_teleport.fisher import (
 from unruh_teleport.sampling import sample_dyadic, sample_unruh
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
+    _g17,
     SweepRow,
     SweepRows,
-    parse_csv_rows,
-    parse_json_rows,
     rows_to_csv,
     rows_to_json,
     spec_from_dict,
@@ -56,6 +55,36 @@ def basic_spec(**overrides):
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
+
+
+def parse_csv_rows(text: str) -> list[SweepRow]:
+    lines = text.strip("\n").split("\n")
+    columns = lines[0].split(",")
+    coord_count = len(columns) - 2
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        rows.append(
+            SweepRow(
+                coords=tuple(float(c) for c in cells[:coord_count]),
+                fisher=float(cells[coord_count]),
+                pure_branch=cells[coord_count + 1] == "true",
+            )
+        )
+    return rows
+
+
+def parse_json_rows(text: str) -> list[SweepRow]:
+    payload = json.loads(text)
+    names = [axis["name"] for axis in payload["spec"]["axes"]]
+    return [
+        SweepRow(
+            coords=tuple(float(entry[name]) for name in names),
+            fisher=float(entry["fisher"]),
+            pure_branch=bool(entry["pure_branch"]),
+        )
+        for entry in payload["rows"]
+    ]
 
 
 class TestAxis:
@@ -405,6 +434,56 @@ class TestRenderContract:
                     emit(spec, rows, fmt)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
+
+    def test_every_figure_at_64_matches_reference(self):
+        for fig_id, norm, method in itertools.product(FIGURE_IDS, NORM_NAMES, METHOD_NAMES):
+            spec = figure_spec(fig_id, grid=64, norm=norm, method=method)
+            rows = run_sweep(spec)
+            assert rows_to_csv(spec, rows) == _reference_csv(spec, rows), (fig_id, norm, method)
+
+
+def _dyadic(rng, n):
+    """m * 2**-j; the second half are exact ties, odd * 2**-(17 - e) in
+    [10**e, 10**(e + 1)), whose 18 significant digits end in 5."""
+    e = rng.integers(-4, 15, n - n // 2)
+    scale = 2.0 ** (17 - e)
+    m = rng.integers(np.ceil(10.0**e * scale).astype(np.int64), (10.0 ** (e + 1) * scale).astype(np.int64))
+    return np.concatenate([rng.integers(1, 2**53, n // 2) * 2.0 ** -rng.integers(0, 64, n // 2),
+                           (m | 1) / scale])
+
+
+def _around(values, steps):
+    """Each positive value and the ``steps`` doubles on either side of it."""
+    return np.ravel(np.array(values)[:, None].view(np.int64) + np.arange(-steps, steps + 1)).view(float)
+
+
+# Seeded draws for the CSV Fisher formatter, 300k or more in each random class.
+G17_CLASSES = {
+    "uniform": lambda rng, n: rng.random(n),
+    "log-uniform": lambda rng, n: 10 ** rng.uniform(-4.5, 17.5, n),
+    "integers": lambda rng, n: np.floor(10 ** rng.uniform(0, 17.5, n)),
+    "dyadic-and-ties": _dyadic,
+    "powers-of-ten": lambda rng, n: _around([float(f"1e{k}") for k in range(-4, 18)], 6818),
+    # The range ends 1e-4 and 1e17 and their neighbours; the double below each
+    # power of ten, the only candidate for rounding up to it at 17 digits; zeros,
+    # subnormals and negatives, which go through %; and small integers.
+    "edges": lambda rng, n: np.concatenate([
+        _around([1e-4, 1e17], 1), np.nextafter([float(f"1e{k}") for k in range(-4, 18)], 0),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 4.0],
+        rng.integers(1, 2**52, 1000) * 5e-324, -(10 ** rng.uniform(-4.5, 17.5, 1000)),
+        np.arange(-100.0, 101.0)]),
+}
+
+
+@pytest.mark.parametrize("name", G17_CLASSES)
+def test_g17_writes_the_bytes_of_format(name):
+    x = G17_CLASSES[name](np.random.default_rng(17), 300_000)
+    values = x.tolist()
+    got, want = _g17(x), [format(v, ".17g").encode() for v in values]
+    assert name == "edges" or len(got) >= 300_000
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+        pytest.fail(f"{len(bad)} mismatches with format(x, '.17g'), first {bad[:3]}")
 
 
 class TestSweepRows:

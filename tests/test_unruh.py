@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from unruh_teleport import (
 from unruh_teleport import unruh
 from unruh_teleport.channels import PRESET_NAMES, X_STATE_EXAMPLE, _dyadic_to_density
 from unruh_teleport.sampling import sample_dyadic, sample_unruh
-from unruh_teleport.unruh import accelerate_swapped_b7
 
 SQRT2_4 = math.sqrt(2.0) / 4.0
 
@@ -191,6 +191,18 @@ class TestBogoliubovOracle:
             d, u = sample_dyadic(rng), sample_unruh(rng)
             closed = accelerated_density(accelerate(d, u))
             assert np.max(np.abs(closed - bogoliubov_oracle(d, u))) < 1e-12
+
+
+def accelerate_swapped_b7(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
+    """Variant with the (01,10) coefficient copied from the (11,00) one: b7 := b3.
+
+    This plausible transcription slip breaks b7 = conj(b6) by
+    |c22|/2 * |conj(ql) sin(r) - qr cos(r)|, which vanishes for c22 = 0 and
+    at bsma with r = pi/4. No computation path uses it; the mutation tests
+    exercise it to show the cross-checks catch it.
+    """
+    good = accelerate(d, u)
+    return replace(good, b7=good.b3, validate=False)
 
 
 class TestSwappedB7Variant:
