@@ -28,6 +28,7 @@ PRESET_NAMES = tuple(PRESET_PARAMS)
 # The x-state used by the figure presets and the verification suite.
 X_STATE_EXAMPLE = {"c11": -0.9, "c22": -0.8, "c33": -0.7}
 
+# A channel is physical when its least closed-form eigenvalue is >= -EIGENVALUE_TOL.
 EIGENVALUE_TOL = 1e-12
 # sigma (x) sigma for sx, sy, sz: the terms the correlation triple weighs.
 _PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
@@ -118,11 +119,10 @@ def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
 def validate_physical(d: CorrelationDyadic) -> PhysicalityCheck:
     """Report whether the induced density matrix is positive semidefinite.
 
-    Returns a verdict plus the minimum eigenvalue; never raises. The
-    ``EIGENVALUE_TOL`` slack absorbs eigensolver noise on rank-deficient states.
+    Returns a verdict plus the minimum closed-form eigenvalue; never raises. The
+    ``EIGENVALUE_TOL`` slack absorbs the rounding of its sums on rank-deficient states.
     """
-    eigenvalues = np.linalg.eigvalsh(dyadic_to_density(d))
-    smallest = float(eigenvalues[0])
+    smallest = float(_bell_eigenvalues(*d.as_tuple()).min())
     return PhysicalityCheck(smallest >= -EIGENVALUE_TOL, smallest)
 
 

@@ -1,8 +1,8 @@
 """Seeded random draws shared by the verification suite and the tests.
 
 ``sample_draws`` gives the scalar samplers' draws as arrays, bit for bit: it reads
-one buffer of doubles in stream order, accepts a dyadic by the closed-form Bell
-eigenvalues and confirms each decision by ``eigvalsh``.
+one buffer of doubles in stream order and accepts a dyadic by the closed-form Bell
+eigenvalues, the rule of ``validate_physical``.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ import math
 
 import numpy as np
 
-from ._linalg import _abs2, _min_eigenvalues
-from .channels import (
-    EIGENVALUE_TOL, CorrelationDyadic, _bell_eigenvalues, _dyadic_to_density, validate_physical
-)
-from .errors import ConsistencyError, DomainError
+from ._linalg import _abs2
+from .channels import EIGENVALUE_TOL, CorrelationDyadic, _bell_eigenvalues, validate_physical
+from .errors import DomainError
 from .fisher import VARIABLE_DOMAINS
 from .teleport import InputState
 from .unruh import R_MAX, WEIGHT_NORM_TOL, UnruhParams
@@ -50,35 +48,26 @@ def sample_input(rng: np.random.Generator) -> InputState:
     return InputState(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi)))
 
 
-def sample_draws(seed: int, n: int, block: int) -> dict[str, np.ndarray]:
+def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
     """``n >= 1`` turns of ``sample_input``, ``sample_dyadic`` and ``sample_unruh`` on
-    ``default_rng(seed)``, bit for bit, as one array per key of ``fisher._point``. Each
-    accept decision is confirmed by ``eigvalsh`` (the rule of ``validate_physical``),
-    ``block`` candidates at a time."""
+    ``default_rng(seed)``, bit for bit, as one array per key of ``fisher._point``."""
     slots = SLOTS_PER_DRAW * n
     while True:
         u = np.random.default_rng(seed).random(2 + 3 * slots)
         # Slot j is the candidate at offset 2 + 3j: a draw reads its 2 angles, 3 doubles
         # per candidate, then its 4 weights, 3 slots' worth with the next draw's angles.
         c = [_uniform(u[k::3], -1.0, 1.0) for k in (2, 3, 4)]
-        accept = _bell_eigenvalues(*c).min(axis=-1) >= -EIGENVALUE_TOL
-        visited, slot, decisions = [], 0, accept.tolist()
+        accept = (_bell_eigenvalues(*c).min(axis=-1) >= -EIGENVALUE_TOL).tolist()
+        chosen, slot = [], 0
         for _ in range(n):
-            while slot < slots and not decisions[slot]:
-                visited.append(slot)
+            while slot < slots and not accept[slot]:
                 slot += 1
-            visited.append(slot)
+            chosen.append(slot)
             slot += 3
         if slot <= slots:
             break
         slots *= 2  # a fresh generator: the longer buffer starts with the same doubles
-    visited = np.array(visited)
-    for first in range(0, len(visited), block):
-        part = visited[first:first + block]
-        physical = _min_eigenvalues(_dyadic_to_density(*(x[part] for x in c))) >= -EIGENVALUE_TOL
-        if np.any(physical != accept[part]):
-            raise ConsistencyError(f"closed-form physicality disagrees with eigvalsh at {part}")
-    chosen = visited[accept[visited]]
+    chosen = np.array(chosen)
     at = 3 * chosen + 5  # the offset of each draw's r; the next draw's angles follow xi
     start = np.concatenate([[0], at[:-1] + 4])
     mu, chi, xi = (_uniform(u[at + i], 0.0, high).tolist()

@@ -434,7 +434,9 @@ def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
     # The rows go inside head's '"rows": []' + "\n}", the last without its ",\n".
     lines[0] = head[: -len("]\n}")] + "\n" + lines[0]
     lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
-    return "".join(lines) % tuple(fisher.tolist())
+    template = "".join(lines)
+    del lines  # before the fill: the lines take as much room as the template
+    return template % tuple(fisher.tolist())
 
 
 def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:

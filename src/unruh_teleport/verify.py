@@ -7,8 +7,8 @@ cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
 
 The seeded draws are the scalar samplers' draws, bit for bit, from
-``sampling.sample_draws``: one buffer of doubles in stream order, a
-closed-form accept rule, and each decision confirmed by ``eigvalsh``.
+``sampling.sample_draws``: one buffer of doubles in stream order and the
+closed-form accept rule of ``validate_physical``, which [5] checks by ``eigvalsh``.
 ``CHECKS`` lists every check in report order with its tolerance. Three
 producers give each check its errors under (section, name). ``_draw_errors``
 runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
@@ -17,7 +17,7 @@ two branch-state forms and the isometry.
 ``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws.
 ``_fixed_errors`` covers the presets, a grid of channels and the Fisher
 anchors. One fold reduces each check's errors to its largest. Every check
-with per-draw errors (16 gated ones and the informational one) keeps the draw
+with per-draw errors (17 gated ones and the informational one) keeps the draw
 behind that error, which a failed check names; the fixed-input checks name
 none. The oracles stay independent: they share no code with the coefficient
 form, the angle closed form or the Fisher kernel.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
-from .channels import X_STATE_EXAMPLE, _dyadic_to_density, preset_dyadic
+from .channels import X_STATE_EXAMPLE, _bell_eigenvalues, _dyadic_to_density, preset_dyadic
 from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
     MAX_POINTS, NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, fisher
@@ -50,10 +50,9 @@ EQUIV_TOL = 1e-12
 DERIV_TOL = 1e-6
 DERIV_FLOOR = 1e-3
 FISHER_TOL = 1e-9
-# Draws per pass of the broadcasting forms, and candidates per eigvalsh pass of
-# the sampler. It bounds the stacked (draws, 8, 8) arrays: at 64 each stays
-# under 128 KiB. Blocks of 256 ran at most a few percent faster and kept about
-# 0.6 MB more memory resident over repeated runs.
+# Draws per pass of the broadcasting forms. It bounds the stacked (draws, 8, 8)
+# arrays: at 64 each stays under 128 KiB. Blocks of 256 ran at most a few percent
+# faster and kept about 0.6 MB more memory resident over repeated runs.
 BLOCK = 64
 
 # A draw's index and its (name, value) pairs of the kernel arguments.
@@ -70,6 +69,7 @@ CHECKS: tuple[tuple[int, str, float | None], ...] = (
     (5, "preset states unit trace", EQUIV_TOL),
     (5, "preset states positive", EQUIV_TOL),
     (5, "dyadic grid eigenvalue sum", EQUIV_TOL),
+    (5, "min channel eigenvalue: closed form vs eigvalsh", EQUIV_TOL),
     (5, "accelerated channel unit trace", EQUIV_TOL),
     (5, "accelerated channel hermitian", EQUIV_TOL),
     (5, "accelerated channel positive", EQUIV_TOL),
@@ -167,7 +167,8 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
     rho = _teleport_analytic(theta, phi, *b)
     circuit = _teleport_circuit_oracle(theta, phi, oracle)
     closed = _branch_matrix(*_branch_entries(**p))
-    identity = m_inertial - _dyadic_to_density(c11, c22, c33)
+    channel = _dyadic_to_density(c11, c22, c33)
+    identity = m_inertial - channel
     v = _bogoliubov_isometry(r, qr, ql)
     gram = np.swapaxes(v, -1, -2).conj() @ v
     prob = rho[..., 0, 0].real + rho[..., 1, 1].real
@@ -181,6 +182,9 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
         # [6] size of the Hermiticity violation if b7 were copied from b3,
         # as in the swapped-b7 variant. Informational only.
         (6, "hermiticity gap |b7 - conj(b6)|"): np.abs(b[2] - b[5].conjugate()),
+        # The sampler's closed-form physicality rule against the eigensolver.
+        (5, "min channel eigenvalue: closed form vs eigvalsh"):
+            np.abs(_bell_eigenvalues(c11, c22, c33).min(axis=-1) - _min_eigenvalues(channel)),
         # Accelerated channels: trace, hermiticity, positivity, inertial identity.
         (5, "accelerated channel unit trace"): np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0),
         (5, "accelerated channel hermitian"): _hermiticity_gaps(m),
@@ -269,7 +273,7 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
         raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    batch = sample_draws(seed, trials, BLOCK)
+    batch = sample_draws(seed, trials)
 
     # Each block of draws runs every broadcasting form once.
     inertial = mode_params(0.0, "wsma")

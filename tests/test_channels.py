@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ KET_11 = np.array([0, 0, 0, 1], dtype=complex)
 
 def projector(ket):
     return np.outer(ket, ket.conj())
+
+
+def exact_min_eigenvalue(c11, c22, c33):
+    """Least of (1 + a c11 + b c22 + c c33)/4 over the sign rows with a*b*c = -1,
+    in rational arithmetic on the float inputs."""
+    c = [Fraction(x) for x in (c11, c22, c33)]
+    rows = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+    return min((1 + sum(sign * x for sign, x in zip(row, c))) / 4 for row in rows)
 
 
 class TestPresets:
@@ -140,6 +149,19 @@ class TestValidatePhysical:
         assert validate_physical(preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)).physical
         for f in np.linspace(0.0, 1.0, 11):
             assert validate_physical(preset_dyadic("werner", fidelity=float(f))).physical
+
+    # Werner F=0.5 reads exactly 0.125 and the x-state example -2**-55. Seeded
+    # triples take three roundings, of sums at most 2, 3 and 4 (half ulps 2**-53,
+    # 2**-52 and 2**-52), then an exact division by 4: an error of at most 5 * 2**-55.
+    @pytest.mark.parametrize("triples,bound", [
+        ([(-0.5, -0.5, -0.5)], 0),
+        ([(-0.9, -0.8, -0.7)], 0),
+        (np.random.default_rng(17).uniform(-1.0, 1.0, (2000, 3)).tolist(), Fraction(1, 2**52)),
+    ], ids=["werner-0.5", "x-state-example", "seeded"])
+    def test_min_eigenvalue_is_the_rounded_exact_value(self, triples, bound):
+        for c in triples:
+            got = validate_physical(CorrelationDyadic(*c)).min_eigenvalue
+            assert abs(Fraction(got) - exact_min_eigenvalue(*c)) <= bound
 
     def test_never_raises(self):
         check = validate_physical(CorrelationDyadic(1.0, 1.0, -1.0))

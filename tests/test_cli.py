@@ -2,10 +2,15 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unruh_teleport
 from unruh_teleport import InputState, fisher, mode_params, preset_dyadic
 from unruh_teleport.cli import main, parse_angle, parse_complex
 from unruh_teleport.errors import DomainError
@@ -1127,19 +1132,19 @@ REPORT_SHA256 = {
     "fisher-werner-qr-ql-r-fd-as-published":
         "458ffef03385db90e27417bf705d55173aee9418f1b3371e8eb812a481b3237b",
     "channel-x-state-text":
-        "66ac7d67bca498bd79db56e1422494c109189a94f57cc8ba46aff2400b52cb32",
+        "8bd9c53cea2d3957c1656edf9b178c1b8bb7ad8793ad779cfb9fc04fc10d6094",
     "channel-x-state-json":
-        "60d65f13b414e444d4b1086ba7e125ea73bd50adf0762f06fb9ceeaf74658459",
+        "b119d80fb06d8bcdfaad01c973bffd2922e29ce44d4a035a0d17d04ba8909007",
     "channel-x-state-r-wsma-text":
-        "79345337f4759219f396fd83c28c370f0e18f32ff3ce9a4b8b82aacecac20ede",
+        "e0627ad54b87a738fb63a312ca186708912bfbe5ae04bfbfc39c5b913d89a4cc",
     "channel-x-state-triple-wsma-text":
-        "9aa9b5c1896b4ed2d056965b0628f9c21227f4d03db5f55777b2aaf19b260f1a",
+        "e0d74aecd08c3ac2a7b350d2f3553933bbe67d1368a2dc58bb3489793228ecd1",
     "teleport-x-state-wsma-text":
         "37f11a5dfd9ab18271fc8adf78784260ed72a24f18ce44afc07319f97e477b63",
     "channel-x-state-r-wsma-json":
-        "11590fd116a8e0c5bfecfe1b7e7e10f47f68c876804647b678d98582a84fc625",
+        "6981ed4890c497e1ce4adc38716331a53a6c434d1cfac71164106fad064d4622",
     "channel-x-state-triple-wsma-json":
-        "44544feed73940fc184bd2cb25ca9e5cd93548aef45e942365e5f2c9f67a594a",
+        "3d2da58dae7be980703cc2a14253142367d04dc268920bdf8740fa8764603665",
     "teleport-x-state-wsma-json":
         "e40cbc049be6ccd8d3cdeaa4c3838f8547f6b58164de5092a45c74dd5466d24f",
     "fisher-x-state-wsma-theta-analytic-normalized":
@@ -1167,15 +1172,15 @@ REPORT_SHA256 = {
     "fisher-x-state-wsma-r-fd-as-published":
         "ec81f1f4aeea641fbb4185f7a4c761ebe12ba912008e2f10972a08a763c0cc9d",
     "channel-x-state-r-bsma-text":
-        "d86afd46cb0c599906f321f6921fe3bab670015028ee8f26982dcfbe406145c4",
+        "16b5635d69740ee9aa46f3c1c987a98b81074a2ea41a003de66048785391ea2d",
     "channel-x-state-triple-bsma-text":
-        "b01a178933e45869a48c4d5fb055bd5993b89678421e4421550ca388be9697ae",
+        "394e38a0315f001009b3f5b3af4c60cedfbcce088a2b74b8c5fa3509d43ec7c1",
     "teleport-x-state-bsma-text":
         "a94cad92e755c992a16646bcc5c4ac32fc577cfe1d8acfa2d9876af1de4f429b",
     "channel-x-state-r-bsma-json":
-        "30c4b7169747dd2e3958cebd871c90cacd2797e291e53c016360fbd36ae08fc3",
+        "fcd4b9e8c8afde727811bfe15cad9cd1c55063c9d1056f3097ae527261d93944",
     "channel-x-state-triple-bsma-json":
-        "c80d63073c17bb42bed460d5e6eaaf3a5213772be11c04bfd4e0bfcdaca215f0",
+        "8bfccdc79356baf9c53eb819fb5a147201ae031d5f1a2c1b95b4d234b1875fd0",
     "teleport-x-state-bsma-json":
         "7666db068765c85950e7b142b7d5d0bb680b3e56a941f83b8982b0d57b869188",
     "fisher-x-state-bsma-theta-analytic-normalized":
@@ -1203,15 +1208,15 @@ REPORT_SHA256 = {
     "fisher-x-state-bsma-r-fd-as-published":
         "d90cb6534b7b8710094a7c890f3d6a169aeb5c2475ad182c11f3b3736977ed1f",
     "channel-x-state-r-qr-ql-text":
-        "c1f8844a286df696164dcf44cca36fb552bb00a0db441d2c925e3cb534be41a7",
+        "4ba97f1ebe14b7c6db401594620fb8b0bde44326630a9eca06ecd990a73e8cf0",
     "channel-x-state-triple-qr-ql-text":
-        "a00c24c834c8efa2964235cb1b3b071aa73237c8b9198fda28c1c722ca30dd85",
+        "49e42860f27e728a244120f3e0b33d916173e7e52b56b976d9fa45351fd3a7b7",
     "teleport-x-state-qr-ql-text":
         "e1dc736e8bec56a71a77c3bcf40abe769b95c24d5a97f1abb14b49d8c49b879b",
     "channel-x-state-r-qr-ql-json":
-        "ba623c6bb35f3033219d620edc6ea4f4974bdf44d008d3ad8fddf438c29bc865",
+        "bd8926a0063103945fda5891e100f5eae95db34eeb9db1f2954eeaf5d42e8389",
     "channel-x-state-triple-qr-ql-json":
-        "57906205ce1735289b20c2d23286feb871b143e24cc7bc4a022fb4ed9f1ef28c",
+        "f822f2ca1711eb936f24a8a04ec0aa9afec23c30f4d714f158a76a8cc0df0ef4",
     "teleport-x-state-qr-ql-json":
         "f004a42b5866f7dc089563e99ffe09994df30c34ffc1dd39967b74243ad99a84",
     "fisher-x-state-qr-ql-theta-analytic-normalized":
@@ -1362,3 +1367,18 @@ def test_extreme_numeric_flag_never_raises(command, name, value, capsys):
     if code == 1:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Site hooks may preload modules (certifi, _distutils_hack) into a bare
+    # interpreter, so only the top-level modules the import adds count.
+    probe = (
+        "import sys; before = set(sys.modules); import unruh_teleport.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    path = [str(Path(unruh_teleport.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    added = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert set(added) - set(sys.stdlib_module_names) == {"numpy", "unruh_teleport"}

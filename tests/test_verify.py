@@ -126,6 +126,7 @@ def test_check_sequence_is_pinned():
         (5, "preset states unit trace", 1e-12),
         (5, "preset states positive", 1e-12),
         (5, "dyadic grid eigenvalue sum", 1e-12),
+        (5, "min channel eigenvalue: closed form vs eigvalsh", 1e-12),
         (5, "accelerated channel unit trace", 1e-12),
         (5, "accelerated channel hermitian", 1e-12),
         (5, "accelerated channel positive", 1e-12),
@@ -145,7 +146,7 @@ def test_check_sequence_is_pinned():
     ]
     report = verify(trials=3, seed=1)
     assert [(c.section, c.name, c.tolerance) for c in report.checks] == expected
-    assert report.render().endswith("result: PASS (23 gated checks)\n")
+    assert report.render().endswith("result: PASS (24 gated checks)\n")
 
 
 def test_block_size_does_not_change_the_report(monkeypatch):
@@ -179,6 +180,24 @@ def test_worst_draw_names_the_draw_in_a_later_block(monkeypatch):
     assert first.draw == (3, (*vars(state).items(), *vars(d).items(), *vars(u).items()))
     assert len({first}) == 1  # a Check stays hashable
     assert "      worst draw: 3 theta=" in report.render()
+
+
+def test_a_mutated_closed_form_fails_the_eigenvalue_check(monkeypatch, capsys):
+    # One row of the Bell signs negated: the sampler and validate_physical still
+    # agree with each other, so only the eigvalsh check in [5] can tell.
+    channels = importlib.import_module("unruh_teleport.channels")
+    signs = channels._BELL_SIGNS
+    monkeypatch.setattr(channels, "_BELL_SIGNS", (tuple(-s for s in signs[0]), *signs[1:]))
+    report = verify(trials=20, seed=7)
+    name = "min channel eigenvalue: closed form vs eigvalsh"
+    check = next(c for c in report.checks if c.name == name)
+    assert not check.passed and check.draw is not None
+    lines = report.render().splitlines()
+    at = next(i for i, line in enumerate(lines) if name in line)
+    assert lines[at].endswith("FAIL")
+    assert lines[at + 1].startswith(f"      worst draw: {check.draw[0]} theta=")
+    assert main(["verify"]) == 2
+    assert "result: FAIL (24 gated checks)" in capsys.readouterr().out
 
 
 def test_pass_report_has_no_worst_draw_line():
@@ -224,7 +243,7 @@ def test_non_finite_fisher_value_report_from_the_cli(monkeypatch, capsys):
     assert code == 2
     assert out.startswith("verification report: trials=3 seed=1\n")
     assert "[6] swapped-b7 variant (informational)" in out
-    assert out.endswith("result: FAIL (23 gated checks)\n")
+    assert out.endswith("result: FAIL (24 gated checks)\n")
 
 
 def _nan_at_draw_two(monkeypatch, name, hit):
@@ -301,24 +320,24 @@ def test_numpy_integers_are_accepted():
     assert report.render().startswith("verification report: trials=2 seed=5\n")
 
 
-# SHA-256 of `verify` reports, pinned at the per-draw rejection sampler that
-# sample_draws replaced: the draws, and so the rng stream, stay the same.
+# SHA-256 of `verify` reports. The draws, and so the rng stream, are those of
+# the per-draw rejection sampler that sample_draws replaced.
 REPORT_SHA256 = {
-    (1, 42): "b06127f93e82c1e4ae658d5d7096da2710d6efe38436cff0a47fe32b0cf8c164",
-    (1, 7): "4b72109b7323bc17a9ab6cf39a3dc6d445f830aa087cf67797b79f3d715dfefd",
-    (1, 123): "e8205898efa05f289bceddd5fa9c91bdc8090246720bc3611e0a955fedeb6cf7",
-    (1, 1): "5cb07fec32a959e1f481c9cdbb06c29c665360ac67b647c57a8e53b2634101b1",
-    (1, 2): "2e2be8ef2f04e925b954b14d9075f8e96db018d6c311db0cf428ae9f40178e38",
-    (7, 42): "be4ad5b3177aa33ef94d6a148f2db99af567010318805fa9aa02b22fb757c2b8",
-    (7, 7): "26351d7a047e0e9f2290d3b5f2d9febf0bc0a3e941d891acb5d3a47ea2e7100f",
-    (7, 123): "fe2ac210ee148edae4e229ccdcc79efbb101a5c27ff4e6aff10fbeae8ddae6e5",
-    (7, 1): "3119d7f3a2f4117c879202590dcae102c379ad1b3805cd330f73507fff597db8",
-    (7, 2): "52cd2337f9bc5d581445250b1a6669ac68f406791260d7361d240e001a2437cf",
-    (1000, 42): "d0b4d73d75cb435800dd5e6c64880786a4d7a7d71c624f36dda7a2e3bb46e465",
-    (1000, 7): "42e7993434842ab40b9f2805be7a954bb56fa0a8a812ac4819d168e13b81fcb2",
-    (1000, 123): "0d3521aadce27ab5e523a8058d800772e0660af2ec687c36b90df986e1f4ea6e",
-    (1000, 1): "b77c86934b6dcc23909dd14af9866d970d2efa91947fbbdb64f2d4a6848c2c21",
-    (1000, 2): "592f142345781f8fd92266961e5c23e050f2d94ea2e092e12a2107dea0cc797c",
+    (1, 42): "6ca0af4d620551010ea72014f279659249ecde69f87450f6769a6fb980ac6b2c",
+    (1, 7): "53900baf7dbd7347b588d0b6f6742ae3a676350cdde6eb8dc26d5e989b57072e",
+    (1, 123): "2ceab8fc9e9ede18290362ea465b9f36c3055a5ec0324b1ff3ddf9a5f3a347db",
+    (1, 1): "f41f9a2f0fb9753882a17e5485d3f77beace4debb45f53663eb674a8ba1fcbce",
+    (1, 2): "95a140069edeaf90fc7b4812ec4df81beee78448ca3fea748b1ac0fa34ed7dca",
+    (7, 42): "2e2957b86f8e03a8a329816c81f3747a0592b85494152e979a714a0c621eb27a",
+    (7, 7): "baf096bc3de0497fe011da9026a0c5f6e8ca8f5da2fc9d62a2a857718079d076",
+    (7, 123): "dedfc3ae67bd0b61e63179508fa04d893a36eb31f87987ebe5a54cd9e9952c3f",
+    (7, 1): "fbd4b2137ec904c9222326b2dfc43c9edd5b63e58461086b9a13b73b58d9b18d",
+    (7, 2): "83de525275e9826b18634a5ae7ef8d4f27081affb97424cbbe5cb103b9cef814",
+    (1000, 42): "2c7502042584db0d994c64c050ed591e37e48d92078c3e2171f028d25fc1d7f5",
+    (1000, 7): "b5926e25961cb5a2161e7a7492374670c26ea6a33e00282bfe0b4a2ac351783e",
+    (1000, 123): "c435df9f79e693ee0cdc2bcb1062536c9e746b05f99a3248f63bc23a6a89abaa",
+    (1000, 1): "7b3ff20309559a512b3791cb2a75360cbdc728a61cad08caebaa2f664041f372",
+    (1000, 2): "1ee3072669a28e251f7b077561cfd82469da18ad389735edcdaddbe57f7c4444",
 }
 
 
