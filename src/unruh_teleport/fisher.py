@@ -12,8 +12,9 @@ Two normalization modes are supported. ``normalized`` uses the Bloch vector
 of the trace-1 conditional state (the physically standard choice and the
 default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
-its vectors are exactly four times smaller. Bloch components are read from
-the closed-form branch entries (``teleport._bloch_components``).
+its vectors and their partials are exactly a quarter of the normalized ones.
+Both, and the analytic partials, come from one closed form, the affine Bloch
+action of the channel and the receiver's Kraus pair (``teleport._branch_bloch``).
 
 The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _abs2
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DomainError, check_choice
-from .teleport import InputState, _bloch_components, _branch_entries
+from .teleport import InputState, _branch_bloch
 from .unruh import R_MAX, UnruhParams
 
 PARAM_NAMES = ("theta", "phi", "r")
@@ -43,6 +43,8 @@ VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
 # Largest number of sweep points, or of verify draws, one run may ask for (1024 x 1024).
 MAX_POINTS = 2**20
 NORM_NAMES = ("normalized", "as-published")
+# The as-published Bloch vector keeps the branch weight, identically 1/4.
+_MODE_SCALE = dict(zip(NORM_NAMES, (1.0, 0.25)))
 METHOD_NAMES = ("analytic", "fd")
 
 PURE_BRANCH_EPS = 1e-9
@@ -85,56 +87,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _bloch(p: dict, mode: str) -> np.ndarray:
     """Bloch vectors (last axis) of the branch state at raw angles, without range checks.
 
-    The closed-form branch matrix extends smoothly to any real theta, phi
-    and r, so the central differences may step past the domain edges.
+    The closed form extends smoothly to any real theta, phi and r, so the
+    central differences may step past the domain edges.
     """
-    r00, r01, r10, r11 = _branch_entries(**p)
-    s = _bloch_components(r00, r01, r10, r11)
-    if mode == "normalized":
-        return s / np.expand_dims(r00 + r11, -1)
-    return s
-
-
-def _partial_analytic(p: dict, param: str) -> np.ndarray:
-    """Hand-derived partials of the branch Bloch components (branch-weighted scale).
-
-    Derived by differentiating the trace expressions of the closed-form
-    branch matrix; cross-validated against central differences before being
-    trusted anywhere.
-    """
-    theta, phi, r, qr, ql = p["theta"], p["phi"], p["r"], p["qr"], p["ql"]
-    c11, c22, c33 = p["c11"], p["c22"], p["c33"]
-    cr, sr = np.cos(r), np.sin(r)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    uu = qr.conjugate() * cr + ql * sr
-    vv = qr.conjugate() * cr - ql * sr
-    if param == "theta":
-        dsx = (ct / 4.0) * (c11 * cp * uu.real - c22 * sp * vv.imag)
-        dsy = -(ct / 4.0) * (c11 * cp * uu.imag + c22 * sp * vv.real)
-        dsz = (c33 * st / 8.0) * ((_abs2(ql) - _abs2(qr)) - np.cos(2.0 * r))
-    elif param == "phi":
-        dsx = (st / 4.0) * (-c11 * sp * uu.real - c22 * cp * vv.imag)
-        dsy = -(st / 4.0) * (-c11 * sp * uu.imag + c22 * cp * vv.real)
-        dsz = 0.0
-    else:
-        du = -qr.conjugate() * sr + ql * cr
-        dv = -qr.conjugate() * sr - ql * cr
-        dsx = (st / 4.0) * (c11 * cp * du.real - c22 * sp * dv.imag)
-        dsy = -(st / 4.0) * (c11 * cp * du.imag + c22 * sp * dv.real)
-        dsz = -(np.sin(2.0 * r) / 4.0) * (1.0 + c33 * ct)
-    return np.stack(np.broadcast_arrays(dsx, dsy, dsz), -1)
+    return _branch_bloch(**p, scale=_MODE_SCALE[mode])
 
 
 def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Partial derivatives of the Bloch vectors; ``fd`` is a central difference of step ``h``."""
     if method == "analytic":
-        ds = _partial_analytic(p, param)
-        # The normalized vector is s / tr, so its partial is ds / tr: the factor
-        # 4.0 is 1/tr, exact because the branch trace is identically 1/4 at every
-        # theta, phi and r. verify's "branch probability equals 1/4" check and its
-        # section [4] (analytic against central differences) guard this.
-        return 4.0 * ds if mode == "normalized" else ds
+        return _branch_bloch(**p, wrt=param, scale=_MODE_SCALE[mode])
 
     plus, minus = (_bloch({**p, param: p[param] + step}, mode) for step in (h, -h))
     return (plus - minus) / (2.0 * h)

@@ -10,7 +10,8 @@ pins the convention). The branch state is kept unnormalized with trace equal
 to the outcome probability, identically 1/4 for unit-trace channels.
 
 ``teleport_analytic`` works from the channel coefficients, and
-``teleport_closed_form`` from the angles and channel parameters directly;
+``teleport_closed_form`` from the affine Bloch action of the channel and the
+receiver's Kraus pair (``_branch_bloch``, which the Fisher kernel reads too);
 ``teleport_circuit_oracle`` runs the full three-qubit circuit and is the
 independent reference for both.
 """
@@ -112,7 +113,7 @@ def teleport_analytic(state: InputState, ch: AcceleratedChannel) -> BobState:
     return _bob_state(_teleport_analytic(state.theta, state.phi, *ch.as_tuple()))
 
 
-def _branch_entries(
+def _branch_bloch(
     theta: ArrayLike,
     phi: ArrayLike,
     c11: ArrayLike,
@@ -121,38 +122,54 @@ def _branch_entries(
     r: ArrayLike,
     qr: ArrayLike,
     ql: ArrayLike,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (rho00, rho01, rho10, rho11) of the branch state, written
-    directly in the angles and channel parameters.
+    wrt: str | None = None,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """Normalized Bloch vectors (last axis) of the branch state, or with ``wrt``
+    their partials in "theta", "phi" or "r", times ``scale``; broadcasts.
 
-    Broadcasts over every argument. Algebraically identical to the
-    coefficient form; both off-diagonals are spelled out independently so
-    their mutual conjugacy stays a meaningful cross-check.
+    The Bell-diagonal channel scales the input's Bloch vector n by
+    (c11, -c22, c33), and the receiver's Kraus pair maps the result affinely:
+    s = A(r) (T n) + b(r). s is linear in n and in (A, b), so a partial
+    replaces one factor by its derivative. ``scale`` multiplies A and b, which
+    read r alone, so an exact power of two scales s exactly.
     """
-    cr, sr = np.cos(r), np.sin(r)
-    ct, st = np.cos(theta), np.sin(theta)
+    st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    big_r, big_l = _abs2(qr), _abs2(ql)
-    r00 = (cr * cr * (1.0 + c33 * ct) + big_l * (1.0 - c33 * ct)) / 8.0
-    r11 = (sr * sr * (1.0 + c33 * ct) + big_r * (1.0 - c33 * ct)) / 8.0
-    r01 = (st / 8.0) * (
-        c11 * cp * (qr.conjugate() * cr + ql * sr)
-        + 1.0j * c22 * sp * (qr.conjugate() * cr - ql * sr)
-    )
-    r10 = (st / 8.0) * (
-        c11 * cp * (ql.conjugate() * sr + qr * cr)
-        + 1.0j * c22 * sp * (ql.conjugate() * sr - qr * cr)
-    )
-    return r00, r01, r10, r11
+    cr, sr, c2r = np.cos(r), np.sin(r), np.cos(2.0 * r)
+    d = _abs2(ql) - _abs2(qr)
+    if wrt == "theta":
+        n = (ct * cp, ct * sp, -st)
+    elif wrt == "phi":
+        n = (-st * sp, st * cp, 0.0)
+    else:
+        n = (st * cp, st * sp, ct)
+    if wrt == "r":
+        cr, sr, c2r, d = -sr, cr, -2.0 * np.sin(2.0 * r), 0.0
+    x, y, z = c11 * n[0], -c22 * n[1], c33 * n[2]
+    u = qr.conjugate() * cr + ql * sr
+    w = qr.conjugate() * cr - ql * sr
+    offset = 0.0 if wrt in ("theta", "phi") else (c2r + d) * (scale / 2.0)
+    sx = (scale * u.real) * x + (scale * w.imag) * y
+    sy = (scale * w.real) * y - (scale * u.imag) * x
+    sz = ((c2r - d) * (scale / 2.0)) * z + offset
+    return np.stack(np.broadcast_arrays(sx, sy, sz), -1)
+
+
+def _bloch_matrix(s: np.ndarray) -> np.ndarray:
+    """Branch matrices (last two axes), of trace 1/4, of normalized Bloch vectors s
+    (last axis); broadcasts."""
+    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+    return _branch_matrix(1.0 + sz, sx - 1.0j * sy, sx + 1.0j * sy, 1.0 - sz) / 8.0
 
 
 def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> BobState:
-    """Branch state from the closed-form angle expressions.
+    """Branch state from the closed-form Bloch vector in the angles and channel parameters.
 
     Redundant with ``teleport_analytic`` composed with ``accelerate``; kept
     as an independent evaluation path for the verification suite.
     """
-    return _bob_state(_branch_matrix(*_branch_entries(**vars(state), **vars(d), **vars(u))))
+    return _bob_state(_bloch_matrix(_branch_bloch(**vars(state), **vars(d), **vars(u))))
 
 
 def _teleport_circuit_oracle(
@@ -186,18 +203,13 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     return _bob_state(_teleport_circuit_oracle(state.theta, state.phi, channel_density))
 
 
-def _bloch_components(r00: ArrayLike, r01: ArrayLike, r10: ArrayLike, r11: ArrayLike) -> np.ndarray:
-    """Bloch components (tr(rho sx), tr(rho sy), tr(rho sz)), last axis, of 2x2 matrices
-    given by their entries, as the traces reduce to: sx = Re(rho01 + rho10),
-    sy = Im rho10 - Im rho01, sz = Re(rho00 - rho11). Broadcasts.
+def bloch_of(rho: np.ndarray) -> np.ndarray:
+    """Bloch components (tr(rho sx), tr(rho sy), tr(rho sz)) of a 2x2 matrix, as the
+    traces reduce to: sx = Re(rho01 + rho10), sy = Im rho10 - Im rho01,
+    sz = Re(rho00 - rho11).
 
     Adding 0.0 writes a zero component as +0.0, the sign the traces of matrix
     products give it (Im rho10 = -0.0 and Im rho01 = +0.0 would give sy = -0.0).
     """
-    s = (r01.real + r10.real, r10.imag - r01.imag, (r00 - r11).real)
-    return np.stack(np.broadcast_arrays(*s), -1) + 0.0
-
-
-def bloch_of(rho: np.ndarray) -> np.ndarray:
-    """Bloch components (tr(rho sx), tr(rho sy), tr(rho sz)) of a 2x2 matrix."""
-    return _bloch_components(rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1])
+    r00, r01, r10, r11 = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
+    return np.array([r01.real + r10.real, r10.imag - r01.imag, (r00 - r11).real]) + 0.0

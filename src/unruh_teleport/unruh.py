@@ -21,7 +21,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -106,11 +106,8 @@ class AcceleratedChannel:
     b6: complex
     b7: complex
     b8: complex
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
-        if not validate:
-            return
+    def __post_init__(self) -> None:
         # Written as ``not ... <=`` so that a NaN coefficient fails every check.
         trace = self.b1 + self.b4 + self.b5 + self.b8
         if not abs(trace - 1.0) <= CHANNEL_TOL:

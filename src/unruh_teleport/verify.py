@@ -20,7 +20,7 @@ anchors. One fold reduces each check's errors to its largest. Every check
 with per-draw errors (17 gated ones and the informational one) keeps the draw
 behind that error, which a failed check names; the fixed-input checks name
 none. The oracles stay independent: they share no code with the coefficient
-form, the angle closed form or the Fisher kernel.
+form or with the closed-form Bloch vector that [3] and the Fisher kernel read.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .fisher import (
 )
 from .sampling import sample_draws
 from .teleport import (
-    InputState, _branch_entries, _branch_matrix, _teleport_analytic, _teleport_circuit_oracle
+    InputState, _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
 )
 from .unruh import (
     R_MAX, UnruhParams, _accelerate, _accelerated_density, _bogoliubov_isometry,
@@ -166,7 +166,7 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
     oracle = _bogoliubov_oracle(c11, c22, c33, r, qr, ql)
     rho = _teleport_analytic(theta, phi, *b)
     circuit = _teleport_circuit_oracle(theta, phi, oracle)
-    closed = _branch_matrix(*_branch_entries(**p))
+    closed = _bloch_matrix(_branch_bloch(**p))
     channel = _dyadic_to_density(c11, c22, c33)
     identity = m_inertial - channel
     v = _bogoliubov_isometry(r, qr, ql)
@@ -175,7 +175,7 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
     return {
         # [1] closed-form coefficients against the embedding-isometry oracle,
         # [2] the coefficient-form branch state against the three-qubit
-        # circuit, [3] the coefficient form against the explicit angle form.
+        # circuit, [3] the coefficient form against the closed-form Bloch vector.
         (1, "max elementwise difference"): _largest(m - oracle),
         (2, "max elementwise difference"): _largest(rho - circuit),
         (3, "max elementwise difference"): _largest(rho - closed),

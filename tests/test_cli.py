@@ -355,15 +355,14 @@ class TestExitCodes:
         assert captured.err == "error: the following arguments are required: command\n"
 
     def test_consistency_failure_is_exit_2(self, monkeypatch, capsys):
-        # The Fisher kernel's branch entries get a NaN off-diagonal.
+        # The Fisher kernel's Bloch vectors get a NaN x component.
         fisher_module = importlib.import_module("unruh_teleport.fisher")
-        original = fisher_module._branch_entries
+        original = fisher_module._branch_bloch
 
-        def nan_entries(**p):
-            r00, r01, r10, r11 = original(**p)
-            return r00, r01 * np.nan, r10, r11
+        def nan_bloch(**p):
+            return original(**p) * np.array([np.nan, 1.0, 1.0])
 
-        monkeypatch.setattr(fisher_module, "_branch_entries", nan_entries)
+        monkeypatch.setattr(fisher_module, "_branch_bloch", nan_bloch)
         with np.errstate(invalid="ignore"):
             code = main(["fisher", "--param", "theta", "--theta", "1", "--phi", "1",
                          "--r", "0.1", "--preset", "bell-phi-plus"])
@@ -659,75 +658,75 @@ class TestParserScope:
 # pure branch and, for F_r (6c), central differences through both r edges.
 FIGURE_SHA256 = {
     ('--id', '1a', '--grid', '64', '--format', 'csv'):
-        "6446f41a1b331c673c50a337d9d82b1d1d487519913a8f1d1ea0ca15fe9d830f",
+        "a34d9b0c3856dbf80f0c013f04fafc451c7fd00d81ef58b91de5f99688b695be",
     ('--id', '1a', '--grid', '64', '--format', 'json'):
-        "e7665cafb00bbddaea79979202d3b287f09d503f0bb721064075aa3ad1e67e63",
+        "97ac538631211825174eea38a014bce03e475f87d1cc9c7ab2fe06d2f1f12eb6",
     ('--id', '1b', '--grid', '64', '--format', 'csv'):
-        "1ed2b21d68fd343054af8b9447c9148ce6644f1fabdab8d4b8f945be49ff3023",
+        "da9ff0102d01e19b8c970a8aeb3bf88e5451dd85d43c5e4aab3541d231376c10",
     ('--id', '1b', '--grid', '64', '--format', 'json'):
-        "01fcfd92eeef41a1e32a669137e736c775c834b690e055516c4e047c0208c939",
+        "58a7c3a3debf7a0c51751dda5ae095c9665873af831cc4e4e5aafa6eacce46c7",
     ('--id', '2a', '--grid', '64', '--format', 'csv'):
-        "19ae07556f06a09239c70bc03bab4e729631041e301524e442cebf7452a84f21",
+        "aef4baf76688df0fec6ad241cfe43afedaa3981f355ad704074ee207758dcb06",
     ('--id', '2a', '--grid', '64', '--format', 'json'):
-        "f7abd494bd1ca696bc149b89b2f36896e5f0d76bad5c8d5608a6cf7684c6b93d",
+        "ac304f1a51c6d2379bcb8fba44d917f305e44f6a4d7efbddfebe87505089d515",
     ('--id', '2c', '--grid', '64', '--format', 'csv'):
-        "a4ce415813675019b67979d470ee01473c17f14d63e661b1a2ca9d582a22b639",
+        "b49cf4eb453f465a438146f48cb83cb04f69cc0d261fb5e3c44a1c96a97a65a3",
     ('--id', '2c', '--grid', '64', '--format', 'json'):
-        "0b75ee07e52912f2b85a8133d1d74d2c11b891b2e49eb897387c4a6ad67e7fd8",
+        "bfc76300dcc2204e8bccf952421437b0d7c144085230f5a52ae7f41569e11bb2",
     ('--id', '3a', '--grid', '64', '--format', 'csv'):
-        "7127219bf2331f7e88a74135a01156aa497b150bbfdf8ccb839dfe30d406bb0c",
+        "cf88d54d4890b90727c1217190beec19342fcd18a8410624651c74e796113a28",
     ('--id', '3a', '--grid', '64', '--format', 'json'):
-        "f59a1026dc649c8359c75beca328dd3a0946d06aa39d59541571cd88bcce237f",
+        "e1af33c99291a7ce123f65fa0011d8f8941fbd6419b42e2828b7f50156b4dfbe",
     ('--id', '3c', '--grid', '64', '--format', 'csv'):
-        "17831e36a87df7aac346cc42eae4fbf8909f9232f6b1f50c1a981c535f5acac4",
+        "5c9f39470300bbe9a19a6eec1cfb135220b7b0c2e566726593970a4248f7b449",
     ('--id', '3c', '--grid', '64', '--format', 'json'):
-        "37c9a4e4cf23598d61f4e7f9bdf9b45bcc31d14b5a9405fad6dfd8d05fdd016d",
+        "78f160a6469ef84783c3eae3f66f8a802bf3d508b3e04f300b47f836e30630ca",
     ('--id', '4a', '--grid', '64', '--format', 'csv'):
-        "6d4553182ed60e580e5418fe7e4424b770bf2cb5367ba61296e7663badc942f1",
+        "844a3255bfa2f0e2c7ec85440e63a0326b8863fa6de3071c052f93ee52bb76a6",
     ('--id', '4a', '--grid', '64', '--format', 'json'):
-        "d73416b84c77cc1faf0d6d5aaf0982d275019a775d556ee14b4138a80666cb55",
+        "6b2e45de721318081289c750faeaea8543d5edf95e940334581f3ed61a266108",
     ('--id', '4b', '--grid', '64', '--format', 'csv'):
-        "468e0a3ab6c4a21b3da0d6be12c12902175c62dcf256e1c3763f3e947685c045",
+        "6d3e2557269c253d943b134fd00b5b95c6458904aff807fbcf14de204f5fd169",
     ('--id', '4b', '--grid', '64', '--format', 'json'):
-        "817e84fe88c3c1645c263fae4b90165f5d00c95a3a2fbaed101c6c47ea411525",
+        "7d63179710fc6a31a85fd36e99d51411abf4da1b229255f5478561bfbd5dad37",
     ('--id', '4c', '--grid', '64', '--format', 'csv'):
-        "cb28e5260f217b9dc320cc8e07017798c47104c06356832ffe967c4a8acb1580",
+        "371f91e99b007dc2f44d82c285f42f7fe177a57d3829ee2397fe2f82eb343a13",
     ('--id', '4c', '--grid', '64', '--format', 'json'):
-        "59e320b11719efa1794a76f24ddd39f63e8260e1b35b2fa385d0286cee655236",
+        "eff7ae5d8b74de0dd91d1adcf5492684d15a7fdcfc81228d446d3bf9048ff071",
     ('--id', '4d', '--grid', '64', '--format', 'csv'):
-        "39a892c7432e2d4ab9eac40cc62c8b3adada6940e0da11127b66094775b7eb55",
+        "f0f2772cf0e9babc6e5a93759fb0d92b15d21e8baf97b7a94d8bcf8c48e978bf",
     ('--id', '4d', '--grid', '64', '--format', 'json'):
-        "5fa7ffb6e0a322d184ae5df005a5403b4386d1c3e9000c839bc8184c07cde199",
+        "57e57ef60c6b5517191e02f900e519ccbbe433356961fe8cb663d8f996fbcc07",
     ('--id', '5a', '--grid', '64', '--format', 'csv'):
-        "ebf117863b426356b125dff2ac58ff374f47ad1e5b92a0c4f196fa00ec9b4729",
+        "e6aad3f1164f956cbd5a629b85a7d072aa5db675db5cf3e34d24aff4f97d5141",
     ('--id', '5a', '--grid', '64', '--format', 'json'):
-        "6405add1246fd71cd91fad84684636ef1c339c04b4adc20839fb974558d14f1a",
+        "7fa8563ef8cae572df93cea58287e99381e17030279ac1faff171d591ae630c0",
     ('--id', '5c', '--grid', '64', '--format', 'csv'):
-        "3f667cdc6729cd4692bf68c32adc84ca5639b3eb732bd396df5b9d28e42f5475",
+        "3942ae2a5b908116de4fc04397bed6601f3d657e07950b4bea2b88b26c789db8",
     ('--id', '5c', '--grid', '64', '--format', 'json'):
-        "56bf9b4a5effb81322961e4036761df3a861c7ea97ba54d0ad780f795b189a64",
+        "e4f5b0c7954a00d08163bed599d5ea0c031135e6afbb9db46506fd16298658fb",
     ('--id', '6a', '--grid', '64', '--format', 'csv'):
-        "19732114d23a0fe5c2b7e6e91a61dbc8a882555acc004205738faa5fda2bc23a",
+        "cdcd194f01b9f81c3aa501830b9286c5ce0fdc7692cbefae6cf34526eb75e710",
     ('--id', '6a', '--grid', '64', '--format', 'json'):
-        "1ee610e3013faffd1dccdf42e9d0300ead57c805b798b1b996677da43b10b06f",
+        "2773275160b2f4b4f7fa470207d8bfed34c0a828d3dafe8f372c972081cadc08",
     ('--id', '6b', '--grid', '64', '--format', 'csv'):
-        "0b851642fcb212930d56a0242720bd1d5494d2ec52c97095c147c89dc1c83d81",
+        "c94405ffa09fbf65746d7dbd51e86ec9445d5ac5add290ebed78a1c8a6e1f1e1",
     ('--id', '6b', '--grid', '64', '--format', 'json'):
-        "27b0f2b9c7da9adb7edfa509a3f2e75a07498d71b53a890cd4ddf6bfae43eb8a",
+        "5d71e3943166835cbb964d2b5d19caf38ab4ac75877145ed50f1d5945ae17791",
     ('--id', '6c', '--grid', '64', '--format', 'csv'):
-        "abf9aaee938e69d3718de283f2ff8520e67c3f4f8cef9072258c77232ed17773",
+        "4bced99fdaa83bc970e2290d1e3e5c3a3eb75bdd776b65ad47e423474451cbe3",
     ('--id', '6c', '--grid', '64', '--format', 'json'):
-        "9888c82879fa96844a758464dcb8fc56a40e2c242238b57ff43b99c4d9c1f1da",
+        "28efbd085232c42082ce0dd183624b1f477f803847ab05c5d1f01659d603c7db",
     ('--id', '6d', '--grid', '64', '--format', 'csv'):
-        "be2e8cf3c6a7808a1c7689cc469f84eb1534477a277f160a4fc75f74a716c580",
+        "3bf3cda4784e732f9cef3dc52394cf6939d9cc622019b55ba6cd58f0118b5925",
     ('--id', '6d', '--grid', '64', '--format', 'json'):
-        "94c1bf9c66185dbc1cad89303f6be4e83d9e906023a4217f5834980f68631ed7",
+        "dd8ef7a96cf221ed021edb9344d0ee8360515abbdf14d19fa20ec20269bc8ab9",
     ('--id', '1a', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "807c5501e72c41ed2bc2eda84d1ed3c62211aa1c04b9d2762486d1a1e32aa132",
+        "e37dff2cae07620058a92312b0fdcb82ec4dcdf26d649921e08303d7d53b962b",
     ('--id', '4b', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "48b4024405767eef5e06604055887b435ffbd6363784463b274e6763b1935d62",
+        "52d544ae1685af783ecd46b0a503b5b956175aca95ed6621ee0f69ff5c4a6d68",
     ('--id', '6c', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "07dd09bddbacc9f808a80183d969834d63b635861d4b1b55581a4a4fd92fa44d",
+        "52b5e754c143214c85b4470f154ef9318b6f6a6f301dfeb91237f9e63733c42b",
 }
 
 
@@ -824,17 +823,17 @@ REPORT_SHA256 = {
     "fisher-bell-phi-plus-wsma-phi-analytic-as-published":
         "36c3b7803d873735eed323a3b80e5a3a7cc12085794ab8bd775c2e611941de96",
     "fisher-bell-phi-plus-wsma-phi-fd-normalized":
-        "32856d1c9cab30988babc42f4c0483b9e9d43056f49ea2ed587cf4e4f5e8658e",
+        "76cbc5feca72be7b00c1d2694f63dc2e2594e85b2f725484cf21d17f8a91e4af",
     "fisher-bell-phi-plus-wsma-phi-fd-as-published":
-        "dfd232e70b2254ada8cda08ff00f4132964a230d137e28c6149ef61be842d2dd",
+        "f890504d20f26da6743b3cedb01b66502cb68ed98e9972e49d49dc71ed232e08",
     "fisher-bell-phi-plus-wsma-r-analytic-normalized":
         "0b245fbd88b508533d548294af71f5565b940ba0eea2499d41d62dba49ae0ae6",
     "fisher-bell-phi-plus-wsma-r-analytic-as-published":
         "e031818eebb55a2977e04aa97d7dea429c8f35c8a7ad0f8e99f209fe2019a800",
     "fisher-bell-phi-plus-wsma-r-fd-normalized":
-        "7ac4ba0c7fa9402a77fb7fb3571677183e17066e6d757293f91f67502d8be1da",
+        "664e8156350a389a30ee4a88ab08398dc9595bdd6df32c094f961f43567a47ee",
     "fisher-bell-phi-plus-wsma-r-fd-as-published":
-        "6e88a9dadd81585262c9449b8194d00d6032f6a51cc87b46bc1d4ba1daa91536",
+        "8219aeb5eb901d112e01bf29863709cdc21f9aa5623790bfaf19c321f50ef8a3",
     "channel-bell-phi-plus-r-bsma-text":
         "fb233318d32e9ad9bc40cbafaed7334e83d7a9eea9ba976c61379b7311940f97",
     "channel-bell-phi-plus-triple-bsma-text":
@@ -852,25 +851,25 @@ REPORT_SHA256 = {
     "fisher-bell-phi-plus-bsma-theta-analytic-as-published":
         "8a02ab4d7f680129714b1cfe1aab670f219647ae76d09ebebc8c9f61f2d6b1da",
     "fisher-bell-phi-plus-bsma-theta-fd-normalized":
-        "c3419e727b3004b539541756bf8765131954252b56c3bca792df0c928fc6f208",
+        "a5f373aa0f3f57c01dc301f9be6bf699a083efee9cc278fb4a12884c0c541b4f",
     "fisher-bell-phi-plus-bsma-theta-fd-as-published":
-        "6f756704a06322948145536ba35d01421a5e9026c97328d11c569c4dee17bef3",
+        "17c9036d18a6456ac61af0709b5b9631bdcc3db722426955bc46f306da3fb563",
     "fisher-bell-phi-plus-bsma-phi-analytic-normalized":
         "6125df6b55151c91f7d6b0653bf16c4b153042614fb32186c9933e7a561af7a0",
     "fisher-bell-phi-plus-bsma-phi-analytic-as-published":
         "1f4d61f4cf5aec2d23cbfa0dda88c15b221db8d000ff6795efac0de30387af16",
     "fisher-bell-phi-plus-bsma-phi-fd-normalized":
-        "130d33b427efdc106b87899fc1933d2f8e46b0a6ab033b77db603fd2340716ec",
+        "5a81dc80bf78b34dba2d07d077f378ef06ff5f91b59bb8fed6724a2560bb5002",
     "fisher-bell-phi-plus-bsma-phi-fd-as-published":
-        "974c43e5f26c7d40d92e222d9778a198490664d718252cd3ffa8acb4a65c06e6",
+        "e09ddcc66f2ca4fd2219f5610c3745acbdf60c368c70e92c85f2caea63e2bcea",
     "fisher-bell-phi-plus-bsma-r-analytic-normalized":
         "d9812cfce01046124e84306200214c6423eb16fb13633d64dcf1fe3c94b523df",
     "fisher-bell-phi-plus-bsma-r-analytic-as-published":
         "b2b960672b2f51bf4a05b76d1f655428e0680fe2773058e277dd27d1cfa16b83",
     "fisher-bell-phi-plus-bsma-r-fd-normalized":
-        "d5d565f5d77dc35683a79e61db30a6d0449fc0ab8dda86786961fbebdc89f63e",
+        "2cb3d2a88d39bc61340573e2451d0fc2416f9a1f2a57e6b69dc27ef9af6590ba",
     "fisher-bell-phi-plus-bsma-r-fd-as-published":
-        "e0d53d43aeae466250d3038bd47b3b5d86ca2b2b297b12ff432d80b88586c441",
+        "78b5124243c31d7b3dce10831f3b1b314d0e33c4c5adec7609879f0552128c84",
     "channel-bell-phi-plus-r-qr-ql-text":
         "2cb14e48d95647f568d7b282f50fb1829032fdc18142d6e89e7d5156c1b3df43",
     "channel-bell-phi-plus-triple-qr-ql-text":
@@ -884,29 +883,29 @@ REPORT_SHA256 = {
     "teleport-bell-phi-plus-qr-ql-json":
         "286a5a64f3768811ac19babe8e7241e26693e3ef95383982069dfbe30cc17bb5",
     "fisher-bell-phi-plus-qr-ql-theta-analytic-normalized":
-        "3b629404cd277d6eaf9583ff77d2042568933a7f581781b076a99787714f10f9",
+        "67cadd50f0c6edd2989fecb4fd1b3018bc394754b5f05efbc96bd33ac2dacbdf",
     "fisher-bell-phi-plus-qr-ql-theta-analytic-as-published":
-        "24637b3adaa2d6ec8b1ab402c1c04c8caa2712a27edf5ae25b8bdcfef5e5a73b",
+        "d8f1989147bebdcb41dc5d09072cde084f98b07bca053477bef49e7502b35297",
     "fisher-bell-phi-plus-qr-ql-theta-fd-normalized":
-        "3eecc6be5a560ca27ffd720b93f314c0f41d4c2d3075bfefc5e37b50ad376a96",
+        "14b6fad8c21b8240293405b9f0aaa85ea3d4c05db0c721ad7870be9808de305b",
     "fisher-bell-phi-plus-qr-ql-theta-fd-as-published":
-        "97937c1f6c9252bbc53a0fccab11881a7e2801348f2c924edf753bcd88389e88",
+        "a02369d464d0b87b89ef2edababb874bb03064b58b8d4018c0d27a03ecfa7276",
     "fisher-bell-phi-plus-qr-ql-phi-analytic-normalized":
-        "f4d6f643c2612c04387bd286319fdfa6dd07f0dabe661fd49ac36c2ac1b1008c",
+        "bbbf856a1425eb73dc6da67e665428d6115809a6e94872c84d749f109ef7db99",
     "fisher-bell-phi-plus-qr-ql-phi-analytic-as-published":
-        "90ab767240ff43fbc6a3fb34e613eb1f2fe80110dfdc0760291fd740343dca31",
+        "52c6880fe9777d62b8fb9df40fcd8b5e714e6d15e5ae1c854656436cdd6eedc5",
     "fisher-bell-phi-plus-qr-ql-phi-fd-normalized":
-        "a5dc618080a610a5fe573979868b907a689897ba439082fd84e2aeeafecc0b08",
+        "79c8fe00202c6c12178bbd4b9f8eb3f780638f783ba55136fda86329f8cc4be0",
     "fisher-bell-phi-plus-qr-ql-phi-fd-as-published":
-        "4aab3e6e8d74ef1cd21b672f6b73f9f7d6ca5c93968cf80a75642922d6170d55",
+        "edc892cc250f1601addb3f1387f6bdd52693b58ec2038d0bf6e62da5738842c0",
     "fisher-bell-phi-plus-qr-ql-r-analytic-normalized":
-        "1391e93211dc129b59aedc5ab0efde4198aafc164bf08fe4cd5752cef2ef2938",
+        "2ac727e28b9b9be55984c153bfc9ed3f88af1fd088beb2cb8e87ff10db217ec2",
     "fisher-bell-phi-plus-qr-ql-r-analytic-as-published":
-        "edf1186201801cb89239449b892f8098ac4ac82c5a15283e1df6265b61560909",
+        "71a7cb2fa2ba1ad1b352d1b8caf8267225177ab0c794219a942abcfe2828093a",
     "fisher-bell-phi-plus-qr-ql-r-fd-normalized":
-        "4a0aaf2b0145c177dc77c309e034bb193040d96e830787c932c57c90d5e3ae33",
+        "4b843b956e96fd9dc841d5a28f0dc6d0e73203aa18b343d5cdb900dde2a60e45",
     "fisher-bell-phi-plus-qr-ql-r-fd-as-published":
-        "9353f5f6547ca160e8e82e99ee7c4a73083800ee7a49d03c645eed5652c4fee2",
+        "c31196756fd51f256b2314aac60c0cbd0eaab7a7b914dbd3b0733be404b7d53b",
     "channel-bell-psi-minus-text":
         "2b56f3cd90e173c445c63a21dc5a1d77776f2e96aab0bfdba2be4893afc644d2",
     "channel-bell-psi-minus-json":
@@ -924,11 +923,11 @@ REPORT_SHA256 = {
     "teleport-bell-psi-minus-wsma-json":
         "0b413489190c4bb1426421a0b2e475afcbe80a3feb2c66fcb00f1979a45ebe7d",
     "fisher-bell-psi-minus-wsma-theta-analytic-normalized":
-        "78b906a2db1531e1934efaed6fbc4941d8e5469eb557a223f59a9446eb8e0dc7",
+        "8baee8ca8482aad7e972ec4e4ca1de8d2289640649ba819a01d45181cd502fca",
     "fisher-bell-psi-minus-wsma-theta-analytic-as-published":
         "947431891ccd45e5d31c977454bffcb102924898110395a5a0ededdabe06365d",
     "fisher-bell-psi-minus-wsma-theta-fd-normalized":
-        "eefac4c4de16699bc5067be83e4ae16baef1ec85d448b301a892d307a4a1667b",
+        "84c85c8ee2c801352efbda25b3f387efa110a89d69147e0febd808be7c0de68a",
     "fisher-bell-psi-minus-wsma-theta-fd-as-published":
         "04fed51439eb50dd1594055e7f816ef77d2279335133828dcb11defd286bddba",
     "fisher-bell-psi-minus-wsma-phi-analytic-normalized":
@@ -936,17 +935,17 @@ REPORT_SHA256 = {
     "fisher-bell-psi-minus-wsma-phi-analytic-as-published":
         "b225f60525f3c512cbd54039b0aa5ff874a7f490bff1b74c41100b102cc89cd3",
     "fisher-bell-psi-minus-wsma-phi-fd-normalized":
-        "c2ab4cfe2cd07088f3d06e58eb4ad0f1b111a970b5a10b496eacd2bfff066ee1",
+        "ddd2286178a8e387849e4856154b3277d7982899ba4f99bb28ed0205cd176231",
     "fisher-bell-psi-minus-wsma-phi-fd-as-published":
-        "e57ec5270945dbe2160e0507a4c4ff4d927f961d7d2815867d20692cb5a10eb8",
+        "9cab1a472f0b70753b8f6f991eb6ce3a52a7731cdc57c16ad2207392f156428d",
     "fisher-bell-psi-minus-wsma-r-analytic-normalized":
-        "0d390f16c16388ea1a6d0737958d388d1a454ff64fb94e776fa5e81ef6da00ee",
+        "cf1fe3da04773e8c93b611f75098d7467c6895fcfbb2ba03f105d8dd5a85b513",
     "fisher-bell-psi-minus-wsma-r-analytic-as-published":
         "0f6dd5b0c8e0484aa6239f1e04d445ee5bb4c47544732fa9db5a84ee4b30b194",
     "fisher-bell-psi-minus-wsma-r-fd-normalized":
-        "f7a8493790457bb5de869c8bc8d81c6be996d5ef4d90817346b87ba8314d0198",
+        "8d8393d9a6ecc913916096488a55da45badf67cc6716a53ce2a3e0b40b6fe0bf",
     "fisher-bell-psi-minus-wsma-r-fd-as-published":
-        "3811d742cabb4f284d37a3aa98355ffdcc1bc67358021c28723e24ecb6dc80fb",
+        "81abd3e2b8a655a10f1c99ba746bd3213c22b5c22b325d44f5687f425dcd9290",
     "channel-bell-psi-minus-r-bsma-text":
         "8fcf9bec37f3e43f9a4599472432fd716a218d763dc3ba5d0e545a29c9e47187",
     "channel-bell-psi-minus-triple-bsma-text":
@@ -960,29 +959,29 @@ REPORT_SHA256 = {
     "teleport-bell-psi-minus-bsma-json":
         "e9bbdda85bfd6878d90f67a6754baf3901aa1cd743a5e71ed4556f1b3075d82e",
     "fisher-bell-psi-minus-bsma-theta-analytic-normalized":
-        "289e553700b1ae8f48d649fa3d1c189f28cc71ca957a32dc8085400429cb3017",
+        "1062e6427fd47526f2a6a56d689b2128878327d5c8171c2908e836658b1e0386",
     "fisher-bell-psi-minus-bsma-theta-analytic-as-published":
         "f7df358dc52cd2d403ae481eb94df1e75125ac959ab4046bf3d629da3a2bd23c",
     "fisher-bell-psi-minus-bsma-theta-fd-normalized":
-        "55693455644d4815af9bbd85623269fd394737450ad2f07e31d5367aef093803",
+        "28708dcab25319f77d1d267d91acfcc4ca9fb764ddb6175e7621340ba75a6d17",
     "fisher-bell-psi-minus-bsma-theta-fd-as-published":
-        "c4908af070d0ac83483a0631d838fc188cb98839adaab3e438c8756c759c96e0",
+        "14e59fc573fe2f3358970b2144f60091b6826ecae849397dcd21eb746c6a7ed8",
     "fisher-bell-psi-minus-bsma-phi-analytic-normalized":
-        "e9f65ff6118d007f4ef6eea4c82097f02e20b806d26991931e855d05b93a24ab",
+        "444c3e4fe88fb2315d3fa53aba8bafba9d6d0080b18f8d191403318a71d43d38",
     "fisher-bell-psi-minus-bsma-phi-analytic-as-published":
         "21e37e37c172319a36a4a47f163394475ff772db8859f592540a5ec63cc60ec3",
     "fisher-bell-psi-minus-bsma-phi-fd-normalized":
-        "55d4f39966766dcde7f6ee83510088a6b0b9d70ed68bd82a5a5f285e5d39b322",
+        "640fb5777f174eecb6c648ff0814228843caf1bf49d8854cea790d4526103cb5",
     "fisher-bell-psi-minus-bsma-phi-fd-as-published":
-        "b9f405c6a804e96a6e62e19b045f0caceb97e44ae894cdc7fca1512becd4a3da",
+        "9a9e546b4ab3fc1685fa2caf0cfa57e24c03b6c78808d0374dea46eced47ee8d",
     "fisher-bell-psi-minus-bsma-r-analytic-normalized":
         "db983034fa28d7e59d1e1e36cd01d15c172404eb04bcacd3348d0c163f914243",
     "fisher-bell-psi-minus-bsma-r-analytic-as-published":
         "d06f457ba708e60f86905adc6031531fe1d14909cd7fd0acee1a993fec6ff8e1",
     "fisher-bell-psi-minus-bsma-r-fd-normalized":
-        "90829fbca4975967f6dbe8390bdd45a1322e6dbbf4342fc3eb3f66321cf7b6c4",
+        "c40a2fefb7da3b29bc8641da4ade14173e776f29966cc09419522b452d73985c",
     "fisher-bell-psi-minus-bsma-r-fd-as-published":
-        "cde9490c5f8386a78025276d9163646182c18856df73ed6d11b211df9b76bb74",
+        "8ba2f3a853a039e5073d8be30e44458091410e443e4e7bc184849bfbbe877d8d",
     "channel-bell-psi-minus-r-qr-ql-text":
         "57fc66cd7368fe9b3da397f1ee6de9f6444afd7ab0c61a26d4b5bdaabcc43173",
     "channel-bell-psi-minus-triple-qr-ql-text":
@@ -1000,25 +999,25 @@ REPORT_SHA256 = {
     "fisher-bell-psi-minus-qr-ql-theta-analytic-as-published":
         "be41acc1fe811c01fba689bc70c7fa0df55ceffe2f11b2b3cfc0507441b29c34",
     "fisher-bell-psi-minus-qr-ql-theta-fd-normalized":
-        "4e7af094447980cf615dacb0e5f58562e39cae0f960830b2c596ab304b914bf9",
+        "df4fc569622d631249c127ea4d0f184bfd5b4e81454d1b67fd490c1a66453496",
     "fisher-bell-psi-minus-qr-ql-theta-fd-as-published":
-        "cad6ce188f60fedcf0bcd2492f6d4b92af440f30490bb3e5ac439a2fa5b6c463",
+        "33380d9799cff61f8e1d951d8adfe9ddc13c4a4b3e9543c89a702a89a493fe3c",
     "fisher-bell-psi-minus-qr-ql-phi-analytic-normalized":
         "b14d1a0e6fea8e2d26a8fc825086c9a8f2200cca99313640baa84790c99f48e5",
     "fisher-bell-psi-minus-qr-ql-phi-analytic-as-published":
         "612f19b7f890b690d01b6b7bd4f8b9c4a93d7f16d4771b8c4c944bd77dc7ca9f",
     "fisher-bell-psi-minus-qr-ql-phi-fd-normalized":
-        "ffdb486020cb5a51a71cc6be6667318255f5890df11585ffa56dbd361529bb93",
+        "efefe5f30ce79f95732dec73bb06abc2ff1f42717c6072a1e49182f2b94af724",
     "fisher-bell-psi-minus-qr-ql-phi-fd-as-published":
-        "176410c870413785e7c756a8341019d83725ad9495b6d6a3c012fe950e26dc7a",
+        "c91742fc9f795012b66105c76ffe4be1dee4ef662a869d0cfa326ac0eb3092da",
     "fisher-bell-psi-minus-qr-ql-r-analytic-normalized":
-        "c0e4218dafdf3404167569510071ab10a9ca66e5f1fdf5bfe9de63c419dd897c",
+        "139c453314484e04a7ec75e5b859d2c39725026870f44be15f49a8c9c69ef7bb",
     "fisher-bell-psi-minus-qr-ql-r-analytic-as-published":
         "f98288702230476d940de9cbc31b4d5453f4a3cea14eecc2b4c5853a8afb6356",
     "fisher-bell-psi-minus-qr-ql-r-fd-normalized":
-        "7ce8beed1a24d504df9cc9c0ae57729a8396ff420109bdd4840146e97752fd5f",
+        "253808da246a03d1972d46788be5a1461c5cf87003ecd3c3f680b04bcf804338",
     "fisher-bell-psi-minus-qr-ql-r-fd-as-published":
-        "89f230172425741b8b4691efa4a027f3ce47631192dfc7c18307526d7b2de620",
+        "3b61a464b18e289a01a48f99d61cae7d1a2ddbe5a8f204d10bea54d5a72cbf67",
     "channel-werner-text":
         "357ee139e6766fb7ddea1f4a3489488cdb431c6a9ba532d23c3529f765bbacfa",
     "channel-werner-json":
@@ -1040,17 +1039,17 @@ REPORT_SHA256 = {
     "fisher-werner-wsma-theta-analytic-as-published":
         "1f72657effd0b389470a3597207d0065fdcb28cd568af258a4c78cbbfbc6f59b",
     "fisher-werner-wsma-theta-fd-normalized":
-        "ca8d2a2ae10bd977158362ab480177ad0842d54ef2a4089bea97917322a3bdac",
+        "22cd449830110fbd7cb82eefe548b34f5c442dc2ffc1af2c338b3c9bcf3a206f",
     "fisher-werner-wsma-theta-fd-as-published":
-        "34f5ae70c426caf8ef91f61d31feb6e811b752ea85a3a210e2f45a9629498765",
+        "99fd336799358730712c9604a656d9cb1332bc960e98e513451a22bf3114e879",
     "fisher-werner-wsma-phi-analytic-normalized":
-        "b5ac588c537a44e103ef8701f98e9296aadbea7bcf445d0d9fe727eb16bd39c8",
+        "ea1d74a7eb77202c2ecd5af72fbf38876b9092171bf6ec62df14309b691f00b3",
     "fisher-werner-wsma-phi-analytic-as-published":
-        "11e225262f62128a7aa1e05c029be5d2c2f11fb9a00aec776ea43976ee07fdbe",
+        "d5975cb1b2d06d15996290f2186032bc204e23fd6fb539bb1270c02e01594931",
     "fisher-werner-wsma-phi-fd-normalized":
-        "42ed4714d40a8b89f35aedd7a4775e0503cf1208d4b14f5b07fdd04d9d5a0a04",
+        "ad3aa41ab364490b7ff2928e89369c44515bdfe37e98324f13140d6d9b4ad031",
     "fisher-werner-wsma-phi-fd-as-published":
-        "cea226ffeafaf359310c2b608184d90776aae2b63fc9c84402250b3be0a45aed",
+        "bcc22143e52eaf7eb9bcd3bb4f759d1b1fc0b817abd82a37a58c96419a0bffa3",
     "fisher-werner-wsma-r-analytic-normalized":
         "b91872093077e57bed1ca149c499119fc6a3f222ae46aadff66a39a136ef9fce",
     "fisher-werner-wsma-r-analytic-as-published":
@@ -1072,29 +1071,29 @@ REPORT_SHA256 = {
     "teleport-werner-bsma-json":
         "113c9c603e35988858ac335177af39a332fac4c90235fe18d77e6333908b9f89",
     "fisher-werner-bsma-theta-analytic-normalized":
-        "374133eeaaf9badbf9a119bc8deedc38e8418cb6c752c527ba84a5a7f3234f58",
+        "cd89ca665847498e99eca54bfac3f473ad39c2d1c455091f3152c6e8c40cff08",
     "fisher-werner-bsma-theta-analytic-as-published":
         "0d68d08f8d8b1049b7ae7d2cd7a5af484668502ae182d03fa381c543966ac2f3",
     "fisher-werner-bsma-theta-fd-normalized":
-        "e06a1eea6a90854d6011cbbae784c47cc6aa5a5f354547973f82134cb27c28c6",
+        "b9bfc6194fe7a9f4945b558f2905413d32cda918e1df4e3f65de6d1db4558f19",
     "fisher-werner-bsma-theta-fd-as-published":
-        "03a0106e6d59f728f4a277da100fd755003d1b2ad18688de5f21286973d55895",
+        "da9f720199c6f912abaf2cc3fa2b1455640b338697563fe4b3953b66657dbf5d",
     "fisher-werner-bsma-phi-analytic-normalized":
         "e88cd23626f845f19785d32a2f22ab4e8df0d53073b0874982152399197b4576",
     "fisher-werner-bsma-phi-analytic-as-published":
-        "d1346a3ce8157099bef5f36ba2b57905719715c752b108532ed289e2afc7762e",
+        "d91e45dbc134156d0770f283cdb216fc0ddbce5685c85f2e0b0b0f042236fd5b",
     "fisher-werner-bsma-phi-fd-normalized":
-        "0d757084652b49181e3fe576ee5396790fe5631d23ff3293a580d78070dc97d8",
+        "916255f75ff11502fca8ea0963d5ced779df891607384a1ae0109060964cee2a",
     "fisher-werner-bsma-phi-fd-as-published":
-        "6398f952f0707d36829f56afa9219bfbe592e1e721f8aab3ceb51cb2ee67c19f",
+        "0744837f5a3307b1ab387969d72a7494d7aaecb12743012c5a69696da16cba0f",
     "fisher-werner-bsma-r-analytic-normalized":
-        "79c47dd779b861287d54d59ed861f3f9693656b0394d522ee6e74e6d3f94e630",
+        "5b5b3b66c7bc72787ca7f60e622450f817e161c6c26585e1413622f0b002d427",
     "fisher-werner-bsma-r-analytic-as-published":
-        "cf9f65fd5d3023548114c31bd4bc432187f5a02b14db779add54e7df3edba73d",
+        "e44ab8c5688b4abb6c853eda0604f695ba4cfddcd847e7051fb2931d519ef93f",
     "fisher-werner-bsma-r-fd-normalized":
-        "d9f308ffe25c16443a489bdd277bf39118d49d5becbef7028acfe0b270ca01b2",
+        "28acdd7a222719a3df7d5d02ccaa60f58ce46eb77b6ebbb24812fb7c1a78b7a9",
     "fisher-werner-bsma-r-fd-as-published":
-        "dcec484e70b44b333e3afe2243963b45c375dc3473d049a8cdd9b95154a7458e",
+        "1c2d9792e8fd7818b846a77e374f13b67519056d659c157ecc94279083eb3459",
     "channel-werner-r-qr-ql-text":
         "5c4c4f680af0562f16620737ff5f5a5aac17168e6107ce987909588e94ee591f",
     "channel-werner-triple-qr-ql-text":
@@ -1112,25 +1111,25 @@ REPORT_SHA256 = {
     "fisher-werner-qr-ql-theta-analytic-as-published":
         "30482d5530f75807a1fddb52887064d23578ebfceb806b6a945ec78ea7e21352",
     "fisher-werner-qr-ql-theta-fd-normalized":
-        "10430d5f300263126bd00c8cb2f1d03993b48f90dddde682be2615974e42c37f",
+        "8503cb3c9bc7092b0b43d2d99931aac0ad88c8812aa79b35a8ed07ac93f218b5",
     "fisher-werner-qr-ql-theta-fd-as-published":
-        "91ca630e376e1c038e7154a87ff9db79cfbbb8aff1218314d709ddcf24cbbfd0",
+        "a250fa2ede9187435eee970cbddb8509a5d98622e6ab168f131ee7d4b03a8f07",
     "fisher-werner-qr-ql-phi-analytic-normalized":
         "cdfeb55193003350cbe5af4a385f9bfbeacfc05a54f19982d31851d70dbe055c",
     "fisher-werner-qr-ql-phi-analytic-as-published":
         "155d6155b46abd4cf36f765ed0028bf3beb66bd31688301a5193284f67926afe",
     "fisher-werner-qr-ql-phi-fd-normalized":
-        "f59556411cc0534de4b3dcdd9d1467bfc4e876b896b4550b36b9a1c52b232b3c",
+        "1454feacab0a9a65e4a1ee3c419034a998c62acd2fdee50d19d0706bcdd7d4bd",
     "fisher-werner-qr-ql-phi-fd-as-published":
-        "a8bd7bc6de565ad85f2328fa97d20680c13aeab15915b0594451b1207cc8a368",
+        "de5f7509475e285c52dd7d0d00466199c117a3c169d12db5b3e20a864d828f5d",
     "fisher-werner-qr-ql-r-analytic-normalized":
-        "c8f5739cd55cacb45bb4d8fccc141d76427b427c604f334f3caebf72ee7cf59d",
+        "c04a24afed5d5f533a682e0cab13f8111305f2be78ce2f368931d04cb1c06d83",
     "fisher-werner-qr-ql-r-analytic-as-published":
         "ace27f4c8b508a23e753988222a815bb3eb55978b88118ece07fcea09008acca",
     "fisher-werner-qr-ql-r-fd-normalized":
-        "eb378f96bc0c3882a41568949e64ef13798f1fb777932c9c8a479ea7a0c0a884",
+        "e600e34d8efae382e7503aace95e995ccdde91877275fda30c1d8543433b5d86",
     "fisher-werner-qr-ql-r-fd-as-published":
-        "458ffef03385db90e27417bf705d55173aee9418f1b3371e8eb812a481b3237b",
+        "e86d7ad04393b65858d4aa6179b61997dcc386319b32b78bceec53ed23dd6439",
     "channel-x-state-text":
         "8bd9c53cea2d3957c1656edf9b178c1b8bb7ad8793ad779cfb9fc04fc10d6094",
     "channel-x-state-json":
@@ -1148,29 +1147,29 @@ REPORT_SHA256 = {
     "teleport-x-state-wsma-json":
         "e40cbc049be6ccd8d3cdeaa4c3838f8547f6b58164de5092a45c74dd5466d24f",
     "fisher-x-state-wsma-theta-analytic-normalized":
-        "c1d74d16cc00f4151b088cee5d811c2e579b98949c3cd5ad8d47f66679e2eac8",
+        "3e61c0109979968af21937ffa7a388d76595bd2b971b216975d94a21270b4342",
     "fisher-x-state-wsma-theta-analytic-as-published":
-        "7d50dd4ac2819d22fc399aa33933dd649eb0553beac7dc77a882ac7d598ae684",
+        "fddb275bbe313f9043d0569d786015e2c34ec932e272caea63ebf25f933f10c8",
     "fisher-x-state-wsma-theta-fd-normalized":
-        "df13f8d3b4f3ed769135b7cbae64e118fcf4c09dc407af3ba0f9e19aecb4e6ae",
+        "6400e3ab44d5411689fb5768e40170e7c659a375816326e1a1fefd869d0e5ca6",
     "fisher-x-state-wsma-theta-fd-as-published":
-        "b4addbf9d70a7180b845de2e43422e938c6c24b0c425e727a3ae34b7e52761e4",
+        "77c61784cc33eae6d6d916f86914944d9b9928aa094c4801c9d0e5a1dfcd0a76",
     "fisher-x-state-wsma-phi-analytic-normalized":
-        "72311b54f8d63ea8c9a12a22a44cb56b644d7576af3e505c2a2f7189e55054fc",
+        "15d61de5b7909c096d8b8a4429d81c80b3e6d0b2b30528d2218a08fefa9d1c16",
     "fisher-x-state-wsma-phi-analytic-as-published":
-        "eadb8566f07aa674775a380663d956a99563c2a2b08cbb491e70beef43eff2f7",
+        "99739d541ae3e3365e43206da51363614cb9140d07b265cdbe1742c973d74a74",
     "fisher-x-state-wsma-phi-fd-normalized":
-        "5828c176f409e487c6a5a8a07f51c5aecb4d0e9b3e766e51cec9cc1d36c3e36c",
+        "54e0697ff9def07c35a98fee36b9df9315d0127e855b7d6acb2a46b5d2ea0b06",
     "fisher-x-state-wsma-phi-fd-as-published":
-        "7ae3080fa518d13d44bca5212d2205a8be8e422440c697800bdf61179f4c1771",
+        "32fc3b66df831d1637cdeb877837b47a452862d91fbb53d1ab7065d556f42a3d",
     "fisher-x-state-wsma-r-analytic-normalized":
         "e98e4513ab82beb96b259e18f6c7a6bcc94a6d31bb39c575623f06e415240549",
     "fisher-x-state-wsma-r-analytic-as-published":
         "ab3a9b1e5dc3e00f1d87f4965579e7e5668241d7eada495a58a82b3f5fabcee6",
     "fisher-x-state-wsma-r-fd-normalized":
-        "299d74b6be86fa2d2d45dcc2fd53eea6691ef559d8c8ff3996383099a870e0b6",
+        "24ba860f4c1b2830efdfc43c7f3da3ffba00417b20e06e39a435d2297ab7dcad",
     "fisher-x-state-wsma-r-fd-as-published":
-        "ec81f1f4aeea641fbb4185f7a4c761ebe12ba912008e2f10972a08a763c0cc9d",
+        "a90cf3d7d6024b4fe4dbc81bd5b91ea5c9c568a17578b6c40806e7182de12017",
     "channel-x-state-r-bsma-text":
         "16b5635d69740ee9aa46f3c1c987a98b81074a2ea41a003de66048785391ea2d",
     "channel-x-state-triple-bsma-text":
@@ -1184,29 +1183,29 @@ REPORT_SHA256 = {
     "teleport-x-state-bsma-json":
         "7666db068765c85950e7b142b7d5d0bb680b3e56a941f83b8982b0d57b869188",
     "fisher-x-state-bsma-theta-analytic-normalized":
-        "f82f6908d9bf19c8c12761680c335e502c345c10bcdab7e93c59b9cb8879ddd1",
+        "f31584683f2de7e45a96d73d90878a3504cf4ffee0af1c6d73dba7fea5a6b403",
     "fisher-x-state-bsma-theta-analytic-as-published":
-        "8ca52f7bf3c1ce7baa8d56a2509858d23c548fb5792c2cc9d48a4e920d1cdd69",
+        "77bae200c942585702f1e95b6610974b8e7dc835a9a7433987d9edf80da6844b",
     "fisher-x-state-bsma-theta-fd-normalized":
-        "de692edb6866fda4a87fd339e9c6b349b3c38a8a9756ed698270ed0961cee8c9",
+        "faa704a2fda5f06c76e6394928b10e541de233a4eb02e0e6ea6880343e9afff5",
     "fisher-x-state-bsma-theta-fd-as-published":
-        "f344fe4b5fea7b2696e7f86d93e0210c3e47258bebede75cd72308badec386c6",
+        "d02ddc3e15aacfe0dd4f894c9ad7d7ab01873b45807d744a0a932a1a60550cde",
     "fisher-x-state-bsma-phi-analytic-normalized":
-        "11a5da9ff9e6a93e1318280daea8ae01ce10a2c8976551a09237555d64ff8894",
+        "a355c2fc91d278f60b29a199f225f3aa915edf7149672b2e4ccf57980d4cd005",
     "fisher-x-state-bsma-phi-analytic-as-published":
-        "1a90c7eb6845f5f6df6a5c74f47aefaa4faf2abf06cc705b2238428a374410bd",
+        "c772dfd47aaf99b3e2b5b33a7b0d68ad41511aa1b49d5530c22437aec095e92e",
     "fisher-x-state-bsma-phi-fd-normalized":
-        "e98af33b92b2f11666bc3c119d33de27423e16038a791391a25baa4018e77be9",
+        "58ca3e4d00f2ed7a16863f4a457851df59cfef9a514aacaadedf46db7a6830c9",
     "fisher-x-state-bsma-phi-fd-as-published":
-        "9c0be2b3eb6bc0afe02bb265e8356612ed0635e4a1427936a424215da75ea7e2",
+        "ec14813d1cb8b8871973301d135c156ff69bb554c5095003da39b566307a3e3e",
     "fisher-x-state-bsma-r-analytic-normalized":
-        "fa01dd4f84b86e4a59ddd6159ecd685950f1dff5c81db81c00d93a0c6577a7ba",
+        "5a855c4a59d4440387f2348e682afafffff781850274f086c6ad374039cb5047",
     "fisher-x-state-bsma-r-analytic-as-published":
-        "d27f761f5eee7b7f0aa18996fecd61569045ac6094564bb7de421514384fb322",
+        "9db420dc8db830fcf5fa02875f6c7ce04e1c0332846d517ca50628be1f39af4b",
     "fisher-x-state-bsma-r-fd-normalized":
-        "e388276c28c308a5b3ea4776c591481ff78b5d74c336126292e55a3e3d74ffe6",
+        "e7cccf903b0a779ef4362615492c6a5e5851e203fc3fbe154a25b9bf23c95dd3",
     "fisher-x-state-bsma-r-fd-as-published":
-        "d90cb6534b7b8710094a7c890f3d6a169aeb5c2475ad182c11f3b3736977ed1f",
+        "512fed06f88070347b30660476081ebd3347db45644691e41f4ea0e446cc61ca",
     "channel-x-state-r-qr-ql-text":
         "4ba97f1ebe14b7c6db401594620fb8b0bde44326630a9eca06ecd990a73e8cf0",
     "channel-x-state-triple-qr-ql-text":
@@ -1220,29 +1219,29 @@ REPORT_SHA256 = {
     "teleport-x-state-qr-ql-json":
         "f004a42b5866f7dc089563e99ffe09994df30c34ffc1dd39967b74243ad99a84",
     "fisher-x-state-qr-ql-theta-analytic-normalized":
-        "431af0dfc50d944d23e5a5ca5e9cbbfdb21de6bf750d8e30b2791c43f18afb98",
+        "7d31fbdfa51475d0ed24b668d52272f91d95d88e295c6ebe1f8b331c13bacefb",
     "fisher-x-state-qr-ql-theta-analytic-as-published":
         "4674219a4592c3faf2a19a32c852ebfd4b877dbf08a9917c53a4b9387319a964",
     "fisher-x-state-qr-ql-theta-fd-normalized":
-        "eab70a2352957de57d2812834e5fd6f8fec13f79d3f3621eab976fd86f50fa18",
+        "21572a2af8dceea1e64bebbe8be55e333213660c58e766a2e5d589920c7c8a76",
     "fisher-x-state-qr-ql-theta-fd-as-published":
-        "3a64383ba31cc1b5cec6f4dd82359624dbe0c6117280a810af3ffa29b4d4558d",
+        "889f24bc6d17d3fcf2f54a9891209c494fac2acfa7e7951884763cde47bce978",
     "fisher-x-state-qr-ql-phi-analytic-normalized":
-        "e64e1a6d538e86c2efa92b705166525b37476c5a32b36704cbe53b46b1bd2b96",
+        "187e0b9821a326dc3e9afad4af9a2fb2c552e879f7f1f9141525e257dec2718e",
     "fisher-x-state-qr-ql-phi-analytic-as-published":
         "c53e1fe215181d9ca7f23ea8b60af531e73df61c3e4734177fa25927b70141ee",
     "fisher-x-state-qr-ql-phi-fd-normalized":
-        "5cc85904dd558d837a36cf8cbc8f5cc87490d0a74711a28019e77691f208391c",
+        "104e0e1113b45df734f61e21eae5a8b6a0d9f5d141e37e5aab2f0799cebc069b",
     "fisher-x-state-qr-ql-phi-fd-as-published":
-        "319cd7cb679b7943a5ee634839583977fd7f0be6726c21ede89f66d406b3342f",
+        "de1bf14af7ebc35856e63d863a54a68abcb747ee009d7b994c736a3352a669e8",
     "fisher-x-state-qr-ql-r-analytic-normalized":
-        "1a3a5210a08c7e0c37a9833d01a6960407437f7a430084f2099a142dd5557ca3",
+        "d468177fe48540a9aca2430e1e619bca06b76d569890351768a44d8ff32ca262",
     "fisher-x-state-qr-ql-r-analytic-as-published":
         "75fa21387d3eb15bc0019b440bb15e6d392a2f1a094de2df93e451ec3df1e980",
     "fisher-x-state-qr-ql-r-fd-normalized":
-        "64edf80072fbd6d398928eb0f708283fcfbfc5ff7477617bf7058f3f7197fa30",
+        "6d2a7058ff9dfb71f689d1da23d0847fbe0c5ae8d2bfe0df46d65dfe7b28fc55",
     "fisher-x-state-qr-ql-r-fd-as-published":
-        "d5c833758e719e39664d7b448672cfcf9136176ae9cd83b6226295f091c36abf",
+        "86e0cd57e25ef642cb5f981ba58d5254cf9ce0ba2afaa69b7fc49fbc2afc1ac0",
 }
 
 

@@ -15,8 +15,11 @@ from unruh_teleport import (
     mode_params,
     preset_dyadic,
 )
-from unruh_teleport.fisher import DEFAULT_FD_STEP, MAX_FD_STEP, _fisher
-from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
+from unruh_teleport.fisher import (
+    DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, PARAM_NAMES, _bloch, _fisher, _partial
+)
+from unruh_teleport.sampling import sample_draws, sample_dyadic, sample_input, sample_unruh
+from unruh_teleport.sweep import figure_spec
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
@@ -65,6 +68,21 @@ class TestBlochTeleported:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             bloch_teleported(InputState(1.0, 1.0), PHI_PLUS, INERTIAL, "raw")
+
+    @pytest.mark.parametrize("points", ["draws", "figure"])
+    def test_as_published_is_exactly_a_quarter(self, points):
+        # Bit for bit, for the vectors and for both derivative methods.
+        if points == "draws":
+            p = sample_draws(8, 200)
+        else:
+            spec = figure_spec("1b", 64)
+            p = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
+                 **dict(zip(spec.axis_names, np.ix_(*(a.points() for a in spec.axes))))}
+        assert np.array_equal(_bloch(p, "as-published"), 0.25 * _bloch(p, "normalized"))
+        for param in PARAM_NAMES:
+            for method in METHOD_NAMES:
+                ds_n = _partial(p, param, "normalized", method)
+                assert np.array_equal(_partial(p, param, "as-published", method), 0.25 * ds_n)
 
 
 class TestFisherFromBloch:

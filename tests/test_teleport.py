@@ -209,7 +209,7 @@ class TestBroadcastForms:
         oracles = np.array([bogoliubov_oracle(d, u) for _, d, u in draws])
         analytic = teleport._teleport_analytic(p["theta"], p["phi"], *b)
         circuit = teleport._teleport_circuit_oracle(p["theta"], p["phi"], oracles)
-        closed = teleport._branch_matrix(*teleport._branch_entries(**p))
+        closed = teleport._bloch_matrix(teleport._branch_bloch(**p))
         for i, ((state, d, u), ch) in enumerate(zip(draws, channels)):
             assert np.max(np.abs(analytic[i] - teleport_analytic(state, ch).rho)) <= EPS
             assert np.array_equal(circuit[i], teleport_circuit_oracle(state, oracles[i]).rho)

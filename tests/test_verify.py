@@ -58,7 +58,7 @@ def test_trials_bounded_before_any_draw():
 # The broadcasting forms verify runs over each block of draws, at verify's names.
 BLOCK_FORMS = (
     "_accelerate", "_accelerated_density", "_bogoliubov_oracle", "_bogoliubov_isometry",
-    "_teleport_analytic", "_teleport_circuit_oracle", "_branch_entries",
+    "_teleport_analytic", "_teleport_circuit_oracle", "_branch_bloch",
 )
 
 
@@ -205,16 +205,15 @@ def test_pass_report_has_no_worst_draw_line():
 
 
 def _nan_off_diagonal(monkeypatch):
-    # The Fisher kernel's branch entries get a NaN off-diagonal; the oracle
+    # The Fisher kernel's Bloch vectors get a NaN x component; the oracle
     # sections use the teleport module's own name and stay finite.
     fisher_module = importlib.import_module("unruh_teleport.fisher")
-    original = fisher_module._branch_entries
+    original = fisher_module._branch_bloch
 
-    def nan_entries(**p):
-        r00, r01, r10, r11 = original(**p)
-        return r00, r01 * np.nan, r10, r11
+    def nan_bloch(**p):
+        return original(**p) * np.array([np.nan, 1.0, 1.0])
 
-    monkeypatch.setattr(fisher_module, "_branch_entries", nan_entries)
+    monkeypatch.setattr(fisher_module, "_branch_bloch", nan_bloch)
 
 
 def test_non_finite_fisher_value_fails_its_checks(monkeypatch):
@@ -323,21 +322,21 @@ def test_numpy_integers_are_accepted():
 # SHA-256 of `verify` reports. The draws, and so the rng stream, are those of
 # the per-draw rejection sampler that sample_draws replaced.
 REPORT_SHA256 = {
-    (1, 42): "6ca0af4d620551010ea72014f279659249ecde69f87450f6769a6fb980ac6b2c",
-    (1, 7): "53900baf7dbd7347b588d0b6f6742ae3a676350cdde6eb8dc26d5e989b57072e",
-    (1, 123): "2ceab8fc9e9ede18290362ea465b9f36c3055a5ec0324b1ff3ddf9a5f3a347db",
-    (1, 1): "f41f9a2f0fb9753882a17e5485d3f77beace4debb45f53663eb674a8ba1fcbce",
-    (1, 2): "95a140069edeaf90fc7b4812ec4df81beee78448ca3fea748b1ac0fa34ed7dca",
-    (7, 42): "2e2957b86f8e03a8a329816c81f3747a0592b85494152e979a714a0c621eb27a",
-    (7, 7): "baf096bc3de0497fe011da9026a0c5f6e8ca8f5da2fc9d62a2a857718079d076",
-    (7, 123): "dedfc3ae67bd0b61e63179508fa04d893a36eb31f87987ebe5a54cd9e9952c3f",
-    (7, 1): "fbd4b2137ec904c9222326b2dfc43c9edd5b63e58461086b9a13b73b58d9b18d",
-    (7, 2): "83de525275e9826b18634a5ae7ef8d4f27081affb97424cbbe5cb103b9cef814",
-    (1000, 42): "2c7502042584db0d994c64c050ed591e37e48d92078c3e2171f028d25fc1d7f5",
-    (1000, 7): "b5926e25961cb5a2161e7a7492374670c26ea6a33e00282bfe0b4a2ac351783e",
-    (1000, 123): "c435df9f79e693ee0cdc2bcb1062536c9e746b05f99a3248f63bc23a6a89abaa",
-    (1000, 1): "7b3ff20309559a512b3791cb2a75360cbdc728a61cad08caebaa2f664041f372",
-    (1000, 2): "1ee3072669a28e251f7b077561cfd82469da18ad389735edcdaddbe57f7c4444",
+    (1, 42): "6842cf5918ad642800e89d8d4ad0f9c7ba86bc8d37d9d6bc27edf3326094e280",
+    (1, 7): "7e059fe659cb9d9203e853bb602b4024528343613fb84e97c8bbad803860a5a6",
+    (1, 123): "78316149d1d4880cf4edf5f3ba0fe0acb094380fcb838326bd61d1bd807d37a5",
+    (1, 1): "734e7a6a304d34e8b895e60b264aa8d35a49646b67567f6d385e7b63439f303e",
+    (1, 2): "31b2ffea3e57c5a18dc4a81646df321e892173c4444d880a06b1e208fee79437",
+    (7, 42): "317249f0672342f407410bdd1c878facfaa51447c9c96df9cf3c2cebe3dd0021",
+    (7, 7): "33a2da4d1182ace6051a3fff1ddb344998b16c74589048b7a3cd104e358a9eae",
+    (7, 123): "ee49ad90280e7741b30d4acb6fcec08e749811b277defdb12b4d666903f866bd",
+    (7, 1): "33855150074ffc7e17c43611a3a84647255bd49b974cd04bdef0eca52e77711d",
+    (7, 2): "09f53de1f23db8fa7022139ca574b769864f3fcaf753b666c9bb19d809806a86",
+    (1000, 42): "682682f8e966afa67a5c543432473d0222d527c9bb55a2d600973265cd1d0f32",
+    (1000, 7): "0475cd2caa2a05f943872a0acb547fa0b412c55ecf4855087571cac8d8f14626",
+    (1000, 123): "166e0ac19e1124ebf96114c530cb0f2e6734d62c1affbb135187e8699ae687cb",
+    (1000, 1): "b02a8b885f3b693e8d0df1c5889ea8102531b165960122fe8088a46ddf5ec1cb",
+    (1000, 2): "3d72f3b9d7460e6a5d24ee663f188049a78fa1b1cf2c6e76c63a3adaf63c09cd",
 }
 
 
