@@ -13,6 +13,7 @@ import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Any, Iterator, Mapping, NamedTuple
 
@@ -278,15 +279,14 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
     try:
         channel = payload["channel"]
         unruh = payload["unruh"]
-        dyadic = CorrelationDyadic(
-            float(channel["c11"]), float(channel["c22"]), float(channel["c33"])
-        )
+        dyadic = CorrelationDyadic(*(_number(k, channel[k]) for k in ("c11", "c22", "c33")))
         weights = [unruh["qr"], unruh["ql"]]
         if not all(isinstance(w, list) and len(w) == 2 for w in weights):
             raise DomainError(f"unruh qr and ql must be [re, im] lists, got {weights}")
-        qr, ql = (complex(*w) for w in weights)
+        qr, ql = (complex(*(_number("unruh weight part", x) for x in w)) for w in weights)
         axes = tuple(
-            Axis(a["name"], float(a["start"]), float(a["stop"]), a["count"])
+            Axis(a["name"], _number("axis start", a["start"]), _number("axis stop", a["stop"]),
+                 a["count"])
             for a in payload["axes"]
         )
         return SweepSpec(
@@ -297,15 +297,22 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             qr=qr,
             ql=ql,
             axes=axes,
-            fixed={str(k): float(v) for k, v in payload.get("fixed", {}).items()},
+            fixed={str(k): _number(f"fixed {k}", v) for k, v in payload.get("fixed", {}).items()},
             channel_preset=channel.get("preset"),
             unruh_mode=unruh.get("mode"),
             figure=payload.get("figure"),
         )
     except DomainError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
+
+
+def _number(kind: str, value: object) -> float:
+    """A spec value as a float: a JSON number is one, a string or a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"spec {kind} must be a number, got {value!r}")
+    return float(value)
 
 
 def _point_lines(rows: Sequence[SweepRow], axis_fmts: list[str], off: str,

@@ -6,9 +6,9 @@ equivalence, agreement of the two branch-state forms, derivative
 cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
 
-The seeded draws are the scalar samplers' draws, bit for bit, from
-``sampling.sample_draws``: one buffer of doubles in stream order and the
-closed-form accept rule of ``validate_physical``, which [5] checks by ``eigvalsh``.
+``sample_draws`` gives the seeded draws without rejection: each dyadic is a
+uniform point of the tetrahedron of physical channels, placed by its Bell
+eigenvalues, the closed form of ``validate_physical`` that [5] checks by ``eigvalsh``.
 ``CHECKS`` lists every check in report order with its tolerance. Three
 producers give each check its errors under (section, name). ``_draw_errors``
 runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
@@ -31,19 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
-from .channels import X_STATE_EXAMPLE, _bell_eigenvalues, _dyadic_to_density, preset_dyadic
+from ._linalg import IDENTITY_2, _abs2, _hermiticity_gaps, _min_eigenvalues
+from .channels import (
+    _BELL_SIGNS, X_STATE_EXAMPLE, _bell_eigenvalues, _dyadic_to_density, preset_dyadic
+)
 from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
-    MAX_POINTS, NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial, fisher
+    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _bloch, _dot, _fisher,
+    _fisher_from_bloch, _partial, fisher,
 )
-from .sampling import sample_draws
 from .teleport import (
     InputState, _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
 )
 from .unruh import (
-    R_MAX, UnruhParams, _accelerate, _accelerated_density, _bogoliubov_isometry,
-    _bogoliubov_oracle, mode_params,
+    R_MAX, WEIGHT_NORM_TOL, UnruhParams, _accelerate, _accelerated_density,
+    _bogoliubov_isometry, _bogoliubov_oracle, mode_params,
 )
 
 EQUIV_TOL = 1e-12
@@ -182,7 +184,7 @@ def _draw_errors(p: dict, inertial: UnruhParams) -> dict[tuple[int, str], np.nda
         # [6] size of the Hermiticity violation if b7 were copied from b3,
         # as in the swapped-b7 variant. Informational only.
         (6, "hermiticity gap |b7 - conj(b6)|"): np.abs(b[2] - b[5].conjugate()),
-        # The sampler's closed-form physicality rule against the eigensolver.
+        # The closed-form physicality rule of validate_physical against the eigensolver.
         (5, "min channel eigenvalue: closed form vs eigvalsh"):
             np.abs(_bell_eigenvalues(c11, c22, c33).min(axis=-1) - _min_eigenvalues(channel)),
         # Accelerated channels: trace, hermiticity, positivity, inertial identity.
@@ -262,6 +264,36 @@ def _fixed_errors() -> dict[tuple[int, str], float]:
         (5, "mode scaling 1/16 at r=0"): _kernel_error(_mode_scaling_error),
         (5, "continuity near the pure shell"): _kernel_error(_continuity_error),
     }
+
+
+def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
+    """``n >= 1`` seeded draws as one array per key of ``fisher._point``: uniform
+    angles, a uniform physical dyadic, uniform r and weights on the normalization
+    circle. Draw i reads row i of the generator's (n, 9) doubles, so the first k
+    draws do not depend on n."""
+    u = np.random.default_rng(seed).random((n, 9))
+    # The spacings of three sorted uniforms are uniform on the simplex: as Bell
+    # eigenvalues, a uniform point of the tetrahedron of physical dyadics whose
+    # corners are the rows of _BELL_SIGNS. The doubles are multiples of 2**-53,
+    # so the spacings and the dyadic are exact, whatever the summation order.
+    w = np.diff(np.sort(u[:, 6:], axis=1), axis=1, prepend=0.0, append=1.0)
+    dyadic = dict(zip(("c11", "c22", "c33"), (w @ _BELL_SIGNS).T))
+    mu = np.pi / 2.0 * u[:, 3]
+    draws = {
+        "theta": np.pi * u[:, 0],
+        "phi": 2.0 * np.pi * u[:, 1],
+        **dyadic,
+        "r": R_MAX * u[:, 2],
+        "qr": np.cos(mu) * np.exp(2.0j * np.pi * u[:, 4]),
+        "ql": np.sin(mu) * np.exp(2.0j * np.pi * u[:, 5]),
+    }
+    # The domain checks of the value types.
+    for key, (low, high) in {**VARIABLE_DOMAINS, **dict.fromkeys(dyadic, (-1.0, 1.0))}.items():
+        if not np.all((low <= draws[key]) & (draws[key] <= high)):
+            raise DomainError(f"{key} draws must lie in [{low}, {high}]")
+    if not np.all(np.abs(_abs2(draws["qr"]) + _abs2(draws["ql"]) - 1.0) <= WEIGHT_NORM_TOL):
+        raise DomainError(f"|qr|^2 + |ql|^2 draws must equal 1 within {WEIGHT_NORM_TOL}")
+    return draws
 
 
 def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:

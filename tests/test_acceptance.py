@@ -27,8 +27,9 @@ from unruh_teleport import (
     teleport_closed_form,
     verify,
 )
-from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
 from unruh_teleport.sweep import FIGURE_IDS, render_rows
+
+from samplers import sample_dyadic, sample_input, sample_unruh
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")

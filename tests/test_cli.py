@@ -486,6 +486,14 @@ class TestInputBoundary:
             (["fisher", "--param", "r", *POINT, "--preset", "bell-phi-plus",
               "--qr", "1e200", "--ql", "0"], None),
             (["sweep"], _spec_payload(unruh={"qr": [1e200, 0.0], "ql": [0.0, 0.0]})),
+            (["sweep"], _spec_payload(
+                channel={"preset": "bell-phi-plus", "c11": "1", "c22": -1.0, "c33": 1.0})),
+            (["sweep"], _spec_payload(
+                axes=[{"name": "r", "start": False, "stop": 0.5, "count": 3}])),
+            (["sweep"], _spec_payload(fixed={"theta": 1.0, "phi": "1"})),
+            (["sweep"], _spec_payload(
+                unruh={"mode": "wsma", "qr": [True, False], "ql": [0.0, 0.0]})),
+            (["sweep"], _spec_payload(channel={"c11": 10**400, "c22": -1.0, "c33": 1.0})),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -505,7 +513,8 @@ class TestInputBoundary:
             "fisher-without-acceleration", "sweep-without-param", "sweep-without-grid",
             "spec-three-axes", "figures-list-with-format", "figures-list-with-grid",
             "figures-list-with-norm", "figures-list-with-method", "fd-step-with-analytic",
-            "huge-weight", "spec-huge-weight",
+            "huge-weight", "spec-huge-weight", "spec-c11-string", "spec-start-bool",
+            "spec-fixed-string", "spec-weight-bool", "spec-huge-integer",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

@@ -18,9 +18,11 @@ from unruh_teleport import (
 from unruh_teleport.fisher import (
     DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, PARAM_NAMES, _bloch, _fisher, _partial
 )
-from unruh_teleport.sampling import sample_draws, sample_dyadic, sample_input, sample_unruh
 from unruh_teleport.sweep import figure_spec
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX, UnruhParams
+from unruh_teleport.verify import sample_draws
+
+from samplers import sample_dyadic, sample_input, sample_unruh
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")

@@ -14,8 +14,8 @@ import numpy as np
 from unruh_teleport import preset_dyadic
 from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.fisher import PARAM_NAMES, _bloch, _partial
-from unruh_teleport.sampling import sample_draws
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
+from unruh_teleport.verify import sample_draws
 
 DIGITS = 40
 STEP = mpmath.mpf("1e-15")

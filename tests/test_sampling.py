@@ -1,53 +1,42 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from unruh_teleport.fisher import _point
-from unruh_teleport.sampling import sample_draws, sample_dyadic, sample_input, sample_unruh
+from unruh_teleport.channels import EIGENVALUE_TOL, _bell_eigenvalues
+from unruh_teleport.verify import sample_draws
 
-SAMPLING = importlib.import_module("unruh_teleport.sampling")
-
-
-def _scalar_draws(seed: int, n: int) -> dict[str, np.ndarray]:
-    """The reference: n draws of the scalar samplers in turn, one array per key."""
-    rng = np.random.default_rng(seed)
-    points = [_point(sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(n)]
-    return {key: np.array([p[key] for p in points]) for key in points[0]}
+LAW_DRAWS = 200_000
 
 
-def _assert_bit_identical(got: dict, expected: dict) -> None:
-    assert list(got) == list(expected)
-    for key, column in expected.items():
-        assert got[key].dtype == column.dtype, key
-        assert np.array_equal(got[key].view(np.uint8), column.view(np.uint8)), key
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 123, 2**31 - 1])
+def test_short_draws_are_the_first_rows_of_long_draws(seed):
+    # Draw i reads only row i of the generator's doubles.
+    long = sample_draws(seed, 1000)
+    for k in (1, 2, 64):
+        short = sample_draws(seed, k)
+        assert list(short) == list(long)
+        for key, column in long.items():
+            assert short[key].dtype == column.dtype, key
+            assert short[key].tobytes() == column[:k].tobytes(), key
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_short_draws_equal_the_scalar_loop(seed):
-    # The scalar loop's first n draws do not depend on how many follow, so one
-    # reference of 64 draws covers every n up to 64.
-    reference = _scalar_draws(seed, 64)
-    for n in (1, 2, 3, 64):
-        expected = {key: column[:n] for key, column in reference.items()}
-        _assert_bit_identical(sample_draws(seed, n), expected)
+@pytest.fixture(scope="module")
+def law_draws():
+    return sample_draws(2024, LAW_DRAWS)
 
 
-@pytest.mark.parametrize("seed", [42, 7, 123, 1, 2])
-def test_verify_sized_draws_equal_the_scalar_loop(seed):
-    _assert_bit_identical(sample_draws(seed, 1000), _scalar_draws(seed, 1000))
+def test_every_draw_is_a_physical_channel(law_draws):
+    eigenvalues = _bell_eigenvalues(law_draws["c11"], law_draws["c22"], law_draws["c33"])
+    # The acceptance rule of validate_physical.
+    assert np.all(eigenvalues.min(axis=-1) >= -EIGENVALUE_TOL)
+    assert np.max(np.abs(eigenvalues.sum(axis=-1) - 1.0)) <= 1e-15
 
 
-def test_a_short_buffer_regrows_to_the_same_draws(monkeypatch):
-    # The closed form runs once per buffer, over its candidate slots.
-    buffers = []
-    original = SAMPLING._bell_eigenvalues
-
-    def counted(*c):
-        buffers.append(len(c[0]))
-        return original(*c)
-
-    monkeypatch.setattr(SAMPLING, "SLOTS_PER_DRAW", 1)
-    monkeypatch.setattr(SAMPLING, "_bell_eigenvalues", counted)
-    _assert_bit_identical(sample_draws(5, 40), _scalar_draws(5, 40))
-    assert buffers[:3] == [40, 80, 160]
+def test_dyadic_moments_are_those_of_the_uniform_tetrahedron(law_draws):
+    c = np.stack([law_draws["c11"], law_draws["c22"], law_draws["c33"]])
+    # Exact moments of a uniform point of the tetrahedron with the Bell triples
+    # as corners: E c = 0, E c^2 = 1/5 and E c11 c22 c33 = -1/15.
+    samples = [*c, *c**2, c.prod(axis=0)]
+    exact = [0.0] * 3 + [1.0 / 5.0] * 3 + [-1.0 / 15.0]
+    for x, mean in zip(samples, exact):
+        sigma = x.std() / np.sqrt(LAW_DRAWS)
+        assert abs(x.mean() - mean) <= 5.0 * sigma

@@ -25,7 +25,6 @@ from unruh_teleport import (
 from unruh_teleport.fisher import (
     METHOD_NAMES, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _fisher
 )
-from unruh_teleport.sampling import sample_dyadic, sample_unruh
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
     _g17,
@@ -36,6 +35,8 @@ from unruh_teleport.sweep import (
     spec_from_dict,
     spec_to_dict,
 )
+
+from samplers import sample_dyadic, sample_unruh
 
 PHI_PLUS = CorrelationDyadic(1.0, -1.0, 1.0)
 

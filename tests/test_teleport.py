@@ -20,7 +20,8 @@ from unruh_teleport import (
 )
 from unruh_teleport import teleport
 from unruh_teleport.fisher import _point
-from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
+
+from samplers import sample_dyadic, sample_input, sample_unruh
 
 PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")

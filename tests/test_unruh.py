@@ -20,7 +20,8 @@ from unruh_teleport import (
 )
 from unruh_teleport import unruh
 from unruh_teleport.channels import PRESET_NAMES, X_STATE_EXAMPLE, _dyadic_to_density
-from unruh_teleport.sampling import sample_dyadic, sample_unruh
+
+from samplers import sample_dyadic, sample_unruh
 
 SQRT2_4 = math.sqrt(2.0) / 4.0
 

@@ -7,8 +7,7 @@ import pytest
 
 from unruh_teleport import ConsistencyError, DomainError, verify
 from unruh_teleport.cli import main
-from unruh_teleport.sampling import sample_dyadic, sample_input, sample_unruh
-from unruh_teleport.verify import VerifyReport
+from unruh_teleport.verify import VerifyReport, sample_draws
 
 VERIFY_MODULE = importlib.import_module("unruh_teleport.verify")
 
@@ -174,10 +173,8 @@ def test_worst_draw_names_the_draw_in_a_later_block(monkeypatch):
     assert blocks == [2, 2, 1]
     first = report.checks[0]
     assert first.passed is False
-    rng = np.random.default_rng(1)
-    draws = [(sample_input(rng), sample_dyadic(rng), sample_unruh(rng)) for _ in range(5)]
-    state, d, u = draws[3]
-    assert first.draw == (3, (*vars(state).items(), *vars(d).items(), *vars(u).items()))
+    draws = sample_draws(1, 5)
+    assert first.draw == (3, tuple((key, column[3].item()) for key, column in draws.items()))
     assert len({first}) == 1  # a Check stays hashable
     assert "      worst draw: 3 theta=" in report.render()
 
@@ -319,24 +316,24 @@ def test_numpy_integers_are_accepted():
     assert report.render().startswith("verification report: trials=2 seed=5\n")
 
 
-# SHA-256 of `verify` reports. The draws, and so the rng stream, are those of
-# the per-draw rejection sampler that sample_draws replaced.
+# SHA-256 of `verify` reports. The draws are those of sample_draws: row i of the
+# generator's doubles is draw i, and its Bell weights place the dyadic.
 REPORT_SHA256 = {
-    (1, 42): "6842cf5918ad642800e89d8d4ad0f9c7ba86bc8d37d9d6bc27edf3326094e280",
-    (1, 7): "7e059fe659cb9d9203e853bb602b4024528343613fb84e97c8bbad803860a5a6",
-    (1, 123): "78316149d1d4880cf4edf5f3ba0fe0acb094380fcb838326bd61d1bd807d37a5",
-    (1, 1): "734e7a6a304d34e8b895e60b264aa8d35a49646b67567f6d385e7b63439f303e",
-    (1, 2): "31b2ffea3e57c5a18dc4a81646df321e892173c4444d880a06b1e208fee79437",
-    (7, 42): "317249f0672342f407410bdd1c878facfaa51447c9c96df9cf3c2cebe3dd0021",
-    (7, 7): "33a2da4d1182ace6051a3fff1ddb344998b16c74589048b7a3cd104e358a9eae",
-    (7, 123): "ee49ad90280e7741b30d4acb6fcec08e749811b277defdb12b4d666903f866bd",
-    (7, 1): "33855150074ffc7e17c43611a3a84647255bd49b974cd04bdef0eca52e77711d",
-    (7, 2): "09f53de1f23db8fa7022139ca574b769864f3fcaf753b666c9bb19d809806a86",
-    (1000, 42): "682682f8e966afa67a5c543432473d0222d527c9bb55a2d600973265cd1d0f32",
-    (1000, 7): "0475cd2caa2a05f943872a0acb547fa0b412c55ecf4855087571cac8d8f14626",
-    (1000, 123): "166e0ac19e1124ebf96114c530cb0f2e6734d62c1affbb135187e8699ae687cb",
-    (1000, 1): "b02a8b885f3b693e8d0df1c5889ea8102531b165960122fe8088a46ddf5ec1cb",
-    (1000, 2): "3d72f3b9d7460e6a5d24ee663f188049a78fa1b1cf2c6e76c63a3adaf63c09cd",
+    (1, 42): "641a2022d14a04f237c471342f2409844bcef2725ac263096ecbd6538fb281ec",
+    (1, 7): "cdf5319c08112fa167c3567d2d30f9b4247550635d66491900d2b2a7606e8fba",
+    (1, 123): "6e00dbad1cc1b016cc9cba6f1df887ea13c4ac61e96f1d5e83bd4de655de7c41",
+    (1, 1): "58b7f27887b622f2099f9f1d90ac3556ae590f46fc3e81037dc90ee728299a3d",
+    (1, 2): "0898dd5941fb8d87cc0776da809f339873e38762692de5e6cdb00b3878d90680",
+    (7, 42): "ad68e0a3c1411933afe43cb56731163c9e0b745cefd6a1be106bf80060f5e3ba",
+    (7, 7): "23cffb26a1918474e4f25e1b44fd34e61d119b1bc8dc80e0d20765a510353b82",
+    (7, 123): "bf9b4f25e32a72a75785d9f073a1c4f8fe007d14f589cc383ba7c4e5ce86b301",
+    (7, 1): "11e43ecff4ef7f0eef97e126497bbb6aaf0a47a52aea09487e2a0f9f42e14416",
+    (7, 2): "e0afdfd46efa3b1ebfa89dcca5128f31deb41baa9b48121e2197ee45bc7c6313",
+    (1000, 42): "908f8a6906d940733956be8c25e50f771ccf0a67d4980fffe2af66760cf68454",
+    (1000, 7): "6979efa65f5fb00a7b70e0a0641a776969d15c0eb4ed582d5c8a9d71b7d4a7c4",
+    (1000, 123): "3fb814a96a20612ae7c3b738364b0763828e1572b5b1af4bbbab74318dfb8dbb",
+    (1000, 1): "71c81f62e9bff206ee1f8dc57357f89315c0b065611cc80ff0dc18011628ad70",
+    (1000, 2): "f09fc098cfe4262e0ed84bf99f13936d8ff3f98edd6665d34aaf7bbec27d44ac",
 }
 
 
