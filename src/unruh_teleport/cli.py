@@ -214,7 +214,7 @@ def _matrix_text(m: np.ndarray) -> str:
 def _report(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> int:
     """Write the payload as JSON, or the text lines under ``--format text``."""
     text = "\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2)
-    write_output(text + "\n", args.out)
+    write_output([text, "\n"], args.out)
     return 0
 
 
@@ -360,7 +360,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                 f"{fig_id}: F_{estimand}({', '.join(swept)}) at {fixed_text}, "
                 f"{channel}, {mode}\n"
             )
-        write_output("".join(lines), args.out)
+        write_output(lines, args.out)
         return 0
     if args.id is None:
         raise DomainError("--id is required (or use --list)")
@@ -371,7 +371,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(**_given(args, ("trials", "seed")))
-    write_output(report.render(), None)
+    write_output([report.render()], None)
     return 0 if report.passed else 2
 
 

@@ -13,9 +13,10 @@ import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -353,18 +354,19 @@ _DIGITS4 = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48).T.copy().view(n
 _DECADES = np.array([float(f"1e{m}") for m in range(-4, 21)])
 
 
-def _g17_layout() -> np.ndarray:
+def _layout(integral_tail: int) -> np.ndarray:
     """Row ``(e + 4) * 17 + t``: for a value of decimal exponent e in -4..16 and t
     trailing zero digits, the source of each of its 22 bytes among "000", the 17
-    digits, the point and a NUL (bytes 0-2, 3-19, 20 and 21)."""
+    digits, the point and a NUL (bytes 0-2, 3-19, 20 and 21). An integral value ends with
+    ``integral_tail`` bytes from its point: none for %g, ".0" for repr (e <= 15 there)."""
     j, e, t = np.arange(22), np.arange(-4, 17)[:, None, None], np.arange(17)[:, None]
     point = np.maximum(e + 1, 1)
     source = np.where(j == point, 20, np.maximum(3 + j - np.where(e < 0, 1 - e, j > point), 0))
-    length = np.where(t >= 16 - e, point, 18 - t - np.minimum(e, 0))
+    length = np.where(t >= 16 - e, point + integral_tail, 18 - t - np.minimum(e, 0))
     return np.where(j < length, source, 21).astype(np.uint8).reshape(-1, 22)
 
 
-_G17_LAYOUT = _g17_layout()
+_G17_LAYOUT, _REPR_LAYOUT = _layout(0), _layout(2)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,90 +383,114 @@ def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
 
 
-def _g17(column: np.ndarray) -> list[bytes]:
-    """``[b"%.17g" % x for x in column]``, byte for byte, 65,536 values at a time.
+def _shortest17(x: np.ndarray, e: np.ndarray, near: np.ndarray,
+                frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``V = near + frac = x * 10**(16 - e)`` at the nearest multiple of the largest 10**j
+    strictly within H (x's half spacing, scaled alike) of V: repr's shortest digits (Steele
+    & White). Not ``sure`` for powers of two (a lopsided interval), ties, or a distance near H."""
+    half = np.spacing(x) * 0.5 * _DECADES[20 - e]  # exact: a power of two times 10**(16 - e)
+    digits, sure = near.copy(), (np.frexp(x)[0] != 0.5) & (np.abs(frac) != 0.5)
+    todo, step = np.flatnonzero(sure), 1
+    while todo.size:  # the j that fit are 0..J, so a value's first miss ends its search
+        step *= 10
+        q, rem = np.divmod(near[todo], step)
+        down, up = np.abs(rem + frac[todo]), (step - rem) - frac[todo]
+        dist, margin = np.minimum(down, up), half[todo] * 1e-9
+        unsure = (np.abs(dist - half[todo]) <= margin) | (np.abs(up - down) <= margin)
+        fits = (dist < half[todo]) & ~unsure
+        sure[todo[unsure]] = False
+        digits[todo[fits]] = (q + (up < down))[fits] * step
+        todo = todo[fits]
+    return digits, sure
 
-    A value in [1e-4, 1e17) is scaled by Dekker's two-product to ``hi + lo`` in
-    [1e16, 1e17), exactly, rounded half to even to 17 digits and laid out in
-    %g's fixed notation. Zero, negatives and the rest go through ``%``.
-    """
+
+def _fixed(column: np.ndarray, fmt: bytes) -> list[bytes]:
+    """``[fmt % x for x in column]`` for ``b"%.17g"`` or ``b"%r"``, byte for byte, 65,536
+    values at a time. A value in [1e-4, 1e17), or 1e16 for repr, is scaled by Dekker's
+    two-product to ``hi + lo`` in [1e16, 1e17), exactly, rounded half to even to 17
+    digits or shortened, and laid out in fixed notation. Zero, negatives, the rest, a
+    carry to 10**17 and values the shortening is not sure of go through ``fmt``."""
+    top, layout = (1e16, _REPR_LAYOUT) if fmt == b"%r" else (1e17, _G17_LAYOUT)
     texts: list[bytes] = []
     for start in range(0, len(column), 1 << 16):
         chunk = column[start : start + (1 << 16)]
-        ok = (chunk >= 1e-4) & (chunk < 1e17)
+        ok = (chunk >= 1e-4) & (chunk < top)
         x = np.where(ok, chunk, 1.0)
         e = np.searchsorted(_DECADES, x, side="right") - 5
         hi, lo = _times_pow10(x, 16 - e)
         # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds hi + lo half to even.
-        digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-        ok &= digits < 10**17
+        digits, sure = hi.astype(np.int64) + np.rint(lo).astype(np.int64), True
+        if fmt == b"%r":
+            digits, sure = _shortest17(x, e, digits, lo - np.rint(lo))
+        ok &= sure & (digits < 10**17)
         words = np.full((len(chunk), 6), np.frombuffer(b".\0\0\0", np.uint32)[0])
         for i in range(4, -1, -1):
             digits, words[:, i] = digits // 10_000, _DIGITS4[digits % 10_000]
         source = words.view(np.uint8)
         zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
-        layout = np.take(_G17_LAYOUT, (e + 4) * 17 + zeros, axis=0)
-        rows, text = np.arange(0, source.size, 24), np.empty((len(chunk), 22), np.uint8)
+        rows = np.take(layout, (e + 4) * 17 + zeros, axis=0)
+        offsets, text = np.arange(0, source.size, 24), np.empty((len(chunk), 22), np.uint8)
         for j in range(22):  # by column: an index of every byte would take 176 B a value
-            text[:, j] = source.ravel()[rows + layout[:, j]]
+            text[:, j] = source.ravel()[offsets + rows[:, j]]
         chunk_texts = text.view("S22").ravel().tolist()
         rest = np.flatnonzero(~ok)
         for i, value in zip(rest.tolist(), chunk[rest].tolist()):
-            chunk_texts[i] = b"%.17g" % value
+            chunk_texts[i] = fmt % value
         texts += chunk_texts
     return texts
 
 
-def rows_to_csv(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
-    """CSV with floats at 17 significant digits, so parsing restores them bit-exactly."""
-    lines, fisher = _point_lines(rows, ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n")
-    lines.insert(0, ",".join([*spec.axis_names, "fisher", "pure_branch"]) + "\n")
-    template = "".join(lines).encode()
-    del lines  # before _g17's bytes fill the template: the lines take twice its room
-    return (template % tuple(_g17(fisher))).decode("ascii")
-
-
-def rows_to_json(spec: SweepSpec, rows: Sequence[SweepRow]) -> str:
-    """``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte.
-
-    Each row's keys and separators sit in its template, whose ``%s`` writes a
-    float as ``float.__repr__``, as ``json`` does. A non-finite Fisher value or
-    coordinate is refused, since JSON has no spelling for it.
-    """
-    head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
-    keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
-    value = '      "fisher": %s,\n      "pure_branch": '
-    lines, fisher = _point_lines(rows, ["    {\n" + keys[0], *keys[1:]],
-                                 value + "false\n    },\n", value + "true\n    },\n")
-    if not lines:
-        return head + "\n"
-    # The rows go inside head's '"rows": []' + "\n}", the last without its ",\n".
-    lines[0] = head[: -len("]\n}")] + "\n" + lines[0]
-    lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
-    template = "".join(lines)
-    del lines  # before the fill: the lines take as much room as the template
-    return template % tuple(fisher.tolist())
+# The CSV Fisher column, [b"%.17g" % x for x in column], and JSON's, [repr(x).encode() ...].
+_g17 = partial(_fixed, fmt=b"%.17g")
+_shortest = partial(_fixed, fmt=b"%r")
 
 
 def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:
+    """CSV with floats at 17 significant digits, so parsing restores them bit-exactly, or
+    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte,
+    each Fisher value in the ``float.__repr__`` bytes that ``json`` writes. A non-finite
+    Fisher value or coordinate is refused, since JSON has no spelling for it."""
+    return "".join(_pieces(spec, rows, fmt))
+
+
+def _pieces(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> Iterator[str]:
+    """The rendered sweep: the head once every check has passed, then 8,192 rows a piece.
+    The lines go as they are used, so the lines and the text never both exist whole."""
     check_choice("output format", fmt, FORMATS)
     if fmt == "csv":
-        return rows_to_csv(spec, rows)
-    return rows_to_json(spec, rows)
-
-
-def write_output(text: str, destination: str | Path | None) -> None:
-    """Write ``text`` to ``destination`` (UTF-8), or to stdout if it is None."""
-    if destination is None:
-        sys.stdout.write(text)
+        lines, fisher = _point_lines(rows, ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n")
+        head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
+        keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
+        value = '      "fisher": %s,\n      "pure_branch": '
+        lines, fisher = _point_lines(rows, ["    {\n" + keys[0], *keys[1:]],
+                                     value + "false\n    },\n", value + "true\n    },\n")
+        if lines:  # the rows go inside head's '"rows": []' + "\n}", the last without its ",\n"
+            head = head[: -len("]\n}")]
+            lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
+    texts = _g17 if fmt == "csv" else _shortest
+    yield head + "\n"
+    for start in range(0, len(fisher), 1 << 13):
+        template = "".join(lines[: 1 << 13]).encode()
+        del lines[: 1 << 13]
+        yield (template % tuple(texts(fisher[start : start + (1 << 13)]))).decode()
+
+
+def write_output(pieces: Iterable[str], destination: str | Path | None) -> None:
+    """Write the pieces in turn to ``destination`` (UTF-8), or to stdout if it is None."""
+    if destination is None:
+        sys.stdout.writelines(pieces)
+    else:
+        with open(destination, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
 
 
 def emit(
     spec: SweepSpec, rows: Sequence[SweepRow], fmt: str, destination: str | Path | None = None
 ) -> None:
-    """Write the rendered sweep through :func:`write_output`; an empty sweep is refused."""
+    """Write the sweep through :func:`write_output` a piece at a time; an empty one is refused."""
     if not rows:
         raise DomainError("refusing to emit an empty sweep")
-    write_output(render_rows(spec, rows, fmt), destination)
+    pieces = _pieces(spec, rows, fmt)
+    write_output(itertools.chain([next(pieces)], pieces), destination)  # next() runs the checks

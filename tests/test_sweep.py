@@ -25,13 +25,14 @@ from unruh_teleport import (
 from unruh_teleport.fisher import (
     METHOD_NAMES, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _fisher
 )
+from unruh_teleport import sweep
 from unruh_teleport.sweep import (
     FIGURE_PRESETS,
     _g17,
+    _shortest,
     SweepRow,
     SweepRows,
-    rows_to_csv,
-    rows_to_json,
+    render_rows,
     spec_from_dict,
     spec_to_dict,
 )
@@ -56,6 +57,14 @@ def basic_spec(**overrides):
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
+
+
+def rows_to_csv(spec: SweepSpec, rows) -> str:
+    return render_rows(spec, rows, "csv")
+
+
+def rows_to_json(spec: SweepSpec, rows) -> str:
+    return render_rows(spec, rows, "json")
 
 
 def parse_csv_rows(text: str) -> list[SweepRow]:
@@ -442,6 +451,27 @@ class TestRenderContract:
             rows = run_sweep(spec)
             assert rows_to_csv(spec, rows) == _reference_csv(spec, rows), (fig_id, norm, method)
 
+    def test_json_of_every_figure_at_16_matches_reference(self):
+        for fig_id, norm, method in itertools.product(FIGURE_IDS, NORM_NAMES, METHOD_NAMES):
+            spec = figure_spec(fig_id, grid=16, norm=norm, method=method)
+            rows = run_sweep(spec)
+            assert rows_to_json(spec, rows) == _reference_json(spec, rows), (fig_id, norm, method)
+
+    def test_a_sweep_past_65536_points_matches_reference(self, tmp_path, capsys):
+        """257 x 256 points in JSON, and 129 x 65 in CSV: several rendered pieces, the
+        last a short one, with pure rows, through the renderer, a file and stdout."""
+        for fmt, counts in (("json", (257, 256)), ("csv", (129, 65))):
+            spec = basic_spec(axes=(Axis("theta", 0.0, math.pi, counts[0]),
+                                    Axis("r", 0.0, math.pi / 4, counts[1])))
+            rows = run_sweep(spec)
+            assert len(rows) > (1 << 16 if fmt == "json" else 1 << 13) and rows.pure.any()
+            reference = {"csv": _reference_csv, "json": _reference_json}[fmt](spec, rows)
+            assert render_rows(spec, rows, fmt) == reference, fmt
+            emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+            assert (tmp_path / f"out.{fmt}").read_text(encoding="utf-8") == reference, fmt
+            emit(spec, rows, fmt)
+            assert capsys.readouterr().out == reference, fmt
+
 
 def _dyadic(rng, n):
     """m * 2**-j; the second half are exact ties, odd * 2**-(17 - e) in
@@ -485,6 +515,44 @@ def test_g17_writes_the_bytes_of_format(name):
     if got != want:
         bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
         pytest.fail(f"{len(bad)} mismatches with format(x, '.17g'), first {bad[:3]}")
+
+
+# The repr formatter's draws: every CSV class, plus where repr's shortest digits
+# or its layout differ from %.17g. 300k or more in each class but the edges.
+REPR_CLASSES = {
+    **G17_CLASSES,
+    # The doubles around 2**k: short dyadic tails put many candidates on or next
+    # to the rounding interval's edge, and 2**k's own interval is lopsided.
+    "powers-of-two": lambda rng, n: _around([2.0**k for k in range(-14, 54)], n // 136 + 1),
+    # repr's notation switches below 1e-4 and at 1e16; an integral value ends in ".0".
+    "repr-edges": lambda rng, n: np.concatenate([
+        _around([1e-4, 1e16], 1000), _around([float(f"1e{k}") for k in range(16)], 30),
+        [0.0, -0.0, 2.0**53, 2.0**53 + 2, 1e16 - 2], np.arange(1.0, 10_001.0),
+        np.floor(10 ** rng.uniform(0, 16, 10_000))]),
+    # m / 10**k for m below 10**14: the double nearest a decimal of at most 14 digits.
+    "short-decimals": lambda rng, n: (rng.integers(1, 10 ** rng.integers(1, 15, n))
+                                      / 10.0 ** rng.integers(0, 20, n)),
+}
+
+
+@pytest.mark.parametrize("name", REPR_CLASSES)
+def test_shortest_writes_the_bytes_of_repr(name):
+    x = REPR_CLASSES[name](np.random.default_rng(17), 300_000)
+    values = x.tolist()
+    got, want = _shortest(x), [repr(v).encode() for v in values]
+    assert name in ("edges", "repr-edges") or len(got) >= 300_000
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+        pytest.fail(f"{len(bad)} mismatches with repr(x), first {bad[:3]}")
+
+
+def test_shortest_needs_its_fallback(monkeypatch):
+    """With every in-range value taken as sure (no fallback to repr for ties, edges
+    of the rounding interval or powers of two), the powers-of-two class fails."""
+    shortest17 = sweep._shortest17
+    monkeypatch.setattr(sweep, "_shortest17", lambda *args: (shortest17(*args)[0], True))
+    x = REPR_CLASSES["powers-of-two"](np.random.default_rng(17), 300_000)
+    assert _shortest(x) != [repr(v).encode() for v in x.tolist()]
 
 
 class TestSweepRows:
