@@ -22,6 +22,7 @@ from .sweep import (
     Axis,
     FIGURE_IDS,
     SweepRow,
+    SweepRows,
     SweepSpec,
     emit,
     figure_spec,
@@ -68,6 +69,7 @@ __all__ = [
     "PRESET_NAMES",
     "PhysicalityCheck",
     "SweepRow",
+    "SweepRows",
     "SweepSpec",
     "UnruhParams",
     "VerifyReport",

@@ -1,7 +1,7 @@
 """Parameter-grid sweeps, figure dataset presets and CSV/JSON emission.
 
-A sweep stays in the Fisher kernel's columns from evaluation to the emitted
-text, and a non-finite value in any column is refused before writing.
+A sweep stays in the Fisher kernel's columns (``SweepRows``) from evaluation to the
+emitted text, rendered a piece at a time; a non-finite value is refused before writing.
 """
 
 from __future__ import annotations
@@ -316,38 +316,6 @@ def _number(kind: str, value: object) -> float:
     return float(value)
 
 
-def _point_lines(rows: Sequence[SweepRow], axis_fmts: list[str], off: str,
-                 on: str) -> tuple[list[str], np.ndarray]:
-    """Per point a template line, its coordinates through ``axis_fmts`` then ``off``,
-    or ``on`` for a pure-branch point, with ``%s`` for its Fisher value; and that column.
-
-    Sweep columns format each axis value once and take the lines from the
-    product of those strings; other rows format each point's coordinates.
-    """
-    # ``off`` rides on the last axis format, its ``%`` escaped to survive that format.
-    fmts = [*axis_fmts[:-1], axis_fmts[-1] + off.replace("%", "%%")]
-    if isinstance(rows, SweepRows):
-        lines = [""]
-        for fmt, points in zip(fmts, rows.points):
-            texts = [fmt % x for x in points]
-            lines = [line + text for line in lines for text in texts]
-        fisher, pure, points = rows.fisher, rows.pure, rows.points
-    else:
-        fmt = "".join(fmts)
-        points = [row.coords for row in rows]
-        lines = [fmt % coords for coords in points]
-        fisher = np.array([row.fisher for row in rows], dtype=float)
-        pure = [bool(row.pure_branch) for row in rows]
-    if not (np.isfinite(fisher).all() and all(map(math.isfinite, itertools.chain(*points)))):
-        row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
-        value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
-        kind = "Fisher value" if not math.isfinite(row.fisher) else "coordinate"
-        raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
-    for i in np.flatnonzero(pure).tolist():
-        lines[i] = lines[i][: -len(off)] + on
-    return lines, fisher
-
-
 # The 10,000 four-digit strings, each as the uint32 that holds its bytes.
 _DIGITS4 = (np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48).T.copy().view(np.uint32).ravel()
 # The doubles nearest 10**-4..10**20, none below its power: x >= 10**m iff x >= _DECADES[m + 4].
@@ -445,36 +413,49 @@ _g17 = partial(_fixed, fmt=b"%.17g")
 _shortest = partial(_fixed, fmt=b"%r")
 
 
-def render_rows(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> str:
+def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
     """CSV with floats at 17 significant digits, so parsing restores them bit-exactly, or
-    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte,
-    each Fisher value in the ``float.__repr__`` bytes that ``json`` writes. A non-finite
-    Fisher value or coordinate is refused, since JSON has no spelling for it."""
-    return "".join(_pieces(spec, rows, fmt))
-
-
-def _pieces(spec: SweepSpec, rows: Sequence[SweepRow], fmt: str) -> Iterator[str]:
-    """The rendered sweep: the head once every check has passed, then 8,192 rows a piece.
-    The lines go as they are used, so the lines and the text never both exist whole."""
+    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte: the
+    head once columns that fit the spec's axes hold no non-finite value (JSON has no spelling
+    for one), then pieces of whole rows of the outer axis, about 8,192 points each."""
     check_choice("output format", fmt, FORMATS)
+    shape = [len(axis) for axis in rows.points]
+    if len(shape) != len(spec.axes) or not len(rows.fisher) == len(rows.pure) == math.prod(shape):
+        raise DomainError(f"sweep columns of {len(rows.fisher)} Fisher values and {len(rows.pure)} "
+                          f"pure flags on axes of {shape} points do not fit {spec.axis_names}")
+    if not (np.isfinite(rows.fisher).all() and all(map(math.isfinite, itertools.chain(*rows.points)))):
+        row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
+        value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
+        kind = "Fisher value" if not math.isfinite(row.fisher) else "coordinate"
+        raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     if fmt == "csv":
-        lines, fisher = _point_lines(rows, ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n")
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
+        axis_fmts, off, on = ["%.17g,"] * len(shape), "%s,false\n", "%s,true\n"
     else:
         head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
         keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
         value = '      "fisher": %s,\n      "pure_branch": '
-        lines, fisher = _point_lines(rows, ["    {\n" + keys[0], *keys[1:]],
-                                     value + "false\n    },\n", value + "true\n    },\n")
-        if lines:  # the rows go inside head's '"rows": []' + "\n}", the last without its ",\n"
+        axis_fmts = ["    {\n" + keys[0], *keys[1:]]
+        off, on = value + "false\n    },\n", value + "true\n    },\n"
+        if rows:  # the rows go inside head's '"rows": []' + "\n}", the last without its ",\n"
             head = head[: -len("]\n}")]
-            lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
-    texts = _g17 if fmt == "csv" else _shortest
     yield head + "\n"
-    for start in range(0, len(fisher), 1 << 13):
-        template = "".join(lines[: 1 << 13]).encode()
-        del lines[: 1 << 13]
-        yield (template % tuple(texts(fisher[start : start + (1 << 13)]))).decode()
+    axis_texts = [[f % x for x in axis] for f, axis in zip(axis_fmts, rows.points)]
+    # A one-axis sweep's inner axis is one empty text; an empty sweep has no pieces.
+    outer, inner = [*axis_texts, [""]][:2] if rows else ([], [""])
+    inner = [text + off for text in inner]
+    step = max(1, (1 << 13) // len(inner))
+    texts = _g17 if fmt == "csv" else _shortest
+    for j in range(0, len(outer), step):
+        lines = [a + b for a in outer[j : j + step] for b in inner]
+        piece = slice(j * len(inner), (j + step) * len(inner))
+        for i in np.flatnonzero(rows.pure[piece]).tolist():
+            lines[i] = lines[i][: -len(off)] + on
+        if fmt == "json" and j + step >= len(outer):
+            lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
+        template = "".join(lines).encode()
+        del lines  # before the fill, which makes one bytes object per value
+        yield (template % tuple(texts(rows.fisher[piece]))).decode()
 
 
 def write_output(pieces: Iterable[str], destination: str | Path | None) -> None:
@@ -487,9 +468,11 @@ def write_output(pieces: Iterable[str], destination: str | Path | None) -> None:
 
 
 def emit(
-    spec: SweepSpec, rows: Sequence[SweepRow], fmt: str, destination: str | Path | None = None
+    spec: SweepSpec, rows: SweepRows, fmt: str, destination: str | Path | None = None
 ) -> None:
-    """Write the sweep through :func:`write_output` a piece at a time; an empty one is refused."""
+    """Write the sweep's columns piece by piece; other rows and an empty sweep are refused."""
+    if not isinstance(rows, SweepRows):
+        raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
     if not rows:
         raise DomainError("refusing to emit an empty sweep")
     pieces = _pieces(spec, rows, fmt)

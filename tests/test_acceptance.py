@@ -27,7 +27,9 @@ from unruh_teleport import (
     teleport_closed_form,
     verify,
 )
-from unruh_teleport.sweep import FIGURE_IDS, render_rows
+from unruh_teleport import sweep
+from unruh_teleport.fisher import _fisher
+from unruh_teleport.sweep import FIGURE_IDS
 
 from samplers import sample_dyadic, sample_input, sample_unruh
 
@@ -35,6 +37,10 @@ PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
 
 SEED = 20240611
+
+
+def render_rows(spec, rows, fmt):
+    return "".join(sweep._pieces(spec, rows, fmt))
 
 
 def _line(number, name, passed, detail):
@@ -103,17 +109,15 @@ def test_criterion_4_closed_form_anchors():
     tol = 1e-9
     inertial = mode_params(0.0, "wsma")
 
-    err_cos = 0.0
-    for theta in np.linspace(0.0, math.pi, 21):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 21):
-            for r in np.linspace(0.0, math.pi / 4, 21):
-                value = fisher(
-                    InputState(float(theta), float(phi)),
-                    PHI_PLUS,
-                    mode_params(float(r), "wsma"),
-                    "theta",
-                ).value
-                err_cos = max(err_cos, abs(value - math.cos(float(r)) ** 2))
+    # The 21^3 grid in one kernel call, and one of its points through the public fisher.
+    theta, phi, r = np.ix_(np.linspace(0.0, math.pi, 21), np.linspace(0.0, 2.0 * math.pi, 21),
+                           np.linspace(0.0, math.pi / 4, 21))
+    point = {**vars(PHI_PLUS), **vars(inertial), "theta": theta, "phi": phi, "r": r}
+    values = _fisher(point, "theta", "normalized", "analytic")[0]
+    err_cos = float(np.max(np.abs(values - np.cos(r) ** 2)))
+    t, f, q = float(theta[7, 0, 0]), float(phi[0, 12, 0]), float(r[0, 0, 16])
+    value = fisher(InputState(t, f), PHI_PLUS, mode_params(q, "wsma"), "theta").value
+    err_cos = max(err_cos, abs(value - math.cos(q) ** 2))
 
     err_inertial = 0.0
     for theta in np.linspace(0.0, math.pi, 21):

@@ -241,6 +241,38 @@ class TestFisherAnchors:
                     assert abs(f_p - f_n / 16.0) < 1e-9
 
 
+class TestPureShellBand:
+    """F_r = 4 for bell-phi-plus at theta = 0 with wsma weights, at every r > 0. Next to
+    the pure shell the gap 1 - |s|^2 and s . ds both cancel, so the band r <= 1e-4 reads
+    far from 4 (ROADMAP item 1). The strict xfails turn into failures once it is fixed."""
+
+    @staticmethod
+    def _error(r):
+        value = fisher(InputState(0.0, 0.0), PHI_PLUS, mode_params(r, "wsma"), "r").value
+        return abs(value - 4.0) / max(1.0, abs(value))
+
+    def test_acceleration_information_outside_the_band(self):
+        for r in (1e-3, 1e-2, math.pi / 8, math.pi / 4):
+            assert self._error(r) <= 1e-9, r
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the gap and s . ds cancel next to the pure shell")
+    def test_acceleration_information_in_the_band(self):
+        for r in (1e-9, 1e-7, 1e-5, 1e-4):
+            assert self._error(r) <= 1e-9, r
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="weights off their norm by 1e-12 reach |s| - 1 = 1e-12")
+    def test_weights_off_their_norm_keep_the_bloch_vector_in_the_ball(self):
+        # Passes once UnruhParams refuses these weights, or once |s| stays within rounding of 1.
+        try:
+            u = UnruhParams(0.0, 1.0 + 4.99e-13, 0.0)
+        except DomainError:
+            return
+        s = bloch_teleported(InputState(math.pi, 0.4), PHI_PLUS, u)
+        assert np.linalg.norm(s) <= 1.0 + 4.0 * np.finfo(float).eps
+
+
 class TestFisherProperties:
     def test_non_negative_and_finite(self):
         rng = np.random.default_rng(41)

@@ -32,7 +32,6 @@ from unruh_teleport.sweep import (
     _shortest,
     SweepRow,
     SweepRows,
-    render_rows,
     spec_from_dict,
     spec_to_dict,
 )
@@ -59,11 +58,15 @@ def basic_spec(**overrides):
     return SweepSpec(**kwargs)
 
 
-def rows_to_csv(spec: SweepSpec, rows) -> str:
+def render_rows(spec: SweepSpec, rows: SweepRows, fmt: str) -> str:
+    return "".join(sweep._pieces(spec, rows, fmt))
+
+
+def rows_to_csv(spec: SweepSpec, rows: SweepRows) -> str:
     return render_rows(spec, rows, "csv")
 
 
-def rows_to_json(spec: SweepSpec, rows) -> str:
+def rows_to_json(spec: SweepSpec, rows: SweepRows) -> str:
     return render_rows(spec, rows, "json")
 
 
@@ -335,8 +338,6 @@ class TestEmission:
             emit(spec, [], "csv", tmp_path / "nothing.csv")
 
     def test_unknown_format(self):
-        from unruh_teleport.sweep import render_rows
-
         spec = basic_spec()
         rows = run_sweep(spec)
         with pytest.raises(DomainError):
@@ -392,8 +393,10 @@ class TestRenderContract:
                 "all-true": [True] * len(coords),
                 "all-false": [False] * len(coords),
                 "empty": []}[flags]
-        rows = [SweepRow(c, AWKWARD[-1 - i % len(AWKWARD)], b)
-                for i, (c, b) in enumerate(zip(coords, pure))]
+        fisher = [AWKWARD[-1 - i % len(AWKWARD)] for i in range(len(pure))]
+        rows = SweepRows((AWKWARD if pure else (),) * len(spec.axes), np.array(fisher),
+                         np.array(pure, dtype=bool))
+        assert rows == [SweepRow(c, f, b) for c, f, b in zip(coords, fisher, pure)]
         assert rows_to_csv(spec, rows) == _reference_csv(spec, rows)
         assert rows_to_json(spec, rows) == _reference_json(spec, rows)
         assert parse_csv_rows(rows_to_csv(spec, rows)) == rows
@@ -414,34 +417,30 @@ class TestRenderContract:
     @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
     def test_non_finite_fisher_is_refused(self, value, tmp_path, capsys):
         spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
-        hand_built = [SweepRow((0.0,), 1.0, False), SweepRow((0.1,), value, False)]
-        columns = SweepRows(((0.0, 0.1),), np.array([1.0, value]), np.array([False, False]))
-        for rows in (hand_built, columns):
-            for render in (rows_to_csv, rows_to_json):
-                with pytest.raises(DomainError, match=r"non-finite Fisher value .* at \(0\.1,\)"):
-                    render(spec, rows)
-            for fmt in ("csv", "json"):
-                with pytest.raises(DomainError, match="non-finite"):
-                    emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
-                with pytest.raises(DomainError, match="non-finite"):
-                    emit(spec, rows, fmt)
+        rows = SweepRows(((0.0, 0.1),), np.array([1.0, value]), np.array([False, False]))
+        for render in (rows_to_csv, rows_to_json):
+            with pytest.raises(DomainError, match=r"non-finite Fisher value .* at \(0\.1,\)"):
+                render(spec, rows)
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError, match="non-finite"):
+                emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+            with pytest.raises(DomainError, match="non-finite"):
+                emit(spec, rows, fmt)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("value", (math.inf, math.nan))
     def test_non_finite_coordinate_is_refused(self, value, tmp_path, capsys):
         spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
-        hand_built = [SweepRow((0.0,), 1.0, False), SweepRow((value,), 2.0, False)]
-        columns = SweepRows(((0.0, value),), np.array([1.0, 2.0]), np.array([False, False]))
-        for rows in (hand_built, columns):
-            for render in (rows_to_csv, rows_to_json):
-                with pytest.raises(DomainError, match=rf"non-finite coordinate {value} at \({value},\)"):
-                    render(spec, rows)
-            for fmt in ("csv", "json"):
-                with pytest.raises(DomainError, match="non-finite coordinate"):
-                    emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
-                with pytest.raises(DomainError, match="non-finite coordinate"):
-                    emit(spec, rows, fmt)
+        rows = SweepRows(((0.0, value),), np.array([1.0, 2.0]), np.array([False, False]))
+        for render in (rows_to_csv, rows_to_json):
+            with pytest.raises(DomainError, match=rf"non-finite coordinate {value} at \({value},\)"):
+                render(spec, rows)
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError, match="non-finite coordinate"):
+                emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+            with pytest.raises(DomainError, match="non-finite coordinate"):
+                emit(spec, rows, fmt)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
 
@@ -471,6 +470,52 @@ class TestRenderContract:
             assert (tmp_path / f"out.{fmt}").read_text(encoding="utf-8") == reference, fmt
             emit(spec, rows, fmt)
             assert capsys.readouterr().out == reference, fmt
+
+    # Pieces are whole rows of the outer axis, 8,192 // (inner count) rows each. Each
+    # sweep here takes two: 4 x 3000 ends on a full piece of two rows, 150 x 100 on a
+    # short one (81 rows, then 69), and 8,195 points on one axis end on 3 points.
+    PIECES = {"last-full": (4, 3000), "last-short": (150, 100), "one-axis": (8195,)}
+
+    @pytest.mark.parametrize("name", PIECES)
+    def test_pure_flags_on_both_sides_of_a_piece_boundary(self, name):
+        counts = self.PIECES[name]
+        names = ("theta", "r")[: len(counts)]
+        spec = basic_spec(axes=[Axis(v, *VARIABLE_DOMAINS[v], count=n) for v, n in zip(names, counts)],
+                          fixed={k: v for k, v in {"phi": 0.5, "r": 0.1}.items() if k not in names})
+        rng = np.random.default_rng(21)
+        points = tuple(tuple(rng.choice(AWKWARD + (0.25, 1.0 / 3.0), n).tolist()) for n in counts)
+        size = math.prod(counts)
+        fisher = rng.choice(AWKWARD, size) * rng.choice((1.0, 3.0, 1.0 / 7.0), size)
+        step = max(1, 8192 // counts[1]) * counts[1] if len(counts) == 2 else 8192
+        pure = np.zeros(size, dtype=bool)
+        pure[[0, size - 1, *(b + k for b in range(step, size, step) for k in (-1, 0))]] = True
+        rows = SweepRows(points, fisher, pure)
+        for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
+            pieces = list(sweep._pieces(spec, rows, fmt))
+            assert len(pieces) == 3, fmt  # the head and two pieces
+            assert "".join(pieces) == reference(spec, rows), fmt
+
+    @pytest.mark.parametrize("case", ("short-columns", "short-fisher", "short-pure",
+                                      "long-columns", "extra-axis", "missing-axis"))
+    def test_columns_that_do_not_fit_the_spec_are_refused(self, case, tmp_path, capsys):
+        spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
+        rows = {
+            "short-columns": SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False])),
+            "short-fisher": SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False, False])),
+            "short-pure": SweepRows(((0.0, 0.1),), np.array([1.0, 2.0]), np.array([False])),
+            "long-columns": SweepRows(((0.0, 0.1),), np.ones(3), np.zeros(3, dtype=bool)),
+            "extra-axis": SweepRows(((0.0, 0.1), (0.5,)), np.ones(2), np.zeros(2, dtype=bool)),
+            "missing-axis": SweepRows((), np.ones(1), np.zeros(1, dtype=bool)),
+        }[case]
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError, match="do not fit"):
+                next(sweep._pieces(spec, rows, fmt))
+            with pytest.raises(DomainError, match="do not fit"):
+                emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+            with pytest.raises(DomainError, match="do not fit"):
+                emit(spec, rows, fmt)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
 
 
 def _dyadic(rng, n):
@@ -603,10 +648,10 @@ class TestSweepRows:
 
     def test_emit_refuses_an_empty_sweep(self, tmp_path, capsys):
         empty = SweepRows(((),), np.array([]), np.array([], dtype=bool))
-        for rows in ([], empty):
-            with pytest.raises(DomainError, match="empty"):
+        for rows, refusal in (([], "takes a sweep's SweepRows columns, got list"), (empty, "empty")):
+            with pytest.raises(DomainError, match=refusal):
                 emit(basic_spec(), rows, "json", tmp_path / "nothing.json")
-            with pytest.raises(DomainError, match="empty"):
+            with pytest.raises(DomainError, match=refusal):
                 emit(basic_spec(), rows, "csv")
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""

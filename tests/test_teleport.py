@@ -20,6 +20,7 @@ from unruh_teleport import (
 )
 from unruh_teleport import teleport
 from unruh_teleport.fisher import _point
+from unruh_teleport.unruh import _accelerate
 
 from samplers import sample_dyadic, sample_input, sample_unruh
 
@@ -141,22 +142,25 @@ class TestCircuitOracle:
 
 class TestCoefficientVsClosedForm:
     def test_agreement_on_grid(self):
+        # The 9 x 17 x 17 grid (r, theta, phi) in one broadcast call per form, and one of
+        # its points through the public functions, for each preset and mode.
         presets = [PHI_PLUS, SINGLET, preset_dyadic("werner", fidelity=0.62), X_STATE]
-        thetas = np.linspace(0.0, math.pi, 17)
-        phis = np.linspace(0.0, 2.0 * math.pi, 17)
-        rs = np.linspace(0.0, math.pi / 4, 9)
+        r, theta, phi = np.ix_(np.linspace(0.0, math.pi / 4, 9), np.linspace(0.0, math.pi, 17),
+                               np.linspace(0.0, 2.0 * math.pi, 17))
         worst = 0.0
         for d in presets:
             for mode in ("wsma", "bsma"):
-                for r in rs:
-                    u = mode_params(float(r), mode)
-                    ch = accelerate(d, u)
-                    for theta in thetas:
-                        for phi in phis:
-                            state = InputState(float(theta), float(phi))
-                            a = teleport_analytic(state, ch).rho
-                            b = teleport_closed_form(state, d, u).rho
-                            worst = max(worst, float(np.max(np.abs(a - b))))
+                u = mode_params(0.0, mode)
+                b = _accelerate(*d.as_tuple(), r, u.qr, u.ql)
+                a = teleport._teleport_analytic(theta, phi, *b)
+                closed = teleport._bloch_matrix(teleport._branch_bloch(theta, phi, *d.as_tuple(),
+                                                                       r, u.qr, u.ql))
+                worst = max(worst, float(np.max(np.abs(a - closed))))
+                state = InputState(float(theta[0, 5, 0]), float(phi[0, 0, 11]))
+                u = mode_params(float(r[6, 0, 0]), mode)
+                a = teleport_analytic(state, accelerate(d, u)).rho
+                closed = teleport_closed_form(state, d, u).rho
+                worst = max(worst, float(np.max(np.abs(a - closed))))
         assert worst < 1e-12
 
 
