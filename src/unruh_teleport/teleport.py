@@ -25,18 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices, partial_trace
+from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic
 from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .unruh import AcceleratedChannel, UnruhParams
 
 DEGENERATE_PROB = 1e-15
 # Constant factors of the circuit on (unknown, sender, receiver): CNOT from the
-# unknown qubit onto the sender's, Hadamard on the unknown qubit, and the
-# projector onto the sender's 00 outcome.
+# unknown qubit onto the sender's, and Hadamard on the unknown qubit.
 _CNOT_GATE = np.kron(CNOT, IDENTITY_2)
 _HADAMARD_GATE = np.kron(HADAMARD, np.eye(4, dtype=complex))
-_PROJ_00 = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), IDENTITY_2)
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,8 @@ def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams
 def _teleport_circuit_oracle(
     theta: ArrayLike, phi: ArrayLike, channel_density: np.ndarray
 ) -> np.ndarray:
-    """Branch matrices (last two axes) of :func:`teleport_circuit_oracle`; broadcasts."""
+    """Branch matrices (last two axes) of :func:`teleport_circuit_oracle`, the |00>
+    block of the sender's qubits; broadcasts."""
     beta = np.sin(theta / 2.0) * np.exp(1.0j * phi)
     amp = _matrices(2, 1, {(0, 0): np.cos(theta / 2.0), (1, 0): beta})
     input_density = amp * np.swapaxes(amp, -1, -2).conj()
@@ -190,7 +189,7 @@ def _teleport_circuit_oracle(
     if np.any(off):
         raise ConsistencyError(f"branch probabilities sum to {total[off][0]}, expected 1")
 
-    return partial_trace(_PROJ_00 @ evolved @ _PROJ_00, (2, 2, 2), keep=(2,))
+    return evolved[..., :2, :2]
 
 
 def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> BobState:
@@ -198,7 +197,8 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
 
     Forms input x channel on the factors (unknown, sender, receiver),
     applies CNOT (control = unknown qubit) then Hadamard on the unknown
-    qubit, projects the first two qubits onto |00> and traces them out.
+    qubit, and reads the |00> block of the first two qubits, which is their
+    projection onto |00> followed by the partial trace over them.
     """
     return _bob_state(_teleport_circuit_oracle(state.theta, state.phi, channel_density))
 

@@ -19,8 +19,11 @@ from unruh_teleport import (
     teleport_closed_form,
 )
 from unruh_teleport import teleport
+from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.fisher import _point
-from unruh_teleport.unruh import _accelerate
+from unruh_teleport._linalg import _kron, _matrices, partial_trace
+from unruh_teleport.unruh import _accelerate, _bogoliubov_oracle
+from unruh_teleport.verify import sample_draws
 
 from samplers import sample_dyadic, sample_input, sample_unruh
 
@@ -219,3 +222,43 @@ class TestBroadcastForms:
             assert np.max(np.abs(analytic[i] - teleport_analytic(state, ch).rho)) <= EPS
             assert np.array_equal(circuit[i], teleport_circuit_oracle(state, oracles[i]).rho)
             assert np.array_equal(closed[i], teleport_closed_form(state, d, u).rho)
+
+
+def _projected_circuit_oracle(theta, phi, channel_density):
+    # The circuit oracle's branch by projection and partial trace: the sender's
+    # qubits projected onto |00> by a 0/1 diagonal sandwich, then traced out.
+    beta = np.sin(theta / 2.0) * np.exp(1.0j * phi)
+    amp = _matrices(2, 1, {(0, 0): np.cos(theta / 2.0), (1, 0): beta})
+    input_density = amp * np.swapaxes(amp, -1, -2).conj()
+    cnot, hadamard = teleport._CNOT_GATE, teleport._HADAMARD_GATE
+    evolved = (
+        hadamard @ cnot @ _kron(input_density, channel_density)
+        @ cnot.conj().T @ hadamard.conj().T
+    )
+    proj_00 = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(2)).astype(complex)
+    return partial_trace(proj_00 @ evolved @ proj_00, (2, 2, 2), keep=(2,))
+
+
+class TestCircuitOracleBlock:
+    def test_seeded_draws_equal_projection_and_partial_trace(self):
+        p = sample_draws(11, 2000)
+        oracles = _bogoliubov_oracle(p["c11"], p["c22"], p["c33"], p["r"], p["qr"], p["ql"])
+        circuit = teleport._teleport_circuit_oracle(p["theta"], p["phi"], oracles)
+        assert circuit.shape == (2000, 2, 2)
+        assert np.array_equal(circuit, _projected_circuit_oracle(p["theta"], p["phi"], oracles))
+
+    def test_presets_at_r0_equal_projection_and_partial_trace(self):
+        # The six presets of verify's invariant suite, inertial in both modes,
+        # on a grid of input states that includes the poles.
+        presets = [
+            PHI_PLUS, SINGLET,
+            preset_dyadic("werner", fidelity=0.0), preset_dyadic("werner", fidelity=0.5),
+            preset_dyadic("werner", fidelity=1.0), preset_dyadic("x-state", **X_STATE_EXAMPLE),
+        ]
+        theta, phi = np.ix_(np.linspace(0.0, math.pi, 7), np.linspace(0.0, 2.0 * math.pi, 7))
+        for d in presets:
+            for mode in ("wsma", "bsma"):
+                oracle = bogoliubov_oracle(d, mode_params(0.0, mode))
+                circuit = teleport._teleport_circuit_oracle(theta, phi, oracle)
+                assert circuit.shape == (7, 7, 2, 2)
+                assert np.array_equal(circuit, _projected_circuit_oracle(theta, phi, oracle))

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -348,3 +349,51 @@ def test_report_defaults_are_1000_trials_seed_42(capsys):
     assert main(["verify"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REPORT_SHA256[1000, 42]
+
+
+def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
+    # The old block of 64, the default and one block of all 1000 draws.
+    for block in (64, VERIFY_MODULE.BLOCK, 1000):
+        monkeypatch.setattr(VERIFY_MODULE, "BLOCK", block)
+        text = verify(1000, 42).render()
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], block
+
+
+def test_kernel_passes_are_pinned(monkeypatch):
+    # verify's own names for the kernel functions record the arguments after
+    # the point mapping of each call, and whether _mode_scaling_error made it.
+    calls = {"_bloch": [], "_partial": [], "_fisher": []}
+    scaling = []
+
+    def counted(name):
+        original = getattr(VERIFY_MODULE, name)
+
+        def wrapper(p, *args):
+            calls[name].append((bool(scaling), args))
+            return original(p, *args)
+
+        return wrapper
+
+    def mode_scaling(original=VERIFY_MODULE._mode_scaling_error):
+        scaling.append(True)
+        try:
+            return original()
+        finally:
+            scaling.pop()
+
+    for name in calls:
+        monkeypatch.setattr(VERIFY_MODULE, name, counted(name))
+    monkeypatch.setattr(VERIFY_MODULE, "_mode_scaling_error", mode_scaling)
+    assert verify(50, 1).passed
+    combos = sorted(itertools.product(VERIFY_MODULE.PARAM_NAMES, VERIFY_MODULE.NORM_NAMES))
+    # One Bloch pass per norm.
+    assert sorted(args for _, args in calls["_bloch"]) == [("as-published",), ("normalized",)]
+    # One analytic and one fd partial per (estimand, norm).
+    for method in ("analytic", "fd"):
+        made = [args[:2] for _, args in calls["_partial"] if args[2] == method]
+        assert sorted(made) == combos, method
+    assert len(calls["_partial"]) == 12
+    # One Fisher pass per (estimand, norm) for both Bell presets in the mode
+    # scaling check; the finite check's six and the anchor's one stay apart.
+    assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
+    assert sum(not inside for inside, _ in calls["_fisher"]) == 7
