@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -379,8 +380,10 @@ COMMANDS = dict(channel=_cmd_channel, teleport=_cmd_teleport, fisher=_cmd_fisher
                 sweep=_cmd_sweep, figures=_cmd_figures, verify=_cmd_verify)
 
 
+@functools.lru_cache(maxsize=len(COMMANDS) + 1)
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: only ``command``'s subparser if it names one, else all six."""
+    """The CLI's parser: only ``command``'s subparser if it names one, else all six. Built
+    on first use and shared, so never mutate it; a parse leaves nothing on it."""
     parser = _Parser(
         prog="unruh-teleport",
         description=(
@@ -453,7 +456,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser(*(sys.argv[1:] if argv is None else argv)[:1]).parse_args(argv)
+        words = sys.argv[1:] if argv is None else argv
+        args = build_parser(*COMMANDS.keys() & words[:1]).parse_args(argv)
         return COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse's help action prints the help, then exits 0
         return exc.code

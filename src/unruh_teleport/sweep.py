@@ -149,6 +149,12 @@ class SweepRows(Sequence[SweepRow]):
     fisher: np.ndarray
     pure: np.ndarray
 
+    def __post_init__(self) -> None:
+        shape = [len(axis) for axis in self.points]
+        if not len(self.fisher) == len(self.pure) == math.prod(shape):
+            raise DomainError(f"sweep columns of {len(self.fisher)} Fisher values and "
+                              f"{len(self.pure)} pure flags do not fit axes of {shape} points")
+
     def __len__(self) -> int:
         return len(self.fisher)
 
@@ -419,10 +425,8 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
     head once columns that fit the spec's axes hold no non-finite value (JSON has no spelling
     for one), then pieces of whole rows of the outer axis, about 8,192 points each."""
     check_choice("output format", fmt, FORMATS)
-    shape = [len(axis) for axis in rows.points]
-    if len(shape) != len(spec.axes) or not len(rows.fisher) == len(rows.pure) == math.prod(shape):
-        raise DomainError(f"sweep columns of {len(rows.fisher)} Fisher values and {len(rows.pure)} "
-                          f"pure flags on axes of {shape} points do not fit {spec.axis_names}")
+    if len(rows.points) != len(spec.axes):
+        raise DomainError(f"sweep columns on {len(rows.points)} axes do not fit {spec.axis_names}")
     if not (np.isfinite(rows.fisher).all() and all(map(math.isfinite, itertools.chain(*rows.points)))):
         row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
         value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
@@ -430,7 +434,7 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
         raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     if fmt == "csv":
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-        axis_fmts, off, on = ["%.17g,"] * len(shape), "%s,false\n", "%s,true\n"
+        axis_fmts, off, on = ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n"
     else:
         head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
         keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]

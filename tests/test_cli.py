@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -659,6 +660,103 @@ class TestParserScope:
         for command in (None, "bogus", "-h"):
             parser = build_parser() if command is None else build_parser(command)
             assert list(parser._subparsers._group_actions[0].choices) == ALL_COMMANDS
+
+
+class TestParserReuse:
+    """``build_parser`` is cached: ``main`` reuses one parser per subcommand, plus the
+    full parser for no word, ``-h`` or an unknown word, and a reused parser gives the
+    same exit code, stdout and stderr as a fresh one."""
+
+    SWEEP = ["sweep", "--param", "theta", "--grid", "theta=0:pi:3", "--phi", "1", "--r", "0.1",
+             "--preset", "bell-phi-plus"]
+    CALLS = (
+        SWEEP,
+        ["sweep", "--param", "phi", "--grid", "r=0:pi/4:2", "--grid", "phi=0:pi:3",
+         "--theta", "1", "--preset", "werner", "--fidelity", "0.8", "--format", "json"],
+        ["sweep", "--grid"],
+        ["figures", "-h"],
+        ["verify", "--trials", "3"],
+        SWEEP,
+    )
+
+    @staticmethod
+    def _outcomes(capsys):
+        outcomes = []
+        for argv in TestParserReuse.CALLS:
+            code = main(list(argv))
+            outcomes.append((code, *capsys.readouterr()))
+        return outcomes
+
+    def test_reused_parsers_give_the_bytes_of_fresh_ones(self, monkeypatch, capsys):
+        cli = importlib.import_module("unruh_teleport.cli")
+        cli.build_parser.cache_clear()
+        cached = self._outcomes(capsys)
+        assert cli.build_parser.cache_info().currsize == 3  # sweep, figures, verify
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cached == self._outcomes(capsys)
+        assert [code for code, _, _ in cached] == [0, 0, 1, 0, 0, 0]
+        assert cached[0] == cached[-1]
+        assert cached[2][2] == "error: argument --grid: expected one argument\n"
+
+    def test_each_parser_is_built_once(self, capsys):
+        cli = importlib.import_module("unruh_teleport.cli")
+        cli.build_parser.cache_clear()
+        for _ in range(20):
+            assert main(["figures", "--list"]) == 0
+        assert cli.build_parser.cache_info()[:4] == (19, 1, 7, 1)  # hits, misses, maxsize, size
+        for i in range(20):
+            assert main([f"bogus-{i}"]) == 1
+        assert cli.build_parser.cache_info()[:4] == (38, 2, 7, 2)
+        for command in (*ALL_COMMANDS, "-h", "--bogus"):
+            main([command, "--bogus"])
+        assert cli.build_parser.cache_info()[:4] == (41, 7, 7, 7)
+
+    def test_threads_share_the_parsers(self, tmp_path, capsys):
+        # More threads than cores, switching often, starting from an empty cache: a race
+        # may build a parser twice, but every call still writes the sequential bytes.
+        cli = importlib.import_module("unruh_teleport.cli")
+        calls = (
+            ["figures", "--id", "1a", "--grid", "3"],
+            ["sweep", "--grid", "r=0:pi/4:2", "--param", "theta", "--theta", "1", "--phi", "1",
+             "--preset", "werner", "--fidelity", "0.9"],
+            ["sweep", "--grid"],  # a usage error: --grid gets no value before --out
+        )
+        expected = []
+        for k, argv in enumerate(calls):
+            code = main([*argv, "--out", str(tmp_path / f"expected-{k}")])
+            expected.append((code, (tmp_path / f"expected-{k}").read_bytes() if code == 0 else None))
+        cli.build_parser.cache_clear()
+        seen = {}
+
+        def run(t):
+            for j in range(9):
+                k = (t + j) % len(calls)
+                out = tmp_path / f"thread-{t}-{j}"
+                code = main([*calls[k], "--out", str(out)])
+                seen[t, j] = expected[k] == (code, out.read_bytes() if code == 0 else None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 36 and all(seen.values())
+        assert cli.build_parser.cache_info().currsize == 2  # figures, sweep
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse; made = []; init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(self) or "
+            "init(self, *a, **k); import unruh_teleport.cli as cli; "
+            "print(len(made), cli.build_parser.cache_info().currsize)"
+        )
+        assert _run_probe(probe) == "0 0\n"
 
 
 # SHA-256 of `figures` outputs, pinned at the one-template renderer that the
@@ -1384,9 +1482,14 @@ def test_numpy_is_the_only_runtime_dependency():
         "import sys; before = set(sys.modules); import unruh_teleport.cli; "
         "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
     )
+    added = _run_probe(probe).split()
+    assert set(added) - set(sys.stdlib_module_names) == {"numpy", "unruh_teleport"}
+
+
+def _run_probe(probe):
+    """The stdout of ``probe`` run in a fresh interpreter that imports this package."""
     path = [str(Path(unruh_teleport.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    added = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert set(added) - set(sys.stdlib_module_names) == {"numpy", "unruh_teleport"}
+    ).stdout

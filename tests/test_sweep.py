@@ -496,24 +496,32 @@ class TestRenderContract:
             assert "".join(pieces) == reference(spec, rows), fmt
 
     @pytest.mark.parametrize("case", ("short-columns", "short-fisher", "short-pure",
-                                      "long-columns", "extra-axis", "missing-axis"))
+                                      "long-columns", "extra-axis", "missing-axis",
+                                      "three-points-two-values"))
     def test_columns_that_do_not_fit_the_spec_are_refused(self, case, tmp_path, capsys):
+        # Columns whose lengths do not fit the axes are refused when SweepRows is built,
+        # axes that do not fit the spec when the rows are rendered.
         spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
         rows = {
-            "short-columns": SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False])),
-            "short-fisher": SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False, False])),
-            "short-pure": SweepRows(((0.0, 0.1),), np.array([1.0, 2.0]), np.array([False])),
-            "long-columns": SweepRows(((0.0, 0.1),), np.ones(3), np.zeros(3, dtype=bool)),
-            "extra-axis": SweepRows(((0.0, 0.1), (0.5,)), np.ones(2), np.zeros(2, dtype=bool)),
-            "missing-axis": SweepRows((), np.ones(1), np.zeros(1, dtype=bool)),
+            "short-columns": lambda: SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False])),
+            "short-fisher": lambda: SweepRows(((0.0, 0.1),), np.array([1.0]), np.array([False, False])),
+            "short-pure": lambda: SweepRows(((0.0, 0.1),), np.array([1.0, 2.0]), np.array([False])),
+            "long-columns": lambda: SweepRows(((0.0, 0.1),), np.ones(3), np.zeros(3, dtype=bool)),
+            "extra-axis": lambda: SweepRows(((0.0, 0.1), (0.5,)), np.ones(2), np.zeros(2, dtype=bool)),
+            "missing-axis": lambda: SweepRows((), np.ones(1), np.zeros(1, dtype=bool)),
+            "three-points-two-values": lambda: SweepRows(
+                ((0.0, 0.1, 0.2),), np.array([1.0, 2.0]), np.array([False, True, False])),
         }[case]
+        if case not in ("extra-axis", "missing-axis"):
+            with pytest.raises(DomainError, match="do not fit axes of"):
+                rows()
         for fmt in ("csv", "json"):
             with pytest.raises(DomainError, match="do not fit"):
-                next(sweep._pieces(spec, rows, fmt))
+                next(sweep._pieces(spec, rows(), fmt))
             with pytest.raises(DomainError, match="do not fit"):
-                emit(spec, rows, fmt, tmp_path / f"out.{fmt}")
+                emit(spec, rows(), fmt, tmp_path / f"out.{fmt}")
             with pytest.raises(DomainError, match="do not fit"):
-                emit(spec, rows, fmt)
+                emit(spec, rows(), fmt)
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().out == ""
 

@@ -126,8 +126,8 @@ class TestCircuitOracle:
             assert np.max(np.abs(bob.rho_normalized - np.eye(2) / 2.0)) < 1e-12
 
     def test_result_does_not_alias_constants(self):
-        # The gates and the projector are built once; editing a returned
-        # branch state in place must not change the next result.
+        # The gates are built once; editing a returned branch state in place
+        # must not change the next result.
         state, oracle = InputState(1.0, 0.3), bogoliubov_oracle(X_STATE, mode_params(0.4, "bsma"))
         expected = teleport_circuit_oracle(state, oracle)
         first = teleport_circuit_oracle(state, oracle)
