@@ -380,10 +380,10 @@ COMMANDS = dict(channel=_cmd_channel, teleport=_cmd_teleport, fisher=_cmd_fisher
                 sweep=_cmd_sweep, figures=_cmd_figures, verify=_cmd_verify)
 
 
-@functools.lru_cache(maxsize=len(COMMANDS) + 1)
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: only ``command``'s subparser if it names one, else all six. Built
-    on first use and shared, so never mutate it; a parse leaves nothing on it."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with one subparser per entry of ``COMMANDS``. Built on first
+    use and shared, so never mutate it; a parse leaves nothing on it."""
     parser = _Parser(
         prog="unruh-teleport",
         description=(
@@ -394,70 +394,66 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, text: str) -> argparse.ArgumentParser | None:
-        return None if command in COMMANDS and command != name else sub.add_parser(name, help=text)
+    p_channel = sub.add_parser("channel", help="inspect an initial or accelerated channel")
+    _add_point_args(p_channel)
+    p_channel.add_argument("--format", choices=REPORT_FORMATS, default="text")
+    p_channel.add_argument("--out", help="write to a file instead of stdout")
 
-    if p_channel := add("channel", "inspect an initial or accelerated channel"):
-        _add_point_args(p_channel)
-        p_channel.add_argument("--format", choices=REPORT_FORMATS, default="text")
-        p_channel.add_argument("--out", help="write to a file instead of stdout")
+    p_teleport = sub.add_parser("teleport", help="teleport a state and print the branch result")
+    p_teleport.add_argument("--theta", type=parse_angle, required=True)
+    p_teleport.add_argument("--phi", type=parse_angle, required=True)
+    _add_point_args(p_teleport)
+    p_teleport.add_argument("--format", choices=REPORT_FORMATS, default="text")
+    p_teleport.add_argument("--out", help="write to a file instead of stdout")
 
-    if p_teleport := add("teleport", "teleport a state and print the branch result"):
-        p_teleport.add_argument("--theta", type=parse_angle, required=True)
-        p_teleport.add_argument("--phi", type=parse_angle, required=True)
-        _add_point_args(p_teleport)
-        p_teleport.add_argument("--format", choices=REPORT_FORMATS, default="text")
-        p_teleport.add_argument("--out", help="write to a file instead of stdout")
+    p_fisher = sub.add_parser("fisher", help="Fisher information at a single point")
+    p_fisher.add_argument("--param", choices=PARAM_NAMES, required=True)
+    p_fisher.add_argument("--norm", choices=NORM_NAMES, default="normalized")
+    p_fisher.add_argument("--method", choices=METHOD_NAMES, default="analytic")
+    p_fisher.add_argument("--fd-step", type=float)
+    p_fisher.add_argument("--theta", type=parse_angle, required=True)
+    p_fisher.add_argument("--phi", type=parse_angle, required=True)
+    _add_point_args(p_fisher)
+    p_fisher.add_argument("--out", help="write to a file instead of stdout")
+    p_fisher.set_defaults(format="json")
 
-    if p_fisher := add("fisher", "Fisher information at a single point"):
-        p_fisher.add_argument("--param", choices=PARAM_NAMES, required=True)
-        p_fisher.add_argument("--norm", choices=NORM_NAMES, default="normalized")
-        p_fisher.add_argument("--method", choices=METHOD_NAMES, default="analytic")
-        p_fisher.add_argument("--fd-step", type=float)
-        p_fisher.add_argument("--theta", type=parse_angle, required=True)
-        p_fisher.add_argument("--phi", type=parse_angle, required=True)
-        _add_point_args(p_fisher)
-        p_fisher.add_argument("--out", help="write to a file instead of stdout")
-        p_fisher.set_defaults(format="json")
+    p_sweep = sub.add_parser("sweep", help="evaluate Fisher information on a grid")
+    p_sweep.add_argument("--param", choices=PARAM_NAMES)
+    p_sweep.add_argument("--norm", choices=NORM_NAMES)
+    p_sweep.add_argument("--method", choices=METHOD_NAMES)
+    p_sweep.add_argument(
+        "--grid",
+        action="append",
+        metavar="NAME=START:STOP:COUNT",
+        help="swept axis, e.g. theta=0:pi:64 (repeatable, or comma separated)",
+    )
+    for name in PARAM_NAMES:
+        p_sweep.add_argument(f"--{name}", type=parse_angle, help="fixed value when not swept")
+    _add_channel_args(p_sweep)
+    _add_weight_args(p_sweep)
+    p_sweep.add_argument("--spec", help="load the sweep spec from a JSON file")
+    p_sweep.add_argument("--format", choices=FORMATS, default="csv")
+    p_sweep.add_argument("--out", help="write to a file instead of stdout")
 
-    if p_sweep := add("sweep", "evaluate Fisher information on a grid"):
-        p_sweep.add_argument("--param", choices=PARAM_NAMES)
-        p_sweep.add_argument("--norm", choices=NORM_NAMES)
-        p_sweep.add_argument("--method", choices=METHOD_NAMES)
-        p_sweep.add_argument(
-            "--grid",
-            action="append",
-            metavar="NAME=START:STOP:COUNT",
-            help="swept axis, e.g. theta=0:pi:64 (repeatable, or comma separated)",
-        )
-        for name in PARAM_NAMES:
-            p_sweep.add_argument(f"--{name}", type=parse_angle, help="fixed value when not swept")
-        _add_channel_args(p_sweep)
-        _add_weight_args(p_sweep)
-        p_sweep.add_argument("--spec", help="load the sweep spec from a JSON file")
-        p_sweep.add_argument("--format", choices=FORMATS, default="csv")
-        p_sweep.add_argument("--out", help="write to a file instead of stdout")
+    p_figures = sub.add_parser("figures", help="emit a named figure dataset preset")
+    p_figures.add_argument("--id", choices=FIGURE_IDS)
+    p_figures.add_argument("--list", action="store_true", help="list the preset table")
+    p_figures.add_argument("--grid", type=int, help="points per axis")
+    p_figures.add_argument("--norm", choices=NORM_NAMES)
+    p_figures.add_argument("--method", choices=METHOD_NAMES)
+    p_figures.add_argument("--format", choices=FORMATS)
+    p_figures.add_argument("--out", help="write to a file instead of stdout")
 
-    if p_figures := add("figures", "emit a named figure dataset preset"):
-        p_figures.add_argument("--id", choices=FIGURE_IDS)
-        p_figures.add_argument("--list", action="store_true", help="list the preset table")
-        p_figures.add_argument("--grid", type=int, help="points per axis")
-        p_figures.add_argument("--norm", choices=NORM_NAMES)
-        p_figures.add_argument("--method", choices=METHOD_NAMES)
-        p_figures.add_argument("--format", choices=FORMATS)
-        p_figures.add_argument("--out", help="write to a file instead of stdout")
-
-    if p_verify := add("verify", "run every oracle cross-check"):
-        p_verify.add_argument("--trials", type=int)
-        p_verify.add_argument("--seed", type=int)
+    p_verify = sub.add_parser("verify", help="run every oracle cross-check")
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--seed", type=int)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        words = sys.argv[1:] if argv is None else argv
-        args = build_parser(*COMMANDS.keys() & words[:1]).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse's help action prints the help, then exits 0
         return exc.code

@@ -51,11 +51,14 @@ PURE_BRANCH_EPS = 1e-9
 DEFAULT_FD_STEP = 1e-5
 # Largest fd step accepted: pi/12, a third of the r range.
 MAX_FD_STEP = R_MAX / 3.0
-NEGATIVE_CLAMP = 1e-9
 
 
 @dataclass(frozen=True)
 class FisherValue:
+    """One Fisher value and whether it took the pure branch. ``clamped`` is always
+    False, since no value is ever negative; it stays so that the ``fisher`` report
+    keeps its ``"clamped": false`` key."""
+
     value: float
     pure_branch: bool
     clamped: bool
@@ -102,8 +105,9 @@ def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_
     return (plus - minus) / (2.0 * h)
 
 
-def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fisher values, pure-branch flags and clamp flags over the leading axes."""
+def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher values and pure-branch flags over the leading axes. Both terms of a
+    value are >= 0: a sum of squares, and a square over a gap above 1e-9."""
     norm2 = _dot(s, s)
     if np.any(np.sqrt(norm2) > 1.0 + 1e-12):
         largest = float(np.sqrt(np.max(norm2)))
@@ -116,17 +120,12 @@ def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.nd
     # NaN passes every comparison above; a non-finite value is a bug, not bad input.
     if not np.all(np.isfinite(value)):
         raise ConsistencyError(f"Fisher information {float(np.max(value))} is not finite")
-    if np.any(value < -NEGATIVE_CLAMP):
-        raise ConsistencyError(
-            f"Fisher information {float(np.min(value))} is negative beyond rounding"
-        )
-    clamped = value < 0.0
-    return np.where(clamped, 0.0, value), pure, clamped
+    return value, pure
 
 
 def _fisher(
     p: dict, param: str, mode: str, method: str, fd_step: float = DEFAULT_FD_STEP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     return _fisher_from_bloch(_bloch(p, mode), _partial(p, param, mode, method, fd_step))
 
 
@@ -159,14 +158,11 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     """Fisher information from a Bloch vector and its parameter derivative.
 
     Takes the pure-state branch when 1 - |s|^2 <= 1e-9, below which the
-    mixed-state denominator only amplifies rounding noise. Tiny negative
-    results (above -1e-9) clamp to zero with the clamp recorded; anything
-    more negative indicates a bug and raises.
+    mixed-state denominator only amplifies rounding noise. The value is never
+    negative; a non-finite one indicates a bug and raises.
     """
-    value, pure, clamped = _fisher_from_bloch(
-        np.asarray(s, dtype=float), np.asarray(ds, dtype=float)
-    )
-    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=bool(clamped))
+    value, pure = _fisher_from_bloch(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
+    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=False)
 
 
 def fisher(
@@ -181,5 +177,5 @@ def fisher(
 ) -> FisherValue:
     """Fisher information of the teleported state for one estimand."""
     check_args(param, mode, method, fd_step)
-    value, pure, clamped = _fisher(_point(state, d, u), param, mode, method, fd_step)
-    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=bool(clamped))
+    value, pure = _fisher(_point(state, d, u), param, mode, method, fd_step)
+    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=False)

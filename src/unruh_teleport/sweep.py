@@ -33,7 +33,8 @@ FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
 class Axis:
-    """One swept variable with an inclusive, evenly spaced grid."""
+    """One swept variable with an inclusive, evenly spaced grid; stores a float
+    start and stop and an int count."""
 
     name: str
     start: float
@@ -51,6 +52,9 @@ class Axis:
                 f"axis {self.name} range [{self.start}, {self.stop}] must be increasing "
                 f"and lie inside [{lo}, {hi}]"
             )
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "count", int(self.count))
 
     def points(self) -> np.ndarray:
         # linspace places interior points at start + i*(stop-start)/(count-1)
@@ -66,7 +70,9 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A fully resolved sweep: estimand, channel, mode weights, grid."""
+    """A fully resolved sweep: estimand, channel, mode weights, grid. ``fixed`` may be
+    given as a mapping or as (name, value) pairs; it is stored as float pairs in
+    ``PARAM_NAMES`` order."""
 
     estimand: str
     norm: str
@@ -82,14 +88,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_args(self.estimand, self.norm, self.method)
-        if isinstance(self.fixed, Mapping):
-            for name in self.fixed:
-                check_choice("fixed variable", name, PARAM_NAMES)
-            object.__setattr__(
-                self,
-                "fixed",
-                tuple((name, float(self.fixed[name])) for name in PARAM_NAMES if name in self.fixed),
-            )
+        fixed = dict(self.fixed)
+        if len(fixed) != len(self.fixed):
+            raise DomainError(f"fixed variables {self.fixed} repeat a name")
+        for name in fixed:
+            check_choice("fixed variable", name, PARAM_NAMES)
+        object.__setattr__(
+            self, "fixed", tuple((name, float(fixed[name])) for name in PARAM_NAMES if name in fixed)
+        )
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"a sweep takes 1 or 2 axes, got {len(self.axes)}")
@@ -187,7 +193,7 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     points = [a.points() for a in spec.axes]
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
              **dict(zip(spec.axis_names, np.ix_(*points)))}
-    value, pure, _ = _fisher(point, spec.estimand, spec.norm, spec.method)
+    value, pure = _fisher(point, spec.estimand, spec.norm, spec.method)
     value, pure = (np.broadcast_to(c, [len(p) for p in points]).ravel() for c in (value, pure))
     value.flags.writeable = pure.flags.writeable = False
     return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)

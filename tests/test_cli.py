@@ -618,14 +618,14 @@ ALL_COMMANDS = ["channel", "teleport", "fisher", "sweep", "figures", "verify"]
 
 
 class TestParserScope:
-    """``main`` builds only the subparser its first word names; for no word, ``-h``
-    or an unknown word it builds all six, whose parser writes the help and errors."""
+    """``main`` parses every argv, from ``sys.argv`` too, with the one parser that holds
+    all six subparsers, whatever its first word."""
 
     @staticmethod
     def _built(monkeypatch, argv):
         cli = importlib.import_module("unruh_teleport.cli")
         build, built = cli.build_parser, []
-        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
         try:
             cli.main(argv)
         except SystemExit:
@@ -636,9 +636,9 @@ class TestParserScope:
     @pytest.mark.parametrize(
         "argv,names",
         [
-            (["figures", "--list"], ["figures"]),
-            (["channel", "--preset", "bell-phi-plus"], ["channel"]),
-            (["sweep", "--bogus"], ["sweep"]),
+            (["figures", "--list"], ALL_COMMANDS),
+            (["channel", "--preset", "bell-phi-plus"], ALL_COMMANDS),
+            (["sweep", "--bogus"], ALL_COMMANDS),
             (["bogus"], ALL_COMMANDS),
             ([], ALL_COMMANDS),
             (["-h", "figures"], ALL_COMMANDS),
@@ -650,22 +650,19 @@ class TestParserScope:
 
     def test_sys_argv_names_the_subparser(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["unruh-teleport", "figures", "--list"])
-        assert self._built(monkeypatch, None) == ["figures"]
+        assert self._built(monkeypatch, None) == ALL_COMMANDS
         assert capsys.readouterr().out.startswith("1a: ")
 
     def test_build_parser_defaults_to_all_six(self):
         from unruh_teleport.cli import COMMANDS, build_parser
 
         assert list(COMMANDS) == ALL_COMMANDS
-        for command in (None, "bogus", "-h"):
-            parser = build_parser() if command is None else build_parser(command)
-            assert list(parser._subparsers._group_actions[0].choices) == ALL_COMMANDS
+        assert list(build_parser()._subparsers._group_actions[0].choices) == ALL_COMMANDS
 
 
 class TestParserReuse:
-    """``build_parser`` is cached: ``main`` reuses one parser per subcommand, plus the
-    full parser for no word, ``-h`` or an unknown word, and a reused parser gives the
-    same exit code, stdout and stderr as a fresh one."""
+    """``build_parser`` is cached: every ``main`` call in a process reuses one parser,
+    which gives the same exit code, stdout and stderr as a fresh one."""
 
     SWEEP = ["sweep", "--param", "theta", "--grid", "theta=0:pi:3", "--phi", "1", "--r", "0.1",
              "--preset", "bell-phi-plus"]
@@ -691,7 +688,7 @@ class TestParserReuse:
         cli = importlib.import_module("unruh_teleport.cli")
         cli.build_parser.cache_clear()
         cached = self._outcomes(capsys)
-        assert cli.build_parser.cache_info().currsize == 3  # sweep, figures, verify
+        assert cli.build_parser.cache_info()[1:] == (1, None, 1)  # misses, maxsize, size
         monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
         assert cached == self._outcomes(capsys)
         assert [code for code, _, _ in cached] == [0, 0, 1, 0, 0, 0]
@@ -703,17 +700,17 @@ class TestParserReuse:
         cli.build_parser.cache_clear()
         for _ in range(20):
             assert main(["figures", "--list"]) == 0
-        assert cli.build_parser.cache_info()[:4] == (19, 1, 7, 1)  # hits, misses, maxsize, size
+        assert cli.build_parser.cache_info() == (19, 1, None, 1)  # hits, misses, maxsize, size
         for i in range(20):
             assert main([f"bogus-{i}"]) == 1
-        assert cli.build_parser.cache_info()[:4] == (38, 2, 7, 2)
+        assert cli.build_parser.cache_info() == (39, 1, None, 1)
         for command in (*ALL_COMMANDS, "-h", "--bogus"):
             main([command, "--bogus"])
-        assert cli.build_parser.cache_info()[:4] == (41, 7, 7, 7)
+        assert cli.build_parser.cache_info() == (47, 1, None, 1)
 
     def test_threads_share_the_parsers(self, tmp_path, capsys):
         # More threads than cores, switching often, starting from an empty cache: a race
-        # may build a parser twice, but every call still writes the sequential bytes.
+        # may build the parser twice, but every call still writes the sequential bytes.
         cli = importlib.import_module("unruh_teleport.cli")
         calls = (
             ["figures", "--id", "1a", "--grid", "3"],
@@ -747,7 +744,7 @@ class TestParserReuse:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 36 and all(seen.values())
-        assert cli.build_parser.cache_info().currsize == 2  # figures, sweep
+        assert cli.build_parser.cache_info().currsize == 1
 
     def test_import_builds_no_parser(self):
         probe = (
@@ -1451,7 +1448,7 @@ def _numeric_cases():
     from unruh_teleport.cli import COMMANDS, build_parser
 
     for command in COMMANDS:
-        sub = build_parser(command)._subparsers._group_actions[0].choices[command]
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
         for action in sub._actions:
             if action.type in (float, int, parse_angle, parse_complex):
                 extra = WEIGHT_VALUES if action.type is parse_complex else ()

@@ -16,7 +16,8 @@ from unruh_teleport import (
     preset_dyadic,
 )
 from unruh_teleport.fisher import (
-    DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, PARAM_NAMES, _bloch, _fisher, _partial
+    DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, PARAM_NAMES, _bloch, _fisher,
+    _fisher_from_bloch, _partial,
 )
 from unruh_teleport.sweep import figure_spec
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX, UnruhParams
@@ -112,6 +113,25 @@ class TestFisherFromBloch:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ConsistencyError, match="not finite"):
                 fisher_from_bloch(np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0]))
+
+    def test_seeded_values_are_finite_and_non_negative(self):
+        # Both terms are >= 0 (a sum of squares, and a square over a gap above 1e-9), so no
+        # value needs a clamp, the pure band 1 - |s|^2 <= 1e-9 and |s| up to 1 + 1e-12 included.
+        rng = np.random.default_rng(38)
+        direction = rng.normal(size=(4000, 3))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        radius = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                                 rng.uniform(1.0 - 2e-9, 1.0 + 0.99e-12, 2000)])
+        s, ds = direction * radius[:, None], rng.uniform(-3.0, 3.0, (4000, 3))
+        value, pure = _fisher_from_bloch(s, ds)
+        assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+        assert pure.any() and not pure.all()
+        for bad in (np.nan, np.inf, -np.inf):
+            for vector in (s, ds):
+                original, vector[17, 1] = vector[17, 1], bad
+                with pytest.raises((ConsistencyError, DomainError)):
+                    _fisher_from_bloch(s, ds)
+                vector[17, 1] = original
 
     def test_reflection_invariance(self):
         rng = np.random.default_rng(35)

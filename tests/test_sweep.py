@@ -219,7 +219,7 @@ class TestRunSweep:
         for param, norm, method in itertools.product(PARAM_NAMES, NORM_NAMES, METHOD_NAMES):
             spec = dataclasses.replace(base, estimand=param, norm=norm, method=method)
             rows = run_sweep(spec)
-            value, pure, _ = _fisher(point, param, norm, method)
+            value, pure = _fisher(point, param, norm, method)
             assert rows.fisher.tobytes() == value.tobytes(), (param, norm, method)
             assert rows.pure.tobytes() == pure.tobytes(), (param, norm, method)
             for column in (rows.fisher, rows.pure):
@@ -805,3 +805,53 @@ class TestSpecInputs:
         spec = basic_spec(qr=qr, ql=ql, unruh_mode="bsma")
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
         assert basic_spec(qr=0.6 + 0.8j, ql=0.0j, unruh_mode=None).unruh_mode is None
+
+
+class TestSpecCanonicalForm:
+    """``fixed`` given as (name, value) pairs takes the path a mapping takes, and an
+    axis stores float bounds and an int count, so every spec has one stored form."""
+
+    PAIRS = (("r", 0.1), ("phi", 0.5))
+
+    def _spec(self, fixed, axes=(Axis("theta", 0.0, math.pi, 3),)):
+        return basic_spec(axes=axes, fixed=fixed, channel_preset=None, unruh_mode=None)
+
+    def test_pairs_give_the_spec_of_a_mapping(self):
+        spec = self._spec(self.PAIRS)
+        assert spec == self._spec(dict(self.PAIRS))
+        assert spec.fixed == (("phi", 0.5), ("r", 0.1))
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+    def test_a_list_of_pairs_is_hashable(self):
+        spec = self._spec([list(pair) for pair in self.PAIRS])
+        assert hash(spec) == hash(self._spec(dict(self.PAIRS)))
+
+    def test_repeated_fixed_names_are_refused(self):
+        for fixed in ((("phi", 0.5), ("r", 0.1), ("r", 0.2)), [("phi", 0.5), ("phi", 0.5)]):
+            with pytest.raises(DomainError, match="repeat a name") as error:
+                self._spec(fixed)
+            assert "\n" not in str(error.value)
+
+    @pytest.mark.parametrize(
+        "fixed,axes",
+        [
+            ((("phi", True), ("r", 0.1)), (Axis("theta", 0.0, math.pi, 3),)),
+            ({"phi": 0.5, "r": 0.1}, (Axis("theta", False, 1, 3),)),
+        ],
+    )
+    def test_booleans_and_integers_are_written_as_numbers(self, fixed, axes):
+        spec = self._spec(fixed, axes)
+        payload = json.loads(json.dumps(spec_to_dict(spec)))
+        assert spec_from_dict(payload) == spec
+        numbers = [*payload["fixed"].values(), payload["axes"][0]["start"],
+                   payload["axes"][0]["stop"]]
+        assert all(type(x) is float for x in numbers)
+        assert type(spec.axes[0].start) is type(spec.axes[0].stop) is float
+
+    def test_numpy_count_emits_json(self, tmp_path):
+        axis = Axis("theta", 0.0, math.pi, np.int64(3))
+        spec = self._spec(dict(self.PAIRS), (axis,))
+        emit(spec, run_sweep(spec), "json", tmp_path / "sweep.json")
+        assert type(axis.count) is int
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert payload["spec"]["axes"][0]["count"] == 3 and len(payload["rows"]) == 3
