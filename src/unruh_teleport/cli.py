@@ -30,7 +30,6 @@ from .errors import ConsistencyError, DegenerateBranchError, DomainError
 from .fisher import DEFAULT_FD_STEP, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, fisher
 from .sweep import (
     FIGURE_IDS,
-    FIGURE_PRESETS,
     FORMATS,
     Axis,
     SweepSpec,
@@ -288,7 +287,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "fd_step": fd_step if args.method == "fd" else None,
         "value": result.value,
         "pure_branch": result.pure_branch,
-        "clamped": result.clamped,
+        # No Fisher value is ever negative, so none is clamped; the key stays in the report.
+        "clamped": False,
         "point": {"theta": state.theta, "phi": state.phi, "r": u.r},
         **blocks,
     }
@@ -355,11 +355,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         _refuse_unread(args, ("id", "grid", "norm", "method", "format"), "with --list")
         lines = []
         for fig_id in FIGURE_IDS:
-            estimand, swept, fixed, channel, mode = FIGURE_PRESETS[fig_id]
-            fixed_text = ", ".join(f"{k}={v:.6g}" for k, v in fixed.items())
+            spec = figure_spec(fig_id)
+            fixed_text = ", ".join(f"{k}={v:.6g}" for k, v in spec.fixed)
             lines.append(
-                f"{fig_id}: F_{estimand}({', '.join(swept)}) at {fixed_text}, "
-                f"{channel}, {mode}\n"
+                f"{fig_id}: F_{spec.estimand}({', '.join(spec.axis_names)}) at {fixed_text}, "
+                f"{spec.channel_preset}, {spec.unruh_mode}\n"
             )
         write_output(lines, args.out)
         return 0

@@ -55,13 +55,10 @@ MAX_FD_STEP = R_MAX / 3.0
 
 @dataclass(frozen=True)
 class FisherValue:
-    """One Fisher value and whether it took the pure branch. ``clamped`` is always
-    False, since no value is ever negative; it stays so that the ``fisher`` report
-    keeps its ``"clamped": false`` key."""
+    """One Fisher value and whether it took the pure branch."""
 
     value: float
     pure_branch: bool
-    clamped: bool
 
 
 def check_args(
@@ -162,7 +159,7 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     negative; a non-finite one indicates a bug and raises.
     """
     value, pure = _fisher_from_bloch(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
-    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=False)
+    return FisherValue(value=float(value), pure_branch=bool(pure))
 
 
 def fisher(
@@ -178,4 +175,4 @@ def fisher(
     """Fisher information of the teleported state for one estimand."""
     check_args(param, mode, method, fd_step)
     value, pure = _fisher(_point(state, d, u), param, mode, method, fd_step)
-    return FisherValue(value=float(value), pure_branch=bool(pure), clamped=False)
+    return FisherValue(value=float(value), pure_branch=bool(pure))

@@ -164,8 +164,8 @@ def _bloch_matrix(s: np.ndarray) -> np.ndarray:
 def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> BobState:
     """Branch state from the closed-form Bloch vector in the angles and channel parameters.
 
-    Redundant with ``teleport_analytic`` composed with ``accelerate``; kept
-    as an independent evaluation path for the verification suite.
+    The same state as ``teleport_analytic`` composed with ``accelerate``: the
+    one-point public form of ``_branch_bloch``, which verify and the Fisher kernel read.
     """
     return _bob_state(_bloch_matrix(_branch_bloch(**vars(state), **vars(d), **vars(u))))
 

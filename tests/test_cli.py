@@ -1483,10 +1483,24 @@ def test_numpy_is_the_only_runtime_dependency():
     assert set(added) - set(sys.stdlib_module_names) == {"numpy", "unruh_teleport"}
 
 
+def test_usage_error_is_the_exit_code_of_a_real_process():
+    # main's return value reaches the operating system through sys.exit.
+    done = _run_python("-m", "unruh_teleport.cli", "figures", "--id", "9z")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
+
+
 def _run_probe(probe):
     """The stdout of ``probe`` run in a fresh interpreter that imports this package."""
+    done = _run_python("-c", probe)
+    done.check_returncode()
+    return done.stdout
+
+
+def _run_python(*args):
+    """A fresh interpreter run with ``args``, with this package on its path."""
     path = [str(Path(unruh_teleport.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from unruh_teleport.channels import EIGENVALUE_TOL, _bell_eigenvalues
+from unruh_teleport.channels import EIGENVALUE_TOL, CorrelationDyadic, _bell_eigenvalues
+from unruh_teleport.teleport import InputState
+from unruh_teleport.unruh import UnruhParams
 from unruh_teleport.verify import sample_draws
 
 LAW_DRAWS = 200_000
@@ -29,6 +31,16 @@ def test_every_draw_is_a_physical_channel(law_draws):
     # The acceptance rule of validate_physical.
     assert np.all(eigenvalues.min(axis=-1) >= -EIGENVALUE_TOL)
     assert np.max(np.abs(eigenvalues.sum(axis=-1) - 1.0)) <= 1e-15
+
+
+def test_every_draw_is_a_value_the_types_accept(law_draws):
+    # The value types own the domain and weight-norm rules; the sampler restates
+    # none of them. Every 40th draw, 5,000 in all, as the types' scalars.
+    for i in range(0, LAW_DRAWS, 40):
+        draw = {key: column[i].item() for key, column in law_draws.items()}
+        InputState(draw["theta"], draw["phi"])
+        CorrelationDyadic(draw["c11"], draw["c22"], draw["c33"])
+        UnruhParams(draw["r"], draw["qr"], draw["ql"])
 
 
 def test_dyadic_moments_are_those_of_the_uniform_tetrahedron(law_draws):

@@ -62,6 +62,13 @@ BLOCK_FORMS = (
 )
 
 
+def _per_block_calls(blocks: int) -> dict[str, int]:
+    """Calls of each block form over ``blocks`` blocks: two of each channel form
+    (the draws' channel and the inertial one), one of every other form."""
+    channel_forms = ("_accelerate", "_accelerated_density")
+    return {name: blocks * (2 if name in channel_forms else 1) for name in BLOCK_FORMS}
+
+
 def _count_block_forms(monkeypatch) -> dict[str, int]:
     calls = dict.fromkeys(BLOCK_FORMS, 0)
 
@@ -80,18 +87,18 @@ def _count_block_forms(monkeypatch) -> dict[str, int]:
 
 
 def test_one_pass_evaluates_each_per_draw_quantity_once(monkeypatch):
-    # Each oracle and form runs once per block of draws, so once for 7 draws
-    # (the inertial channel rides in the same _accelerate call as a stack of two).
+    # Each oracle and form runs once per block of draws, so once for 7 draws;
+    # the channel forms run once more, for the inertial channel (r = 0, wsma).
     calls = _count_block_forms(monkeypatch)
     assert verify(trials=7, seed=3).passed
-    assert calls == dict.fromkeys(BLOCK_FORMS, 1)
+    assert calls == _per_block_calls(1)
 
 
 def test_each_form_runs_once_per_block(monkeypatch):
     calls = _count_block_forms(monkeypatch)
     monkeypatch.setattr(VERIFY_MODULE, "BLOCK", 3)
     assert verify(trials=7, seed=3).passed
-    assert calls == dict.fromkeys(BLOCK_FORMS, 3)
+    assert calls == _per_block_calls(3)
 
 
 def test_nan_error_fails_the_check(monkeypatch):
