@@ -1,19 +1,29 @@
-"""The Bloch kernel against the coefficient algebra written out in mpmath.
+"""The Bloch kernel and the Fisher values against the coefficient algebra written
+out in mpmath.
 
 verify [4] compares the analytic partials with central differences of the same
 closed form, so this module is the independent check of the derivative: the
 accelerated coefficients and the 00-branch entries at 40 digits, differentiated
 by a central difference of step 1e-15.
+
+The Fisher values of every figure at grid 9, both norms, are compared with
+``fisher_reference.json``, which ``make_fisher_reference.py`` writes from
+``mp_fisher``; a seeded sample of them is recomputed here.
 """
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from unruh_teleport import preset_dyadic
 from unruh_teleport.channels import X_STATE_EXAMPLE
-from unruh_teleport.fisher import PARAM_NAMES, _bloch, _partial
+from unruh_teleport.fisher import (
+    _MODE_SCALE, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _bloch, _partial,
+)
+from unruh_teleport.sweep import FIGURE_IDS, figure_spec, run_sweep
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
 from unruh_teleport.verify import sample_draws
 
@@ -23,6 +33,13 @@ TOL = 1e-15
 SEED = 5
 WEIGHTS = {**MODE_WEIGHTS, "0.6-0.8i": (0.6 + 0.0j, 0.8j)}
 EDGE_CHANNELS = ("bell-phi-plus", "bell-psi-minus", "x-state")
+# The Fisher reference: every figure at this grid, both norms.
+REFERENCE_FILE = Path(__file__).with_name("fisher_reference.json")
+REFERENCE_GRID = 9
+# Below this 40-digit gap 1 - |s|^2 the state counts as pure and F = |ds|^2.
+PURE_GAP = mpmath.mpf("1e-30")
+# Error bounds relative to max(1, |F|), by derivative method.
+FISHER_TOL = {"analytic": 1e-12, "fd": 1e-9}
 
 
 def mp_bloch(theta, phi, c11, c22, c33, r, qr, ql):
@@ -44,6 +61,37 @@ def mp_bloch(theta, phi, c11, c22, c33, r, qr, ql):
     r01, r10 = (ab * b2 + ba * b6) / 2, (ab * b7 + ba * b3) / 2
     s = (mpmath.re(r01 + r10), mpmath.im(r10) - mpmath.im(r01), mpmath.re(r00 - r11))
     return [x / mpmath.re(r00 + r11) for x in s]
+
+
+def mp_fisher(point: dict, param: str, scale: float = 1.0) -> mpmath.mpf:
+    """Fisher information in ``param`` at ``point`` from ``scale`` times the normalized
+    Bloch vector, its partial a central difference of step ``STEP``, at 40 digits."""
+    with mpmath.workdps(DIGITS):
+        p = {key: mpmath.mpmathify(value) for key, value in point.items()}
+        s = [scale * x for x in mp_bloch(**p)]
+        plus = mp_bloch(**{**p, param: p[param] + STEP})
+        minus = mp_bloch(**{**p, param: p[param] - STEP})
+        ds = [scale * (a - b) / (2 * STEP) for a, b in zip(plus, minus)]
+        dd = mpmath.fsum(x * x for x in ds)
+        gap = 1 - mpmath.fsum(x * x for x in s)
+        if gap < PURE_GAP:
+            return dd
+        return dd + mpmath.fsum(a * b for a, b in zip(s, ds)) ** 2 / gap
+
+
+def figure_points(fig_id: str, grid: int = REFERENCE_GRID) -> list[dict]:
+    """The kernel arguments of every point of a figure, in its sweep's row order."""
+    spec = figure_spec(fig_id, grid)
+    base = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
+    grids = np.meshgrid(*(axis.points() for axis in spec.axes), indexing="ij")
+    coords = zip(*(g.ravel().tolist() for g in grids))
+    return [{**base, **dict(zip(spec.axis_names, c))} for c in coords]
+
+
+def figure_reference(fig_id: str, norm: str, grid: int = REFERENCE_GRID) -> list[float]:
+    """The 40-digit Fisher values of a figure's points, rounded to doubles."""
+    param = figure_spec(fig_id, grid).estimand
+    return [float(mp_fisher(p, param, _MODE_SCALE[norm])) for p in figure_points(fig_id, grid)]
 
 
 def reference(point: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -89,3 +137,33 @@ def test_bloch_and_analytic_partials_match_mpmath():
         assert np.max(np.abs(s[i] - s_ref)) <= TOL, point
         for param in PARAM_NAMES:
             assert np.max(np.abs(partials[param][i] - ds_ref[param])) <= TOL, (param, point)
+
+
+def load_fisher_reference() -> dict:
+    return json.loads(REFERENCE_FILE.read_text())
+
+
+def test_every_figure_matches_the_fisher_reference():
+    table = load_fisher_reference()
+    assert table["grid"] == REFERENCE_GRID and table["digits"] == DIGITS
+    assert sorted(table["fisher"]) == sorted(FIGURE_IDS)
+    for fig_id in FIGURE_IDS:
+        for norm in NORM_NAMES:
+            expected = np.array(table["fisher"][fig_id][norm])
+            for method in METHOD_NAMES:
+                got = run_sweep(figure_spec(fig_id, REFERENCE_GRID, norm, method)).fisher
+                error = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+                worst = int(np.argmax(error))
+                assert error[worst] <= FISHER_TOL[method], (fig_id, norm, method, worst)
+
+
+def test_fisher_reference_file_is_reproduced_live():
+    table = load_fisher_reference()["fisher"]
+    rng = np.random.default_rng(SEED)
+    for _ in range(30):
+        fig_id = FIGURE_IDS[rng.integers(len(FIGURE_IDS))]
+        norm = NORM_NAMES[rng.integers(len(NORM_NAMES))]
+        index = int(rng.integers(REFERENCE_GRID**2))
+        point = figure_points(fig_id)[index]
+        value = float(mp_fisher(point, figure_spec(fig_id).estimand, _MODE_SCALE[norm]))
+        assert value == table[fig_id][norm][index], (fig_id, norm, index)
