@@ -26,8 +26,8 @@ CNOT = np.array(
 
 
 def _abs2(z: ArrayLike) -> np.ndarray:
-    """Elementwise ``abs(z) ** 2`` to the bit: hypot, then libm pow (not always x * x)."""
-    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2.0)
+    """Elementwise squared modulus ``re*re + im*im``."""
+    return np.real(z) * np.real(z) + np.imag(z) * np.imag(z)
 
 
 def _matrices(rows: int, cols: int, entries: Mapping[tuple[int, int], ArrayLike]) -> np.ndarray:

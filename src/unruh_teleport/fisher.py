@@ -80,8 +80,8 @@ def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis, summed exactly as the 1-d ``a @ b``."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """Dot products over a last axis of 3, as plain products summed in a fixed order."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
 
 
 def _bloch(p: dict, mode: str) -> np.ndarray:
@@ -112,8 +112,7 @@ def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.nd
     gap = 1.0 - norm2
     pure = gap <= PURE_BRANCH_EPS
     dd, sd = _dot(ds, ds), _dot(s, ds)
-    # float_power squares as the scalar formula's ``** 2`` did (libm pow).
-    value = np.where(pure, dd, dd + np.float_power(sd, 2.0) / np.where(pure, 1.0, gap))
+    value = np.where(pure, dd, dd + sd * sd / np.where(pure, 1.0, gap))
     # NaN passes every comparison above; a non-finite value is a bug, not bad input.
     if not np.all(np.isfinite(value)):
         raise ConsistencyError(f"Fisher information {float(np.max(value))} is not finite")

@@ -54,10 +54,9 @@ class UnruhParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r) and 0.0 <= self.r <= R_MAX):
             raise DomainError(f"r must lie in [0, pi/4], got {self.r}")
-        try:
-            norm = abs(self.qr) ** 2 + abs(self.ql) ** 2
-        except OverflowError:  # a weight above about 1e154 fails the check below as inf
-            norm = math.inf
+        # The products and order of ``_abs2(qr) + _abs2(ql)``; an overflow reads inf.
+        qr, ql = self.qr, self.ql
+        norm = (qr.real * qr.real + qr.imag * qr.imag) + (ql.real * ql.real + ql.imag * ql.imag)
         if not abs(norm - 1.0) <= WEIGHT_NORM_TOL:  # also rejects NaN weights
             raise DomainError(
                 f"|qr|^2 + |ql|^2 must equal 1 within {WEIGHT_NORM_TOL}, got {norm}"

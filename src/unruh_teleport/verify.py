@@ -348,7 +348,8 @@ def _anchor_error() -> float:
         **dict(zip(PARAM_NAMES, grid)),
     }
     value = _fisher(anchor, "theta", "normalized", "analytic")[0]
-    return np.max(np.abs(value - np.float_power(np.cos(anchor["r"]), 2.0)))
+    cr = np.cos(anchor["r"])
+    return np.max(np.abs(value - cr * cr))
 
 
 def _mode_scaling_error() -> float:
@@ -372,5 +373,5 @@ def _continuity_error() -> float:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, as ``np.linalg.norm`` of one vector."""
+    """Euclidean norms over the last axis."""
     return np.sqrt(_dot(v, v))

@@ -762,75 +762,75 @@ class TestParserReuse:
 # pure branch and, for F_r (6c), central differences through both r edges.
 FIGURE_SHA256 = {
     ('--id', '1a', '--grid', '64', '--format', 'csv'):
-        "a34d9b0c3856dbf80f0c013f04fafc451c7fd00d81ef58b91de5f99688b695be",
+        "45c64621b3ae1f6a50ca133aad4b267f4c2bbc81883ded64538dba6d98400111",
     ('--id', '1a', '--grid', '64', '--format', 'json'):
-        "97ac538631211825174eea38a014bce03e475f87d1cc9c7ab2fe06d2f1f12eb6",
+        "81dde92b1db7e4939c2e76e499dc43c65ae1a31c5a136ec9c4349ce660892e6e",
     ('--id', '1b', '--grid', '64', '--format', 'csv'):
-        "da9ff0102d01e19b8c970a8aeb3bf88e5451dd85d43c5e4aab3541d231376c10",
+        "e97a5ba428d6c82e42ff66439ef70a1edc4033e4991af5ba7668ad316b8d2610",
     ('--id', '1b', '--grid', '64', '--format', 'json'):
-        "58a7c3a3debf7a0c51751dda5ae095c9665873af831cc4e4e5aafa6eacce46c7",
+        "9f095cfce1cdb9be49a948c0afb0c8481c310b5e833c8c9d1caa0ec50fc5c964",
     ('--id', '2a', '--grid', '64', '--format', 'csv'):
-        "aef4baf76688df0fec6ad241cfe43afedaa3981f355ad704074ee207758dcb06",
+        "0a270c5a2159d6c29cd27786b9383bd824c09431ada69a7c2e7a63b62e826e2e",
     ('--id', '2a', '--grid', '64', '--format', 'json'):
-        "ac304f1a51c6d2379bcb8fba44d917f305e44f6a4d7efbddfebe87505089d515",
+        "9afa3c2b483db8480a0f2334709e7c305bc1d2d6f635f8ed15b3262cbafec579",
     ('--id', '2c', '--grid', '64', '--format', 'csv'):
-        "b49cf4eb453f465a438146f48cb83cb04f69cc0d261fb5e3c44a1c96a97a65a3",
+        "3d6564137084d5e605573b82c220f9a1af8fb85d1bfafa9248d5c8f4e11bb3e9",
     ('--id', '2c', '--grid', '64', '--format', 'json'):
-        "bfc76300dcc2204e8bccf952421437b0d7c144085230f5a52ae7f41569e11bb2",
+        "8aa31cee073a56d3f327cde055c921ea79f922546a958f9acabe226425e4abb0",
     ('--id', '3a', '--grid', '64', '--format', 'csv'):
-        "cf88d54d4890b90727c1217190beec19342fcd18a8410624651c74e796113a28",
+        "fbe4f1d1a8ec451ee363d45b4db67ac06f819f15c2c6bd1fbba2ffc2c8fcbbc8",
     ('--id', '3a', '--grid', '64', '--format', 'json'):
-        "e1af33c99291a7ce123f65fa0011d8f8941fbd6419b42e2828b7f50156b4dfbe",
+        "a4cb98a91127213516f40a51069232560aa1249498f92d5371d4301d930b6113",
     ('--id', '3c', '--grid', '64', '--format', 'csv'):
-        "5c9f39470300bbe9a19a6eec1cfb135220b7b0c2e566726593970a4248f7b449",
+        "2cec3ac306c5ed50e7c57f94d3854ec4fa35230d716fdb320e0ddeb76aadfda0",
     ('--id', '3c', '--grid', '64', '--format', 'json'):
-        "78f160a6469ef84783c3eae3f66f8a802bf3d508b3e04f300b47f836e30630ca",
+        "30d4d69f836fa9b2ae6cdb1aa591f5f58fb0991b248742f08df61c2dc0f505f7",
     ('--id', '4a', '--grid', '64', '--format', 'csv'):
-        "844a3255bfa2f0e2c7ec85440e63a0326b8863fa6de3071c052f93ee52bb76a6",
+        "7fa29e8e9f810cfc97c69204644a38fdbfa2650faad633e31bfb9a20d0997c06",
     ('--id', '4a', '--grid', '64', '--format', 'json'):
-        "6b2e45de721318081289c750faeaea8543d5edf95e940334581f3ed61a266108",
+        "21ddf842fe7aa0dc2848ae3e6675f053f14ddb0021f99e0eff53857e6d0ecdd4",
     ('--id', '4b', '--grid', '64', '--format', 'csv'):
-        "6d3e2557269c253d943b134fd00b5b95c6458904aff807fbcf14de204f5fd169",
+        "2653ccccb6f09199300ed30a32aa8867bd25a1e54ff207911e93b98292eaf380",
     ('--id', '4b', '--grid', '64', '--format', 'json'):
-        "7d63179710fc6a31a85fd36e99d51411abf4da1b229255f5478561bfbd5dad37",
+        "399639d856e5f9999d19c49d9c9a7a2979d03bfbb685208e19ea10ec3232b381",
     ('--id', '4c', '--grid', '64', '--format', 'csv'):
-        "371f91e99b007dc2f44d82c285f42f7fe177a57d3829ee2397fe2f82eb343a13",
+        "73048cf980074535e5a5dc4da6c6f2a7e15b908c7e63f9a0594a88ecc6df0a5b",
     ('--id', '4c', '--grid', '64', '--format', 'json'):
-        "eff7ae5d8b74de0dd91d1adcf5492684d15a7fdcfc81228d446d3bf9048ff071",
+        "becb10b8e25a089db48afa854a32ce4045729dd4f4235c948ed62dcbebcbe3b8",
     ('--id', '4d', '--grid', '64', '--format', 'csv'):
-        "f0f2772cf0e9babc6e5a93759fb0d92b15d21e8baf97b7a94d8bcf8c48e978bf",
+        "a1601b7d3f8ebe153081b5c35f8409b63fa354d0bc49370451bef50387a5d9d9",
     ('--id', '4d', '--grid', '64', '--format', 'json'):
-        "57e57ef60c6b5517191e02f900e519ccbbe433356961fe8cb663d8f996fbcc07",
+        "e6583ebe93df79f77b2e19d00f550a11d75f2c4f080a1d3ee1acad2ce7d109a1",
     ('--id', '5a', '--grid', '64', '--format', 'csv'):
-        "e6aad3f1164f956cbd5a629b85a7d072aa5db675db5cf3e34d24aff4f97d5141",
+        "d5db04e218dcbac6fad76ced70c3b2e0878202295279f71d46bb6b0648c0aed8",
     ('--id', '5a', '--grid', '64', '--format', 'json'):
-        "7fa8563ef8cae572df93cea58287e99381e17030279ac1faff171d591ae630c0",
+        "a375641712395e1f9899e384da537cf72b34f64ab0e4492d138d9be9f9c61e91",
     ('--id', '5c', '--grid', '64', '--format', 'csv'):
-        "3942ae2a5b908116de4fc04397bed6601f3d657e07950b4bea2b88b26c789db8",
+        "fd213967f752e5e10c3b9ee61c76cc6b6ec7e80d4702c3d77b1fb37f728a2305",
     ('--id', '5c', '--grid', '64', '--format', 'json'):
-        "e4f5b0c7954a00d08163bed599d5ea0c031135e6afbb9db46506fd16298658fb",
+        "3a6af0860d2803e4d0d2e4ee0fcfced2f092b472f2adb0c36dba12ac8a036a7d",
     ('--id', '6a', '--grid', '64', '--format', 'csv'):
-        "cdcd194f01b9f81c3aa501830b9286c5ce0fdc7692cbefae6cf34526eb75e710",
+        "f6337cf62190c785cfbbee7c7ea775724a47bff58038e4c96aa91f6f29445921",
     ('--id', '6a', '--grid', '64', '--format', 'json'):
-        "2773275160b2f4b4f7fa470207d8bfed34c0a828d3dafe8f372c972081cadc08",
+        "91d72cf7af14fddf73a364623b0bdb1d3e84d2e329ee515883489916e080993a",
     ('--id', '6b', '--grid', '64', '--format', 'csv'):
-        "c94405ffa09fbf65746d7dbd51e86ec9445d5ac5add290ebed78a1c8a6e1f1e1",
+        "08fa4603152c2e3a9cc5980c077699cb0880de49f6b03bf89f592bb2b66a735f",
     ('--id', '6b', '--grid', '64', '--format', 'json'):
-        "5d71e3943166835cbb964d2b5d19caf38ab4ac75877145ed50f1d5945ae17791",
+        "048628bbf521c5ffb4efb0d9c7a077f01327f01224d7253e2da88398cee18a44",
     ('--id', '6c', '--grid', '64', '--format', 'csv'):
-        "4bced99fdaa83bc970e2290d1e3e5c3a3eb75bdd776b65ad47e423474451cbe3",
+        "80512c11ffe95b2431af0ffdd8ca96c1f63787eef86aaec011d43548dd539c80",
     ('--id', '6c', '--grid', '64', '--format', 'json'):
-        "28efbd085232c42082ce0dd183624b1f477f803847ab05c5d1f01659d603c7db",
+        "ca2be779c10bdb501a1292777a8f45ccfd07d8f55b36a8914a10c1395b0507c5",
     ('--id', '6d', '--grid', '64', '--format', 'csv'):
-        "3bf3cda4784e732f9cef3dc52394cf6939d9cc622019b55ba6cd58f0118b5925",
+        "af420f10ec39dfca36e26999b2836c674dc5f9cb0364b12a54f3d1396d11b764",
     ('--id', '6d', '--grid', '64', '--format', 'json'):
-        "dd8ef7a96cf221ed021edb9344d0ee8360515abbdf14d19fa20ec20269bc8ab9",
+        "0eca4c3a026783e0ee5a9b3d7b2814599b6ac4dd9beddabf82a04cf76d4568ae",
     ('--id', '1a', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "e37dff2cae07620058a92312b0fdcb82ec4dcdf26d649921e08303d7d53b962b",
+        "bcf7a3832d395ac8992045f4edbe61bd9f2972b725253547829bd83f743ffa36",
     ('--id', '4b', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "52d544ae1685af783ecd46b0a503b5b956175aca95ed6621ee0f69ff5c4a6d68",
+        "735e5991868613aac3e247c3d6187889947f414bb7aeb279cb363024d3bdaf82",
     ('--id', '6c', '--grid', '48', '--format', 'json', '--norm', 'normalized', '--method', 'fd'):
-        "52b5e754c143214c85b4470f154ef9318b6f6a6f301dfeb91237f9e63733c42b",
+        "c04d97b843a193c8ea79dd899b73a360ecc81c4c7e5a20b545e3d439ac2d0152",
 }
 
 
@@ -915,13 +915,13 @@ REPORT_SHA256 = {
     "teleport-bell-phi-plus-wsma-json":
         "ce1092a91d95539a03bb5042905be40b95df19677879c6f9560007b3038f685b",
     "fisher-bell-phi-plus-wsma-theta-analytic-normalized":
-        "d2891edcefcba13c6da7221acc0d17e9385df9dc956a7f778a6595ceba959d3e",
+        "111cdbbc1a2cfe4779f5322844c244dfd5afa1d6d2982c8775f7380e7e5132c1",
     "fisher-bell-phi-plus-wsma-theta-analytic-as-published":
-        "da1d14bb7eb5dd25d3d1a28faf6492f91922feaf2b3dc408588d4ae10d58688e",
+        "31f9a63a0c4105ae93a8beefa5e9ddf597742e3be06255bb47ca8c3c12caf114",
     "fisher-bell-phi-plus-wsma-theta-fd-normalized":
-        "c80ef84ab1cf2efdba35c37cd96fb259ae264f48195790b5a1eb165de20cd223",
+        "7b5fe6ef53f28457ca131fa5c6706cf3d5ab9bf7c5c58a5e48d534d76e24b5e3",
     "fisher-bell-phi-plus-wsma-theta-fd-as-published":
-        "13f5ba7946a6031e345bd699ddeb1a961da40049ba14a0d2443aa492e464ae24",
+        "20f18c57cb44d98947df2b64d78f3b2fd3f3fae74d009a665b454d623bfdf561",
     "fisher-bell-phi-plus-wsma-phi-analytic-normalized":
         "15cd4981e39eb9dfbcc33ba1074d595057c5794d868a0ffb9101443f47548963",
     "fisher-bell-phi-plus-wsma-phi-analytic-as-published":
@@ -937,7 +937,7 @@ REPORT_SHA256 = {
     "fisher-bell-phi-plus-wsma-r-fd-normalized":
         "664e8156350a389a30ee4a88ab08398dc9595bdd6df32c094f961f43567a47ee",
     "fisher-bell-phi-plus-wsma-r-fd-as-published":
-        "8219aeb5eb901d112e01bf29863709cdc21f9aa5623790bfaf19c321f50ef8a3",
+        "eed7707b129e306b23c26d98c14c15e63258f101c3ff5298435847d8ab1c6111",
     "channel-bell-phi-plus-r-bsma-text":
         "fb233318d32e9ad9bc40cbafaed7334e83d7a9eea9ba976c61379b7311940f97",
     "channel-bell-phi-plus-triple-bsma-text":
@@ -973,7 +973,7 @@ REPORT_SHA256 = {
     "fisher-bell-phi-plus-bsma-r-fd-normalized":
         "2cb3d2a88d39bc61340573e2451d0fc2416f9a1f2a57e6b69dc27ef9af6590ba",
     "fisher-bell-phi-plus-bsma-r-fd-as-published":
-        "78b5124243c31d7b3dce10831f3b1b314d0e33c4c5adec7609879f0552128c84",
+        "43a082c9c9bfa41ee0fb2cf43d390c985c4710bc9115a97a2b983853156153de",
     "channel-bell-phi-plus-r-qr-ql-text":
         "2cb14e48d95647f568d7b282f50fb1829032fdc18142d6e89e7d5156c1b3df43",
     "channel-bell-phi-plus-triple-qr-ql-text":
@@ -997,7 +997,7 @@ REPORT_SHA256 = {
     "fisher-bell-phi-plus-qr-ql-phi-analytic-normalized":
         "bbbf856a1425eb73dc6da67e665428d6115809a6e94872c84d749f109ef7db99",
     "fisher-bell-phi-plus-qr-ql-phi-analytic-as-published":
-        "52c6880fe9777d62b8fb9df40fcd8b5e714e6d15e5ae1c854656436cdd6eedc5",
+        "7603aeb887f66e7f31be75e5d7be07bb03ffeccacb11aff0ac61dd50d0c120db",
     "fisher-bell-phi-plus-qr-ql-phi-fd-normalized":
         "79c8fe00202c6c12178bbd4b9f8eb3f780638f783ba55136fda86329f8cc4be0",
     "fisher-bell-phi-plus-qr-ql-phi-fd-as-published":
@@ -1027,13 +1027,13 @@ REPORT_SHA256 = {
     "teleport-bell-psi-minus-wsma-json":
         "0b413489190c4bb1426421a0b2e475afcbe80a3feb2c66fcb00f1979a45ebe7d",
     "fisher-bell-psi-minus-wsma-theta-analytic-normalized":
-        "8baee8ca8482aad7e972ec4e4ca1de8d2289640649ba819a01d45181cd502fca",
+        "db5896f2a9d020693cc1b3ef2cc23461fc73d23f598f3ddad4c106b48724d4ab",
     "fisher-bell-psi-minus-wsma-theta-analytic-as-published":
-        "947431891ccd45e5d31c977454bffcb102924898110395a5a0ededdabe06365d",
+        "b86fd52c750a36ac5a395bd2dfb234e055a1a175d868a785edb937b10097ac88",
     "fisher-bell-psi-minus-wsma-theta-fd-normalized":
-        "84c85c8ee2c801352efbda25b3f387efa110a89d69147e0febd808be7c0de68a",
+        "2b42cbdcd62630c0c532324d0b3eb15b930a210d006201271b66f2302607e858",
     "fisher-bell-psi-minus-wsma-theta-fd-as-published":
-        "04fed51439eb50dd1594055e7f816ef77d2279335133828dcb11defd286bddba",
+        "4b0470918a7b07864544ddb1a08574972798033efb1a14a57c23bbdbd29598ce",
     "fisher-bell-psi-minus-wsma-phi-analytic-normalized":
         "873e5d087f726b3bd0edc1cebc7f69436389e002442a2267af220e9fff134774",
     "fisher-bell-psi-minus-wsma-phi-analytic-as-published":
@@ -1043,11 +1043,11 @@ REPORT_SHA256 = {
     "fisher-bell-psi-minus-wsma-phi-fd-as-published":
         "9cab1a472f0b70753b8f6f991eb6ce3a52a7731cdc57c16ad2207392f156428d",
     "fisher-bell-psi-minus-wsma-r-analytic-normalized":
-        "cf1fe3da04773e8c93b611f75098d7467c6895fcfbb2ba03f105d8dd5a85b513",
+        "6472d82efaa2f89c87bcd24985c32d7e0c9f754934e6d54d5f2dc184d2012448",
     "fisher-bell-psi-minus-wsma-r-analytic-as-published":
         "0f6dd5b0c8e0484aa6239f1e04d445ee5bb4c47544732fa9db5a84ee4b30b194",
     "fisher-bell-psi-minus-wsma-r-fd-normalized":
-        "8d8393d9a6ecc913916096488a55da45badf67cc6716a53ce2a3e0b40b6fe0bf",
+        "4a839d046f8ae194a72d19211f9cba9695b96dee48995b05ef0c60b9d8b95899",
     "fisher-bell-psi-minus-wsma-r-fd-as-published":
         "81abd3e2b8a655a10f1c99ba746bd3213c22b5c22b325d44f5687f425dcd9290",
     "channel-bell-psi-minus-r-bsma-text":
@@ -1101,7 +1101,7 @@ REPORT_SHA256 = {
     "fisher-bell-psi-minus-qr-ql-theta-analytic-normalized":
         "248259629b053712e21cda973590ca1d17da5cbb096986fca789c91af45fa220",
     "fisher-bell-psi-minus-qr-ql-theta-analytic-as-published":
-        "be41acc1fe811c01fba689bc70c7fa0df55ceffe2f11b2b3cfc0507441b29c34",
+        "e9caef9cb606aa0cbc2490ff9843c4e48ce0370fd97b75a1176c561c0e9b77a1",
     "fisher-bell-psi-minus-qr-ql-theta-fd-normalized":
         "df4fc569622d631249c127ea4d0f184bfd5b4e81454d1b67fd490c1a66453496",
     "fisher-bell-psi-minus-qr-ql-theta-fd-as-published":
@@ -1147,9 +1147,9 @@ REPORT_SHA256 = {
     "fisher-werner-wsma-theta-fd-as-published":
         "99fd336799358730712c9604a656d9cb1332bc960e98e513451a22bf3114e879",
     "fisher-werner-wsma-phi-analytic-normalized":
-        "ea1d74a7eb77202c2ecd5af72fbf38876b9092171bf6ec62df14309b691f00b3",
+        "19a1ca5304fe8a134ed2bbe6fdd63fc4f089f5996b2ed0756217f000286ae566",
     "fisher-werner-wsma-phi-analytic-as-published":
-        "d5975cb1b2d06d15996290f2186032bc204e23fd6fb539bb1270c02e01594931",
+        "6dba8d50f07a1f1fefb43dd4ee489a67bc1672a6af77522f6d9f20b37e22224d",
     "fisher-werner-wsma-phi-fd-normalized":
         "ad3aa41ab364490b7ff2928e89369c44515bdfe37e98324f13140d6d9b4ad031",
     "fisher-werner-wsma-phi-fd-as-published":
@@ -1175,9 +1175,9 @@ REPORT_SHA256 = {
     "teleport-werner-bsma-json":
         "113c9c603e35988858ac335177af39a332fac4c90235fe18d77e6333908b9f89",
     "fisher-werner-bsma-theta-analytic-normalized":
-        "cd89ca665847498e99eca54bfac3f473ad39c2d1c455091f3152c6e8c40cff08",
+        "374133eeaaf9badbf9a119bc8deedc38e8418cb6c752c527ba84a5a7f3234f58",
     "fisher-werner-bsma-theta-analytic-as-published":
-        "0d68d08f8d8b1049b7ae7d2cd7a5af484668502ae182d03fa381c543966ac2f3",
+        "0925b0e0aae5bbc220930304fa18bdebfe8130f86aa05064337eb5ca071aaffd",
     "fisher-werner-bsma-theta-fd-normalized":
         "b9bfc6194fe7a9f4945b558f2905413d32cda918e1df4e3f65de6d1db4558f19",
     "fisher-werner-bsma-theta-fd-as-published":
@@ -1211,9 +1211,9 @@ REPORT_SHA256 = {
     "teleport-werner-qr-ql-json":
         "734b988e086eccbcbeae78308920681a8e5764b8bcdc0abf4391d6380927fad7",
     "fisher-werner-qr-ql-theta-analytic-normalized":
-        "2a7c00681d435fa9b95dbf1ed95c70059a9ecc8f71ba4b9bf3e00cfe1f97dda3",
+        "f552c5b6a1dd76892e011659015557e37791fcb274fa96c47b45b6eff68f590f",
     "fisher-werner-qr-ql-theta-analytic-as-published":
-        "30482d5530f75807a1fddb52887064d23578ebfceb806b6a945ec78ea7e21352",
+        "310df7298a7b2258abb72cdfd7df0dbec7645593945d14a5b971adf319c68767",
     "fisher-werner-qr-ql-theta-fd-normalized":
         "8503cb3c9bc7092b0b43d2d99931aac0ad88c8812aa79b35a8ed07ac93f218b5",
     "fisher-werner-qr-ql-theta-fd-as-published":
@@ -1307,9 +1307,9 @@ REPORT_SHA256 = {
     "fisher-x-state-bsma-r-analytic-as-published":
         "9db420dc8db830fcf5fa02875f6c7ce04e1c0332846d517ca50628be1f39af4b",
     "fisher-x-state-bsma-r-fd-normalized":
-        "e7cccf903b0a779ef4362615492c6a5e5851e203fc3fbe154a25b9bf23c95dd3",
+        "5761a1223b7e1c44908e8b68e77bbe3f95d91208960644ded9612000b08bb42b",
     "fisher-x-state-bsma-r-fd-as-published":
-        "512fed06f88070347b30660476081ebd3347db45644691e41f4ea0e446cc61ca",
+        "593febc3e7c3c8c6343a5102db0f9e6563f2f03f226ea92be38b5bf560d291be",
     "channel-x-state-r-qr-ql-text":
         "4ba97f1ebe14b7c6db401594620fb8b0bde44326630a9eca06ecd990a73e8cf0",
     "channel-x-state-triple-qr-ql-text":
@@ -1335,9 +1335,9 @@ REPORT_SHA256 = {
     "fisher-x-state-qr-ql-phi-analytic-as-published":
         "c53e1fe215181d9ca7f23ea8b60af531e73df61c3e4734177fa25927b70141ee",
     "fisher-x-state-qr-ql-phi-fd-normalized":
-        "104e0e1113b45df734f61e21eae5a8b6a0d9f5d141e37e5aab2f0799cebc069b",
+        "87e9951eeb5119115f9d4c268461c8945ecc55008dccd4bc697fe484fcb6afcb",
     "fisher-x-state-qr-ql-phi-fd-as-published":
-        "de1bf14af7ebc35856e63d863a54a68abcb747ee009d7b994c736a3352a669e8",
+        "688eef1ad434865777e87a30a6a9bc275c5406d324524a2eeeb0671dbaa96a46",
     "fisher-x-state-qr-ql-r-analytic-normalized":
         "d468177fe48540a9aca2430e1e619bca06b76d569890351768a44d8ff32ca262",
     "fisher-x-state-qr-ql-r-analytic-as-published":
@@ -1492,15 +1492,60 @@ def test_usage_error_is_the_exit_code_of_a_real_process():
     assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
-def _run_probe(probe):
-    """The stdout of ``probe`` run in a fresh interpreter that imports this package."""
-    done = _run_python("-c", probe)
+def _dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels by CPU at load time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Writes the SHA-256 of the stdout of each named argv (a JSON mapping in argv[1]).
+DIGEST_PROBE = """
+import contextlib, hashlib, io, json, sys
+from unruh_teleport.cli import main
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    digests[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(), reason="numpy is not linked to a DYNAMIC_ARCH OpenBLAS"
+)
+def test_outputs_keep_their_bytes_under_openblas_prescott_kernels():
+    # OPENBLAS_CORETYPE is read when OpenBLAS loads, so each setting needs its own
+    # process. Prescott's pre-FMA kernels round a BLAS dot product differently.
+    cases = {case: argv for case, argv in REPORT_CASES.items()
+             if case.startswith("fisher-") and ("-bsma-" in case or "-qr-ql-" in case)}
+    for fig_id in FIGURE_IDS:
+        cases[f"figure-{fig_id}"] = ["figures", "--id", fig_id, "--grid", "16"]
+        cases[f"figure-{fig_id}-normalized"] = [
+            "figures", "--id", fig_id, "--grid", "16", "--norm", "normalized", "--format", "json"]
+    digests = [
+        json.loads(_run_probe(DIGEST_PROBE, json.dumps(cases), OPENBLAS_CORETYPE=coretype))
+        for coretype in (None, "Prescott")
+    ]
+    assert [case for case in cases if digests[0][case] != digests[1][case]] == []
+
+
+def _run_probe(probe, *args, **variables):
+    """The stdout of ``probe`` run with ``args`` in a fresh interpreter that imports this
+    package, with ``variables`` in its environment."""
+    done = _run_python("-c", probe, *args, **variables)
     done.check_returncode()
     return done.stdout
 
 
-def _run_python(*args):
-    """A fresh interpreter run with ``args``, with this package on its path."""
+def _run_python(*args, **variables):
+    """A fresh interpreter run with ``args``, with this package on its path and
+    ``variables`` set in its environment; a variable given as None is unset."""
     path = [str(Path(unruh_teleport.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **variables}
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

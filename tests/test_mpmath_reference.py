@@ -79,19 +79,20 @@ def mp_fisher(point: dict, param: str, scale: float = 1.0) -> mpmath.mpf:
         return dd + mpmath.fsum(a * b for a, b in zip(s, ds)) ** 2 / gap
 
 
-def figure_points(fig_id: str, grid: int = REFERENCE_GRID) -> list[dict]:
-    """The kernel arguments of every point of a figure, in its sweep's row order."""
-    spec = figure_spec(fig_id, grid)
+def figure_points(fig_id: str) -> list[dict]:
+    """The kernel arguments of every point of a figure at the reference grid, in its
+    sweep's row order."""
+    spec = figure_spec(fig_id, REFERENCE_GRID)
     base = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
     grids = np.meshgrid(*(axis.points() for axis in spec.axes), indexing="ij")
     coords = zip(*(g.ravel().tolist() for g in grids))
     return [{**base, **dict(zip(spec.axis_names, c))} for c in coords]
 
 
-def figure_reference(fig_id: str, norm: str, grid: int = REFERENCE_GRID) -> list[float]:
+def figure_reference(fig_id: str, norm: str) -> list[float]:
     """The 40-digit Fisher values of a figure's points, rounded to doubles."""
-    param = figure_spec(fig_id, grid).estimand
-    return [float(mp_fisher(p, param, _MODE_SCALE[norm])) for p in figure_points(fig_id, grid)]
+    param = figure_spec(fig_id).estimand
+    return [float(mp_fisher(p, param, _MODE_SCALE[norm])) for p in figure_points(fig_id)]
 
 
 def reference(point: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -19,6 +19,7 @@ from unruh_teleport import (
     r_from_acceleration,
 )
 from unruh_teleport import unruh
+from unruh_teleport._linalg import _abs2
 from unruh_teleport.channels import PRESET_NAMES, X_STATE_EXAMPLE, _dyadic_to_density
 
 from samplers import sample_dyadic, sample_unruh
@@ -82,6 +83,26 @@ class TestUnruhParams:
         # Squaring |qr| overflows above about 1e154, and abs() itself above about 1.8e308.
         with pytest.raises(DomainError, match=r"\|qr\|\^2 \+ \|ql\|\^2 must equal 1 .*got inf"):
             UnruhParams(0.1, complex(qr), complex(ql))
+
+    @pytest.mark.parametrize(
+        "qr,ql", [(1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8j), (0.48 + 0.64j, 0.6j)]
+    )
+    def test_weight_norm_is_the_kernels_abs2(self, qr, ql):
+        # Scaled by 1 + k*1e-13 the norm crosses the 1e-12 edge near k = +-5, so
+        # both verdicts occur; the constructor's must be the one _abs2 gives.
+        verdicts = set()
+        for k in range(-8, 9):
+            scale = 1.0 + k * 1e-13
+            qr_k, ql_k = complex(qr) * scale, complex(ql) * scale
+            kernel = abs(_abs2(qr_k) + _abs2(ql_k) - 1.0) <= unruh.WEIGHT_NORM_TOL
+            try:
+                UnruhParams(0.1, qr_k, ql_k)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == kernel, (qr_k, ql_k)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 class TestAccelerate:

@@ -327,21 +327,21 @@ def test_numpy_integers_are_accepted():
 # SHA-256 of `verify` reports. The draws are those of sample_draws: row i of the
 # generator's doubles is draw i, and its Bell weights place the dyadic.
 REPORT_SHA256 = {
-    (1, 42): "641a2022d14a04f237c471342f2409844bcef2725ac263096ecbd6538fb281ec",
-    (1, 7): "cdf5319c08112fa167c3567d2d30f9b4247550635d66491900d2b2a7606e8fba",
-    (1, 123): "6e00dbad1cc1b016cc9cba6f1df887ea13c4ac61e96f1d5e83bd4de655de7c41",
-    (1, 1): "58b7f27887b622f2099f9f1d90ac3556ae590f46fc3e81037dc90ee728299a3d",
-    (1, 2): "0898dd5941fb8d87cc0776da809f339873e38762692de5e6cdb00b3878d90680",
-    (7, 42): "ad68e0a3c1411933afe43cb56731163c9e0b745cefd6a1be106bf80060f5e3ba",
-    (7, 7): "23cffb26a1918474e4f25e1b44fd34e61d119b1bc8dc80e0d20765a510353b82",
-    (7, 123): "bf9b4f25e32a72a75785d9f073a1c4f8fe007d14f589cc383ba7c4e5ce86b301",
-    (7, 1): "11e43ecff4ef7f0eef97e126497bbb6aaf0a47a52aea09487e2a0f9f42e14416",
-    (7, 2): "e0afdfd46efa3b1ebfa89dcca5128f31deb41baa9b48121e2197ee45bc7c6313",
-    (1000, 42): "908f8a6906d940733956be8c25e50f771ccf0a67d4980fffe2af66760cf68454",
-    (1000, 7): "6979efa65f5fb00a7b70e0a0641a776969d15c0eb4ed582d5c8a9d71b7d4a7c4",
-    (1000, 123): "3fb814a96a20612ae7c3b738364b0763828e1572b5b1af4bbbab74318dfb8dbb",
-    (1000, 1): "71c81f62e9bff206ee1f8dc57357f89315c0b065611cc80ff0dc18011628ad70",
-    (1000, 2): "f09fc098cfe4262e0ed84bf99f13936d8ff3f98edd6665d34aaf7bbec27d44ac",
+    (1, 42): "ea21a4c1515928a9e08758d13b96738498144f944e2e86a2b14189631940996e",
+    (1, 7): "120c3aefefbe726725bdfcb0843a88625adb2906a3549b2ca62e7e12e9703876",
+    (1, 123): "4f39f98679b9eae45ec2de03bfab6479d8d63460fd9ad5cbf69e4f8e8784adfb",
+    (1, 1): "c17f80cc897cc620ff5aa68f6051351e53f83923ebb06d7d373f7769a5a88c0a",
+    (1, 2): "4172d6fe0bfa1b2ff79921cd448d155914d5e3138e39dbe1d7514b8e5497f112",
+    (7, 42): "b73485fb1ee3935448f6ba42aa84ee90f0d01f03eeb7ddc9226ed0fb77aafa9b",
+    (7, 7): "3a5894fb8edb4e656423e6e702cf900833a54aec93e72f1408332fa1ee2275bb",
+    (7, 123): "0593a37c035addab282b0038fe676d5ac5daaa92a793e7b71d0f1144ed658a74",
+    (7, 1): "1878d56421cddb6b9b20efd23972d9eef3dee63de5c4051da36e8296614d6e9b",
+    (7, 2): "0716e4005f7b6fc3009b5114fd261252804747f0895000e4371ad70ccb65b547",
+    (1000, 42): "4b02f6297d73ec5b1d332f25b1cb3ef9fffead314aa80487342b3d76ef8b74ac",
+    (1000, 7): "e566138605961f2e899b642c2166291ea23a57e3b9be907027cd87fa92bf174f",
+    (1000, 123): "4fee4b9d1b944fb7681427e1834c7d6fc08b074eabbbf162f63641cd8594a509",
+    (1000, 1): "ae6d39223f978bdbf8f8e4eb2dfb49b1af4ca894304823b98a49c3ed5ea17190",
+    (1000, 2): "defbcc2b942b24b46f9ceb46adf8250d13e6b09877b0160406416fe23f4d10fc",
 }
 
 
