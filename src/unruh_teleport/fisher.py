@@ -157,6 +157,8 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     mixed-state denominator only amplifies rounding noise. The value is never
     negative; a non-finite one indicates a bug and raises.
     """
+    if np.shape(s) != (3,) or np.shape(ds) != (3,):
+        raise DomainError(f"s and ds must be 3-vectors, not shapes {np.shape(s)} and {np.shape(ds)}")
     value, pure = _fisher_from_bloch(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
     return FisherValue(value=float(value), pure_branch=bool(pure))
 

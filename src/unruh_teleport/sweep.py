@@ -302,7 +302,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
                  a["count"])
             for a in payload["axes"]
         )
-        return SweepSpec(
+        spec = SweepSpec(
             estimand=payload["estimand"],
             norm=payload["norm"],
             method=payload["method"],
@@ -315,6 +315,14 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             unruh_mode=unruh.get("mode"),
             figure=payload.get("figure"),
         )
+        # Each key must be one that spec_to_dict writes for this spec.
+        written = spec_to_dict(spec)
+        pairs = [(payload, written), (channel, written["channel"]), (unruh, written["unruh"]),
+                 *zip(payload["axes"], written["axes"])]
+        unknown = [key for given, known in pairs for key in given if key not in known]
+        if unknown:
+            raise DomainError(f"unknown spec keys: {', '.join(unknown)}")
+        return spec
     except DomainError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -480,10 +488,13 @@ def write_output(pieces: Iterable[str], destination: str | Path | None) -> None:
 def emit(
     spec: SweepSpec, rows: SweepRows, fmt: str, destination: str | Path | None = None
 ) -> None:
-    """Write the sweep's columns piece by piece; other rows and an empty sweep are refused."""
+    """Write the sweep's columns piece by piece; refuse other rows, empty sweeps and misfit axes."""
     if not isinstance(rows, SweepRows):
         raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
     if not rows:
         raise DomainError("refusing to emit an empty sweep")
+    shape, counts = [len(axis) for axis in rows.points], [axis.count for axis in spec.axes]
+    if shape != counts:
+        raise DomainError(f"sweep columns on axes of {shape} points do not fit the spec's {counts}")
     pieces = _pieces(spec, rows, fmt)
     write_output(itertools.chain([next(pieces)], pieces), destination)  # next() runs the checks

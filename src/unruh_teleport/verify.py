@@ -9,18 +9,19 @@ measurement of how badly the swapped-b7 variant violates Hermiticity.
 ``sample_draws`` gives the seeded draws without rejection: each dyadic is a
 uniform point of the tetrahedron of physical channels, placed by its Bell
 eigenvalues, the closed form of ``validate_physical`` that [5] checks by ``eigvalsh``.
-``CHECKS`` lists every check in report order with its tolerance. Three
-producers give each check its errors under (section, name). ``_draw_errors``
-runs each broadcasting form once per block of ``BLOCK`` seeded draws: the
-accelerated channel, both oracles, the two branch-state forms and the
+Each check is one entry of a producer: its section, name and tolerance next to
+its errors. ``_fixed_errors`` covers the presets and a grid of channels.
+``_draw_errors`` runs each broadcasting form once per block of ``BLOCK`` seeded
+draws: the accelerated channel, both oracles, the two branch-state forms and the
 isometry, plus one more channel evaluation for the inertial counterpart.
-``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws.
-``_fixed_errors`` covers the presets, a grid of channels and the Fisher
-anchors. One fold reduces each check's errors to its largest. Every check
-with per-draw errors (17 gated ones and the informational one) keeps the draw
-behind that error, which a failed check names; the fixed-input checks name
-none. The oracles stay independent: they share no code with the coefficient
-form or with the closed-form Bloch vector that [3] and the Fisher kernel read.
+``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws, then
+the Fisher anchors. The report orders sections by number and, within a section,
+keeps the order of the producers as listed here. One fold reduces each check's
+errors to its largest. Every check with per-draw errors (17 gated ones and the
+informational one) keeps the draw behind that error, which a failed check
+names; the fixed-input checks name none. The oracles stay independent: they
+share no code with the coefficient form or with the closed-form Bloch vector
+that [3] and the Fisher kernel read.
 """
 
 from __future__ import annotations
@@ -60,36 +61,9 @@ BLOCK = 256
 
 # A draw's index and its (name, value) pairs of the kernel arguments.
 Draw = tuple[int, tuple[tuple[str, float | complex], ...]]
-
-# Every check in report order: (section, name, tolerance); a tolerance of
-# None marks the informational entry.
-CHECKS: tuple[tuple[int, str, float | None], ...] = (
-    (1, "max elementwise difference", EQUIV_TOL),
-    (2, "max elementwise difference", EQUIV_TOL),
-    (3, "max elementwise difference", EQUIV_TOL),
-    (4, "max relative difference", DERIV_TOL),
-    (5, "preset states hermitian", EQUIV_TOL),
-    (5, "preset states unit trace", EQUIV_TOL),
-    (5, "preset states positive", EQUIV_TOL),
-    (5, "dyadic grid eigenvalue sum", EQUIV_TOL),
-    (5, "min channel eigenvalue: closed form vs eigvalsh", EQUIV_TOL),
-    (5, "accelerated channel unit trace", EQUIV_TOL),
-    (5, "accelerated channel hermitian", EQUIV_TOL),
-    (5, "accelerated channel positive", EQUIV_TOL),
-    (5, "identity channel at r=0 wsma", EQUIV_TOL),
-    (5, "isometry columns orthonormal", EQUIV_TOL),
-    (5, "branch probability equals 1/4", EQUIV_TOL),
-    (5, "branch state hermitian", EQUIV_TOL),
-    (5, "branch state positive", EQUIV_TOL),
-    (5, "normalized bloch norm <= 1", EQUIV_TOL),
-    (5, "as-published bloch norm <= 1/4", EQUIV_TOL),
-    (5, "fisher finite and non-negative", FISHER_TOL),
-    (5, "fisher invariant under s_y reflection", 1e-15),
-    (5, "anchor: weight information = cos(r)^2", FISHER_TOL),
-    (5, "mode scaling 1/16 at r=0", FISHER_TOL),
-    (5, "continuity near the pure shell", 1e-3),
-    (6, "hermiticity gap |b7 - conj(b6)|", None),
-)
+# A check as its producer states it: (section, name, tolerance); a tolerance
+# of None marks the informational entry.
+Entry = tuple[int, str, float | None]
 
 
 @dataclass(frozen=True)
@@ -153,9 +127,9 @@ def _largest(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m), axis=(-2, -1))
 
 
-def _draw_errors(p: dict) -> dict[tuple[int, str], np.ndarray]:
+def _draw_errors(p: dict) -> dict[Entry, np.ndarray]:
     """Per-draw errors of the oracle checks and the per-draw invariants over one
-    block of draws, under their (section, report name)."""
+    block of draws, under their entries."""
     theta, phi, r, qr, ql = p["theta"], p["phi"], p["r"], p["qr"], p["ql"]
     c11, c22, c33 = p["c11"], p["c22"], p["c33"]
     b = _accelerate(c11, c22, c33, r, qr, ql)
@@ -174,31 +148,32 @@ def _draw_errors(p: dict) -> dict[tuple[int, str], np.ndarray]:
         # [1] closed-form coefficients against the embedding-isometry oracle,
         # [2] the coefficient-form branch state against the three-qubit
         # circuit, [3] the coefficient form against the closed-form Bloch vector.
-        (1, "max elementwise difference"): _largest(m - oracle),
-        (2, "max elementwise difference"): _largest(rho - circuit),
-        (3, "max elementwise difference"): _largest(rho - closed),
+        (1, "max elementwise difference", EQUIV_TOL): _largest(m - oracle),
+        (2, "max elementwise difference", EQUIV_TOL): _largest(rho - circuit),
+        (3, "max elementwise difference", EQUIV_TOL): _largest(rho - closed),
         # [6] size of the Hermiticity violation if b7 were copied from b3,
         # as in the swapped-b7 variant. Informational only.
-        (6, "hermiticity gap |b7 - conj(b6)|"): np.abs(b[2] - b[5].conjugate()),
+        (6, "hermiticity gap |b7 - conj(b6)|", None): np.abs(b[2] - b[5].conjugate()),
         # The closed-form physicality rule of validate_physical against the eigensolver.
-        (5, "min channel eigenvalue: closed form vs eigvalsh"):
+        (5, "min channel eigenvalue: closed form vs eigvalsh", EQUIV_TOL):
             np.abs(_bell_eigenvalues(c11, c22, c33).min(axis=-1) - _min_eigenvalues(channel)),
         # Accelerated channels: trace, hermiticity, positivity, inertial identity.
-        (5, "accelerated channel unit trace"): np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0),
-        (5, "accelerated channel hermitian"): _hermiticity_gaps(m),
-        (5, "accelerated channel positive"): -_min_eigenvalues(m),
-        (5, "identity channel at r=0 wsma"): _largest(identity),
-        (5, "isometry columns orthonormal"): _largest(gram - IDENTITY_2),
+        (5, "accelerated channel unit trace", EQUIV_TOL):
+            np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0),
+        (5, "accelerated channel hermitian", EQUIV_TOL): _hermiticity_gaps(m),
+        (5, "accelerated channel positive", EQUIV_TOL): -_min_eigenvalues(m),
+        (5, "identity channel at r=0 wsma", EQUIV_TOL): _largest(identity),
+        (5, "isometry columns orthonormal", EQUIV_TOL): _largest(gram - IDENTITY_2),
         # Branch states: probability exactly 1/4, Hermitian, positive.
-        (5, "branch probability equals 1/4"): np.abs(prob - 0.25),
-        (5, "branch state hermitian"): _hermiticity_gaps(rho),
-        (5, "branch state positive"): -_min_eigenvalues(rho / prob[..., None, None]),
+        (5, "branch probability equals 1/4", EQUIV_TOL): np.abs(prob - 0.25),
+        (5, "branch state hermitian", EQUIV_TOL): _hermiticity_gaps(rho),
+        (5, "branch state positive", EQUIV_TOL): -_min_eigenvalues(rho / prob[..., None, None]),
     }
 
 
-def _kernel_errors(p: dict) -> dict[tuple[int, str], np.ndarray | float]:
-    """Per-draw errors of the checks that run the Bloch and Fisher kernels over
-    all draws at once, under their (section, report name)."""
+def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
+    """Errors of the checks that run the Bloch and Fisher kernels, under their
+    entries: per draw over all draws at once, then the fixed-input anchors."""
     combos = [(param, mode) for mode in NORM_NAMES for param in PARAM_NAMES]
     analytic = {combo: _partial(p, *combo, "analytic") for combo in combos}
     # [4] analytic partials against central differences: the relative error,
@@ -216,25 +191,28 @@ def _kernel_errors(p: dict) -> dict[tuple[int, str], np.ndarray | float]:
     ds = analytic["theta", "normalized"]
     flip = np.array([1.0, -1.0, 1.0])
     return {
-        (4, "max relative difference"): relative,
+        (4, "max relative difference", DERIV_TOL): relative,
         # Bloch vectors stay inside the physical ball in both modes.
-        (5, "normalized bloch norm <= 1"): _norm(s_n) - 1.0,
-        (5, "as-published bloch norm <= 1/4"): _norm(_bloch(p, "as-published")) - 0.25,
+        (5, "normalized bloch norm <= 1", EQUIV_TOL): _norm(s_n) - 1.0,
+        (5, "as-published bloch norm <= 1/4", EQUIV_TOL): _norm(_bloch(p, "as-published")) - 0.25,
         # Fisher values are non-negative for every estimand and mode, and
         # negating one fixed Bloch component everywhere leaves them unchanged.
-        (5, "fisher finite and non-negative"): _kernel_error(
+        (5, "fisher finite and non-negative", FISHER_TOL): _kernel_error(
             lambda: np.max([-_fisher(p, param, mode, "analytic")[0] for param, mode in combos], 0)
         ),
-        (5, "fisher invariant under s_y reflection"): _kernel_error(
+        (5, "fisher invariant under s_y reflection", 1e-15): _kernel_error(
             lambda: np.abs(
                 _fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(s_n * flip, ds * flip)[0]
             )
         ),
+        (5, "anchor: weight information = cos(r)^2", FISHER_TOL): _kernel_error(_anchor_error),
+        (5, "mode scaling 1/16 at r=0", FISHER_TOL): _kernel_error(_mode_scaling_error),
+        (5, "continuity near the pure shell", 1e-3): _kernel_error(_continuity_error),
     }
 
 
-def _fixed_errors() -> dict[tuple[int, str], float]:
-    """Errors of the checks on fixed inputs, each reduced to one number."""
+def _fixed_errors() -> dict[Entry, np.ndarray | float]:
+    """Errors of the preset and dyadic-grid checks, each reduced to one number."""
     # Named presets build Hermitian, unit-trace, physical states.
     presets = [
         preset_dyadic("bell-phi-plus"),
@@ -251,13 +229,10 @@ def _fixed_errors() -> dict[tuple[int, str], float]:
     grid = np.meshgrid(axis, axis, axis, indexing="ij")
     eig_sums = np.linalg.eigvalsh(_dyadic_to_density(*grid)).sum(-1)
     return {
-        (5, "preset states hermitian"): np.max(_hermiticity_gaps(m)),
-        (5, "preset states unit trace"): np.max(np.abs(trace - 1.0)),
-        (5, "preset states positive"): np.max(-_min_eigenvalues(m)),
-        (5, "dyadic grid eigenvalue sum"): np.max(np.abs(eig_sums - 1.0)),
-        (5, "anchor: weight information = cos(r)^2"): _kernel_error(_anchor_error),
-        (5, "mode scaling 1/16 at r=0"): _kernel_error(_mode_scaling_error),
-        (5, "continuity near the pure shell"): _kernel_error(_continuity_error),
+        (5, "preset states hermitian", EQUIV_TOL): np.max(_hermiticity_gaps(m)),
+        (5, "preset states unit trace", EQUIV_TOL): np.max(np.abs(trace - 1.0)),
+        (5, "preset states positive", EQUIV_TOL): np.max(-_min_eigenvalues(m)),
+        (5, "dyadic grid eigenvalue sum", EQUIV_TOL): np.max(np.abs(eig_sums - 1.0)),
     }
 
 
@@ -300,20 +275,17 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
         _draw_errors({key: column[start:start + BLOCK] for key, column in batch.items()})
         for start in range(0, trials, BLOCK)
     ]
-    produced = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    produced = _fixed_errors()
+    produced.update({key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]})
     produced.update(_kernel_errors(batch))
-    produced.update(_fixed_errors())
-    listed = [(section, name) for section, name, _ in CHECKS]
-    if sorted(produced) != sorted(listed):
-        unmatched = sorted(produced.keys() ^ set(listed))
-        raise ConsistencyError(f"checks not both produced and listed once: {unmatched}")
 
-    # One fold. An error array names its worst draw: the first NaN, else the
-    # first largest error. A scalar names none. An error at or below zero
-    # reads 0 and names no draw.
+    # One fold, in report order: by section, a stable sort of the merged order.
+    # An error array names its worst draw: the first NaN, else the first
+    # largest error. A scalar names none. An error at or below zero reads 0
+    # and names no draw.
     checks = []
-    for section, name, tolerance in CHECKS:
-        errors = np.asarray(produced[section, name])
+    for (section, name, tolerance), errors in sorted(produced.items(), key=lambda e: e[0][0]):
+        errors = np.asarray(errors)
         index = int(np.argmax(errors))
         error = float(errors.flat[index])
         draw = None

@@ -495,6 +495,13 @@ class TestInputBoundary:
             (["sweep"], _spec_payload(
                 unruh={"mode": "wsma", "qr": [True, False], "ql": [0.0, 0.0]})),
             (["sweep"], _spec_payload(channel={"c11": 10**400, "c22": -1.0, "c33": 1.0})),
+            (["sweep"], _spec_payload(fd_step=0.1)),
+            (["sweep"], _spec_payload(axes=[{"name": "r", "start": 0.0, "stop": 0.5, "count": 3,
+                                             "step": 5}])),
+            (["sweep"], _spec_payload(
+                unruh={"mode": "wsma", "qr": [1.0, 0.0], "ql": [0.0, 0.0], "r": 0.5})),
+            (["sweep"], _spec_payload(channel={"preset": "werner", "c11": -0.9, "c22": -0.9,
+                                               "c33": -0.9, "fidelity": 0.9})),
         ],
         ids=[
             "axis-count", "spec-c11", "spec-count", "spec-fixed", "fisher-unphysical",
@@ -516,6 +523,8 @@ class TestInputBoundary:
             "figures-list-with-norm", "figures-list-with-method", "fd-step-with-analytic",
             "huge-weight", "spec-huge-weight", "spec-c11-string", "spec-start-bool",
             "spec-fixed-string", "spec-weight-bool", "spec-huge-integer",
+            "spec-unknown-key", "spec-unknown-axis-key", "spec-unknown-unruh-key",
+            "spec-unknown-channel-key",
         ],
     )
     def test_one_line_error(self, argv, spec, tmp_path, capsys):

@@ -114,6 +114,15 @@ class TestFisherFromBloch:
             with pytest.raises(ConsistencyError, match="not finite"):
                 fisher_from_bloch(np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("shape_s,shape_ds", [((4,), (4,)), ((2,), (2,)), ((3,), (4,)),
+                                                  ((2, 3), (2, 3)), ((1, 3), (1, 3)), ((), ())])
+    def test_anything_but_two_3_vectors_rejected(self, shape_s, shape_ds):
+        s, ds = np.full(shape_s, 0.1), np.full(shape_ds, 0.2)
+        with pytest.raises(DomainError, match="must be 3-vectors"):
+            fisher_from_bloch(s, ds)
+        with pytest.raises(DomainError, match="must be 3-vectors"):
+            fisher_from_bloch(s.tolist(), ds.tolist())
+
     def test_seeded_values_are_finite_and_non_negative(self):
         # Both terms are >= 0 (a sum of squares, and a square over a gap above 1e-9), so no
         # value needs a clamp, the pure band 1 - |s|^2 <= 1e-9 and |s| up to 1 + 1e-12 included.

@@ -337,6 +337,20 @@ class TestEmission:
         with pytest.raises(DomainError):
             emit(spec, [], "csv", tmp_path / "nothing.csv")
 
+    @pytest.mark.parametrize("counts", [(3, 3), (5, 4), (4, 5)])
+    def test_emit_refuses_axis_lengths_that_do_not_fit_the_spec(self, counts, tmp_path, capsys):
+        # A 5 x 5 sweep's columns under a spec whose axes have other counts.
+        spec = figure_spec("1a", grid=5)
+        axes = tuple(dataclasses.replace(a, count=n) for a, n in zip(spec.axes, counts))
+        misfit, rows = dataclasses.replace(spec, axes=axes, figure=None), run_sweep(spec)
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError, match=r"\[5, 5\] points do not fit"):
+                emit(misfit, rows, fmt, tmp_path / f"out.{fmt}")
+            with pytest.raises(DomainError, match=r"\[5, 5\] points do not fit"):
+                emit(misfit, rows, fmt)
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out == ""
+
     def test_unknown_format(self):
         spec = basic_spec()
         rows = run_sweep(spec)
@@ -795,6 +809,27 @@ class TestSpecInputs:
             dataclasses.replace(spec, fixed={"phi": 1.0})
         with pytest.raises(DomainError, match="figure 3c does not give this spec"):
             dataclasses.replace(figure_spec("3c", 8), dyadic=CorrelationDyadic(-0.5, -0.5, -0.5))
+
+    @pytest.mark.parametrize("added", ["spec.fd_step", "channel.fidelity", "unruh.r",
+                                       "axis.step", "spec.fd_step axis.step"])
+    def test_unknown_keys_are_named(self, added):
+        payload = spec_to_dict(figure_spec("1b", grid=3))
+        blocks = {"spec": payload, "channel": payload["channel"], "unruh": payload["unruh"],
+                  "axis": payload["axes"][-1]}
+        keys = [entry.split(".") for entry in added.split()]
+        for block, key in keys:
+            blocks[block][key] = 0.5
+        names = ", ".join(key for _, key in keys)
+        with pytest.raises(DomainError, match=f"^unknown spec keys: {names}$"):
+            spec_from_dict(payload)
+
+    def test_optional_keys_may_be_left_out(self):
+        payload = spec_to_dict(figure_spec("1b", grid=3))
+        for block, key in ((payload, "figure"), (payload["channel"], "preset"),
+                           (payload["unruh"], "mode")):
+            del block[key]
+        spec = spec_from_dict(payload)
+        assert (spec.figure, spec.channel_preset, spec.unruh_mode) == (None, None, None)
 
     def test_named_presets_and_modes_load(self):
         for fidelity in (0.0, 0.37, 1.0):
