@@ -214,7 +214,7 @@ def _matrix_text(m: np.ndarray) -> str:
 def _report(args: argparse.Namespace, payload: dict[str, Any], lines: list[str]) -> int:
     """Write the payload as JSON, or the text lines under ``--format text``."""
     text = "\n".join(lines) if args.format == "text" else json.dumps(payload, indent=2)
-    write_output([text, "\n"], args.out)
+    write_output([f"{text}\n".encode()], args.out)
     return 0
 
 
@@ -361,7 +361,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                 f"{fig_id}: F_{spec.estimand}({', '.join(spec.axis_names)}) at {fixed_text}, "
                 f"{spec.channel_preset}, {spec.unruh_mode}\n"
             )
-        write_output(lines, args.out)
+        write_output(["".join(lines).encode()], args.out)
         return 0
     if args.id is None:
         raise DomainError("--id is required (or use --list)")
@@ -372,7 +372,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(**_given(args, ("trials", "seed")))
-    write_output([report.render()], None)
+    write_output([report.render().encode()], None)
     return 0 if report.passed else 2
 
 

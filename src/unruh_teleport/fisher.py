@@ -157,9 +157,14 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     mixed-state denominator only amplifies rounding noise. The value is never
     negative; a non-finite one indicates a bug and raises.
     """
-    if np.shape(s) != (3,) or np.shape(ds) != (3,):
-        raise DomainError(f"s and ds must be 3-vectors, not shapes {np.shape(s)} and {np.shape(ds)}")
-    value, pure = _fisher_from_bloch(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
+    try:
+        s, ds = np.asarray(s), np.asarray(ds)
+    except ValueError:  # a ragged nesting has no array shape
+        raise DomainError("s and ds must be 3-vectors of real numbers, not ragged") from None
+    if s.shape != (3,) or ds.shape != (3,) or not all(v.dtype.kind in "biuf" for v in (s, ds)):
+        raise DomainError(f"s and ds must be 3-vectors of real numbers, not {s.dtype} and "
+                          f"{ds.dtype} of shapes {s.shape} and {ds.shape}")
+    value, pure = _fisher_from_bloch(s.astype(float), ds.astype(float))
     return FisherValue(value=float(value), pure_branch=bool(pure))
 
 

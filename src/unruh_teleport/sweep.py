@@ -1,7 +1,7 @@
 """Parameter-grid sweeps, figure dataset presets and CSV/JSON emission.
 
 A sweep stays in the Fisher kernel's columns (``SweepRows``) from evaluation to the
-emitted text, rendered a piece at a time; a non-finite value is refused before writing.
+emitted bytes, rendered a piece at a time; a non-finite value is refused before writing.
 """
 
 from __future__ import annotations
@@ -433,11 +433,11 @@ _g17 = partial(_fixed, fmt=b"%.17g")
 _shortest = partial(_fixed, fmt=b"%r")
 
 
-def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
+def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     """CSV with floats at 17 significant digits, so parsing restores them bit-exactly, or
-    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, byte for byte: the
+    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, as ASCII bytes: the
     head once columns that fit the spec's axes hold no non-finite value (JSON has no spelling
-    for one), then pieces of whole rows of the outer axis, about 8,192 points each."""
+    for one), then whole outer-axis rows, about 8,192 points a piece, each a filled template."""
     check_choice("output format", fmt, FORMATS)
     if len(rows.points) != len(spec.axes):
         raise DomainError(f"sweep columns on {len(rows.points)} axes do not fit {spec.axis_names}")
@@ -448,19 +448,19 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
         raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     if fmt == "csv":
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-        axis_fmts, off, on = ["%.17g,"] * len(spec.axes), "%s,false\n", "%s,true\n"
+        axis_fmts, off, on = ["%.17g,"] * len(spec.axes), b"%s,false\n", b"%s,true\n"
     else:
         head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
         keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
-        value = '      "fisher": %s,\n      "pure_branch": '
+        value = b'      "fisher": %s,\n      "pure_branch": '
         axis_fmts = ["    {\n" + keys[0], *keys[1:]]
-        off, on = value + "false\n    },\n", value + "true\n    },\n"
+        off, on = value + b"false\n    },\n", value + b"true\n    },\n"
         if rows:  # the rows go inside head's '"rows": []' + "\n}", the last without its ",\n"
             head = head[: -len("]\n}")]
-    yield head + "\n"
-    axis_texts = [[f % x for x in axis] for f, axis in zip(axis_fmts, rows.points)]
+    yield (head + "\n").encode()
+    axis_texts = [[(f % x).encode() for x in axis] for f, axis in zip(axis_fmts, rows.points)]
     # A one-axis sweep's inner axis is one empty text; an empty sweep has no pieces.
-    outer, inner = [*axis_texts, [""]][:2] if rows else ([], [""])
+    outer, inner = [*axis_texts, [b""]][:2] if rows else ([], [b""])
     inner = [text + off for text in inner]
     step = max(1, (1 << 13) // len(inner))
     texts = _g17 if fmt == "csv" else _shortest
@@ -470,18 +470,18 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[str]:
         for i in np.flatnonzero(rows.pure[piece]).tolist():
             lines[i] = lines[i][: -len(off)] + on
         if fmt == "json" and j + step >= len(outer):
-            lines[-1] = lines[-1][: -len(",\n")] + "\n  ]\n}\n"
-        template = "".join(lines).encode()
+            lines[-1] = lines[-1][: -len(b",\n")] + b"\n  ]\n}\n"
+        template = b"".join(lines)
         del lines  # before the fill, which makes one bytes object per value
-        yield (template % tuple(texts(rows.fisher[piece]))).decode()
+        yield template % tuple(texts(rows.fisher[piece]))
 
 
-def write_output(pieces: Iterable[str], destination: str | Path | None) -> None:
-    """Write the pieces in turn to ``destination`` (UTF-8), or to stdout if it is None."""
+def write_output(pieces: Iterable[bytes], destination: str | Path | None) -> None:
+    """Write the byte pieces in turn to ``destination`` unchanged, or decoded to stdout if None."""
     if destination is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(map(bytes.decode, pieces))
     else:
-        with open(destination, "w", encoding="utf-8") as out:
+        with open(destination, "wb") as out:
             out.writelines(pieces)
 
 

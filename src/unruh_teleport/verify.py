@@ -187,19 +187,19 @@ def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
         relative = np.maximum(
             relative, np.divide(difference, scale, out=np.zeros_like(scale), where=kept)
         )
-    s_n = _bloch(p, "normalized")
-    ds = analytic["theta", "normalized"]
+    bloch = {mode: _bloch(p, mode) for mode in NORM_NAMES}
+    s_n, ds = bloch["normalized"], analytic["theta", "normalized"]
     flip = np.array([1.0, -1.0, 1.0])
     return {
         (4, "max relative difference", DERIV_TOL): relative,
         # Bloch vectors stay inside the physical ball in both modes.
         (5, "normalized bloch norm <= 1", EQUIV_TOL): _norm(s_n) - 1.0,
-        (5, "as-published bloch norm <= 1/4", EQUIV_TOL): _norm(_bloch(p, "as-published")) - 0.25,
-        # Fisher values are non-negative for every estimand and mode, and
-        # negating one fixed Bloch component everywhere leaves them unchanged.
-        (5, "fisher finite and non-negative", FISHER_TOL): _kernel_error(
-            lambda: np.max([-_fisher(p, param, mode, "analytic")[0] for param, mode in combos], 0)
-        ),
+        (5, "as-published bloch norm <= 1/4", EQUIV_TOL): _norm(bloch["as-published"]) - 0.25,
+        # Fisher values, from the Bloch vectors and partials above, are non-negative for every
+        # estimand and mode, and negating one fixed Bloch component leaves them unchanged.
+        (5, "fisher finite and non-negative", FISHER_TOL): _kernel_error(lambda: np.max([
+            -_fisher_from_bloch(bloch[mode], partial)[0] for (_, mode), partial in analytic.items()
+        ], 0)),
         (5, "fisher invariant under s_y reflection", 1e-15): _kernel_error(
             lambda: np.abs(
                 _fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(s_n * flip, ds * flip)[0]

@@ -40,7 +40,7 @@ SEED = 20240611
 
 
 def render_rows(spec, rows, fmt):
-    return "".join(sweep._pieces(spec, rows, fmt))
+    return b"".join(sweep._pieces(spec, rows, fmt)).decode()
 
 
 def _line(number, name, passed, detail):

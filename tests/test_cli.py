@@ -1501,6 +1501,35 @@ def test_usage_error_is_the_exit_code_of_a_real_process():
     assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
+# Runs each argv of the JSON list of [argv, path] pairs in argv[1] with --out path, then to stdout.
+OUT_PROBE = """
+import json, sys
+from unruh_teleport.cli import main
+for argv, path in json.loads(sys.argv[1]):
+    assert main([*argv, "--out", path]) == 0 and main(argv) == 0, argv
+"""
+
+
+def test_stdout_and_out_file_of_a_real_process_get_the_same_bytes(tmp_path):
+    # A process's stdout gets the pieces through its text stream, --out gets them unchanged.
+    spec = _spec_payload(method="fd", unruh={"qr": [0.6, 0.8], "ql": [0.0, 0.0]},
+                         axes=[{"name": "theta", "start": 0.0, "stop": 3.0, "count": 5},
+                               {"name": "r", "start": 0.0, "stop": 0.5, "count": 4}],
+                         fixed={"phi": 1.0})
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    cases = {
+        "figure-csv": ["figures", "--id", "1b", "--grid", "96"],  # 9,216 points, two pieces
+        "spec-sweep-json": ["sweep", "--spec", str(tmp_path / "spec.json"), "--format", "json"],
+        "fisher-json": ["fisher", "--param", "r", *POINT, "--preset", "bell-phi-plus"],
+    }
+    jobs = [(argv, str(tmp_path / case)) for case, argv in cases.items()]
+    done = _run_python("-c", OUT_PROBE, json.dumps(jobs), text=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    written = [(tmp_path / case).read_bytes() for case in cases]
+    assert done.stdout == b"".join(written)
+    assert all(out.endswith(b"\n") and b"\r" not in out for out in written)
+
+
 def _dynamic_arch_openblas():
     """Whether numpy's BLAS is an OpenBLAS that picks its kernels by CPU at load time."""
     try:
@@ -1551,10 +1580,11 @@ def _run_probe(probe, *args, **variables):
     return done.stdout
 
 
-def _run_python(*args, **variables):
+def _run_python(*args, text=True, **variables):
     """A fresh interpreter run with ``args``, with this package on its path and
-    ``variables`` set in its environment; a variable given as None is unset."""
+    ``variables`` set in its environment; a variable given as None is unset. Its
+    output is captured as text, or as bytes if ``text`` is false."""
     path = [str(Path(unruh_teleport.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **variables}
     env = {name: value for name, value in env.items() if value is not None}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text)

@@ -123,6 +123,24 @@ class TestFisherFromBloch:
         with pytest.raises(DomainError, match="must be 3-vectors"):
             fisher_from_bloch(s.tolist(), ds.tolist())
 
+    def test_ragged_input_rejected(self):
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers, not ragged"):
+            fisher_from_bloch([[0.1, 0.2], [0.3]], [0.1, 0.0, 0.0])
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers, not ragged"):
+            fisher_from_bloch([0.1, 0.0, 0.0], [[0.1, 0.2], [0.3]])
+
+    def test_string_input_rejected(self):
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers, not <U"):
+            fisher_from_bloch(["0.1", "0", "0"], [0.1, 0.0, 0.0])
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers"):
+            fisher_from_bloch([0.1, 0.0, 0.0], ["0.1", 0.0, 0.0])
+
+    def test_complex_input_rejected(self):
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers, not complex128"):
+            fisher_from_bloch([1 + 0j, 0, 0], [0.1, 0.0, 0.0])
+        with pytest.raises(DomainError, match="must be 3-vectors of real numbers"):
+            fisher_from_bloch([0.1, 0.0, 0.0], np.array([0.1, 0.0, 0.0]) + 0j)
+
     def test_seeded_values_are_finite_and_non_negative(self):
         # Both terms are >= 0 (a sum of squares, and a square over a gap above 1e-9), so no
         # value needs a clamp, the pure band 1 - |s|^2 <= 1e-9 and |s| up to 1 + 1e-12 included.
@@ -227,17 +245,17 @@ class TestBlochPartial:
 
 class TestFisherAnchors:
     def test_weight_information_is_cos_squared_r(self):
-        # Includes both poles, where the branch state is pure.
-        for theta in np.linspace(0.0, math.pi, 9):
-            for phi in np.linspace(0.0, 2.0 * math.pi, 9):
-                for r in np.linspace(0.0, math.pi / 4, 9):
-                    result = fisher(
-                        InputState(float(theta), float(phi)),
-                        PHI_PLUS,
-                        mode_params(float(r), "wsma"),
-                        "theta",
-                    )
-                    assert abs(result.value - math.cos(float(r)) ** 2) < 1e-9
+        # Includes both poles, where the branch state is pure. The 9^3 points go
+        # through one broadcasting kernel call, and one of them through ``fisher``.
+        axes = [np.linspace(0.0, hi, 9) for hi in (math.pi, 2.0 * math.pi, math.pi / 4)]
+        grid = dict(zip(PARAM_NAMES, np.meshgrid(*axes, indexing="ij")))
+        p = {**vars(PHI_PLUS), **vars(INERTIAL), **grid}
+        value = _fisher(p, "theta", "normalized", "analytic")[0]
+        assert value.shape == (9, 9, 9)
+        assert np.all(np.abs(value - np.cos(grid["r"]) ** 2) < 1e-9)
+        theta, phi, r = (float(axis[i]) for axis, i in zip(axes, (4, 3, 5)))
+        result = fisher(InputState(theta, phi), PHI_PLUS, mode_params(r, "wsma"), "theta")
+        assert abs(result.value - math.cos(r) ** 2) < 1e-9
 
     def test_inertial_values(self):
         for theta in np.linspace(0.0, math.pi, 21):

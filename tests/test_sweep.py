@@ -59,7 +59,7 @@ def basic_spec(**overrides):
 
 
 def render_rows(spec: SweepSpec, rows: SweepRows, fmt: str) -> str:
-    return "".join(sweep._pieces(spec, rows, fmt))
+    return b"".join(sweep._pieces(spec, rows, fmt)).decode()
 
 
 def rows_to_csv(spec: SweepSpec, rows: SweepRows) -> str:
@@ -507,7 +507,7 @@ class TestRenderContract:
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
             pieces = list(sweep._pieces(spec, rows, fmt))
             assert len(pieces) == 3, fmt  # the head and two pieces
-            assert "".join(pieces) == reference(spec, rows), fmt
+            assert b"".join(pieces).decode() == reference(spec, rows), fmt
 
     @pytest.mark.parametrize("case", ("short-columns", "short-fisher", "short-pure",
                                       "long-columns", "extra-axis", "missing-axis",

@@ -278,7 +278,11 @@ def test_bloch_norm_check_names_its_worst_draw(monkeypatch):
     _nan_at_draw_two(monkeypatch, "_bloch", lambda mode: mode == "as-published")
     report = verify(trials=5, seed=1)
     failed = [c for c in report.checks if not c.passed]
-    assert [(c.name, c.draw[0]) for c in failed] == [("as-published bloch norm <= 1/4", 2)]
+    # The Fisher check reads the same Bloch pass, so it meets the NaN too: an
+    # infinite error that names no draw.
+    assert [(c.name, c.draw and c.draw[0]) for c in failed] == [
+        ("as-published bloch norm <= 1/4", 2), ("fisher finite and non-negative", None)]
+    assert failed[1].max_error == math.inf
     assert report.render().count("worst draw: 2 theta=") == 1
 
 
@@ -356,7 +360,7 @@ def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
 def test_kernel_passes_are_pinned(monkeypatch):
     # verify's own names for the kernel functions record the arguments after
     # the point mapping of each call, and whether _mode_scaling_error made it.
-    calls = {"_bloch": [], "_partial": [], "_fisher": []}
+    calls = {"_bloch": [], "_partial": [], "_fisher": [], "_fisher_from_bloch": []}
     scaling = []
 
     def counted(name):
@@ -388,6 +392,9 @@ def test_kernel_passes_are_pinned(monkeypatch):
         assert sorted(made) == combos, method
     assert len(calls["_partial"]) == 12
     # One Fisher pass per (estimand, norm) for both Bell presets in the mode
-    # scaling check; the finite check's six and the anchor's one stay apart.
+    # scaling check, and the anchor's one apart.
     assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
-    assert sum(not inside for inside, _ in calls["_fisher"]) == 7
+    assert sum(not inside for inside, _ in calls["_fisher"]) == 1
+    # The finite check's six Fisher values and the reflection check's two come
+    # from the Bloch passes and analytic partials above.
+    assert len(calls["_fisher_from_bloch"]) == 8
