@@ -13,8 +13,8 @@ of the trace-1 conditional state (the physically standard choice and the
 default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
 its vectors and their partials are exactly a quarter of the normalized ones.
-Both, and the analytic partials, come from one closed form, the affine Bloch
-action of the channel and the receiver's Kraus pair (``teleport._branch_bloch``).
+This module alone applies that quarter, exactly (a power of two), to the normalized
+vectors and analytic partials of one closed form, ``teleport._branch_bloch``.
 
 The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
@@ -43,7 +43,7 @@ VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
 # Largest number of sweep points, or of verify draws, one run may ask for (1024 x 1024).
 MAX_POINTS = 2**20
 NORM_NAMES = ("normalized", "as-published")
-# The as-published Bloch vector keeps the branch weight, identically 1/4.
+# As-published Bloch vectors keep the branch weight 1/4, a power of two, so it scales exactly.
 _MODE_SCALE = dict(zip(NORM_NAMES, (1.0, 0.25)))
 METHOD_NAMES = ("analytic", "fd")
 
@@ -90,13 +90,13 @@ def _bloch(p: dict, mode: str) -> np.ndarray:
     The closed form extends smoothly to any real theta, phi and r, so the
     central differences may step past the domain edges.
     """
-    return _branch_bloch(**p, scale=_MODE_SCALE[mode])
+    return _MODE_SCALE[mode] * _branch_bloch(**p)
 
 
 def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Partial derivatives of the Bloch vectors; ``fd`` is a central difference of step ``h``."""
     if method == "analytic":
-        return _branch_bloch(**p, wrt=param, scale=_MODE_SCALE[mode])
+        return _MODE_SCALE[mode] * _branch_bloch(**p, wrt=param)
 
     plus, minus = (_bloch({**p, param: p[param] + step}, mode) for step in (h, -h))
     return (plus - minus) / (2.0 * h)

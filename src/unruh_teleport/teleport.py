@@ -121,16 +121,14 @@ def _branch_bloch(
     qr: ArrayLike,
     ql: ArrayLike,
     wrt: str | None = None,
-    scale: float = 1.0,
 ) -> np.ndarray:
     """Normalized Bloch vectors (last axis) of the branch state, or with ``wrt``
-    their partials in "theta", "phi" or "r", times ``scale``; broadcasts.
+    their partials in "theta", "phi" or "r"; broadcasts.
 
     The Bell-diagonal channel scales the input's Bloch vector n by
     (c11, -c22, c33), and the receiver's Kraus pair maps the result affinely:
     s = A(r) (T n) + b(r). s is linear in n and in (A, b), so a partial
-    replaces one factor by its derivative. ``scale`` multiplies A and b, which
-    read r alone, so an exact power of two scales s exactly.
+    replaces one factor by its derivative.
     """
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -147,10 +145,10 @@ def _branch_bloch(
     x, y, z = c11 * n[0], -c22 * n[1], c33 * n[2]
     u = qr.conjugate() * cr + ql * sr
     w = qr.conjugate() * cr - ql * sr
-    offset = 0.0 if wrt in ("theta", "phi") else (c2r + d) * (scale / 2.0)
-    sx = (scale * u.real) * x + (scale * w.imag) * y
-    sy = (scale * w.real) * y - (scale * u.imag) * x
-    sz = ((c2r - d) * (scale / 2.0)) * z + offset
+    offset = 0.0 if wrt in ("theta", "phi") else (c2r + d) / 2.0
+    sx = u.real * x + w.imag * y
+    sy = w.real * y - u.imag * x
+    sz = ((c2r - d) / 2.0) * z + offset
     return np.stack(np.broadcast_arrays(sx, sy, sz), -1)
 
 

@@ -75,17 +75,21 @@ def r_from_acceleration(omega: float, accel: float, c: float) -> float:
 
     ``omega`` is the mode frequency (rad/s), ``accel`` the proper
     acceleration (m/s^2), ``c`` the speed of light (m/s). accel = 0 maps to
-    the inertial value r = 0; accel -> infinity approaches r = pi/4.
+    the inertial value r = 0; accel -> infinity approaches r = pi/4. A ratio
+    with no value (inf/inf) raises DomainError, as does a NaN input.
     """
     if not omega > 0:
         raise DomainError(f"omega must be positive, got {omega}")
     if not c > 0:
         raise DomainError(f"c must be positive, got {c}")
-    if accel < 0:
+    if not accel >= 0:
         raise DomainError(f"accel must be non-negative, got {accel}")
     if accel == 0:
         return 0.0
-    return math.atan(math.exp(-math.pi * omega * c / accel))
+    ratio = math.pi * omega * c / accel
+    if math.isnan(ratio):
+        raise DomainError(f"pi*omega*c/accel is undefined for omega={omega}, accel={accel}, c={c}")
+    return math.atan(math.exp(-ratio))
 
 
 @dataclass(frozen=True)

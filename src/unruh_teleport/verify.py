@@ -38,8 +38,8 @@ from .channels import (
 )
 from .errors import ConsistencyError, DomainError, check_integer
 from .fisher import (
-    MAX_POINTS, NORM_NAMES, PARAM_NAMES, _bloch, _dot, _fisher, _fisher_from_bloch, _partial,
-    fisher,
+    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _bloch, _dot, _fisher,
+    _fisher_from_bloch, _partial, fisher,
 )
 from .teleport import (
     InputState, _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
@@ -308,12 +308,7 @@ def _kernel_error(error: Callable[[], np.ndarray | float]) -> np.ndarray | float
 def _anchor_error() -> float:
     """Weight-angle information equals cos(r)^2 for the (1,-1,1) Bell channel in
     the single-mode limit."""
-    grid = np.meshgrid(
-        np.linspace(0.0, math.pi, 7),
-        np.linspace(0.0, 2.0 * math.pi, 7),
-        np.linspace(0.0, R_MAX, 7),
-        indexing="ij",
-    )
+    grid = np.ix_(*(np.linspace(*VARIABLE_DOMAINS[name], 7) for name in PARAM_NAMES))
     anchor = {
         **vars(preset_dyadic("bell-phi-plus")),
         **vars(mode_params(0.0, "wsma")),

@@ -341,6 +341,17 @@ class TestExitCodes:
         assert main(["teleport", "--theta", "1", "--phi", "1", "--preset", "bell-phi-plus",
                      "--r", "0", "--qr", "0.707", "--ql", "0.707"]) == 1
 
+    @pytest.mark.parametrize("omega,accel", [("1", "nan"), ("inf", "inf")])
+    def test_undefined_acceleration_ratio_names_the_acceleration(self, omega, accel, capsys):
+        # --r was never given, so the message must not be UnruhParams' range check on r.
+        assert main(["channel", "--preset", "bell-phi-plus", "--omega", omega,
+                     "--accel", accel, "--c", "1"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        assert "accel" in lines[0] and "r must lie" not in lines[0]
+
     def test_unwritable_destination_is_io_error(self, capsys):
         code = main(
             ["sweep", "--param", "theta", "--grid", "r=0:pi/4:2", "--theta", "1",

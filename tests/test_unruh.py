@@ -44,7 +44,9 @@ class TestRFromAcceleration:
 
     @pytest.mark.parametrize(
         "omega,accel,c",
-        [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -2.0)],
+        [(0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -2.0),
+         # A NaN acceleration, and pi*omega*c/accel = inf/inf, which has no value.
+         (1.0, math.nan, 1.0), (math.inf, math.inf, 1.0), (1.0, math.inf, math.inf)],
     )
     def test_domain_errors(self, omega, accel, c):
         with pytest.raises(DomainError):
