@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import CorrelationDyadic
+from .channels import CorrelationDyadic, require_physical
 from .errors import ConsistencyError, DomainError, check_choice
 from .teleport import InputState, _branch_bloch
 from .unruh import R_MAX, UnruhParams
@@ -75,7 +75,8 @@ def check_args(
 
 
 def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
-    """The fields of the three value types are the kernel's arguments."""
+    """The fields of the three value types are the kernel's arguments; the channel must be physical."""
+    require_physical(d)
     return {**vars(state), **vars(d), **vars(u)}
 
 

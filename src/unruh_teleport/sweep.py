@@ -146,7 +146,8 @@ class SweepRows(Sequence[SweepRow]):
     """A sweep's rows as the kernel's read-only columns.
 
     ``points`` holds each axis's grid values, outer axis first; ``fisher`` and
-    ``pure`` hold one entry per point of their product. Indexing and iteration
+    ``pure`` hold one entry per point of their product, as read-only 1-d float64
+    and bool arrays made from columns of real numbers. Indexing and iteration
     yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
     list of its rows.
     """
@@ -156,6 +157,13 @@ class SweepRows(Sequence[SweepRow]):
     pure: np.ndarray
 
     def __post_init__(self) -> None:
+        columns = [np.asarray(column) for column in (self.fisher, self.pure)]
+        if any(c.ndim != 1 or c.dtype.kind not in "biuf" for c in columns):
+            raise DomainError("sweep columns must be 1-d arrays of real numbers, got "
+                              + " and ".join(f"{c.dtype} of shape {c.shape}" for c in columns))
+        for name, column, dtype in zip(("fisher", "pure"), columns, (np.float64, np.bool_)):
+            object.__setattr__(self, name, column.astype(dtype, copy=False).view())
+            getattr(self, name).flags.writeable = False
         shape = [len(axis) for axis in self.points]
         if not len(self.fisher) == len(self.pure) == math.prod(shape):
             raise DomainError(f"sweep columns of {len(self.fisher)} Fisher values and "
@@ -195,7 +203,6 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
              **dict(zip(spec.axis_names, np.ix_(*points)))}
     value, pure = _fisher(point, spec.estimand, spec.norm, spec.method)
     value, pure = (np.broadcast_to(c, [len(p) for p in points]).ravel() for c in (value, pure))
-    value.flags.writeable = pure.flags.writeable = False
     return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)
 
 
@@ -393,38 +400,34 @@ def _shortest17(x: np.ndarray, e: np.ndarray, near: np.ndarray,
 
 
 def _fixed(column: np.ndarray, fmt: bytes) -> list[bytes]:
-    """``[fmt % x for x in column]`` for ``b"%.17g"`` or ``b"%r"``, byte for byte, 65,536
-    values at a time. A value in [1e-4, 1e17), or 1e16 for repr, is scaled by Dekker's
-    two-product to ``hi + lo`` in [1e16, 1e17), exactly, rounded half to even to 17
-    digits or shortened, and laid out in fixed notation. Zero, negatives, the rest, a
-    carry to 10**17 and values the shortening is not sure of go through ``fmt``."""
+    """``[fmt % x for x in column]`` for ``b"%.17g"`` or ``b"%r"``, byte for byte. A value
+    in [1e-4, 1e17), or 1e16 for repr, is scaled by Dekker's two-product to ``hi + lo`` in
+    [1e16, 1e17), exactly, rounded half to even to 17 digits or shortened, and laid out in
+    fixed notation. Zero, negatives, the rest, a carry to 10**17 and values the shortening
+    is not sure of go through ``fmt``."""
     top, layout = (1e16, _REPR_LAYOUT) if fmt == b"%r" else (1e17, _G17_LAYOUT)
-    texts: list[bytes] = []
-    for start in range(0, len(column), 1 << 16):
-        chunk = column[start : start + (1 << 16)]
-        ok = (chunk >= 1e-4) & (chunk < top)
-        x = np.where(ok, chunk, 1.0)
-        e = np.searchsorted(_DECADES, x, side="right") - 5
-        hi, lo = _times_pow10(x, 16 - e)
-        # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds hi + lo half to even.
-        digits, sure = hi.astype(np.int64) + np.rint(lo).astype(np.int64), True
-        if fmt == b"%r":
-            digits, sure = _shortest17(x, e, digits, lo - np.rint(lo))
-        ok &= sure & (digits < 10**17)
-        words = np.full((len(chunk), 6), np.frombuffer(b".\0\0\0", np.uint32)[0])
-        for i in range(4, -1, -1):
-            digits, words[:, i] = digits // 10_000, _DIGITS4[digits % 10_000]
-        source = words.view(np.uint8)
-        zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
-        rows = np.take(layout, (e + 4) * 17 + zeros, axis=0)
-        offsets, text = np.arange(0, source.size, 24), np.empty((len(chunk), 22), np.uint8)
-        for j in range(22):  # by column: an index of every byte would take 176 B a value
-            text[:, j] = source.ravel()[offsets + rows[:, j]]
-        chunk_texts = text.view("S22").ravel().tolist()
-        rest = np.flatnonzero(~ok)
-        for i, value in zip(rest.tolist(), chunk[rest].tolist()):
-            chunk_texts[i] = fmt % value
-        texts += chunk_texts
+    ok = (column >= 1e-4) & (column < top)
+    x = np.where(ok, column, 1.0)
+    e = np.searchsorted(_DECADES, x, side="right") - 5
+    hi, lo = _times_pow10(x, 16 - e)
+    # hi >= 1e16 > 2**53 is an even integer, so rint(lo) rounds hi + lo half to even.
+    digits, sure = hi.astype(np.int64) + np.rint(lo).astype(np.int64), True
+    if fmt == b"%r":
+        digits, sure = _shortest17(x, e, digits, lo - np.rint(lo))
+    ok &= sure & (digits < 10**17)
+    words = np.full((len(column), 6), np.frombuffer(b".\0\0\0", np.uint32)[0])
+    for i in range(4, -1, -1):
+        digits, words[:, i] = digits // 10_000, _DIGITS4[digits % 10_000]
+    source = words.view(np.uint8)
+    zeros = (source[:, 19:2:-1] != ord("0")).argmax(axis=1)
+    rows = np.take(layout, (e + 4) * 17 + zeros, axis=0)
+    offsets, text = np.arange(0, source.size, 24), np.empty((len(column), 22), np.uint8)
+    for j in range(22):  # by column: an index of every byte would take 176 B a value
+        text[:, j] = source.ravel()[offsets + rows[:, j]]
+    texts = text.view("S22").ravel().tolist()
+    rest = np.flatnonzero(~ok)
+    for i, value in zip(rest.tolist(), column[rest].tolist()):
+        texts[i] = fmt % value
     return texts
 
 
@@ -435,12 +438,19 @@ _shortest = partial(_fixed, fmt=b"%r")
 
 def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     """CSV with floats at 17 significant digits, so parsing restores them bit-exactly, or
-    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, as ASCII bytes: the
-    head once columns that fit the spec's axes hold no non-finite value (JSON has no spelling
-    for one), then whole outer-axis rows, about 8,192 points a piece, each a filled template."""
+    ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, as ASCII bytes.
+    The first ``next()`` makes every check: the rows are a non-empty ``SweepRows`` whose axis
+    lengths are the spec's counts, with no non-finite coordinate or Fisher value (JSON has
+    no spelling for one). It yields the head, then pieces of 8,192 points (the last one
+    shorter), each a template of the next lines of the flat stream of row texts, filled."""
+    if not isinstance(rows, SweepRows):
+        raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
+    if not rows:
+        raise DomainError("refusing to emit an empty sweep")
+    shape, counts = [len(axis) for axis in rows.points], [axis.count for axis in spec.axes]
+    if shape != counts:
+        raise DomainError(f"sweep columns on axes of {shape} points do not fit the spec's {counts}")
     check_choice("output format", fmt, FORMATS)
-    if len(rows.points) != len(spec.axes):
-        raise DomainError(f"sweep columns on {len(rows.points)} axes do not fit {spec.axis_names}")
     if not (np.isfinite(rows.fisher).all() and all(map(math.isfinite, itertools.chain(*rows.points)))):
         row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
         value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
@@ -450,29 +460,26 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
         axis_fmts, off, on = ["%.17g,"] * len(spec.axes), b"%s,false\n", b"%s,true\n"
     else:
-        head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)
+        # The rows go inside head's '"rows": []' + "\n}", the last without its ",\n".
+        head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)[: -len("]\n}")]
         keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
         value = b'      "fisher": %s,\n      "pure_branch": '
         axis_fmts = ["    {\n" + keys[0], *keys[1:]]
         off, on = value + b"false\n    },\n", value + b"true\n    },\n"
-        if rows:  # the rows go inside head's '"rows": []' + "\n}", the last without its ",\n"
-            head = head[: -len("]\n}")]
     yield (head + "\n").encode()
     axis_texts = [[(f % x).encode() for x in axis] for f, axis in zip(axis_fmts, rows.points)]
-    # A one-axis sweep's inner axis is one empty text; an empty sweep has no pieces.
-    outer, inner = [*axis_texts, [b""]][:2] if rows else ([], [b""])
-    inner = [text + off for text in inner]
-    step = max(1, (1 << 13) // len(inner))
+    # A one-axis sweep's inner axis is one empty text.
+    lines = map(b"".join, itertools.product(*[*axis_texts, [b""]][:2], [off]))
     texts = _g17 if fmt == "csv" else _shortest
-    for j in range(0, len(outer), step):
-        lines = [a + b for a in outer[j : j + step] for b in inner]
-        piece = slice(j * len(inner), (j + step) * len(inner))
+    cuts = [*range(0, len(rows), 1 << 13), len(rows)]
+    for piece in itertools.starmap(slice, itertools.pairwise(cuts)):
+        part = list(itertools.islice(lines, piece.stop - piece.start))
         for i in np.flatnonzero(rows.pure[piece]).tolist():
-            lines[i] = lines[i][: -len(off)] + on
-        if fmt == "json" and j + step >= len(outer):
-            lines[-1] = lines[-1][: -len(b",\n")] + b"\n  ]\n}\n"
-        template = b"".join(lines)
-        del lines  # before the fill, which makes one bytes object per value
+            part[i] = part[i][: -len(off)] + on
+        if fmt == "json" and piece.stop == len(rows):
+            part[-1] = part[-1][: -len(b",\n")] + b"\n  ]\n}\n"
+        template = b"".join(part)
+        del part  # before the fill, which makes one bytes object per value
         yield template % tuple(texts(rows.fisher[piece]))
 
 
@@ -488,13 +495,6 @@ def write_output(pieces: Iterable[bytes], destination: str | Path | None) -> Non
 def emit(
     spec: SweepSpec, rows: SweepRows, fmt: str, destination: str | Path | None = None
 ) -> None:
-    """Write the sweep's columns piece by piece; refuse other rows, empty sweeps and misfit axes."""
-    if not isinstance(rows, SweepRows):
-        raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
-    if not rows:
-        raise DomainError("refusing to emit an empty sweep")
-    shape, counts = [len(axis) for axis in rows.points], [axis.count for axis in spec.axes]
-    if shape != counts:
-        raise DomainError(f"sweep columns on axes of {shape} points do not fit the spec's {counts}")
+    """Write the sweep's columns piece by piece, once ``_pieces`` has made its checks."""
     pieces = _pieces(spec, rows, fmt)
     write_output(itertools.chain([next(pieces)], pieces), destination)  # next() runs the checks

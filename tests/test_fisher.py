@@ -6,6 +6,7 @@ import pytest
 
 from unruh_teleport import (
     ConsistencyError,
+    CorrelationDyadic,
     DomainError,
     InputState,
     bloch_partial,
@@ -404,7 +405,7 @@ BAD_FD_STEPS = (0.0, math.nan, -1e-5, math.pi / 12 + 1e-9)
 
 
 class TestLibraryBoundary:
-    """The public functions check the fd step themselves, not only the CLI."""
+    """The public functions check the fd step and the channel themselves, not only the CLI."""
 
     @pytest.mark.parametrize("fd_step", BAD_FD_STEPS)
     def test_fd_step_out_of_range(self, fd_step):
@@ -422,3 +423,11 @@ class TestLibraryBoundary:
             bloch_partial(state, PHI_PLUS, u, "r", fd_step=fd_step),
             bloch_partial(state, PHI_PLUS, u, "r"),
         )
+
+    def test_unphysical_channel_is_refused(self):
+        # (1, 1, 1) gives a density matrix with least eigenvalue -0.5, which run_sweep refuses.
+        state, d, u = InputState(1.0, 0.7), CorrelationDyadic(1.0, 1.0, 1.0), UnruhParams(0.2)
+        for call in (lambda: fisher(state, d, u, "theta"), lambda: bloch_teleported(state, d, u),
+                     lambda: bloch_partial(state, d, u, "theta")):
+            with pytest.raises(DomainError, match=r"unphysical \(min eigenvalue -5\.000e-01\)"):
+                call()

@@ -386,29 +386,29 @@ def _reference_json(spec, rows):
 class TestRenderContract:
     """The one-template renderers write exactly the bytes of the references above."""
 
+    # Each axis holds the len(AWKWARD) = 6 points of the columns.
     SPECS = {
         "one-axis": dict(
-            axes=(Axis("r", 0.0, math.pi / 4, 2),),
+            axes=(Axis("r", 0.0, math.pi / 4, 6),),
             fixed={"theta": 1.0, "phi": 0.5},
             qr=0.6 + 0.0j,
             ql=0.48 + 0.64j,
             channel_preset=None,
             unruh_mode=None,
         ),
-        "two-axis": {},
+        "two-axis": dict(axes=(Axis("theta", 0.0, math.pi, 6), Axis("r", 0.0, math.pi / 4, 6))),
     }
 
     @pytest.mark.parametrize("name", SPECS)
-    @pytest.mark.parametrize("flags", ("mixed", "all-true", "all-false", "empty"))
+    @pytest.mark.parametrize("flags", ("mixed", "all-true", "all-false"))
     def test_bytes_match_reference(self, name, flags):
         spec = basic_spec(**self.SPECS[name])
         coords = list(itertools.product(AWKWARD, repeat=len(spec.axes)))
         pure = {"mixed": [i % 3 == 0 for i in range(len(coords))],
                 "all-true": [True] * len(coords),
-                "all-false": [False] * len(coords),
-                "empty": []}[flags]
+                "all-false": [False] * len(coords)}[flags]
         fisher = [AWKWARD[-1 - i % len(AWKWARD)] for i in range(len(pure))]
-        rows = SweepRows((AWKWARD if pure else (),) * len(spec.axes), np.array(fisher),
+        rows = SweepRows((AWKWARD,) * len(spec.axes), np.array(fisher),
                          np.array(pure, dtype=bool))
         assert rows == [SweepRow(c, f, b) for c, f, b in zip(coords, fisher, pure)]
         assert rows_to_csv(spec, rows) == _reference_csv(spec, rows)
@@ -485,10 +485,11 @@ class TestRenderContract:
             emit(spec, rows, fmt)
             assert capsys.readouterr().out == reference, fmt
 
-    # Pieces are whole rows of the outer axis, 8,192 // (inner count) rows each. Each
-    # sweep here takes two: 4 x 3000 ends on a full piece of two rows, 150 x 100 on a
-    # short one (81 rows, then 69), and 8,195 points on one axis end on 3 points.
-    PIECES = {"last-full": (4, 3000), "last-short": (150, 100), "one-axis": (8195,)}
+    # Pieces are 8,192 points of the flat row stream, whatever the axes. 4 x 4096 ends on
+    # a full piece, 150 x 100 on a short one (6,808 points) after a cut inside row 81,
+    # 8,195 points on one axis end on 3 points, and 2 x 9000 cuts inside both rows.
+    PIECES = {"last-full": (4, 4096), "last-short": (150, 100), "one-axis": (8195,),
+              "long-inner": (2, 9000)}
 
     @pytest.mark.parametrize("name", PIECES)
     def test_pure_flags_on_both_sides_of_a_piece_boundary(self, name):
@@ -500,14 +501,21 @@ class TestRenderContract:
         points = tuple(tuple(rng.choice(AWKWARD + (0.25, 1.0 / 3.0), n).tolist()) for n in counts)
         size = math.prod(counts)
         fisher = rng.choice(AWKWARD, size) * rng.choice((1.0, 3.0, 1.0 / 7.0), size)
-        step = max(1, 8192 // counts[1]) * counts[1] if len(counts) == 2 else 8192
         pure = np.zeros(size, dtype=bool)
-        pure[[0, size - 1, *(b + k for b in range(step, size, step) for k in (-1, 0))]] = True
+        pure[[0, size - 1, *(b + k for b in range(8192, size, 8192) for k in (-1, 0))]] = True
         rows = SweepRows(points, fisher, pure)
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
             pieces = list(sweep._pieces(spec, rows, fmt))
-            assert len(pieces) == 3, fmt  # the head and two pieces
+            assert len(pieces) == 1 + -(-size // 8192), fmt  # the head and the pieces
             assert b"".join(pieces).decode() == reference(spec, rows), fmt
+
+    def test_no_piece_holds_more_than_8192_rows(self):
+        # A lopsided 2 x 65,536 sweep, whose inner axis alone spans eight pieces.
+        spec = basic_spec(axes=(Axis("theta", 0.0, math.pi, 2), Axis("r", 0.0, math.pi / 4, 65536)))
+        rows = run_sweep(spec)
+        for fmt, row_mark in (("csv", b"\n"), ("json", b'"fisher"')):
+            counts = [piece.count(row_mark) for piece in list(sweep._pieces(spec, rows, fmt))[1:]]
+            assert sum(counts) == len(rows) == 2 * 65536 and max(counts) <= 8192, (fmt, counts)
 
     @pytest.mark.parametrize("case", ("short-columns", "short-fisher", "short-pure",
                                       "long-columns", "extra-axis", "missing-axis",
@@ -668,9 +676,35 @@ class TestSweepRows:
         with pytest.raises(TypeError):
             rows[0] = SweepRow((0.0, 0.0), 1.0, False)
 
+    def test_list_columns_become_read_only_arrays(self):
+        rows = SweepRows(((0.0, 0.1),), [1.0, 2], [False, True])
+        assert list(rows) == [SweepRow((0.0,), 1.0, False), SweepRow((0.1,), 2.0, True)]
+        assert (rows.fisher.dtype, rows.pure.dtype) == (np.float64, np.bool_)
+        assert not rows.fisher.flags.writeable and not rows.pure.flags.writeable
+
+    def test_integer_pure_flags_become_bools(self):
+        rows = SweepRows(((0.0, 0.1, 0.2),), np.ones(3), np.array([0, 1, 0]))
+        assert [type(row.pure_branch) for row in rows] == [bool] * 3
+        assert [row.pure_branch for row in rows] == [False, True, False]
+        assert rows.pure.dtype == np.bool_ and type(rows[1].pure_branch) is bool
+
+    @pytest.mark.parametrize("fisher, pure", [
+        (np.array(["1.0", "2.0"]), np.zeros(2, dtype=bool)),
+        (np.array([1.0, 2.0j]), np.zeros(2, dtype=bool)),
+        (np.array([1.0, None]), np.zeros(2, dtype=bool)),
+        (np.ones((2, 1)), np.zeros(2, dtype=bool)),
+        (np.ones(2), np.array(["false", "true"])),
+    ], ids=["string-fisher", "complex-fisher", "object-fisher", "2d-fisher", "string-pure"])
+    def test_columns_of_other_kinds_are_refused(self, fisher, pure):
+        with pytest.raises(DomainError, match="sweep columns must be 1-d arrays of real numbers"):
+            SweepRows(((0.0, 0.1),), fisher, pure)
+
     def test_emit_refuses_an_empty_sweep(self, tmp_path, capsys):
         empty = SweepRows(((),), np.array([]), np.array([], dtype=bool))
         for rows, refusal in (([], "takes a sweep's SweepRows columns, got list"), (empty, "empty")):
+            for fmt in ("csv", "json"):
+                with pytest.raises(DomainError, match=refusal):
+                    next(sweep._pieces(basic_spec(), rows, fmt))
             with pytest.raises(DomainError, match=refusal):
                 emit(basic_spec(), rows, "json", tmp_path / "nothing.json")
             with pytest.raises(DomainError, match=refusal):
