@@ -11,7 +11,6 @@ The Bell states, Werner states and diagonal X-states are all of this form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ._linalg import PAULIS
-from .errors import DomainError, check_choice
+from .errors import DomainError, check_choice, check_real
 
 # Each channel preset and the parameters it reads.
 PRESET_PARAMS = {"bell-phi-plus": (), "bell-psi-minus": (), "werner": ("fidelity",),
@@ -39,7 +38,7 @@ _BELL_SIGNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 @dataclass(frozen=True)
 class CorrelationDyadic:
-    """Diagonal correlation coefficients (c11, c22, c33) of a two-qubit state."""
+    """Diagonal correlation coefficients (c11, c22, c33) of a two-qubit state, as floats."""
 
     c11: float
     c22: float
@@ -47,9 +46,7 @@ class CorrelationDyadic:
 
     def __post_init__(self) -> None:
         for name in ("c11", "c22", "c33"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and -1.0 <= value <= 1.0):
-                raise DomainError(f"{name} must lie in [-1, 1], got {value}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), -1.0, 1.0))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c11, self.c22, self.c33)
@@ -82,8 +79,7 @@ def preset_dyadic(
     if preset == "werner":
         if fidelity is None:
             raise DomainError("werner preset requires the fidelity parameter")
-        if not (math.isfinite(fidelity) and 0.0 <= fidelity <= 1.0):
-            raise DomainError(f"fidelity must lie in [0, 1], got {fidelity}")
+        fidelity = check_real("fidelity", fidelity, 0.0, 1.0)
         return CorrelationDyadic(-fidelity, -fidelity, -fidelity)
     if c11 is None or c22 is None or c33 is None:
         raise DomainError("x-state preset requires c11, c22 and c33")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CorrelationDyadic, require_physical
-from .errors import ConsistencyError, DomainError, check_choice
+from .errors import ConsistencyError, DomainError, check_choice, check_real
 from .teleport import InputState, _branch_bloch
 from .unruh import R_MAX, UnruhParams
 
@@ -66,16 +66,19 @@ def check_args(
 ) -> None:
     """Raise DomainError unless the kernel's arguments are valid, in this order:
     estimand, normalization mode, derivative method, and the fd step, which
-    must lie in (0, pi/12] when the method is ``fd``."""
+    must lie in (0, pi/12], from ``math.ulp(0.0)`` up, when the method is ``fd``."""
     check_choice("estimand", param, PARAM_NAMES)
     check_choice("normalization mode", mode, NORM_NAMES)
     check_choice("derivative method", method, METHOD_NAMES)
-    if method == "fd" and not (math.isfinite(fd_step) and 0.0 < fd_step <= MAX_FD_STEP):
-        raise DomainError(f"fd_step must lie in (0, pi/12], got {fd_step}")
+    if method == "fd":
+        check_real("fd_step", fd_step, math.ulp(0.0), MAX_FD_STEP)
 
 
 def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
     """The fields of the three value types are the kernel's arguments; the channel must be physical."""
+    for value, kind in zip((state, d, u), (InputState, CorrelationDyadic, UnruhParams)):
+        if not isinstance(value, kind):
+            raise DomainError(f"expected {kind.__name__}, got {type(value).__name__}")
     require_physical(d)
     return {**vars(state), **vars(d), **vars(u)}
 

@@ -14,7 +14,6 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -23,7 +22,7 @@ import numpy as np
 from .channels import (
     PRESET_NAMES, X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 )
-from .errors import DomainError, check_choice, check_integer
+from .errors import DomainError, check_choice, check_integer, check_real
 from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, check_args
 from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
@@ -43,17 +42,12 @@ class Axis:
 
     def __post_init__(self) -> None:
         check_choice("sweep variable", self.name, PARAM_NAMES)
-        check_integer(f"axis {self.name} count", self.count)
-        if self.count < 2:
-            raise DomainError(f"axis {self.name} needs count >= 2, got {self.count}")
-        lo, hi = VARIABLE_DOMAINS[self.name]
-        if not (lo <= self.start < self.stop <= hi):
-            raise DomainError(
-                f"axis {self.name} range [{self.start}, {self.stop}] must be increasing "
-                f"and lie inside [{lo}, {hi}]"
-            )
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
+        check_integer(f"axis {self.name} count", self.count, 2)
+        domain = VARIABLE_DOMAINS[self.name]
+        for end, value in (("start", self.start), ("stop", self.stop)):
+            object.__setattr__(self, end, check_real(f"axis {self.name} {end}", value, *domain))
+        if not self.start < self.stop:
+            raise DomainError(f"axis {self.name} range [{self.start}, {self.stop}] must increase")
         object.__setattr__(self, "count", int(self.count))
 
     def points(self) -> np.ndarray:
@@ -93,9 +87,9 @@ class SweepSpec:
             raise DomainError(f"fixed variables {self.fixed} repeat a name")
         for name in fixed:
             check_choice("fixed variable", name, PARAM_NAMES)
-        object.__setattr__(
-            self, "fixed", tuple((name, float(fixed[name])) for name in PARAM_NAMES if name in fixed)
-        )
+        object.__setattr__(self, "fixed", tuple(
+            (name, check_real(f"fixed {name}", fixed[name], *VARIABLE_DOMAINS[name]))
+            for name in PARAM_NAMES if name in fixed))
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"a sweep takes 1 or 2 axes, got {len(self.axes)}")
@@ -108,12 +102,10 @@ class SweepSpec:
             raise DomainError(
                 f"swept {swept} and fixed {fixed_names} must partition {PARAM_NAMES}"
             )
-        for name, value in self.fixed:
-            lo, hi = VARIABLE_DOMAINS[name]
-            if not lo <= value <= hi:
-                raise DomainError(f"fixed {name} = {value} outside [{lo}, {hi}]")
-        # Mode-weight normalization is enforced by UnruhParams construction.
-        UnruhParams(0.0, self.qr, self.ql)
+        # The weights are checked, and stored as complex, by UnruhParams.
+        weights = UnruhParams(0.0, self.qr, self.ql)
+        object.__setattr__(self, "qr", weights.qr)
+        object.__setattr__(self, "ql", weights.ql)
         # The preset and mode names are echoed in the JSON spec, so each must
         # give this spec's numbers. werner is (-F, -F, -F) with F in [0, 1].
         if self.channel_preset is not None:
@@ -145,9 +137,9 @@ class SweepSpec:
 class SweepRows(Sequence[SweepRow]):
     """A sweep's rows as the kernel's read-only columns.
 
-    ``points`` holds each axis's grid values, outer axis first; ``fisher`` and
-    ``pure`` hold one entry per point of their product, as read-only 1-d float64
-    and bool arrays made from columns of real numbers. Indexing and iteration
+    ``points`` holds each axis's grid values, outer axis first, as a column of real
+    numbers; ``fisher`` and ``pure`` hold one entry per point of their product, as
+    read-only 1-d float64 and bool arrays made from such columns. Indexing and iteration
     yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
     list of its rows.
     """
@@ -157,7 +149,11 @@ class SweepRows(Sequence[SweepRow]):
     pure: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = [np.asarray(column) for column in (self.fisher, self.pure)]
+        try:  # each axis is checked as a column too, but kept as given
+            columns = [np.asarray(column) for column in (self.fisher, self.pure, *self.points)]
+        except ValueError:  # a ragged nesting has no array shape
+            raise DomainError("sweep columns must be 1-d arrays of real numbers, "
+                              "not ragged") from None
         if any(c.ndim != 1 or c.dtype.kind not in "biuf" for c in columns):
             raise DomainError("sweep columns must be 1-d arrays of real numbers, got "
                               + " and ".join(f"{c.dtype} of shape {c.shape}" for c in columns))
@@ -299,16 +295,12 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
     try:
         channel = payload["channel"]
         unruh = payload["unruh"]
-        dyadic = CorrelationDyadic(*(_number(k, channel[k]) for k in ("c11", "c22", "c33")))
+        dyadic = CorrelationDyadic(*(channel[k] for k in ("c11", "c22", "c33")))
         weights = [unruh["qr"], unruh["ql"]]
         if not all(isinstance(w, list) and len(w) == 2 for w in weights):
             raise DomainError(f"unruh qr and ql must be [re, im] lists, got {weights}")
-        qr, ql = (complex(*(_number("unruh weight part", x) for x in w)) for w in weights)
-        axes = tuple(
-            Axis(a["name"], _number("axis start", a["start"]), _number("axis stop", a["stop"]),
-                 a["count"])
-            for a in payload["axes"]
-        )
+        qr, ql = (complex(*(check_real("unruh weight part", x) for x in w)) for w in weights)
+        axes = tuple(Axis(a["name"], a["start"], a["stop"], a["count"]) for a in payload["axes"])
         spec = SweepSpec(
             estimand=payload["estimand"],
             norm=payload["norm"],
@@ -317,7 +309,7 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
             qr=qr,
             ql=ql,
             axes=axes,
-            fixed={str(k): _number(f"fixed {k}", v) for k, v in payload.get("fixed", {}).items()},
+            fixed={str(k): v for k, v in payload.get("fixed", {}).items()},
             channel_preset=channel.get("preset"),
             unruh_mode=unruh.get("mode"),
             figure=payload.get("figure"),
@@ -334,13 +326,6 @@ def spec_from_dict(payload: Mapping[str, Any]) -> SweepSpec:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed sweep spec: {exc}") from exc
-
-
-def _number(kind: str, value: object) -> float:
-    """A spec value as a float: a JSON number is one, a string or a boolean is not."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise DomainError(f"spec {kind} must be a number, got {value!r}")
-    return float(value)
 
 
 # The 10,000 four-digit strings, each as the uint32 that holds its bytes.

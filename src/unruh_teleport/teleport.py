@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike
 
 from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic
-from .errors import ConsistencyError, DegenerateBranchError, DomainError
+from .errors import ConsistencyError, DegenerateBranchError, check_real
 from .unruh import AcceleratedChannel, UnruhParams
 
 DEGENERATE_PROB = 1e-15
@@ -39,16 +39,14 @@ _HADAMARD_GATE = np.kron(HADAMARD, np.eye(4, dtype=complex))
 
 @dataclass(frozen=True)
 class InputState:
-    """Weight and phase angles of the teleported pure state."""
+    """Weight and phase angles of the teleported pure state, stored as floats."""
 
     theta: float
     phi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
-            raise DomainError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (math.isfinite(self.phi) and 0.0 <= self.phi <= 2.0 * math.pi):
-            raise DomainError(f"phi must lie in [0, 2*pi], got {self.phi}")
+        for name, hi in (("theta", math.pi), ("phi", 2.0 * math.pi)):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, hi))
 
     @property
     def alpha(self) -> float:

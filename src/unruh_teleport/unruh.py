@@ -21,14 +21,14 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from ._linalg import IDENTITY_2, _abs2, _kron, _matrices, partial_trace
 from .channels import CorrelationDyadic, _dyadic_to_density
-from .errors import DomainError, check_choice
+from .errors import DomainError, check_choice, check_complex, check_real
 
 R_MAX = math.pi / 4
 WEIGHT_NORM_TOL = 1e-12
@@ -45,15 +45,16 @@ MODE_NAMES = tuple(MODE_WEIGHTS)
 
 @dataclass(frozen=True)
 class UnruhParams:
-    """Acceleration parameter r plus the complex mode weights (qr, ql)."""
+    """Acceleration parameter r, a float, plus the mode weights (qr, ql), complex."""
 
     r: float
     qr: complex = 1.0 + 0.0j
     ql: complex = 0.0j
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and 0.0 <= self.r <= R_MAX):
-            raise DomainError(f"r must lie in [0, pi/4], got {self.r}")
+        object.__setattr__(self, "r", check_real("r", self.r, 0.0, R_MAX))
+        for name in ("qr", "ql"):
+            object.__setattr__(self, name, check_complex(name, getattr(self, name)))
         # The products and order of ``_abs2(qr) + _abs2(ql)``; an overflow reads inf.
         qr, ql = self.qr, self.ql
         norm = (qr.real * qr.real + qr.imag * qr.imag) + (ql.real * ql.real + ql.imag * ql.imag)
@@ -76,14 +77,10 @@ def r_from_acceleration(omega: float, accel: float, c: float) -> float:
     ``omega`` is the mode frequency (rad/s), ``accel`` the proper
     acceleration (m/s^2), ``c`` the speed of light (m/s). accel = 0 maps to
     the inertial value r = 0; accel -> infinity approaches r = pi/4. A ratio
-    with no value (inf/inf) raises DomainError, as does a NaN input.
-    """
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if not c > 0:
-        raise DomainError(f"c must be positive, got {c}")
-    if not accel >= 0:
-        raise DomainError(f"accel must be non-negative, got {accel}")
+    with no value (inf/inf) raises DomainError, as does a NaN input. omega and c must be
+    positive: at least ``math.ulp(0.0)``, the least positive float."""
+    omega, c = check_real("omega", omega, math.ulp(0.0)), check_real("c", c, math.ulp(0.0))
+    accel = check_real("accel", accel, 0.0)
     if accel == 0:
         return 0.0
     ratio = math.pi * omega * c / accel
@@ -94,7 +91,7 @@ def r_from_acceleration(omega: float, accel: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class AcceleratedChannel:
-    """The eight coefficients of the degraded two-qubit state.
+    """The eight coefficients of the degraded two-qubit state, stored as complex.
 
     Layout in the (sender, receiver) computational basis:
     b1 -> (00,00), b2 -> (00,11), b3 -> (11,00), b4 -> (01,01),
@@ -111,6 +108,8 @@ class AcceleratedChannel:
     b8: complex
 
     def __post_init__(self) -> None:
+        for name in (field.name for field in fields(self)):
+            object.__setattr__(self, name, check_complex(name, getattr(self, name)))
         # Written as ``not ... <=`` so that a NaN coefficient fails every check.
         trace = self.b1 + self.b4 + self.b5 + self.b8
         if not abs(trace - 1.0) <= CHANNEL_TOL:

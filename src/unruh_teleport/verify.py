@@ -36,7 +36,7 @@ from ._linalg import IDENTITY_2, _hermiticity_gaps, _min_eigenvalues
 from .channels import (
     _BELL_SIGNS, X_STATE_EXAMPLE, _bell_eigenvalues, _dyadic_to_density, preset_dyadic
 )
-from .errors import ConsistencyError, DomainError, check_integer
+from .errors import ConsistencyError, check_integer
 from .fisher import (
     MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _bloch, _dot, _fisher,
     _fisher_from_bloch, _partial, fisher,
@@ -261,13 +261,9 @@ def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
 
 def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     """Run every oracle cross-check and invariant check with seeded draws."""
-    check_integer("trials", trials)
-    check_integer("seed", seed)
     # The batched Fisher checks hold arrays sized by the trials.
-    if not 1 <= trials <= MAX_POINTS:
-        raise DomainError(f"trials must lie in [1, {MAX_POINTS}], got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_integer("trials", trials, 1, MAX_POINTS)
+    check_integer("seed", seed, 0)
     batch = sample_draws(seed, trials)
 
     # Each block of draws runs every broadcasting form once, the channel forms twice.

@@ -1,18 +1,22 @@
 """Write ``fisher_reference.json``: the 40-digit Fisher value of every point of
-every figure at grid 9, in both norms, as the shortest round-trip double.
+every figure at grid 9, in both norms, as the shortest round-trip double; and
+``fisher_band_reference.json``: the same for the normalized points of every figure
+at grids 256 and 1024 that ``band_indices`` picks next to theta = 0, theta = pi
+and r = 0 (3,072 values, 2.9 s of the 5.7 s that both files take on a 2-core Xeon).
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/make_fisher_reference.py
 
-The file is the reference of ``test_mpmath_reference.py``; regenerate it only
-when the reference itself (``mp_fisher`` or the figure presets) changes.
+The files are the references of ``test_mpmath_reference.py``; regenerate them only
+when the reference itself (``mp_fisher``, the figure presets or the band lines) changes.
 """
 
 import json
 
 from test_mpmath_reference import (
-    DIGITS, REFERENCE_FILE, REFERENCE_GRID, STEP, figure_reference,
+    BAND_FILE, BAND_STRIDES, DIGITS, REFERENCE_FILE, REFERENCE_GRID, STEP, band_reference,
+    figure_reference,
 )
 from unruh_teleport.fisher import NORM_NAMES
 from unruh_teleport.sweep import FIGURE_IDS
@@ -29,6 +33,17 @@ def main() -> None:
         },
     }
     REFERENCE_FILE.write_text(json.dumps(table, indent=1) + "\n")
+    band = {
+        "digits": DIGITS,
+        "step": str(STEP),
+        "norm": "normalized",
+        "strides": BAND_STRIDES,
+        "fisher": {
+            fig_id: {grid: band_reference(fig_id, grid) for grid in BAND_STRIDES}
+            for fig_id in FIGURE_IDS
+        },
+    }
+    BAND_FILE.write_text(json.dumps(band, indent=1) + "\n")
 
 
 if __name__ == "__main__":

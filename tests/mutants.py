@@ -1,0 +1,110 @@
+"""Mutation probe: Tier-1 run against the package with one small change at a time.
+
+Run by hand from anywhere in a checkout; pytest does not collect this file:
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py 0 5 7    # the mutants at these indices
+
+Each mutant is (file in src/unruh_teleport, old text, new text), and its old text must
+occur exactly once in that file; every mutant is checked before any runs. For each one,
+``src/``, ``tests/`` and ``pyproject.toml`` are copied into a fresh temporary directory
+outside the checkout, the mutant is applied there, and ``python -m pytest -q -x`` runs on
+the copy. One line per mutant gives KILLED or SURVIVED, the seconds taken and, for a
+killed mutant, the first failing test. A surviving mutant is a change that no test sees.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "unruh_teleport")
+
+MUTANTS = [
+    # Named tolerances and limits at their edges.
+    ("fisher.py", "PURE_BRANCH_EPS = 1e-9", "PURE_BRANCH_EPS = 1e-10"),
+    ("fisher.py", "np.sqrt(norm2) > 1.0 + 1e-12", "np.sqrt(norm2) > 1.0 + 1e-9"),
+    ("channels.py", "EIGENVALUE_TOL = 1e-12", "EIGENVALUE_TOL = 1e-9"),
+    ("teleport.py", "DEGENERATE_PROB = 1e-15", "DEGENERATE_PROB = 1e-3"),
+    ("teleport.py", "(r00 - r11).real]) + 0.0", "(r00 - r11).real])"),
+    ("unruh.py", "WEIGHT_NORM_TOL = 1e-12", "WEIGHT_NORM_TOL = 1e-9"),
+    ("unruh.py", "CHANNEL_TOL = 1e-12", "CHANNEL_TOL = 1e-9"),
+    ("fisher.py", "MAX_FD_STEP = R_MAX / 3.0", "MAX_FD_STEP = R_MAX / 2.0"),
+    ("fisher.py", "MAX_POINTS = 2**20", "MAX_POINTS = 2**21"),
+    ("verify.py", "EQUIV_TOL = 1e-12", "EQUIV_TOL = 1e-9"),
+    ("sweep.py", "range(0, len(rows), 1 << 13)", "range(0, len(rows), 1 << 12)"),
+    # Refusals at the public boundary.
+    ("fisher.py", "    require_physical(d)\n    return {**vars(state)", "    return {**vars(state)"),
+    ("fisher.py", "if not isinstance(value, kind):", "if not isinstance(value, (kind, type(None))):"),
+    ("errors.py", "    if not (isinstance(value, Real) and lo <= z.real <= hi):",
+     "    if not (isinstance(value, Real) and lo < z.real <= hi):"),
+    ("errors.py", "    if not (isinstance(value, Real) and lo <= z.real <= hi):",
+     "    if not (isinstance(value, Real) and lo <= z.real < hi):"),
+    ("errors.py", "    if not (isinstance(value, Real) and lo <= z.real <= hi):",
+     "    if not lo <= z.real <= hi:"),
+    ("errors.py", "    if isinstance(value, bool) or not isinstance(value, Complex):",
+     "    if not isinstance(value, Complex):"),
+    ("errors.py", "    return z.real", "    return value"),
+    ("errors.py", "    except OverflowError:\n        raise DomainError(f\"{kind} is an integer too large",
+     "    except ZeroDivisionError:\n        raise DomainError(f\"{kind} is an integer too large"),
+    ("errors.py", "    if not lo <= value <= hi:", "    if not lo < value <= hi:"),
+    ("unruh.py", 'check_real("accel", accel, 0.0)', 'check_real("accel", accel)'),
+    ("sweep.py", "(self.fisher, self.pure, *self.points)]", "(self.fisher, self.pure)]"),
+    # Signs and term order in the closed forms.
+    ("teleport.py", "sy = w.real * y - u.imag * x", "sy = w.real * y + u.imag * x"),
+    ("channels.py", "(1, -1, 1), (1, 1, -1))", "(1, -1, 1), (1, 1, 1))"),
+    ("unruh.py", "a3 * qr * cr + a4 * qlc * sr,", "a3 * qlc * sr + a4 * qr * cr,"),
+    ("fisher.py", "(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]",
+     "a[..., 0] * b[..., 0] + (a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])"),
+]
+
+
+def check_mutants(indices: list[int]) -> None:
+    """Exit unless each chosen mutant's old text occurs exactly once in its file."""
+    for index in indices:
+        file, old, _ = MUTANTS[index]
+        count = (ROOT / PACKAGE / file).read_text().count(old)
+        if count != 1:
+            sys.exit(f"mutant {index}: its old text occurs {count} times in {file}")
+
+
+def run_mutant(index: int) -> str:
+    """The report line of one mutant, from Tier-1 on a mutated copy."""
+    file, old, new = MUTANTS[index]
+    with tempfile.TemporaryDirectory(prefix="unruh-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        path = work / PACKAGE / file
+        path.write_text(path.read_text().replace(old, new))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
+            capture_output=True, text=True,
+        )
+        seconds = time.perf_counter() - start
+    first = next((line.split(" - ")[0].split(maxsplit=1)[1] for line in done.stdout.splitlines()
+                  if line.startswith(("FAILED ", "ERROR "))), f"exit code {done.returncode}")
+    verdict = f"KILLED   {seconds:5.1f} s  {first}" if done.returncode else f"SURVIVED {seconds:5.1f} s"
+    return f"[{index:2}] {file}: {old.strip()!r} -> {new.strip()!r}: {verdict}"
+
+
+def main(argv: list[str]) -> None:
+    indices = [int(a) for a in argv] or list(range(len(MUTANTS)))
+    check_mutants(indices)
+    for index in indices:
+        print(run_mutant(index), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

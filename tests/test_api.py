@@ -1,20 +1,25 @@
-"""The public API as a whole: NaN refusal at every float input, and the package namespace."""
+"""The public API as a whole: NaN and wrongly typed values refused at every numeric input,
+other types refused where a value type is due, and the package namespace."""
 
 import importlib
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import unruh_teleport
 from unruh_teleport import (
+    AcceleratedChannel,
     Axis,
     CorrelationDyadic,
     DomainError,
     InputState,
     SweepSpec,
     UnruhParams,
+    accelerate,
     bloch_partial,
+    bloch_teleported,
     fisher,
     mode_params,
     preset_dyadic,
@@ -61,6 +66,98 @@ NAN_CALLS = {
 def test_nan_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+# Values of the wrong type, each of which would lie in range as a float; a bool is an
+# int to Python, but no public number takes one.
+WRONG_TYPES = {"str": "0.1", "complex": 0.1 + 0.0j, "None": None,
+               "array": np.array([0.1, 0.1]), "bool": True}
+
+
+def _accelerated(index, value):
+    b = list(accelerate(PHI_PLUS, WSMA).as_tuple())
+    b[index] = value
+    return AcceleratedChannel(*b)
+
+
+def _spec(fixed=None, qr=1.0 + 0.0j, ql=0.0j):
+    return SweepSpec("theta", "normalized", "analytic", PHI_PLUS, qr, ql, AXES,
+                     {"phi": 0.5} if fixed is None else fixed)
+
+
+# One call per public numeric input, with that input ``x`` and every other one valid.
+TYPED_CALLS = {
+    "InputState.theta": lambda x: InputState(x, 0.5),
+    "InputState.phi": lambda x: InputState(1.0, x),
+    **{f"CorrelationDyadic.{name}": (lambda x, name=name: CorrelationDyadic(
+        **{**dict(zip(C_NAMES, PHI_PLUS.as_tuple())), name: x})) for name in C_NAMES},
+    "UnruhParams.r": lambda x: UnruhParams(x),
+    "UnruhParams.qr": lambda x: UnruhParams(0.1, x, 0.0j),
+    "UnruhParams.ql": lambda x: UnruhParams(0.1, 1.0 + 0.0j, x),
+    **{f"AcceleratedChannel.b{i + 1}": (lambda x, i=i: _accelerated(i, x)) for i in range(8)},
+    "preset_dyadic.fidelity": lambda x: preset_dyadic("werner", fidelity=x),
+    **{f"preset_dyadic.{name}": (lambda x, name=name: preset_dyadic(
+        "x-state", **{**X_STATE_EXAMPLE, name: x})) for name in C_NAMES},
+    "mode_params.r": lambda x: mode_params(x),
+    "r_from_acceleration.omega": lambda x: r_from_acceleration(x, 1.0, 1.0),
+    "r_from_acceleration.accel": lambda x: r_from_acceleration(1.0, x, 1.0),
+    "r_from_acceleration.c": lambda x: r_from_acceleration(1.0, 1.0, x),
+    "Axis.start": lambda x: Axis("theta", x, 1.0, 3),
+    "Axis.stop": lambda x: Axis("theta", 0.0, x, 3),
+    "Axis.count": lambda x: Axis("theta", 0.0, 1.0, x),
+    "SweepSpec.fixed": lambda x: _spec(fixed={"phi": x}),
+    "SweepSpec.qr": lambda x: _spec(qr=x),
+    "SweepSpec.ql": lambda x: _spec(qr=1.0 + 0.0j, ql=x),
+    "fisher.fd_step": lambda x: fisher(STATE, PHI_PLUS, WSMA, "theta", method="fd", fd_step=x),
+    "bloch_partial.fd_step": lambda x: bloch_partial(STATE, PHI_PLUS, WSMA, "theta",
+                                                     method="fd", fd_step=x),
+}
+# The inputs that take complex numbers.
+COMPLEX_INPUTS = {"UnruhParams.qr", "UnruhParams.ql", "SweepSpec.qr", "SweepSpec.ql",
+                  *(f"AcceleratedChannel.b{i}" for i in range(1, 9))}
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{kind}")
+    for name, call in TYPED_CALLS.items() for kind, value in WRONG_TYPES.items()
+    if not (kind == "complex" and name in COMPLEX_INPUTS)
+])
+def test_wrongly_typed_input_is_a_domain_error(call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+def test_each_typed_call_takes_a_valid_value():
+    # So that each refusal above is the wrong type's doing: the calls take a value of
+    # the right type, ints and numpy scalars included, and store it as a float or complex.
+    valid = {name: 1.0 + 0.0j if name in COMPLEX_INPUTS else 0.1 for name in TYPED_CALLS}
+    valid.update({"UnruhParams.ql": 0.0j, "SweepSpec.ql": 0.0j, "Axis.count": 3})
+    b = accelerate(PHI_PLUS, WSMA).as_tuple()
+    valid.update({f"AcceleratedChannel.b{i + 1}": b[i] for i in range(8)})
+    for name, call in TYPED_CALLS.items():
+        call(valid[name])
+    assert InputState(np.float32(1.5), np.int64(0)) == InputState(1.5, 0.0)
+    assert type(InputState(1, 0).theta) is type(CorrelationDyadic(1, -1, 1).c11) is float
+    u = UnruhParams(np.float64(0.1), 1, np.complex64(0))
+    assert (type(u.r), type(u.qr), type(u.ql)) == (float, complex, complex)
+    assert type(_spec(qr=1, ql=0).qr) is complex and _spec(fixed={"phi": 1}).fixed == (("phi", 1.0),)
+
+
+def test_integers_too_large_for_a_float_are_refused():
+    for call in (lambda: InputState(10**400, 0.5), lambda: UnruhParams(0.1, 10**400, 0.0j),
+                 lambda: r_from_acceleration(1.0, 10**400, 1.0)):
+        with pytest.raises(DomainError, match="too large for a float"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["fisher", "bloch_teleported", "bloch_partial"])
+@pytest.mark.parametrize("position", range(3))
+def test_a_point_of_other_types_is_a_domain_error(name, position):
+    point = [STATE, PHI_PLUS, WSMA]
+    point[position] = None
+    extra = () if name == "bloch_teleported" else ("theta",)
+    with pytest.raises(DomainError, match="expected"):
+        getattr(unruh_teleport, name)(*point, *extra)
 
 
 def test_fisher_and_verify_attributes_are_the_functions():

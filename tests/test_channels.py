@@ -163,6 +163,12 @@ class TestValidatePhysical:
             got = validate_physical(CorrelationDyadic(*c)).min_eigenvalue
             assert abs(Fraction(got) - exact_min_eigenvalue(*c)) <= bound
 
+    def test_least_eigenvalue_past_the_tolerance_is_unphysical(self):
+        # The Bell eigenvalue (1 - c11 - c22 - c33)/4 is -1e-10, past EIGENVALUE_TOL (1e-12).
+        check = validate_physical(CorrelationDyadic(0.5, 0.25, 0.25 + 4e-10))
+        assert not check.physical
+        assert abs(check.min_eigenvalue + 1e-10) <= 1e-16
+
     def test_never_raises(self):
         check = validate_physical(CorrelationDyadic(1.0, 1.0, -1.0))
         assert isinstance(check.physical, bool)

@@ -104,6 +104,16 @@ class TestFisherFromBloch:
         assert result.value == 1.0
         assert result.pure_branch
 
+    def test_gap_below_the_pure_cutoff_takes_the_pure_branch(self):
+        # 1 - |s|^2 = 5e-10 lies under PURE_BRANCH_EPS (1e-9), but not under 1e-10.
+        result = fisher_from_bloch([math.sqrt(1.0 - 5e-10), 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert result.pure_branch and result.value == 1.0
+
+    def test_vector_just_past_the_rounding_slack_rejected(self):
+        # |s| = 1 + 2e-12 is past the 1e-12 allowed for rounding.
+        with pytest.raises(DomainError, match="exceeds 1"):
+            fisher_from_bloch([1.0 + 2e-12, 0.0, 0.0], [0.0, 1.0, 0.0])
+
     def test_overlong_vector_rejected(self):
         with pytest.raises(DomainError):
             fisher_from_bloch(np.array([1.1, 0.0, 0.0]), np.ones(3))

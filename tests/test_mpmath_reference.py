@@ -8,7 +8,11 @@ by a central difference of step 1e-15.
 
 The Fisher values of every figure at grid 9, both norms, are compared with
 ``fisher_reference.json``, which ``make_fisher_reference.py`` writes from
-``mp_fisher``; a seeded sample of them is recomputed here.
+``mp_fisher``; a seeded sample of them is recomputed here. The same script writes
+``fisher_band_reference.json``: normalized points of every figure at 256 and 1024
+points per axis on the lines next to theta = 0, theta = pi and r = 0, where the
+branch state nears the pure shell. The package misses it there (ROADMAP item 1),
+so that comparison is a strict xfail.
 """
 
 import json
@@ -17,11 +21,12 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+import pytest
 
 from unruh_teleport import preset_dyadic
 from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.fisher import (
-    _MODE_SCALE, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _bloch, _partial,
+    _MODE_SCALE, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _bloch, _fisher, _partial,
 )
 from unruh_teleport.sweep import FIGURE_IDS, figure_spec, run_sweep
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
@@ -36,6 +41,14 @@ EDGE_CHANNELS = ("bell-phi-plus", "bell-psi-minus", "x-state")
 # The Fisher reference: every figure at this grid, both norms.
 REFERENCE_FILE = Path(__file__).with_name("fisher_reference.json")
 REFERENCE_GRID = 9
+# The band reference: at each grid, the lines (grid indices, negative from the far
+# edge) next to the theta and r edges, each at every stride-th point of the other
+# axis; 3,072 normalized values in all. Both baseline points of the defect are on
+# them: 1a at 256, theta = pi*254/255, r = (pi/4)*144/255, and 6a at 1024,
+# theta = pi*960/1023, r = (pi/4)/1023.
+BAND_FILE = Path(__file__).with_name("fisher_band_reference.json")
+BAND_STRIDES = {256: 16, 1024: 64}
+BAND_LINES = {"theta": (1, 2, 3, -4, -3, -2), "r": (1, 2, 3)}
 # Below this 40-digit gap 1 - |s|^2 the state counts as pure and F = |ds|^2.
 PURE_GAP = mpmath.mpf("1e-30")
 # Error bounds relative to max(1, |F|), by derivative method.
@@ -87,6 +100,32 @@ def figure_points(fig_id: str) -> list[dict]:
     grids = np.meshgrid(*(axis.points() for axis in spec.axes), indexing="ij")
     coords = zip(*(g.ravel().tolist() for g in grids))
     return [{**base, **dict(zip(spec.axis_names, c))} for c in coords]
+
+
+def band_indices(fig_id: str, grid: int) -> list[tuple[int, int]]:
+    """The (outer, inner) grid indices of a figure's band points, line by line."""
+    names = figure_spec(fig_id, grid).axis_names
+    indices = []
+    for k, name in enumerate(names):
+        for line in BAND_LINES.get(name, ()):
+            for j in range(0, grid, BAND_STRIDES[grid]):
+                indices.append((line % grid, j) if k == 0 else (j, line % grid))
+    return indices
+
+
+def band_points(fig_id: str, grid: int) -> list[dict]:
+    """The kernel arguments of a figure's band points, in ``band_indices`` order."""
+    spec = figure_spec(fig_id, grid)
+    base = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
+    axes = [axis.points().tolist() for axis in spec.axes]
+    return [{**base, **{name: axis[i] for name, axis, i in zip(spec.axis_names, axes, ij)}}
+            for ij in band_indices(fig_id, grid)]
+
+
+def band_reference(fig_id: str, grid: int) -> list[float]:
+    """The 40-digit normalized Fisher values of a figure's band points, as doubles."""
+    param = figure_spec(fig_id).estimand
+    return [float(mp_fisher(p, param)) for p in band_points(fig_id, grid)]
 
 
 def figure_reference(fig_id: str, norm: str) -> list[float]:
@@ -168,3 +207,47 @@ def test_fisher_reference_file_is_reproduced_live():
         point = figure_points(fig_id)[index]
         value = float(mp_fisher(point, figure_spec(fig_id).estimand, _MODE_SCALE[norm]))
         assert value == table[fig_id][norm][index], (fig_id, norm, index)
+
+
+def load_band_reference() -> dict:
+    return json.loads(BAND_FILE.read_text())
+
+
+def test_band_reference_holds_the_baseline_points():
+    table = load_band_reference()
+    assert table["digits"] == DIGITS and table["strides"] == {str(g): s for g, s in BAND_STRIDES.items()}
+    assert sum(len(values) for grids in table["fisher"].values() for values in grids.values()) == 3072
+    # Each expected value to its last digit, as the baseline quotes it.
+    for fig_id, grid, ij, expected, half_digit in (("1a", 256, (254, 144), 0.8158555, 5e-8),
+                                                   ("6a", 1024, (960, 1), 3.5e-4, 5e-6)):
+        value = table["fisher"][fig_id][str(grid)][band_indices(fig_id, grid).index(ij)]
+        assert abs(value - expected) <= half_digit, (fig_id, value)
+
+
+def test_band_reference_file_is_reproduced_live():
+    table = load_band_reference()["fisher"]
+    rng = np.random.default_rng(SEED)
+    for _ in range(30):
+        fig_id = FIGURE_IDS[rng.integers(len(FIGURE_IDS))]
+        grid = list(BAND_STRIDES)[rng.integers(len(BAND_STRIDES))]
+        index = int(rng.integers(len(table[fig_id][str(grid)])))
+        point = band_points(fig_id, grid)[index]
+        value = float(mp_fisher(point, figure_spec(fig_id).estimand))
+        assert value == table[fig_id][str(grid)][index], (fig_id, grid, index)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the gap and s . ds cancel next to the pure shell")
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_pure_shell_band_matches_the_fine_grid_reference(method):
+    table = load_band_reference()["fisher"]
+    assert sorted(table) == sorted(FIGURE_IDS)
+    for fig_id in FIGURE_IDS:
+        for grid in BAND_STRIDES:
+            expected = np.array(table[fig_id][str(grid)])
+            points = band_points(fig_id, grid)
+            p = {key: np.array([q[key] for q in points]) for key in points[0]}
+            got, _ = _fisher(p, figure_spec(fig_id).estimand, "normalized", method)
+            error = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+            worst = int(np.argmax(error))
+            assert error[worst] <= FISHER_TOL[method], (fig_id, grid, method, worst, error[worst])

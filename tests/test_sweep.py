@@ -699,6 +699,17 @@ class TestSweepRows:
         with pytest.raises(DomainError, match="sweep columns must be 1-d arrays of real numbers"):
             SweepRows(((0.0, 0.1),), fisher, pure)
 
+    def test_a_ragged_column_is_refused(self):
+        with pytest.raises(DomainError, match="must be 1-d arrays of real numbers, not ragged"):
+            SweepRows(((0.0, 0.1),), [[1.0], [2.0, 3.0]], [False, True])
+
+    @pytest.mark.parametrize("axis", [("a", "b"), (0.0, None), (0.0, 1j), ((0.0, 0.1), (0.2, 0.3))],
+                             ids=["strings", "none", "complex", "2d"])
+    def test_an_axis_of_other_kinds_is_refused_when_built(self, axis):
+        # Each axis is checked as one column, before any row is rendered.
+        with pytest.raises(DomainError, match="sweep columns must be 1-d arrays of real numbers"):
+            SweepRows((axis, (0.0, 1.0)), np.ones(4), np.zeros(4, bool))
+
     def test_emit_refuses_an_empty_sweep(self, tmp_path, capsys):
         empty = SweepRows(((),), np.array([]), np.array([], dtype=bool))
         for rows, refusal in (([], "takes a sweep's SweepRows columns, got list"), (empty, "empty")):
@@ -904,8 +915,8 @@ class TestSpecCanonicalForm:
     @pytest.mark.parametrize(
         "fixed,axes",
         [
-            ((("phi", True), ("r", 0.1)), (Axis("theta", 0.0, math.pi, 3),)),
-            ({"phi": 0.5, "r": 0.1}, (Axis("theta", False, 1, 3),)),
+            ((("phi", 1), ("r", 0.1)), (Axis("theta", 0.0, math.pi, 3),)),
+            ({"phi": 0.5, "r": 0.1}, (Axis("theta", 0, 1, 3),)),
         ],
     )
     def test_booleans_and_integers_are_written_as_numbers(self, fixed, axes):

@@ -175,6 +175,13 @@ class TestDegenerateBranch:
         with pytest.raises(DegenerateBranchError):
             teleport_analytic(InputState(0.0, 0.0), ch)
 
+    def test_small_branch_is_normalized(self):
+        # A 00-branch of probability 5e-11 lies above DEGENERATE_PROB (1e-15), so it is kept.
+        ch = AcceleratedChannel(5e-11, 0.0, 0.0, 5e-11, 0.5 - 5e-11, 0.0, 0.0, 0.5 - 5e-11)
+        bob = teleport_analytic(InputState(0.0, 0.0), ch)
+        assert abs(bob.outcome_prob - 5e-11) <= 1e-24
+        assert abs(np.trace(bob.rho_normalized).real - 1.0) <= 1e-15
+
     def test_circuit_zero_branch(self):
         channel = np.zeros((4, 4), dtype=complex)
         channel[2, 2] = 1.0  # |10><10|
@@ -189,6 +196,12 @@ class TestBlochOf:
     def test_ground_state(self):
         rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         assert np.array_equal(bloch_of(rho), np.array([0.0, 0.0, 1.0]))
+
+    def test_zero_component_is_positive_zero(self):
+        # Im rho10 = -0.0 and Im rho01 = +0.0 give sy = -0.0 until bloch_of adds 0.0.
+        rho = np.array([[0.6, 0.0], [-0.0j, 0.4]], dtype=complex)
+        assert rho[1, 0].imag == 0.0 and math.copysign(1.0, rho[1, 0].imag) == -1.0
+        assert math.copysign(1.0, bloch_of(rho)[1]) == 1.0
 
     def test_plus_state(self):
         rho = np.full((2, 2), 0.5, dtype=complex)

@@ -174,6 +174,14 @@ class TestChannelValidation:
         with pytest.raises(DomainError):
             AcceleratedChannel(0.5, 0, 0, 0.5, 0.5, 0, 0, 0.5)
 
+    def test_coefficients_just_past_the_tolerance_rejected(self):
+        # 1e-10 off, past CHANNEL_TOL (1e-12): the trace, a conjugate pair, a diagonal sign.
+        for coefficients in ((0.25 + 1e-10, 0, 0, 0.25, 0.25, 0, 0, 0.25),
+                             (0.25, 0.1, 0.1 + 1e-10, 0.25, 0.25, 0, 0, 0.25),
+                             (-1e-10, 0, 0, 0.5, 0.25, 0, 0, 0.25 + 1e-10)):
+            with pytest.raises(DomainError):
+                AcceleratedChannel(*coefficients)
+
     def test_broken_conjugacy_rejected(self):
         with pytest.raises(DomainError, match="b7"):
             AcceleratedChannel(0.25, 0, 0, 0.25, 0.25, 0.1, 0.2, 0.25)
