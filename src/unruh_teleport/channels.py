@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ._linalg import PAULIS
-from .errors import DomainError, check_choice, check_real
+from .errors import DomainError, check_choice, check_fields, check_real
 
 # Each channel preset and the parameters it reads.
 PRESET_PARAMS = {"bell-phi-plus": (), "bell-psi-minus": (), "werner": ("fidelity",),
@@ -109,7 +109,7 @@ def dyadic_to_density(d: CorrelationDyadic) -> np.ndarray:
     Hermitian with unit trace by construction; positivity depends on the
     coefficients and is checked by :func:`validate_physical`.
     """
-    return _dyadic_to_density(*d.as_tuple())
+    return _dyadic_to_density(**check_fields(CorrelationDyadic, d))
 
 
 def validate_physical(d: CorrelationDyadic) -> PhysicalityCheck:
@@ -118,7 +118,7 @@ def validate_physical(d: CorrelationDyadic) -> PhysicalityCheck:
     Returns a verdict plus the minimum closed-form eigenvalue; never raises. The
     ``EIGENVALUE_TOL`` slack absorbs the rounding of its sums on rank-deficient states.
     """
-    smallest = float(_bell_eigenvalues(*d.as_tuple()).min())
+    smallest = float(_bell_eigenvalues(**check_fields(CorrelationDyadic, d)).min())
     return PhysicalityCheck(smallest >= -EIGENVALUE_TOL, smallest)
 
 

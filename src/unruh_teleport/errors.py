@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one check of each kind of input."""
+"""Exception types shared across the package, and the one check of each kind of input: a
+named choice, an integer, a number, a value type and an array."""
 
 import math
 from numbers import Complex, Integral, Real
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -27,7 +30,12 @@ def check_integer(kind: str, value: object, lo: float = -math.inf, hi: float = m
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise DomainError(f"{kind} must be an integer, got {value!r}")
     if not lo <= value <= hi:
-        raise DomainError(f"{kind} must lie in [{lo}, {hi}], got {value}")
+        try:
+            shown = str(value)
+        except ValueError:  # past Python's int-to-str limit, 4,300 digits by default
+            k = int(math.log10(abs(value))) - 9  # so that the quotient below has 9 to 11 digits
+            shown = f"an integer of {k + len(str(abs(value) // 10**k))} digits"
+        raise DomainError(f"{kind} must lie in [{lo}, {hi}], got {shown}")
 
 
 def check_real(kind: str, value: object, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -48,3 +56,23 @@ def check_complex(kind: str, value: object) -> complex:
         return complex(value)
     except OverflowError:
         raise DomainError(f"{kind} is an integer too large for a float") from None
+
+
+def check_fields(value_type: type, value: object) -> dict:
+    """``vars(value)``, the private kernels' keyword arguments, if ``value`` is a ``value_type``."""
+    if not isinstance(value, value_type):
+        raise DomainError(f"expected {value_type.__name__}, got {type(value).__name__}")
+    return vars(value)
+
+
+def check_array(what: str, value: object, shape: tuple, numbers: str = "real") -> np.ndarray:
+    """``value`` as an array if it nests "real" (bools included) or "complex" ``numbers`` in
+    ``shape``, where None is any length. A refusal names ``what`` and the numbers."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting has no array shape
+        raise DomainError(f"{what} of {numbers} numbers, not ragged") from None
+    fits = len(a.shape) == len(shape) and all(n in (None, m) for n, m in zip(shape, a.shape))
+    if not fits or a.dtype.kind not in ("biuf" if numbers == "real" else "biufc"):
+        raise DomainError(f"{what} of {numbers} numbers, not {a.dtype} of shape {a.shape}")
+    return a

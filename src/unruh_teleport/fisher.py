@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import CorrelationDyadic, require_physical
-from .errors import ConsistencyError, DomainError, check_choice, check_real
+from .errors import (
+    ConsistencyError, DomainError, check_array, check_choice, check_fields, check_real
+)
 from .teleport import InputState, _branch_bloch
 from .unruh import R_MAX, UnruhParams
 
@@ -76,11 +78,10 @@ def check_args(
 
 def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
     """The fields of the three value types are the kernel's arguments; the channel must be physical."""
-    for value, kind in zip((state, d, u), (InputState, CorrelationDyadic, UnruhParams)):
-        if not isinstance(value, kind):
-            raise DomainError(f"expected {kind.__name__}, got {type(value).__name__}")
+    p = {**check_fields(InputState, state), **check_fields(CorrelationDyadic, d),
+         **check_fields(UnruhParams, u)}
     require_physical(d)
-    return {**vars(state), **vars(d), **vars(u)}
+    return p
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,14 +162,8 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     mixed-state denominator only amplifies rounding noise. The value is never
     negative; a non-finite one indicates a bug and raises.
     """
-    try:
-        s, ds = np.asarray(s), np.asarray(ds)
-    except ValueError:  # a ragged nesting has no array shape
-        raise DomainError("s and ds must be 3-vectors of real numbers, not ragged") from None
-    if s.shape != (3,) or ds.shape != (3,) or not all(v.dtype.kind in "biuf" for v in (s, ds)):
-        raise DomainError(f"s and ds must be 3-vectors of real numbers, not {s.dtype} and "
-                          f"{ds.dtype} of shapes {s.shape} and {ds.shape}")
-    value, pure = _fisher_from_bloch(s.astype(float), ds.astype(float))
+    s, ds = (check_array("s and ds must be 3-vectors", v, (3,)).astype(float) for v in (s, ds))
+    value, pure = _fisher_from_bloch(s, ds)
     return FisherValue(value=float(value), pure_branch=bool(pure))
 
 

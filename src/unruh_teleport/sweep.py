@@ -13,7 +13,7 @@ import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -22,7 +22,7 @@ import numpy as np
 from .channels import (
     PRESET_NAMES, X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 )
-from .errors import DomainError, check_choice, check_integer, check_real
+from .errors import DomainError, check_array, check_choice, check_fields, check_integer, check_real
 from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, check_args
 from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
@@ -42,7 +42,7 @@ class Axis:
 
     def __post_init__(self) -> None:
         check_choice("sweep variable", self.name, PARAM_NAMES)
-        check_integer(f"axis {self.name} count", self.count, 2)
+        check_integer(f"axis {self.name} count", self.count, 2, MAX_POINTS)
         domain = VARIABLE_DOMAINS[self.name]
         for end, value in (("start", self.start), ("stop", self.stop)):
             object.__setattr__(self, end, check_real(f"axis {self.name} {end}", value, *domain))
@@ -93,7 +93,7 @@ class SweepSpec:
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"a sweep takes 1 or 2 axes, got {len(self.axes)}")
-        points = math.prod(axis.count for axis in self.axes)
+        points = math.prod(check_fields(Axis, axis)["count"] for axis in self.axes)
         if points > MAX_POINTS:
             raise DomainError(f"sweep of {points} points exceeds the limit of {MAX_POINTS}")
         swept = [axis.name for axis in self.axes]
@@ -108,12 +108,12 @@ class SweepSpec:
         object.__setattr__(self, "ql", weights.ql)
         # The preset and mode names are echoed in the JSON spec, so each must
         # give this spec's numbers. werner is (-F, -F, -F) with F in [0, 1].
+        d = check_fields(CorrelationDyadic, self.dyadic)
         if self.channel_preset is not None:
             check_choice("channel preset", self.channel_preset, PRESET_NAMES)
-            d = self.dyadic
-            if preset_dyadic(self.channel_preset, fidelity=max(-d.c11, 0.0), **vars(d)) != d:
+            if preset_dyadic(self.channel_preset, fidelity=max(-d["c11"], 0.0), **d) != self.dyadic:
                 raise DomainError(
-                    f"channel preset {self.channel_preset} does not give {d.as_tuple()}"
+                    f"channel preset {self.channel_preset} does not give {self.dyadic.as_tuple()}"
                 )
         if self.unruh_mode is not None:
             check_choice("mode preset", self.unruh_mode, MODE_NAMES)
@@ -149,14 +149,8 @@ class SweepRows(Sequence[SweepRow]):
     pure: np.ndarray
 
     def __post_init__(self) -> None:
-        try:  # each axis is checked as a column too, but kept as given
-            columns = [np.asarray(column) for column in (self.fisher, self.pure, *self.points)]
-        except ValueError:  # a ragged nesting has no array shape
-            raise DomainError("sweep columns must be 1-d arrays of real numbers, "
-                              "not ragged") from None
-        if any(c.ndim != 1 or c.dtype.kind not in "biuf" for c in columns):
-            raise DomainError("sweep columns must be 1-d arrays of real numbers, got "
-                              + " and ".join(f"{c.dtype} of shape {c.shape}" for c in columns))
+        columns = [check_array("sweep columns must be 1-d arrays", column, (None,))
+                   for column in (self.fisher, self.pure, *self.points)]  # axes kept as given
         for name, column, dtype in zip(("fisher", "pure"), columns, (np.float64, np.bool_)):
             object.__setattr__(self, name, column.astype(dtype, copy=False).view())
             getattr(self, name).flags.writeable = False
@@ -193,7 +187,7 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     up front if its initial state is unphysical. The whole grid is one kernel
     call on one column per axis (the open mesh), whose columns are raveled.
     """
-    require_physical(spec.dyadic)
+    require_physical(check_fields(SweepSpec, spec)["dyadic"])
     points = [a.points() for a in spec.axes]
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
              **dict(zip(spec.axis_names, np.ix_(*points)))}
@@ -229,9 +223,11 @@ FIGURE_PRESETS: dict[str, tuple[str, tuple[str, ...], dict[str, float], str, str
 FIGURE_IDS = tuple(FIGURE_PRESETS)
 
 
+@lru_cache(maxsize=len(FIGURE_IDS))
 def _figure_fields(fig_id: str, grid: int) -> dict[str, Any]:
     """The SweepSpec fields that a figure id fixes, at ``grid`` points per axis,
-    in the spec's normalized form: every field but the norm, method and id."""
+    in the spec's normalized form: every field but the norm, method and id. Cached (callers
+    only read it), so that ``figure_spec`` and the spec's check of its figure expand it once."""
     estimand, swept, fixed, channel_preset, unruh_mode = FIGURE_PRESETS[fig_id]
     qr, ql = MODE_WEIGHTS[unruh_mode]
     axes = tuple(Axis(name, *VARIABLE_DOMAINS[name], count=grid) for name in swept)
@@ -248,6 +244,7 @@ def figure_spec(
 ) -> SweepSpec:
     """Expand a figure preset to a sweep over the full variable domains."""
     check_choice("figure preset", fig_id, FIGURE_IDS)
+    check_integer("grid", grid, 2, MAX_POINTS)  # before it keys the cache
     return SweepSpec(norm=norm, method=method, figure=fig_id, **_figure_fields(fig_id, grid))
 
 
@@ -428,6 +425,7 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     lengths are the spec's counts, with no non-finite coordinate or Fisher value (JSON has
     no spelling for one). It yields the head, then pieces of 8,192 points (the last one
     shorter), each a template of the next lines of the flat stream of row texts, filled."""
+    check_fields(SweepSpec, spec)
     if not isinstance(rows, SweepRows):
         raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
     if not rows:

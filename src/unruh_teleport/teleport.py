@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike
 
 from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic
-from .errors import ConsistencyError, DegenerateBranchError, check_real
+from .errors import ConsistencyError, DegenerateBranchError, check_array, check_fields, check_real
 from .unruh import AcceleratedChannel, UnruhParams
 
 DEGENERATE_PROB = 1e-15
@@ -106,7 +106,8 @@ def _teleport_analytic(theta: ArrayLike, phi: ArrayLike, *b: ArrayLike) -> np.nd
 
 def teleport_analytic(state: InputState, ch: AcceleratedChannel) -> BobState:
     """Branch state assembled from the channel coefficients."""
-    return _bob_state(_teleport_analytic(state.theta, state.phi, *ch.as_tuple()))
+    return _bob_state(_teleport_analytic(*check_fields(InputState, state).values(),
+                                         *check_fields(AcceleratedChannel, ch).values()))
 
 
 def _branch_bloch(
@@ -163,7 +164,8 @@ def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams
     The same state as ``teleport_analytic`` composed with ``accelerate``: the
     one-point public form of ``_branch_bloch``, which verify and the Fisher kernel read.
     """
-    return _bob_state(_bloch_matrix(_branch_bloch(**vars(state), **vars(d), **vars(u))))
+    p = {**check_fields(InputState, state), **check_fields(CorrelationDyadic, d)}
+    return _bob_state(_bloch_matrix(_branch_bloch(**p, **check_fields(UnruhParams, u))))
 
 
 def _teleport_circuit_oracle(
@@ -196,7 +198,8 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     qubit, and reads the |00> block of the first two qubits, which is their
     projection onto |00> followed by the partial trace over them.
     """
-    return _bob_state(_teleport_circuit_oracle(state.theta, state.phi, channel_density))
+    m = check_array("channel_density must be a 4x4 matrix", channel_density, (4, 4), "complex")
+    return _bob_state(_teleport_circuit_oracle(*check_fields(InputState, state).values(), m))
 
 
 def bloch_of(rho: np.ndarray) -> np.ndarray:
@@ -207,5 +210,6 @@ def bloch_of(rho: np.ndarray) -> np.ndarray:
     Adding 0.0 writes a zero component as +0.0, the sign the traces of matrix
     products give it (Im rho10 = -0.0 and Im rho01 = +0.0 would give sy = -0.0).
     """
-    r00, r01, r10, r11 = rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]
+    rho = check_array("rho must be a 2x2 matrix", rho, (2, 2), "complex")
+    (r00, r01), (r10, r11) = rho.astype(complex)
     return np.array([r01.real + r10.real, r10.imag - r01.imag, (r00 - r11).real]) + 0.0

@@ -28,10 +28,10 @@ from numpy.typing import ArrayLike
 
 from ._linalg import IDENTITY_2, _abs2, _kron, _matrices, partial_trace
 from .channels import CorrelationDyadic, _dyadic_to_density
-from .errors import DomainError, check_choice, check_complex, check_real
+from .errors import DomainError, check_choice, check_complex, check_fields, check_real
 
 R_MAX = math.pi / 4
-WEIGHT_NORM_TOL = 1e-12
+WEIGHT_NORM_TOL = 1e-14
 CHANNEL_TOL = 1e-12
 
 # wsma: excitation purely in the right-moving mode (single-mode approximation).
@@ -159,7 +159,7 @@ def accelerate(d: CorrelationDyadic, u: UnruhParams) -> AcceleratedChannel:
     alternative that swaps them (b7 := b3) is a mutant of the tests, and the
     verification report reads b3 to show the size of the violation.
     """
-    b = _accelerate(*d.as_tuple(), u.r, u.qr, u.ql)
+    b = _accelerate(**check_fields(CorrelationDyadic, d), **check_fields(UnruhParams, u))
     return AcceleratedChannel(*(np.asarray(x).item() for x in b))
 
 
@@ -174,7 +174,7 @@ def _accelerated_density(*b: ArrayLike) -> np.ndarray:
 
 def accelerated_density(ch: AcceleratedChannel) -> np.ndarray:
     """Dense 4x4 matrix with b1..b8 placed per the class docstring."""
-    return _accelerated_density(*ch.as_tuple())
+    return _accelerated_density(*check_fields(AcceleratedChannel, ch).values())
 
 
 def _bogoliubov_isometry(r: ArrayLike, qr: ArrayLike, ql: ArrayLike) -> np.ndarray:
@@ -188,7 +188,7 @@ def bogoliubov_isometry(u: UnruhParams) -> np.ndarray:
     Columns are the images of |0> and |1>; rows are ordered |00>, |01>,
     |10>, |11> over (accessible mode, disconnected mode).
     """
-    return _bogoliubov_isometry(u.r, u.qr, u.ql)
+    return _bogoliubov_isometry(**check_fields(UnruhParams, u))
 
 
 def _bogoliubov_oracle(
@@ -208,4 +208,4 @@ def bogoliubov_oracle(d: CorrelationDyadic, u: UnruhParams) -> np.ndarray:
     the three-factor space (sender, accessible mode, disconnected mode) and
     traces out the last factor.
     """
-    return _bogoliubov_oracle(*d.as_tuple(), u.r, u.qr, u.ql)
+    return _bogoliubov_oracle(**check_fields(CorrelationDyadic, d), **check_fields(UnruhParams, u))

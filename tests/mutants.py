@@ -9,9 +9,10 @@ Each mutant is (file in src/unruh_teleport, old text, new text), and its old tex
 occur exactly once in that file; every mutant is checked before any runs. For each one,
 ``src/``, ``tests/`` and ``pyproject.toml`` are copied into a fresh temporary directory
 outside the checkout, the mutant is applied there, and ``python -m pytest -q -x`` runs on
-the copy. One line per mutant gives KILLED or SURVIVED, the seconds taken and, for a
-killed mutant, the first failing test. A surviving mutant is a change that no test sees.
-Only the standard library is used.
+the copy, leaving out ``tests/test_mutants.py``: that Tier-1 check of this list runs
+``check_mutants`` and so fails on every mutated copy. One line per mutant gives KILLED or
+SURVIVED, the seconds taken and, for a killed mutant, the first failing test. A surviving
+mutant is a change that no test sees. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ MUTANTS = [
     ("channels.py", "EIGENVALUE_TOL = 1e-12", "EIGENVALUE_TOL = 1e-9"),
     ("teleport.py", "DEGENERATE_PROB = 1e-15", "DEGENERATE_PROB = 1e-3"),
     ("teleport.py", "(r00 - r11).real]) + 0.0", "(r00 - r11).real])"),
-    ("unruh.py", "WEIGHT_NORM_TOL = 1e-12", "WEIGHT_NORM_TOL = 1e-9"),
+    ("unruh.py", "WEIGHT_NORM_TOL = 1e-14", "WEIGHT_NORM_TOL = 1e-13"),
     ("unruh.py", "CHANNEL_TOL = 1e-12", "CHANNEL_TOL = 1e-9"),
     ("fisher.py", "MAX_FD_STEP = R_MAX / 3.0", "MAX_FD_STEP = R_MAX / 2.0"),
     ("fisher.py", "MAX_POINTS = 2**20", "MAX_POINTS = 2**21"),
     ("verify.py", "EQUIV_TOL = 1e-12", "EQUIV_TOL = 1e-9"),
     ("sweep.py", "range(0, len(rows), 1 << 13)", "range(0, len(rows), 1 << 12)"),
     # Refusals at the public boundary.
-    ("fisher.py", "    require_physical(d)\n    return {**vars(state)", "    return {**vars(state)"),
-    ("fisher.py", "if not isinstance(value, kind):", "if not isinstance(value, (kind, type(None))):"),
+    ("fisher.py", "    require_physical(d)\n    return p", "    return p"),
+    ("errors.py", "if not isinstance(value, value_type):",
+     "if not isinstance(value, (value_type, type(None))):"),
     ("errors.py", "    if not (isinstance(value, Real) and lo <= z.real <= hi):",
      "    if not (isinstance(value, Real) and lo < z.real <= hi):"),
     ("errors.py", "    if not (isinstance(value, Real) and lo <= z.real <= hi):",
@@ -56,13 +58,39 @@ MUTANTS = [
      "    except ZeroDivisionError:\n        raise DomainError(f\"{kind} is an integer too large"),
     ("errors.py", "    if not lo <= value <= hi:", "    if not lo < value <= hi:"),
     ("unruh.py", 'check_real("accel", accel, 0.0)', 'check_real("accel", accel)'),
-    ("sweep.py", "(self.fisher, self.pure, *self.points)]", "(self.fisher, self.pure)]"),
-    # Signs and term order in the closed forms.
+    ("sweep.py", "for column in (self.fisher, self.pure, *self.points)]",
+     "for column in (self.fisher, self.pure)]"),
+    # The value-type and array rules, their sites, and the bounds on integers.
+    ("errors.py", "if not isinstance(value, value_type):", "if not isinstance(value, object):"),
+    ("errors.py", '("biuf" if numbers == "real" else "biufc")', '"biufc"'),
+    ("errors.py", "except ValueError:  # a ragged nesting",
+     "except TypeError:  # a ragged nesting"),
+    ("errors.py", " and all(n in (None, m) for n, m in zip(shape, a.shape))", ""),
+    ("errors.py", "except ValueError:  # past Python's int-to-str limit",
+     "except TypeError:  # past Python's int-to-str limit"),
+    ("sweep.py", "self.count, 2, MAX_POINTS)", "self.count, 2)"),
+    ("sweep.py", 'check_integer("grid", grid, 2, MAX_POINTS)  # before it keys', "pass  # before"),
+    ("sweep.py", "@lru_cache(maxsize=len(FIGURE_IDS))\n", ""),
+    ("sweep.py", 'require_physical(check_fields(SweepSpec, spec)["dyadic"])',
+     "require_physical(spec.dyadic)"),
+    ("sweep.py", "d = check_fields(CorrelationDyadic, self.dyadic)", "d = vars(self.dyadic)"),
+    ("sweep.py", "    check_fields(SweepSpec, spec)\n    if not isinstance(rows, SweepRows):",
+     "    if not isinstance(rows, SweepRows):"),
+    ("__init__.py", " and not isinstance(value, types.ModuleType))", ")"),
+    # The command line's exit code and angle parsing.
+    ("cli.py", "        return 1\n    except ConsistencyError",
+     "        return 2\n    except ConsistencyError"),
+    ("cli.py", "if denominator == 0.0:", "if denominator == -1.0:"),
+    ("cli.py", "sign = -1.0 if match.group(1) else 1.0", "sign = 1.0"),
+    # Signs and term order in the closed forms and the dense helpers.
     ("teleport.py", "sy = w.real * y - u.imag * x", "sy = w.real * y + u.imag * x"),
     ("channels.py", "(1, -1, 1), (1, 1, -1))", "(1, -1, 1), (1, 1, 1))"),
     ("unruh.py", "a3 * qr * cr + a4 * qlc * sr,", "a3 * qlc * sr + a4 * qr * cr,"),
     ("fisher.py", "(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]",
      "a[..., 0] * b[..., 0] + (a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])"),
+    ("_linalg.py", "np.real(z) * np.real(z) + np.imag(z) * np.imag(z)",
+     "np.real(z) * np.real(z) - np.imag(z) * np.imag(z)"),
+    ("_linalg.py", "        if i not in keep:", "        if i in keep:"),
 ]
 
 
@@ -88,7 +116,8 @@ def run_mutant(index: int) -> str:
         path.write_text(path.read_text().replace(old, new))
         start = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--ignore", str(work / "tests" / "test_mutants.py")],
             cwd=work, env={**os.environ, "PYTHONPATH": str(work / "src")},
             capture_output=True, text=True,
         )

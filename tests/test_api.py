@@ -1,5 +1,5 @@
 """The public API as a whole: NaN and wrongly typed values refused at every numeric input,
-other types refused where a value type is due, and the package namespace."""
+other types refused where a value type or an array is due, and the package namespace."""
 
 import importlib
 import inspect
@@ -18,14 +18,28 @@ from unruh_teleport import (
     SweepSpec,
     UnruhParams,
     accelerate,
+    accelerated_density,
+    bloch_of,
     bloch_partial,
     bloch_teleported,
+    bogoliubov_isometry,
+    bogoliubov_oracle,
+    dyadic_to_density,
+    emit,
+    figure_spec,
     fisher,
     mode_params,
     preset_dyadic,
     r_from_acceleration,
+    run_sweep,
+    teleport_analytic,
+    teleport_circuit_oracle,
+    teleport_closed_form,
+    validate_physical,
+    verify,
 )
 from unruh_teleport.channels import X_STATE_EXAMPLE
+from unruh_teleport.errors import check_integer
 
 NAN = math.nan
 PHI_PLUS = CorrelationDyadic(1.0, -1.0, 1.0)
@@ -158,6 +172,110 @@ def test_a_point_of_other_types_is_a_domain_error(name, position):
     extra = () if name == "bloch_teleported" else ("theta",)
     with pytest.raises(DomainError, match="expected"):
         getattr(unruh_teleport, name)(*point, *extra)
+
+
+CHANNEL = accelerate(PHI_PLUS, WSMA)
+SPEC = _spec()
+# Each public call that takes a value type: the call, valid arguments, and the positions
+# of the value types among them.
+VALUE_TYPE_CALLS = {
+    "dyadic_to_density": (dyadic_to_density, [PHI_PLUS], [0]),
+    "validate_physical": (validate_physical, [PHI_PLUS], [0]),
+    "accelerate": (accelerate, [PHI_PLUS, WSMA], [0, 1]),
+    "accelerated_density": (accelerated_density, [CHANNEL], [0]),
+    "bogoliubov_isometry": (bogoliubov_isometry, [WSMA], [0]),
+    "bogoliubov_oracle": (bogoliubov_oracle, [PHI_PLUS, WSMA], [0, 1]),
+    "teleport_analytic": (teleport_analytic, [STATE, CHANNEL], [0, 1]),
+    "teleport_closed_form": (teleport_closed_form, [STATE, PHI_PLUS, WSMA], [0, 1, 2]),
+    "teleport_circuit_oracle": (teleport_circuit_oracle, [STATE, dyadic_to_density(PHI_PLUS)],
+                                [0]),
+    **{name: (getattr(unruh_teleport, name), [STATE, PHI_PLUS, WSMA, "theta"], [0, 1, 2])
+       for name in ("fisher", "bloch_partial")},
+    "bloch_teleported": (bloch_teleported, [STATE, PHI_PLUS, WSMA], [0, 1, 2]),
+    "run_sweep": (run_sweep, [SPEC], [0]),
+    "emit": (emit, [SPEC, run_sweep(SPEC), "csv"], [0]),
+    "SweepSpec": (lambda d, *axes: SweepSpec("theta", "normalized", "analytic", d, 1.0 + 0.0j,
+                                            0.0j, axes, {"phi": 0.5}),
+                  [PHI_PLUS, *AXES], [0, 1, 2]),
+}
+VALUE_TYPE_INSTANCES = (STATE, PHI_PLUS, WSMA, CHANNEL, AXES[0], SPEC)
+
+
+def _others(value):
+    """None, a tuple of the value type's field values, and an instance of another value type."""
+    other = next(x for x in VALUE_TYPE_INSTANCES if type(x) is not type(value))
+    return {"None": None, "tuple": tuple(vars(value).values()), type(other).__name__: other}
+
+
+@pytest.mark.parametrize("call, args, position, wrong", [
+    pytest.param(call, args, i, wrong, id=f"{name}-{i}-{kind}")
+    for name, (call, args, positions) in VALUE_TYPE_CALLS.items() for i in positions
+    for kind, wrong in _others(args[i]).items()
+])
+def test_a_value_type_argument_of_another_type_is_a_domain_error(call, args, position, wrong):
+    call(*args)
+    args = [*args[:position], wrong, *args[position + 1:]]
+    with pytest.raises(DomainError, match="expected"):
+        call(*args)
+
+
+# Arrays that are not 2x2 or 4x4 matrices of numbers, for a matrix of n x n.
+BAD_MATRICES = {
+    "shape": lambda n: np.eye(3),
+    "ragged": lambda n: [[1.0] * n, [0.0]],
+    "strings": lambda n: [["0"] * n] * n,
+    "None": lambda n: None,
+}
+MATRIX_CALLS = {
+    "bloch_of": (bloch_of, np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])),
+    "teleport_circuit_oracle": (lambda m: teleport_circuit_oracle(STATE, m),
+                                dyadic_to_density(PHI_PLUS)),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_CALLS)
+def test_a_matrix_argument_is_a_nested_list_or_array_of_numbers(name):
+    call, valid = MATRIX_CALLS[name]
+    n = len(valid)
+    for bad in BAD_MATRICES.values():
+        with pytest.raises(DomainError, match=f"must be a {n}x{n} matrix of complex numbers"):
+            call(bad(n))
+    as_list, as_array = call(valid.tolist()), call(valid)
+    if name == "teleport_circuit_oracle":
+        as_list, as_array = as_list.rho, as_array.rho
+    assert np.array_equal(as_list, as_array)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify(10**5000),
+    lambda: verify(-10**5000),
+    lambda: check_integer("trials", 10**5000, 1, 10),
+    lambda: figure_spec("1a", 10**5000),
+    lambda: Axis("theta", 0.0, 1.0, 10**5000),
+], ids=["verify", "verify-negative", "check_integer", "figure_spec", "Axis"])
+def test_an_integer_past_the_string_limit_is_named_by_its_digit_count(call):
+    # str() refuses an integer of more than 4,300 digits (Python's default limit).
+    with pytest.raises(DomainError, match=r"must lie in \[.*\], got an integer of 5001 digits$"):
+        call()
+
+
+@pytest.mark.parametrize("value", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_a_figure_grid_of_another_type_is_a_domain_error(value):
+    # The grid keys the cache of figure expansions, so it is checked before; an array
+    # has no hash.
+    with pytest.raises(DomainError, match="grid must be an integer"):
+        figure_spec("1a", value)
+
+
+def test_all_is_the_public_names_the_package_imports():
+    # Every public name the package binds, modules aside, and nothing else; no list restated.
+    namespace = {}
+    exec("from unruh_teleport import *", namespace)
+    public = {name for name, value in vars(unruh_teleport).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert unruh_teleport.__all__ == sorted(public)
+    for name in unruh_teleport.__all__:
+        assert not inspect.ismodule(namespace[name]) and not name.startswith("_")
 
 
 def test_fisher_and_verify_attributes_are_the_functions():

@@ -319,8 +319,6 @@ class TestPureShellBand:
         for r in (1e-9, 1e-7, 1e-5, 1e-4):
             assert self._error(r) <= 1e-9, r
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="weights off their norm by 1e-12 reach |s| - 1 = 1e-12")
     def test_weights_off_their_norm_keep_the_bloch_vector_in_the_ball(self):
         # Passes once UnruhParams refuses these weights, or once |s| stays within rounding of 1.
         try:

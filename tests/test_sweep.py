@@ -292,6 +292,17 @@ class TestFigurePresets:
         with pytest.raises(DomainError):
             figure_spec("7a")
 
+    def test_each_call_expands_its_figure_once(self, monkeypatch):
+        # One expansion builds the figure's two axes; the spec's check of its figure id
+        # must not build them again.
+        built = []
+        post_init = Axis.__post_init__
+        monkeypatch.setattr(Axis, "__post_init__", lambda axis: built.append(post_init(axis)))
+        for fig_id in FIGURE_IDS:
+            built.clear()
+            assert figure_spec(fig_id, grid=11).figure == fig_id
+            assert len(built) <= 2, fig_id
+
 
 class TestEmission:
     def test_csv_line_count(self):

@@ -90,8 +90,8 @@ class TestUnruhParams:
         "qr,ql", [(1.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5)), (0.6, 0.8j), (0.48 + 0.64j, 0.6j)]
     )
     def test_weight_norm_is_the_kernels_abs2(self, qr, ql):
-        # Scaled by 1 + k*1e-13 the norm crosses the 1e-12 edge near k = +-5, so
-        # both verdicts occur; the constructor's must be the one _abs2 gives.
+        # Scaled by 1 + k*1e-13 the norm is off by about 2k*1e-13, past the 1e-14 edge
+        # unless k = 0, so both verdicts occur; the constructor's must be the one _abs2 gives.
         verdicts = set()
         for k in range(-8, 9):
             scale = 1.0 + k * 1e-13
@@ -105,6 +105,19 @@ class TestUnruhParams:
             assert accepted == kernel, (qr_k, ql_k)
             verdicts.add(accepted)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("off, accepted", [(5e-15, True), (-5e-15, True), (2e-14, False),
+                                               (-2e-14, False)])
+    def test_weight_norm_edge_is_1e_14(self, off, accepted):
+        # Rounding puts |qr|^2 + |ql|^2 at most 2 ulp (4.4e-16) from 1 for the weights of
+        # sample_draws; the edge lies between that and 2e-14.
+        qr, ql = complex(math.sqrt(1.0 + off)), 0.0j
+        assert abs(_abs2(qr) - 1.0 - off) < 1e-15
+        if accepted:
+            assert UnruhParams(0.1, qr, ql).qr == qr
+        else:
+            with pytest.raises(DomainError, match="must equal 1 within 1e-14"):
+                UnruhParams(0.1, qr, ql)
 
 
 class TestAccelerate:
