@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -43,26 +43,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker products over the last two axes, as ``np.kron``; broadcasts."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``dims`` gives the local dimension of each factor; the result keeps the
-    factors in their original order. Broadcasts over leading axes of ``rho``.
-    """
-    n = len(dims)
-    keep = list(keep)
-    lead = rho.shape[:-2]
-    reshaped = rho.reshape(*lead, *dims, *dims)
-    indices = list(range(2 * n))
-    for i in range(n):
-        if i not in keep:
-            indices[n + i] = indices[i]
-    out = [indices[i] for i in keep] + [indices[n + i] for i in keep]
-    kept_dim = int(np.prod([dims[i] for i in keep]))
-    traced = np.einsum(reshaped, [Ellipsis, *indices], [Ellipsis, *out])
-    return traced.reshape(*lead, kept_dim, kept_dim)
 
 
 def _hermiticity_gaps(m: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check of each kind of input: a
-named choice, an integer, a number, a value type and an array."""
+named choice, an integer, a number, a value type, a container and an array."""
 
 import math
 from numbers import Complex, Integral, Real
@@ -63,6 +63,14 @@ def check_fields(value_type: type, value: object) -> dict:
     if not isinstance(value, value_type):
         raise DomainError(f"expected {value_type.__name__}, got {type(value).__name__}")
     return vars(value)
+
+
+def check_container(what: str, value: object, kind: type) -> tuple | dict:
+    """``kind(value)``, a tuple or a dict, if ``value`` converts to it; a refusal names ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:  # not iterable, or not of (key, value) pairs
+        raise DomainError(f"{what}: {exc}") from None
 
 
 def check_array(what: str, value: object, shape: tuple, numbers: str = "real") -> np.ndarray:

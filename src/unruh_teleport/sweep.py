@@ -22,7 +22,9 @@ import numpy as np
 from .channels import (
     PRESET_NAMES, X_STATE_EXAMPLE, CorrelationDyadic, preset_dyadic, require_physical
 )
-from .errors import DomainError, check_array, check_choice, check_fields, check_integer, check_real
+from .errors import (
+    DomainError, check_array, check_choice, check_container, check_fields, check_integer, check_real
+)
 from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, check_args
 from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
@@ -82,7 +84,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_args(self.estimand, self.norm, self.method)
-        fixed = dict(self.fixed)
+        fixed = check_container("fixed must be a mapping or (name, value) pairs", self.fixed, dict)
         if len(fixed) != len(self.fixed):
             raise DomainError(f"fixed variables {self.fixed} repeat a name")
         for name in fixed:
@@ -90,7 +92,7 @@ class SweepSpec:
         object.__setattr__(self, "fixed", tuple(
             (name, check_real(f"fixed {name}", fixed[name], *VARIABLE_DOMAINS[name]))
             for name in PARAM_NAMES if name in fixed))
-        object.__setattr__(self, "axes", tuple(self.axes))
+        object.__setattr__(self, "axes", check_container("axes must be a sequence", self.axes, tuple))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError(f"a sweep takes 1 or 2 axes, got {len(self.axes)}")
         points = math.prod(check_fields(Axis, axis)["count"] for axis in self.axes)
@@ -149,6 +151,7 @@ class SweepRows(Sequence[SweepRow]):
     pure: np.ndarray
 
     def __post_init__(self) -> None:
+        check_container("sweep points must be a sequence of axes", self.points, tuple)
         columns = [check_array("sweep columns must be 1-d arrays", column, (None,))
                    for column in (self.fisher, self.pure, *self.points)]  # axes kept as given
         for name, column, dtype in zip(("fisher", "pure"), columns, (np.float64, np.bool_)):

@@ -27,7 +27,7 @@ from numpy.typing import ArrayLike
 
 from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic
-from .errors import ConsistencyError, DegenerateBranchError, check_array, check_fields, check_real
+from .errors import DegenerateBranchError, DomainError, check_array, check_fields, check_real
 from .unruh import AcceleratedChannel, UnruhParams
 
 DEGENERATE_PROB = 1e-15
@@ -180,13 +180,6 @@ def _teleport_circuit_oracle(
         _HADAMARD_GATE @ _CNOT_GATE @ _kron(input_density, channel_density)
         @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T
     )
-
-    # The four branch probabilities sum to the trace.
-    total = np.trace(evolved, axis1=-2, axis2=-1).real
-    off = np.abs(total - 1.0) > 1e-9
-    if np.any(off):
-        raise ConsistencyError(f"branch probabilities sum to {total[off][0]}, expected 1")
-
     return evolved[..., :2, :2]
 
 
@@ -196,9 +189,13 @@ def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> B
     Forms input x channel on the factors (unknown, sender, receiver),
     applies CNOT (control = unknown qubit) then Hadamard on the unknown
     qubit, and reads the |00> block of the first two qubits, which is their
-    projection onto |00> followed by the partial trace over them.
+    projection onto |00> followed by the partial trace over them. The channel
+    density must have finite entries and a trace within 1e-9 of 1.
     """
     m = check_array("channel_density must be a 4x4 matrix", channel_density, (4, 4), "complex")
+    trace = np.trace(m)
+    if not (np.isfinite(m).all() and abs(trace - 1.0) <= 1e-9):
+        raise DomainError(f"channel_density must be finite with trace 1, got trace {trace}")
     return _bob_state(_teleport_circuit_oracle(*check_fields(InputState, state).values(), m))
 
 

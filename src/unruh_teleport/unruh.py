@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._linalg import IDENTITY_2, _abs2, _kron, _matrices, partial_trace
+from ._linalg import IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic, _dyadic_to_density
 from .errors import DomainError, check_choice, check_complex, check_fields, check_real
 
@@ -198,7 +198,8 @@ def _bogoliubov_oracle(
     rho = _dyadic_to_density(c11, c22, c33)
     embed = _kron(IDENTITY_2, _bogoliubov_isometry(r, qr, ql))
     big = embed @ rho @ np.swapaxes(embed, -1, -2).conj()
-    return partial_trace(big, (2, 2, 2), keep=(0, 1))
+    # Trace out the disconnected mode: each index splits as (sender, accessible) x disconnected.
+    return np.einsum("...iaja->...ij", big.reshape(*big.shape[:-2], 4, 2, 4, 2))
 
 
 def bogoliubov_oracle(d: CorrelationDyadic, u: UnruhParams) -> np.ndarray:

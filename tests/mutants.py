@@ -90,7 +90,18 @@ MUTANTS = [
      "a[..., 0] * b[..., 0] + (a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])"),
     ("_linalg.py", "np.real(z) * np.real(z) + np.imag(z) * np.imag(z)",
      "np.real(z) * np.real(z) - np.imag(z) * np.imag(z)"),
-    ("_linalg.py", "        if i not in keep:", "        if i in keep:"),
+    ("unruh.py", 'np.einsum("...iaja->...ij", big.reshape(*big.shape[:-2], 4, 2, 4, 2))',
+     'np.einsum("...sabtac->...sbtc", big.reshape(*big.shape[:-2], 2, 2, 2, 2, 2, 2))'
+     ".reshape(*big.shape[:-2], 4, 4)"),
+    # The circuit oracle's channel rule, and the container refusals.
+    ("teleport.py", "np.isfinite(m).all() and abs(trace - 1.0) <= 1e-9", "np.isfinite(m).all()"),
+    ("teleport.py", "np.isfinite(m).all() and abs(trace - 1.0) <= 1e-9", "abs(trace - 1.0) <= 1e-9"),
+    ("sweep.py", 'check_container("fixed must be a mapping or (name, value) pairs", self.fixed, dict)',
+     "dict(self.fixed)"),
+    ("sweep.py", 'check_container("axes must be a sequence", self.axes, tuple)', "tuple(self.axes)"),
+    ("sweep.py", 'check_container("sweep points must be a sequence of axes", self.points, tuple)',
+     "tuple(self.points)"),
+    ("errors.py", "except (TypeError, ValueError) as exc:", "except TypeError as exc:"),
 ]
 
 

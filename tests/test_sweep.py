@@ -946,3 +946,18 @@ class TestSpecCanonicalForm:
         assert type(axis.count) is int
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["spec"]["axes"][0]["count"] == 3 and len(payload["rows"]) == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: basic_spec(axes=None),
+    lambda: basic_spec(axes=5),
+    lambda: basic_spec(fixed=None),
+    lambda: basic_spec(fixed=5),
+    lambda: basic_spec(fixed=[("phi", 1.0, 2.0)]),
+    lambda: SweepRows(None, np.ones(1), np.zeros(1, dtype=bool)),
+    lambda: SweepRows(5, np.ones(1), np.zeros(1, dtype=bool)),
+], ids=["axes-none", "axes-int", "fixed-none", "fixed-int", "fixed-triple", "points-none",
+        "points-int"])
+def test_containers_that_do_not_convert_are_refused(build):
+    with pytest.raises(DomainError, match="must be a"):
+        build()

@@ -5,7 +5,6 @@ import pytest
 
 from unruh_teleport import (
     AcceleratedChannel,
-    ConsistencyError,
     DegenerateBranchError,
     DomainError,
     InputState,
@@ -21,7 +20,7 @@ from unruh_teleport import (
 from unruh_teleport import teleport
 from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.fisher import _point
-from unruh_teleport._linalg import _kron, _matrices, partial_trace
+from unruh_teleport._linalg import _kron, _matrices
 from unruh_teleport.unruh import _accelerate, _bogoliubov_oracle
 from unruh_teleport.verify import sample_draws
 
@@ -139,8 +138,28 @@ class TestCircuitOracle:
 
     def test_unnormalized_channel_fails_probability_bookkeeping(self):
         channel = np.eye(4, dtype=complex) / 8.0  # trace 1/2
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DomainError):
             teleport_circuit_oracle(InputState(1.0, 1.0), channel)
+
+    @pytest.mark.parametrize("entry, change", [
+        (None, None), ((0, 0), 2e-9), ((1, 1), 2e-9j), ((0, 3), math.nan), ((3, 0), math.inf),
+        ((2, 2), math.nan),
+    ])
+    def test_channel_off_unit_trace_or_non_finite_is_refused(self, entry, change):
+        # The identity matrix, or a valid density with one entry moved: the trace off by
+        # more than 1e-9, or an entry that is not finite.
+        channel = np.eye(4)
+        if entry is not None:
+            channel = bogoliubov_oracle(X_STATE, mode_params(0.3, "bsma"))
+            channel[entry] += change
+        with pytest.raises(DomainError, match="channel_density must be finite with trace 1"):
+            teleport_circuit_oracle(InputState(1.0, 1.0), channel)
+
+    def test_trace_within_1e_9_of_1_is_accepted(self):
+        channel = bogoliubov_oracle(X_STATE, mode_params(0.3, "bsma"))
+        channel[0, 0] += 5e-10
+        channel[1, 1] += 5e-10j
+        teleport_circuit_oracle(InputState(1.0, 1.0), channel)
 
 
 class TestCoefficientVsClosedForm:
@@ -249,7 +268,8 @@ def _projected_circuit_oracle(theta, phi, channel_density):
         @ cnot.conj().T @ hadamard.conj().T
     )
     proj_00 = np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(2)).astype(complex)
-    return partial_trace(proj_00 @ evolved @ proj_00, (2, 2, 2), keep=(2,))
+    projected = proj_00 @ evolved @ proj_00
+    return np.einsum("...aiaj->...ij", projected.reshape(*projected.shape[:-2], 4, 2, 4, 2))
 
 
 class TestCircuitOracleBlock:

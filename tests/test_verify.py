@@ -205,6 +205,22 @@ def test_a_mutated_closed_form_fails_the_eigenvalue_check(monkeypatch, capsys):
     assert "result: FAIL (24 gated checks)" in capsys.readouterr().out
 
 
+def test_a_circuit_fault_is_reported_not_raised(monkeypatch, capsys):
+    # A Hadamard gate scaled by sqrt(2) breaks the circuit's probability bookkeeping; the
+    # kernel trusts its input, so [2] fails and names its worst draw.
+    teleport = importlib.import_module("unruh_teleport.teleport")
+    monkeypatch.setattr(teleport, "_HADAMARD_GATE", teleport._HADAMARD_GATE * math.sqrt(2.0))
+    report = verify(50, 1)
+    check = next(c for c in report.checks if c.section == 2)
+    assert not check.passed and check.draw is not None
+    lines = report.render().splitlines()
+    at = lines.index("[2] teleported branch: coefficient form vs circuit oracle") + 1
+    assert lines[at].endswith("FAIL")
+    assert lines[at + 1].startswith(f"      worst draw: {check.draw[0]} theta=")
+    assert main(["verify", "--trials", "50", "--seed", "1"]) == 2
+    assert capsys.readouterr().out == report.render()
+
+
 def test_pass_report_has_no_worst_draw_line():
     assert "worst draw" not in verify(trials=20, seed=7).render()
 
