@@ -50,6 +50,12 @@ def _hermiticity_gaps(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), axis=(-2, -1))
 
 
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices; NaN for a matrix with a non-finite entry."""
+    finite = np.isfinite(m).all(axis=(-2, -1), keepdims=True)
+    return np.where(finite[..., 0], np.linalg.eigvalsh(np.where(finite, m, 0.0)), np.nan)
+
+
 def _min_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalues of Hermitian matrices, over leading axes."""
-    return np.linalg.eigvalsh(m)[..., 0]
+    return _eigenvalues(m)[..., 0]

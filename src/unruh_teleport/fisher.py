@@ -18,8 +18,11 @@ vectors and analytic partials of one closed form, ``teleport._branch_bloch``.
 
 The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
-it at one point. The kernel trusts its callers: the public functions and
-``SweepSpec`` check the named choices and the fd step first (``check_args``).
+it at one point. The kernel trusts its callers and raises nothing; it gives NaN
+for a vector past the unit ball. The public functions and ``SweepSpec`` check the
+named choices and the fd step first (``check_args``), ``fisher_from_bloch`` refuses
+a vector past the ball, and ``fisher``, ``fisher_from_bloch`` and ``sweep.run_sweep``
+raise on a value that is not finite (``_finite``).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ _MODE_SCALE = dict(zip(NORM_NAMES, (1.0, 0.25)))
 METHOD_NAMES = ("analytic", "fd")
 
 PURE_BRANCH_EPS = 1e-9
+BALL_SLACK = 1e-12
 DEFAULT_FD_STEP = 1e-5
 # Largest fd step accepted: pi/12, a third of the r range.
 MAX_FD_STEP = R_MAX / 3.0
@@ -108,20 +112,21 @@ def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_
 
 
 def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fisher values and pure-branch flags over the leading axes. Both terms of a
-    value are >= 0: a sum of squares, and a square over a gap above 1e-9."""
+    """Fisher values and pure-branch flags over the leading axes, NaN past the unit ball.
+    Both terms of a value are >= 0: a sum of squares, and a square over a gap above 1e-9."""
     norm2 = _dot(s, s)
-    if np.any(np.sqrt(norm2) > 1.0 + 1e-12):
-        largest = float(np.sqrt(np.max(norm2)))
-        raise DomainError(f"|s| = {largest} exceeds 1, not a physical Bloch vector")
     gap = 1.0 - norm2
     pure = gap <= PURE_BRANCH_EPS
     dd, sd = _dot(ds, ds), _dot(s, ds)
     value = np.where(pure, dd, dd + sd * sd / np.where(pure, 1.0, gap))
-    # NaN passes every comparison above; a non-finite value is a bug, not bad input.
+    return np.where(np.sqrt(norm2) > 1.0 + BALL_SLACK, np.nan, value), pure
+
+
+def _finite(value: np.ndarray) -> np.ndarray:
+    """``value`` if every entry is finite; a non-finite Fisher value is a bug, not bad input."""
     if not np.all(np.isfinite(value)):
         raise ConsistencyError(f"Fisher information {float(np.max(value))} is not finite")
-    return value, pure
+    return value
 
 
 def _fisher(
@@ -159,12 +164,15 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     """Fisher information from a Bloch vector and its parameter derivative.
 
     Takes the pure-state branch when 1 - |s|^2 <= 1e-9, below which the
-    mixed-state denominator only amplifies rounding noise. The value is never
-    negative; a non-finite one indicates a bug and raises.
+    mixed-state denominator only amplifies rounding noise. |s| > 1 + 1e-12 is
+    refused. The value is never negative; a non-finite one indicates a bug and raises.
     """
     s, ds = (check_array("s and ds must be 3-vectors", v, (3,)).astype(float) for v in (s, ds))
+    norm = float(np.sqrt(_dot(s, s)))
+    if norm > 1.0 + BALL_SLACK:
+        raise DomainError(f"|s| = {norm} exceeds 1, not a physical Bloch vector")
     value, pure = _fisher_from_bloch(s, ds)
-    return FisherValue(value=float(value), pure_branch=bool(pure))
+    return FisherValue(value=float(_finite(value)), pure_branch=bool(pure))
 
 
 def fisher(
@@ -180,4 +188,4 @@ def fisher(
     """Fisher information of the teleported state for one estimand."""
     check_args(param, mode, method, fd_step)
     value, pure = _fisher(_point(state, d, u), param, mode, method, fd_step)
-    return FisherValue(value=float(value), pure_branch=bool(pure))
+    return FisherValue(value=float(_finite(value)), pure_branch=bool(pure))

@@ -25,7 +25,7 @@ from .channels import (
 from .errors import (
     DomainError, check_array, check_choice, check_container, check_fields, check_integer, check_real
 )
-from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, check_args
+from .fisher import MAX_POINTS, PARAM_NAMES, VARIABLE_DOMAINS, _finite, _fisher, check_args
 from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
 DEFAULT_GRID = 64
@@ -84,9 +84,10 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_args(self.estimand, self.norm, self.method)
-        fixed = check_container("fixed must be a mapping or (name, value) pairs", self.fixed, dict)
-        if len(fixed) != len(self.fixed):
-            raise DomainError(f"fixed variables {self.fixed} repeat a name")
+        pairs = tuple(self.fixed) if isinstance(self.fixed, Iterator) else self.fixed
+        fixed = check_container("fixed must be a mapping or (name, value) pairs", pairs, dict)
+        if len(fixed) != len(pairs):  # an iterator's pairs, kept as a tuple: dict() used it up
+            raise DomainError(f"fixed variables {pairs} repeat a name")
         for name in fixed:
             check_choice("fixed variable", name, PARAM_NAMES)
         object.__setattr__(self, "fixed", tuple(
@@ -195,7 +196,7 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
              **dict(zip(spec.axis_names, np.ix_(*points)))}
     value, pure = _fisher(point, spec.estimand, spec.norm, spec.method)
-    value, pure = (np.broadcast_to(c, [len(p) for p in points]).ravel() for c in (value, pure))
+    value, pure = (np.broadcast_to(c, [*map(len, points)]).ravel() for c in (_finite(value), pure))
     return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)
 
 

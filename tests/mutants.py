@@ -31,7 +31,7 @@ PACKAGE = Path("src", "unruh_teleport")
 MUTANTS = [
     # Named tolerances and limits at their edges.
     ("fisher.py", "PURE_BRANCH_EPS = 1e-9", "PURE_BRANCH_EPS = 1e-10"),
-    ("fisher.py", "np.sqrt(norm2) > 1.0 + 1e-12", "np.sqrt(norm2) > 1.0 + 1e-9"),
+    ("fisher.py", "BALL_SLACK = 1e-12", "BALL_SLACK = 1e-9"),
     ("channels.py", "EIGENVALUE_TOL = 1e-12", "EIGENVALUE_TOL = 1e-9"),
     ("teleport.py", "DEGENERATE_PROB = 1e-15", "DEGENERATE_PROB = 1e-3"),
     ("teleport.py", "(r00 - r11).real]) + 0.0", "(r00 - r11).real])"),
@@ -96,12 +96,27 @@ MUTANTS = [
     # The circuit oracle's channel rule, and the container refusals.
     ("teleport.py", "np.isfinite(m).all() and abs(trace - 1.0) <= 1e-9", "np.isfinite(m).all()"),
     ("teleport.py", "np.isfinite(m).all() and abs(trace - 1.0) <= 1e-9", "abs(trace - 1.0) <= 1e-9"),
-    ("sweep.py", 'check_container("fixed must be a mapping or (name, value) pairs", self.fixed, dict)',
-     "dict(self.fixed)"),
+    ("sweep.py", 'check_container("fixed must be a mapping or (name, value) pairs", pairs, dict)',
+     "dict(pairs)"),
     ("sweep.py", 'check_container("axes must be a sequence", self.axes, tuple)', "tuple(self.axes)"),
     ("sweep.py", 'check_container("sweep points must be a sequence of axes", self.points, tuple)',
      "tuple(self.points)"),
     ("errors.py", "except (TypeError, ValueError) as exc:", "except TypeError as exc:"),
+    # One fault path: the finite checks and the |s| refusal at the public boundary, the
+    # kernel's NaN past the unit ball, the eigenvalue guard and verify's non-finite rule.
+    ("sweep.py", "for c in (_finite(value), pure))", "for c in (value, pure))"),
+    ("fisher.py", "fd_step)\n    return FisherValue(value=float(_finite(value))",
+     "fd_step)\n    return FisherValue(value=float(value)"),
+    ("fisher.py", "(s, ds)\n    return FisherValue(value=float(_finite(value))",
+     "(s, ds)\n    return FisherValue(value=float(value)"),
+    ("fisher.py", "if norm > 1.0 + BALL_SLACK:", "if norm > math.inf:"),
+    ("fisher.py", "return np.where(np.sqrt(norm2) > 1.0 + BALL_SLACK, np.nan, value), pure",
+     "return value, pure"),
+    ("_linalg.py", "np.where(finite[..., 0], np.linalg.eigvalsh(np.where(finite, m, 0.0)), np.nan)",
+     "np.linalg.eigvalsh(m)"),
+    ("verify.py", "np.where(np.isfinite(f), -f, np.inf)", "-f"),
+    ("sweep.py", "pairs = tuple(self.fixed) if isinstance(self.fixed, Iterator) else self.fixed",
+     "pairs = self.fixed"),
 ]
 
 

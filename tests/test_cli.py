@@ -384,6 +384,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(lines) == 1 and lines[0].startswith("internal consistency failure:")
 
+    def test_kernel_fault_in_a_figure_is_exit_2_and_writes_nothing(
+            self, monkeypatch, capsys, tmp_path):
+        # The NaN Bloch fault above, on the sweep path: run_sweep's finite check raises.
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        original = fisher_module._branch_bloch
+        monkeypatch.setattr(fisher_module, "_branch_bloch",
+                            lambda **p: original(**p) * np.array([np.nan, 1.0, 1.0]))
+        out = tmp_path / "F"
+        with np.errstate(invalid="ignore"):
+            code = main(["figures", "--id", "1a", "--grid", "4", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal consistency failure:")
+        assert captured.out == "" and not out.exists()
+
+    def test_kernel_vector_past_the_unit_ball_is_exit_2(self, monkeypatch, capsys, tmp_path):
+        # Normalized vectors scaled by 1.01 leave the unit ball at r = 0: the kernel marks
+        # them NaN, a bug to report (exit 2), not a refusal of the user's input (exit 1).
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        monkeypatch.setitem(fisher_module._MODE_SCALE, "normalized", 1.01)
+        out = tmp_path / "F"
+        code = main(["sweep", "--param", "theta", "--norm", "normalized",
+                     "--grid", "theta=0:pi:4", "--phi", "1", "--r", "0",
+                     "--preset", "bell-phi-plus", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal consistency failure: Fisher information nan")
+        assert not out.exists()
+
     def test_explicit_weights_accepted(self, capsys):
         code = main(
             ["fisher", "--param", "r", "--theta", "1", "--phi", "1",

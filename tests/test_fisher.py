@@ -164,11 +164,14 @@ class TestFisherFromBloch:
         value, pure = _fisher_from_bloch(s, ds)
         assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
         assert pure.any() and not pure.all()
+        # The kernel raises nothing: a non-finite entry gives a non-finite value at its
+        # row, which the public function refuses.
         for bad in (np.nan, np.inf, -np.inf):
             for vector in (s, ds):
                 original, vector[17, 1] = vector[17, 1], bad
+                assert not np.isfinite(_fisher_from_bloch(s, ds)[0][17])
                 with pytest.raises((ConsistencyError, DomainError)):
-                    _fisher_from_bloch(s, ds)
+                    fisher_from_bloch(s[17], ds[17])
                 vector[17, 1] = original
 
     def test_reflection_invariance(self):

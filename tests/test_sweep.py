@@ -923,6 +923,19 @@ class TestSpecCanonicalForm:
                 self._spec(fixed)
             assert "\n" not in str(error.value)
 
+    def test_an_iterator_of_pairs_gives_the_spec_of_a_mapping(self):
+        spec = figure_spec("1a", 3)
+        assert dataclasses.replace(spec, fixed=iter(spec.fixed)) == spec
+        assert self._spec(iter(self.PAIRS)) == self._spec(dict(self.PAIRS))
+
+    def test_repeated_names_from_an_iterator_are_refused_by_their_pairs(self):
+        pairs = [("phi", 0.5), ("r", 0.1), ("r", 0.2)]
+        for fixed in (pairs, iter(pairs)):
+            with pytest.raises(DomainError, match="repeat a name") as error:
+                self._spec(fixed)
+            assert "('r', 0.1), ('r', 0.2)" in str(error.value)
+            assert "iterator" not in str(error.value)
+
     @pytest.mark.parametrize(
         "fixed,axes",
         [

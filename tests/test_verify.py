@@ -251,7 +251,7 @@ def test_non_finite_fisher_value_fails_its_checks(monkeypatch):
         "mode scaling 1/16 at r=0",
         "continuity near the pure shell",
     ):
-        assert failed[name] == math.inf
+        assert not math.isfinite(failed[name])
     assert "result: FAIL" in report.render()
 
 
@@ -295,26 +295,107 @@ def test_bloch_norm_check_names_its_worst_draw(monkeypatch):
     report = verify(trials=5, seed=1)
     failed = [c for c in report.checks if not c.passed]
     # The Fisher check reads the same Bloch pass, so it meets the NaN too: an
-    # infinite error that names no draw.
+    # infinite error at the same draw.
     assert [(c.name, c.draw and c.draw[0]) for c in failed] == [
-        ("as-published bloch norm <= 1/4", 2), ("fisher finite and non-negative", None)]
+        ("as-published bloch norm <= 1/4", 2), ("fisher finite and non-negative", 2)]
     assert failed[1].max_error == math.inf
-    assert report.render().count("worst draw: 2 theta=") == 1
+    assert report.render().count("worst draw: 2 theta=") == 2
 
 
-def test_kernel_failure_names_no_draw(monkeypatch):
+def test_kernel_failure_names_its_draw(monkeypatch, capsys):
+    # The kernel raises nothing, so a per-draw Fisher check names the draw of its
+    # non-finite value; the three fixed-input anchors have no draw to name.
     _nan_off_diagonal(monkeypatch)
     with np.errstate(invalid="ignore"):
         report = verify(trials=3, seed=1)
-    infinite = [c for c in report.checks if c.max_error == math.inf]
-    assert [c.name for c in infinite] == [
-        "fisher finite and non-negative",
-        "fisher invariant under s_y reflection",
-        "anchor: weight information = cos(r)^2",
-        "mode scaling 1/16 at r=0",
-        "continuity near the pure shell",
-    ]
-    assert all(c.draw is None for c in infinite)
+    checks = {c.name: c for c in report.checks if c.section == 5}
+    for name in ("fisher finite and non-negative", "fisher invariant under s_y reflection"):
+        assert not checks[name].passed and checks[name].draw[0] == 0, name
+    for name in ("anchor: weight information = cos(r)^2", "mode scaling 1/16 at r=0",
+                 "continuity near the pure shell"):
+        assert not checks[name].passed and checks[name].draw is None, name
+    assert {c.draw[0] for c in report.checks if not c.passed and c.draw} == {0}
+    _assert_fault_report(report, ["verify", "--trials", "3", "--seed", "1"], capsys)
+
+
+def test_an_infinite_fisher_value_fails_the_finite_check(monkeypatch):
+    # +inf is no negative value, so the finite check must count it as an error of inf.
+    original = VERIFY_MODULE._fisher_from_bloch
+
+    def inf_at_two(s, ds):
+        value, pure = original(s, ds)
+        value = value.copy()
+        value[2] = np.inf
+        return value, pure
+
+    monkeypatch.setattr(VERIFY_MODULE, "_fisher_from_bloch", inf_at_two)
+    with np.errstate(invalid="ignore"):
+        report = verify(trials=5, seed=1)
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.draw[0]) for c in failed] == [
+        ("fisher finite and non-negative", 2), ("fisher invariant under s_y reflection", 2)]
+    assert failed[0].max_error == math.inf
+
+
+def _assert_fault_report(report, argv, capsys):
+    """A fault report FAILs, every failed per-draw check names its draw, and the
+    command line prints the whole report and exits 2."""
+    assert isinstance(report, VerifyReport) and not report.passed
+    lines = report.render().splitlines()
+    failed = [c for c in report.checks if not c.passed]
+    rows = [i for i, line in enumerate(lines) if line.endswith("FAIL")]
+    assert len(rows) == len(failed)
+    for check, at in zip(failed, rows):
+        assert lines[at].startswith(f"    {check.name} ")
+        if check.draw is not None:
+            assert lines[at + 1].startswith(f"      worst draw: {check.draw[0]} theta=")
+    assert sum("worst draw" in line for line in lines) == sum(c.draw is not None for c in failed)
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == 2
+    assert capsys.readouterr().out == report.render()
+
+
+def test_a_vector_past_the_unit_ball_is_a_report(monkeypatch, capsys):
+    # Normalized vectors scaled by 1.01 leave the ball: the kernel marks their values NaN,
+    # a fault in the package, so not a refusal of input on exit code 1.
+    fisher_module = importlib.import_module("unruh_teleport.fisher")
+    monkeypatch.setitem(fisher_module._MODE_SCALE, "normalized", 1.01)
+    report = verify(50, 1)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert {"anchor: weight information = cos(r)^2", "continuity near the pure shell"} <= failed
+    _assert_fault_report(report, ["verify", "--trials", "50", "--seed", "1"], capsys)
+
+
+def test_a_non_finite_channel_is_a_report(monkeypatch, capsys):
+    # NaN b1 where r > 0.7: the eigenvalue checks see NaN, never the eigensolver.
+    original = VERIFY_MODULE._accelerate
+
+    def nan_b1(c11, c22, c33, r, qr, ql):
+        b = original(c11, c22, c33, r, qr, ql)
+        return (np.where(np.asarray(r) > 0.7, np.nan, b[0]), *b[1:])
+
+    monkeypatch.setattr(VERIFY_MODULE, "_accelerate", nan_b1)
+    with np.errstate(invalid="ignore"):
+        report = verify(200, 3)
+    failed = [c for c in report.checks if not c.passed]
+    assert {c.section for c in failed} == {1, 2, 3, 5}
+    assert {c.draw[0] for c in failed} == {12}
+    assert {"accelerated channel positive", "branch state positive"} <= {c.name for c in failed}
+    _assert_fault_report(report, ["verify", "--trials", "200", "--seed", "3"], capsys)
+
+
+def test_min_eigenvalues_are_nan_for_a_non_finite_matrix():
+    # eigvalsh reads np.eye(4) with NaN at (0, 0) as [0, -0, 1, 1], with NaN at (1, 2) as
+    # [1, 1, 1, 1] (it reads the lower triangle only) and with NaN at (2, 1) as
+    # [1, nan, nan, 1]: each has a least entry that reads as positive semidefinite.
+    linalg = importlib.import_module("unruh_teleport._linalg")
+    density = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+    faulty = np.array([np.eye(4, dtype=complex)] * 3)
+    faulty[0, 0, 0] = faulty[1, 1, 2] = faulty[2, 2, 1] = np.nan
+    least = linalg._min_eigenvalues(np.concatenate([density[None], faulty]))
+    assert least[0] == 0.1 and np.isnan(least[1:]).all()
+    assert np.isnan(linalg._eigenvalues(faulty)).all()
 
 
 @pytest.mark.parametrize(
@@ -408,9 +489,9 @@ def test_kernel_passes_are_pinned(monkeypatch):
         assert sorted(made) == combos, method
     assert len(calls["_partial"]) == 12
     # One Fisher pass per (estimand, norm) for both Bell presets in the mode
-    # scaling check, and the anchor's one apart.
+    # scaling check, and two apart: the anchor's and the continuity check's.
     assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
-    assert sum(not inside for inside, _ in calls["_fisher"]) == 1
+    assert sum(not inside for inside, _ in calls["_fisher"]) == 2
     # The finite check's six Fisher values and the reflection check's two come
     # from the Bloch passes and analytic partials above.
     assert len(calls["_fisher_from_bloch"]) == 8
