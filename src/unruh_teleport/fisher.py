@@ -20,9 +20,9 @@ The private functions are one array kernel that broadcasts over a point
 mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
 it at one point. The kernel trusts its callers and raises nothing; it gives NaN
 for a vector past the unit ball. The public functions and ``SweepSpec`` check the
-named choices and the fd step first (``check_args``), ``fisher_from_bloch`` refuses
-a vector past the ball, and ``fisher``, ``fisher_from_bloch`` and ``sweep.run_sweep``
-raise on a value that is not finite (``_finite``).
+named choices and the fd step first (``check_args``), ``fisher_from_bloch`` refuses a
+non-finite entry or a vector past the ball, and ``fisher``, ``fisher_from_bloch`` and
+``sweep.run_sweep`` raise on a value that is not finite (``_finite``).
 """
 
 from __future__ import annotations
@@ -164,10 +164,12 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     """Fisher information from a Bloch vector and its parameter derivative.
 
     Takes the pure-state branch when 1 - |s|^2 <= 1e-9, below which the
-    mixed-state denominator only amplifies rounding noise. |s| > 1 + 1e-12 is
-    refused. The value is never negative; a non-finite one indicates a bug and raises.
+    mixed-state denominator only amplifies rounding noise. A non-finite entry and
+    |s| > 1 + 1e-12 are refused. The value is never negative; a non-finite one is a bug.
     """
     s, ds = (check_array("s and ds must be 3-vectors", v, (3,)).astype(float) for v in (s, ds))
+    if not np.isfinite([s, ds]).all():
+        raise DomainError(f"s = {s.tolist()} or ds = {ds.tolist()} is not finite")
     norm = float(np.sqrt(_dot(s, s)))
     if norm > 1.0 + BALL_SLACK:
         raise DomainError(f"|s| = {norm} exceeds 1, not a physical Bloch vector")

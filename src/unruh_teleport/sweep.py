@@ -140,10 +140,10 @@ class SweepSpec:
 class SweepRows(Sequence[SweepRow]):
     """A sweep's rows as the kernel's read-only columns.
 
-    ``points`` holds each axis's grid values, outer axis first, as a column of real
-    numbers; ``fisher`` and ``pure`` hold one entry per point of their product, as
-    read-only 1-d float64 and bool arrays made from such columns. Indexing and iteration
-    yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
+    ``points`` holds each axis's grid values, outer axis first, as a tuple of Python floats
+    (given as a column of real numbers); ``fisher`` and ``pure`` hold one entry per point of
+    their product, as read-only 1-d float64 and bool arrays made from such columns. Indexing
+    and iteration yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
     list of its rows.
     """
 
@@ -152,9 +152,11 @@ class SweepRows(Sequence[SweepRow]):
     pure: np.ndarray
 
     def __post_init__(self) -> None:
-        check_container("sweep points must be a sequence of axes", self.points, tuple)
+        points = check_container("sweep points must be a sequence of axes", self.points, tuple)
         columns = [check_array("sweep columns must be 1-d arrays", column, (None,))
-                   for column in (self.fisher, self.pure, *self.points)]  # axes kept as given
+                   for column in (self.fisher, self.pure, *points)]
+        axes = (tuple(axis.astype(float, copy=False).tolist()) for axis in columns[2:])
+        object.__setattr__(self, "points", tuple(axes))
         for name, column, dtype in zip(("fisher", "pure"), columns, (np.float64, np.bool_)):
             object.__setattr__(self, name, column.astype(dtype, copy=False).view())
             getattr(self, name).flags.writeable = False
@@ -197,7 +199,7 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
              **dict(zip(spec.axis_names, np.ix_(*points)))}
     value, pure = _fisher(point, spec.estimand, spec.norm, spec.method)
     value, pure = (np.broadcast_to(c, [*map(len, points)]).ravel() for c in (_finite(value), pure))
-    return SweepRows(tuple(tuple(p.tolist()) for p in points), value, pure)
+    return SweepRows(points, value, pure)
 
 
 # Named dataset presets with panel-style ids, covering the standard
@@ -427,8 +429,8 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, as ASCII bytes.
     The first ``next()`` makes every check: the rows are a non-empty ``SweepRows`` whose axis
     lengths are the spec's counts, with no non-finite coordinate or Fisher value (JSON has
-    no spelling for one). It yields the head, then pieces of 8,192 points (the last one
-    shorter), each a template of the next lines of the flat stream of row texts, filled."""
+    no spelling for one). It yields the head, then pieces of 8,192 points (the last shorter):
+    a template, one join per outer text of its stretch of inner texts and tails, filled."""
     check_fields(SweepSpec, spec)
     if not isinstance(rows, SweepRows):
         raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
@@ -445,29 +447,35 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
         raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
     if fmt == "csv":
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
-        axis_fmts, off, on = ["%.17g,"] * len(spec.axes), b"%s,false\n", b"%s,true\n"
+        axis_fmts, off, on = [b"%.17g,"] * len(spec.axes), b"%s,false\n", b"%s,true\n"
     else:
         # The rows go inside head's '"rows": []' + "\n}", the last without its ",\n".
         head = json.dumps({"spec": spec_to_dict(spec), "rows": []}, indent=2)[: -len("]\n}")]
-        keys = [f"      {json.dumps(name)}: %s,\n" for name in spec.axis_names]
+        keys = [f"      {json.dumps(name)}: %r,\n".encode() for name in spec.axis_names]
         value = b'      "fisher": %s,\n      "pure_branch": '
-        axis_fmts = ["    {\n" + keys[0], *keys[1:]]
+        axis_fmts = [b"    {\n" + keys[0], *keys[1:]]
         off, on = value + b"false\n    },\n", value + b"true\n    },\n"
     yield (head + "\n").encode()
-    axis_texts = [[(f % x).encode() for x in axis] for f, axis in zip(axis_fmts, rows.points)]
-    # A one-axis sweep's inner axis is one empty text.
-    lines = map(b"".join, itertools.product(*[*axis_texts, [b""]][:2], [off]))
-    texts = _g17 if fmt == "csv" else _shortest
+    # A line is outer + inner + tail; a one-axis sweep's outer text is b"".
+    outer, inner = [[b""], *(list(map(f.__mod__, a)) for f, a in zip(axis_fmts, rows.points))][-2:]
+    texts, n = _g17 if fmt == "csv" else _shortest, len(inner)
     cuts = [*range(0, len(rows), 1 << 13), len(rows)]
-    for piece in itertools.starmap(slice, itertools.pairwise(cuts)):
-        part = list(itertools.islice(lines, piece.stop - piece.start))
-        for i in np.flatnonzero(rows.pure[piece]).tolist():
-            part[i] = part[i][: -len(off)] + on
-        if fmt == "json" and piece.stop == len(rows):
+    for start, stop in itertools.pairwise(cuts):
+        pure, part, touched = {}, [], range(start // n, -(-stop // n))  # the outer texts here
+        for k in (np.flatnonzero(rows.pure[start:stop]) + start).tolist():
+            pure.setdefault(k // n, []).append(k % n)
+        bounds = [(max(start - i * n, 0), min(stop - i * n, n)) for i in touched]
+        stretches = {(j0, j1): [text + off for text in inner[j0:j1]] for j0, j1 in set(bounds)}
+        for i, (j0, j1) in zip(touched, bounds):  # one join per outer text, tails shared by bounds
+            row = stretches[j0, j1] if i not in pure else stretches[j0, j1].copy()
+            for j in pure.get(i, ()):
+                row[j - j0] = inner[j] + on
+            part.append(outer[i] + outer[i].join(row))
+        if fmt == "json" and stop == len(rows):
             part[-1] = part[-1][: -len(b",\n")] + b"\n  ]\n}\n"
         template = b"".join(part)
-        del part  # before the fill, which makes one bytes object per value
-        yield template % tuple(texts(rows.fisher[piece]))
+        del part, stretches, row  # before the fill, which makes one bytes object per value
+        yield template % tuple(texts(rows.fisher[start:stop]))
 
 
 def write_output(pieces: Iterable[bytes], destination: str | Path | None) -> None:

@@ -58,8 +58,8 @@ MUTANTS = [
      "    except ZeroDivisionError:\n        raise DomainError(f\"{kind} is an integer too large"),
     ("errors.py", "    if not lo <= value <= hi:", "    if not lo < value <= hi:"),
     ("unruh.py", 'check_real("accel", accel, 0.0)', 'check_real("accel", accel)'),
-    ("sweep.py", "for column in (self.fisher, self.pure, *self.points)]",
-     "for column in (self.fisher, self.pure)]"),
+    ("sweep.py", "for column in (self.fisher, self.pure, *points)]",
+     "for column in (self.fisher, self.pure)] + list(map(np.asarray, points))"),
     # The value-type and array rules, their sites, and the bounds on integers.
     ("errors.py", "if not isinstance(value, value_type):", "if not isinstance(value, object):"),
     ("errors.py", '("biuf" if numbers == "real" else "biufc")', '"biufc"'),
@@ -117,6 +117,17 @@ MUTANTS = [
     ("verify.py", "np.where(np.isfinite(f), -f, np.inf)", "-f"),
     ("sweep.py", "pairs = tuple(self.fixed) if isinstance(self.fixed, Iterator) else self.fixed",
      "pairs = self.fixed"),
+    # Bad input to the public Fisher formula is refused as such, not as an internal bug.
+    ("fisher.py", "if not np.isfinite([s, ds]).all():", "if not np.isfinite(s).all():"),
+    # Axes stored as Python floats, and the render's one join per outer text: the pure
+    # patch, its offset in the stretch, a copy per patched row, and the outer text.
+    ("sweep.py", "tuple(axis.astype(float, copy=False).tolist())", "tuple(axis.tolist())"),
+    ("sweep.py", "row[j - j0] = inner[j] + on", "row[j - j0] = inner[j] + off"),
+    ("sweep.py", "row[j - j0] = inner[j] + on", "row[j] = inner[j] + on"),
+    ("sweep.py", "if i not in pure else stretches[j0, j1].copy()", "if i not in pure else stretches[j0, j1]"),
+    ("sweep.py", "part.append(outer[i] + outer[i].join(row))", "part.append(outer[i].join(row))"),
+    ("sweep.py", "bounds = [(max(start - i * n, 0), min(stop - i * n, n))",
+     "bounds = [(max(start - i * n, 0), n)"),
 ]
 
 

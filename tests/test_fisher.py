@@ -119,11 +119,19 @@ class TestFisherFromBloch:
             fisher_from_bloch(np.array([1.1, 0.0, 0.0]), np.ones(3))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ConsistencyError, match="not finite"):
+        with pytest.raises(DomainError, match="not finite"):
             fisher_from_bloch(np.array([np.nan, 0.0, 0.0]), np.array([0.1, 0.0, 0.0]))
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ConsistencyError, match="not finite"):
+            with pytest.raises(DomainError, match="not finite"):
                 fisher_from_bloch(np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0]))
+
+    def test_a_formula_fault_is_an_internal_failure(self, monkeypatch):
+        # Past the input refusals, a non-finite value from the formula is a bug, not bad input.
+        fisher_module = importlib.import_module("unruh_teleport.fisher")
+        monkeypatch.setattr(fisher_module, "_fisher_from_bloch",
+                            lambda s, ds: (np.float64(np.nan), np.bool_(False)))
+        with pytest.raises(ConsistencyError, match="not finite"):
+            fisher_from_bloch([0.1, 0.0, 0.0], [0.1, 0.0, 0.0])
 
     @pytest.mark.parametrize("shape_s,shape_ds", [((4,), (4,)), ((2,), (2,)), ((3,), (4,)),
                                                   ((2, 3), (2, 3)), ((1, 3), (1, 3)), ((), ())])

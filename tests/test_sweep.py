@@ -498,9 +498,12 @@ class TestRenderContract:
 
     # Pieces are 8,192 points of the flat row stream, whatever the axes. 4 x 4096 ends on
     # a full piece, 150 x 100 on a short one (6,808 points) after a cut inside row 81,
-    # 8,195 points on one axis end on 3 points, and 2 x 9000 cuts inside both rows.
+    # 8,195 points on one axis end on 3 points, 2 x 9000 cuts inside both rows, and the
+    # second piece of 3 x 5000 starts inside row 1. Each row is one join of its stretch of
+    # inner texts: "row-ends" flags the first and last line of every row, "all-pure" all.
     PIECES = {"last-full": (4, 4096), "last-short": (150, 100), "one-axis": (8195,),
-              "long-inner": (2, 9000)}
+              "long-inner": (2, 9000), "inside-rows": (3, 5000), "row-ends": (150, 100),
+              "all-pure": (150, 100)}
 
     @pytest.mark.parametrize("name", PIECES)
     def test_pure_flags_on_both_sides_of_a_piece_boundary(self, name):
@@ -512,7 +515,9 @@ class TestRenderContract:
         points = tuple(tuple(rng.choice(AWKWARD + (0.25, 1.0 / 3.0), n).tolist()) for n in counts)
         size = math.prod(counts)
         fisher = rng.choice(AWKWARD, size) * rng.choice((1.0, 3.0, 1.0 / 7.0), size)
-        pure = np.zeros(size, dtype=bool)
+        pure = np.full(counts, name == "all-pure")
+        pure[..., [0, -1]] |= name == "row-ends"
+        pure = pure.ravel()
         pure[[0, size - 1, *(b + k for b in range(8192, size, 8192) for k in (-1, 0))]] = True
         rows = SweepRows(points, fisher, pure)
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
@@ -720,6 +725,18 @@ class TestSweepRows:
         # Each axis is checked as one column, before any row is rendered.
         with pytest.raises(DomainError, match="sweep columns must be 1-d arrays of real numbers"):
             SweepRows((axis, (0.0, 1.0)), np.ones(4), np.zeros(4, bool))
+
+    @pytest.mark.parametrize("axis", [(True, False), (0, 1), np.array([0.1, 0.5], np.float32),
+                                      np.array([0.1, 0.5])], ids=["bool", "int", "float32", "float64"])
+    def test_an_axis_is_stored_and_written_as_floats(self, axis):
+        spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
+        rows = SweepRows((axis,), [1.0, 2.0], [False, True])
+        floats = [float(x) for x in axis]
+        assert rows.points == (tuple(floats),) and all(type(x) is float for x in rows.points[0])
+        written = [entry["r"] for entry in json.loads(rows_to_json(spec, rows))["rows"]]
+        assert written == floats and all(type(x) is float for x in written)
+        from_csv = [row.coords[0] for row in parse_csv_rows(rows_to_csv(spec, rows))]
+        assert from_csv == floats
 
     def test_emit_refuses_an_empty_sweep(self, tmp_path, capsys):
         empty = SweepRows(((),), np.array([]), np.array([], dtype=bool))
