@@ -24,7 +24,6 @@ from .fisher import (
 from .sweep import (
     Axis,
     FIGURE_IDS,
-    SweepRow,
     SweepRows,
     SweepSpec,
     emit,

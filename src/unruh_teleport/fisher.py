@@ -165,7 +165,8 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
 
     Takes the pure-state branch when 1 - |s|^2 <= 1e-9, below which the
     mixed-state denominator only amplifies rounding noise. A non-finite entry and
-    |s| > 1 + 1e-12 are refused. The value is never negative; a non-finite one is a bug.
+    |s| > 1 + 1e-12 are refused, and so is a ds whose value overflows. The value is never
+    negative; a NaN is a bug.
     """
     s, ds = (check_array("s and ds must be 3-vectors", v, (3,)).astype(float) for v in (s, ds))
     if not np.isfinite([s, ds]).all():
@@ -173,7 +174,10 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     norm = float(np.sqrt(_dot(s, s)))
     if norm > 1.0 + BALL_SLACK:
         raise DomainError(f"|s| = {norm} exceeds 1, not a physical Bloch vector")
-    value, pure = _fisher_from_bloch(s, ds)
+    with np.errstate(over="ignore"):
+        value, pure = _fisher_from_bloch(s, ds)
+    if np.isinf(value):
+        raise DomainError(f"ds = {ds.tolist()} is too large: its Fisher information overflows")
     return FisherValue(value=float(_finite(value)), pure_branch=bool(pure))
 
 

@@ -9,13 +9,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -56,12 +54,6 @@ class Axis:
         # linspace places interior points at start + i*(stop-start)/(count-1)
         # and pins both endpoints exactly.
         return np.linspace(self.start, self.stop, self.count)
-
-
-class SweepRow(NamedTuple):
-    coords: tuple[float, ...]
-    fisher: float
-    pure_branch: bool
 
 
 @dataclass(frozen=True)
@@ -137,14 +129,13 @@ class SweepSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepRows(Sequence[SweepRow]):
-    """A sweep's rows as the kernel's read-only columns.
+class SweepRows:
+    """A sweep as the kernel's read-only columns.
 
     ``points`` holds each axis's grid values, outer axis first, as a tuple of Python floats
     (given as a column of real numbers); ``fisher`` and ``pure`` hold one entry per point of
-    their product, as read-only 1-d float64 and bool arrays made from such columns. Indexing
-    and iteration yield ``SweepRow`` (a slice, a list of them), and the sequence equals the
-    list of its rows.
+    their product, outer axis slowest, as read-only 1-d float64 and bool arrays made from such
+    columns. The rows are ``zip(itertools.product(*points), fisher, pure)``.
     """
 
     points: tuple[tuple[float, ...], ...]
@@ -164,26 +155,6 @@ class SweepRows(Sequence[SweepRow]):
         if not len(self.fisher) == len(self.pure) == math.prod(shape):
             raise DomainError(f"sweep columns of {len(self.fisher)} Fisher values and "
                               f"{len(self.pure)} pure flags do not fit axes of {shape} points")
-
-    def __len__(self) -> int:
-        return len(self.fisher)
-
-    def __getitem__(self, index: Any) -> Any:
-        flat = range(len(self))[index]
-        if isinstance(flat, range):
-            return [self[i] for i in flat]
-        at = np.unravel_index(flat, [len(axis) for axis in self.points])
-        coords = tuple(axis[i] for axis, i in zip(self.points, at))
-        return SweepRow(coords, float(self.fisher[flat]), bool(self.pure[flat]))
-
-    def __iter__(self) -> Iterator[SweepRow]:
-        return map(SweepRow, itertools.product(*self.points), self.fisher.tolist(),
-                   self.pure.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, SweepRows)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
@@ -434,17 +405,18 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     check_fields(SweepSpec, spec)
     if not isinstance(rows, SweepRows):
         raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
-    if not rows:
+    if not len(rows.fisher):
         raise DomainError("refusing to emit an empty sweep")
     shape, counts = [len(axis) for axis in rows.points], [axis.count for axis in spec.axes]
     if shape != counts:
         raise DomainError(f"sweep columns on axes of {shape} points do not fit the spec's {counts}")
     check_choice("output format", fmt, FORMATS)
     if not (np.isfinite(rows.fisher).all() and all(map(math.isfinite, itertools.chain(*rows.points)))):
-        row = next(r for r in rows if not all(map(math.isfinite, (r.fisher, *r.coords))))
-        value = next(x for x in (row.fisher, *row.coords) if not math.isfinite(x))
-        kind = "Fisher value" if not math.isfinite(row.fisher) else "coordinate"
-        raise DomainError(f"refusing to render the non-finite {kind} {value} at {row.coords}")
+        f, at = next((f, c) for c, f in zip(itertools.product(*rows.points), rows.fisher.tolist())
+                     if not all(map(math.isfinite, (f, *c))))
+        value = next(x for x in (f, *at) if not math.isfinite(x))
+        kind = "Fisher value" if not math.isfinite(f) else "coordinate"
+        raise DomainError(f"refusing to render the non-finite {kind} {value} at {at}")
     if fmt == "csv":
         head = ",".join([*spec.axis_names, "fisher", "pure_branch"])
         axis_fmts, off, on = [b"%.17g,"] * len(spec.axes), b"%s,false\n", b"%s,true\n"
@@ -459,7 +431,7 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     # A line is outer + inner + tail; a one-axis sweep's outer text is b"".
     outer, inner = [[b""], *(list(map(f.__mod__, a)) for f, a in zip(axis_fmts, rows.points))][-2:]
     texts, n = _g17 if fmt == "csv" else _shortest, len(inner)
-    cuts = [*range(0, len(rows), 1 << 13), len(rows)]
+    cuts = [*range(0, len(rows.fisher), 1 << 13), len(rows.fisher)]
     for start, stop in itertools.pairwise(cuts):
         pure, part, touched = {}, [], range(start // n, -(-stop // n))  # the outer texts here
         for k in (np.flatnonzero(rows.pure[start:stop]) + start).tolist():
@@ -471,7 +443,7 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
             for j in pure.get(i, ()):
                 row[j - j0] = inner[j] + on
             part.append(outer[i] + outer[i].join(row))
-        if fmt == "json" and stop == len(rows):
+        if fmt == "json" and stop == len(rows.fisher):
             part[-1] = part[-1][: -len(b",\n")] + b"\n  ]\n}\n"
         template = b"".join(part)
         del part, stretches, row  # before the fill, which makes one bytes object per value

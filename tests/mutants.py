@@ -1,6 +1,6 @@
 """Mutation probe: Tier-1 run against the package with one small change at a time.
 
-Run by hand from anywhere in a checkout; pytest does not collect this file:
+Run from anywhere in a checkout (CI runs it as its own job); pytest does not collect it:
 
     python tests/mutants.py          # every mutant
     python tests/mutants.py 0 5 7    # the mutants at these indices
@@ -12,7 +12,8 @@ outside the checkout, the mutant is applied there, and ``python -m pytest -q -x`
 the copy, leaving out ``tests/test_mutants.py``: that Tier-1 check of this list runs
 ``check_mutants`` and so fails on every mutated copy. One line per mutant gives KILLED or
 SURVIVED, the seconds taken and, for a killed mutant, the first failing test. A surviving
-mutant is a change that no test sees. Only the standard library is used.
+mutant is a change that no test sees, and the probe then exits 1. Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ MUTANTS = [
     ("fisher.py", "MAX_FD_STEP = R_MAX / 3.0", "MAX_FD_STEP = R_MAX / 2.0"),
     ("fisher.py", "MAX_POINTS = 2**20", "MAX_POINTS = 2**21"),
     ("verify.py", "EQUIV_TOL = 1e-12", "EQUIV_TOL = 1e-9"),
-    ("sweep.py", "range(0, len(rows), 1 << 13)", "range(0, len(rows), 1 << 12)"),
+    ("sweep.py", "range(0, len(rows.fisher), 1 << 13)", "range(0, len(rows.fisher), 1 << 12)"),
     # Refusals at the public boundary.
     ("fisher.py", "    require_physical(d)\n    return p", "    return p"),
     ("errors.py", "if not isinstance(value, value_type):",
@@ -107,8 +108,8 @@ MUTANTS = [
     ("sweep.py", "for c in (_finite(value), pure))", "for c in (value, pure))"),
     ("fisher.py", "fd_step)\n    return FisherValue(value=float(_finite(value))",
      "fd_step)\n    return FisherValue(value=float(value)"),
-    ("fisher.py", "(s, ds)\n    return FisherValue(value=float(_finite(value))",
-     "(s, ds)\n    return FisherValue(value=float(value)"),
+    ("fisher.py", 'overflows")\n    return FisherValue(value=float(_finite(value))',
+     'overflows")\n    return FisherValue(value=float(value)'),
     ("fisher.py", "if norm > 1.0 + BALL_SLACK:", "if norm > math.inf:"),
     ("fisher.py", "return np.where(np.sqrt(norm2) > 1.0 + BALL_SLACK, np.nan, value), pure",
      "return value, pure"),
@@ -128,6 +129,12 @@ MUTANTS = [
     ("sweep.py", "part.append(outer[i] + outer[i].join(row))", "part.append(outer[i].join(row))"),
     ("sweep.py", "bounds = [(max(start - i * n, 0), min(stop - i * n, n))",
      "bounds = [(max(start - i * n, 0), n)"),
+    # The non-finite refusal names its point's coordinates in row order, and a ds whose
+    # value overflows is refused as bad input, with no warning.
+    ("sweep.py", "zip(itertools.product(*rows.points), rows.fisher.tolist())",
+     "zip(itertools.product(*reversed(rows.points)), rows.fisher.tolist())"),
+    ("fisher.py", 'with np.errstate(over="ignore"):', 'with np.errstate(over="warn"):'),
+    ("fisher.py", "if np.isinf(value):", "if False:"),
 ]
 
 
@@ -168,8 +175,13 @@ def run_mutant(index: int) -> str:
 def main(argv: list[str]) -> None:
     indices = [int(a) for a in argv] or list(range(len(MUTANTS)))
     check_mutants(indices)
+    survived = 0
     for index in indices:
-        print(run_mutant(index), flush=True)
+        line = run_mutant(index)
+        survived += ": SURVIVED " in line
+        print(line, flush=True)
+    if survived:
+        sys.exit(f"{survived} of {len(indices)} mutants SURVIVED")
 
 
 if __name__ == "__main__":

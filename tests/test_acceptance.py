@@ -201,7 +201,7 @@ def test_criterion_6_physicality_suite(channel_draws, teleport_draws):
     min_fisher = math.inf
     for fig_id in FIGURE_IDS:
         rows = run_sweep(figure_spec(fig_id))
-        values = np.array([row.fisher for row in rows])
+        values = rows.fisher
         fisher_ok = fisher_ok and bool(np.all(np.isfinite(values)))
         min_fisher = min(min_fisher, float(values.min()))
 

@@ -125,6 +125,13 @@ class TestFisherFromBloch:
             with pytest.raises(DomainError, match="not finite"):
                 fisher_from_bloch(np.array([0.1, 0.0, 0.0]), np.array([bad, 0.0, 0.0]))
 
+    def test_a_ds_whose_value_overflows_is_refused(self):
+        # At s = 0 the value is |ds|^2: 1e308 is finite, 1e310 overflows. Tier-1 turns
+        # warnings into errors, so numpy's overflow warning must not escape either.
+        assert fisher_from_bloch([0.0, 0.0, 0.0], [1e154, 0.0, 0.0]).value == 1e308
+        with pytest.raises(DomainError, match=r"ds = \[1e\+155, 0\.0, 0\.0\] is too large"):
+            fisher_from_bloch([0.0, 0.0, 0.0], [1e155, 0.0, 0.0])
+
     def test_a_formula_fault_is_an_internal_failure(self, monkeypatch):
         # Past the input refusals, a non-finite value from the formula is a bug, not bad input.
         fisher_module = importlib.import_module("unruh_teleport.fisher")
