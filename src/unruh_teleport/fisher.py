@@ -14,15 +14,16 @@ default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
 its vectors and their partials are exactly a quarter of the normalized ones.
 This module alone applies that quarter, exactly (a power of two), to the normalized
-vectors and analytic partials of one closed form, ``teleport._branch_bloch``.
+vectors and partials of one closed form, ``teleport._branch_bloch`` (``_scaled``).
 
-The private functions are one array kernel that broadcasts over a point
-mapping (theta, phi, c11, c22, c33, r, qr, ql); the public functions call
-it at one point. The kernel trusts its callers and raises nothing; it gives NaN
-for a vector past the unit ball. The public functions and ``SweepSpec`` check the
-named choices and the fd step first (``check_args``), ``fisher_from_bloch`` refuses a
-non-finite entry or a vector past the ball, and ``fisher``, ``fisher_from_bloch`` and
-``sweep.run_sweep`` raise on a value that is not finite (``_finite``).
+The private functions are one array kernel on (x, y, z) components that broadcasts over
+a point mapping (theta, phi, c11, c22, c33, r, qr, ql), with s and its analytic partials
+from one pass; the public functions call it at one point and take or give 3-vectors. The
+kernel trusts its callers and raises nothing; it gives NaN for a vector past the unit
+ball. The public functions and ``SweepSpec`` check the named choices and the fd step
+first (``check_args``), ``fisher_from_bloch`` refuses a non-finite entry or a vector
+past the ball, and ``fisher``, ``fisher_from_bloch`` and ``sweep.run_sweep`` raise on a
+value that is not finite (``_finite``).
 """
 
 from __future__ import annotations
@@ -88,31 +89,42 @@ def _point(state: InputState, d: CorrelationDyadic, u: UnruhParams) -> dict:
     return p
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over a last axis of 3, as plain products summed in a fixed order."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+def _dot(a: tuple, b: tuple) -> np.ndarray:
+    """Dot products of (x, y, z) components or 3-vectors, summed in a fixed order; broadcasts."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-def _bloch(p: dict, mode: str) -> np.ndarray:
-    """Bloch vectors (last axis) of the branch state at raw angles, without range checks.
-
-    The closed form extends smoothly to any real theta, phi and r, so the
-    central differences may step past the domain edges.
-    """
-    return _MODE_SCALE[mode] * _branch_bloch(**p)
+def _scaled(vectors: list[tuple], mode: str) -> list[tuple]:
+    """The components of normalized vectors in ``mode``: as-published ones are a quarter.
+    A scale of 1 leaves them as they are, the bits that multiplying by 1.0 gives."""
+    scale = _MODE_SCALE[mode]
+    return vectors if scale == 1.0 else [tuple(scale * c for c in v) for v in vectors]
 
 
-def _partial(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Partial derivatives of the Bloch vectors; ``fd`` is a central difference of step ``h``."""
+def _vectors(p: dict, wrt: tuple = (), stepped: tuple = (), h: float = DEFAULT_FD_STEP) -> list:
+    """Components of the normalized Bloch vectors at raw angles and of their partials in
+    ``wrt``, from one pass of the closed form; then of the vectors at p + h and p - h in each
+    name of ``stepped``, from s-only passes that may step past a domain edge (no range checks)."""
+    points = [{**p, name: p[name] + step} for name in stepped for step in (h, -h)]
+    return [*_branch_bloch(**p, wrt=wrt), *(_branch_bloch(**q)[0] for q in points)]
+
+
+def _central(plus: tuple, minus: tuple, mode: str, h: float = DEFAULT_FD_STEP) -> tuple:
+    """Components, in ``mode``, of the central difference of normalized vectors at +-h."""
+    plus, minus = _scaled([plus, minus], mode)
+    return tuple((a - b) / (2.0 * h) for a, b in zip(plus, minus))
+
+
+def _pair(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> list[tuple]:
+    """Components of the Bloch vectors and of their partials in ``param``, in ``mode``."""
     if method == "analytic":
-        return _MODE_SCALE[mode] * _branch_bloch(**p, wrt=param)
+        return _scaled(_vectors(p, (param,)), mode)
+    s, plus, minus = _vectors(p, stepped=(param,), h=h)
+    return [*_scaled([s], mode), _central(plus, minus, mode, h)]
 
-    plus, minus = (_bloch({**p, param: p[param] + step}, mode) for step in (h, -h))
-    return (plus - minus) / (2.0 * h)
 
-
-def _fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fisher values and pure-branch flags over the leading axes, NaN past the unit ball.
+def _fisher_from_bloch(s: tuple, ds: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher values and pure-branch flags from vector components, NaN past the unit ball.
     Both terms of a value are >= 0: a sum of squares, and a square over a gap above 1e-9."""
     norm2 = _dot(s, s)
     gap = 1.0 - norm2
@@ -132,7 +144,7 @@ def _finite(value: np.ndarray) -> np.ndarray:
 def _fisher(
     p: dict, param: str, mode: str, method: str, fd_step: float = DEFAULT_FD_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _fisher_from_bloch(_bloch(p, mode), _partial(p, param, mode, method, fd_step))
+    return _fisher_from_bloch(*_pair(p, param, mode, method, fd_step))
 
 
 def bloch_teleported(
@@ -140,7 +152,7 @@ def bloch_teleported(
 ) -> np.ndarray:
     """Bloch vector of the teleported branch state in the requested mode."""
     check_choice("normalization mode", mode, NORM_NAMES)
-    return _bloch(_point(state, d, u), mode)
+    return np.array(_scaled(_vectors(_point(state, d, u)), mode)[0])
 
 
 def bloch_partial(
@@ -157,7 +169,7 @@ def bloch_partial(
     ``fd_step`` is used by ``method="fd"`` only and must lie in (0, pi/12].
     """
     check_args(param, mode, method, fd_step)
-    return _partial(_point(state, d, u), param, mode, method, fd_step)
+    return np.array(_pair(_point(state, d, u), param, mode, method, fd_step)[1])
 
 
 def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:

@@ -28,6 +28,8 @@ from .unruh import MODE_NAMES, MODE_WEIGHTS, UnruhParams
 
 DEFAULT_GRID = 64
 FORMATS = ("csv", "json")
+# Most points per kernel call of a sweep: grids up to 256 x 256 are one call.
+KERNEL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -161,16 +163,20 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
     """Evaluate the Fisher information on every grid point of the spec.
 
     Points iterate with the first axis outermost; the channel is rejected
-    up front if its initial state is unphysical. The whole grid is one kernel
-    call on one column per axis (the open mesh), whose columns are raveled.
+    up front if its initial state is unphysical. The kernel runs on one column per
+    axis (the open mesh), a block of whole outer-axis rows of at most ``KERNEL_BLOCK``
+    points (or one row) at a time, so its temporaries do not grow with the grid.
     """
     require_physical(check_fields(SweepSpec, spec)["dyadic"])
     points = [a.points() for a in spec.axes]
-    point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
-             **dict(zip(spec.axis_names, np.ix_(*points)))}
-    value, pure = _fisher(point, spec.estimand, spec.norm, spec.method)
-    value, pure = (np.broadcast_to(c, [*map(len, points)]).ravel() for c in (_finite(value), pure))
-    return SweepRows(points, value, pure)
+    shape = [len(axis) for axis in points]
+    value, pure = np.empty(shape), np.empty(shape, bool)
+    rows = max(KERNEL_BLOCK // value[0].size, 1)  # whole outer-axis rows per kernel call
+    fixed = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
+    for cut in (slice(start, start + rows) for start in range(0, len(value), rows)):
+        mesh = dict(zip(spec.axis_names, np.ix_(points[0][cut], *points[1:])))
+        value[cut], pure[cut] = _fisher({**fixed, **mesh}, spec.estimand, spec.norm, spec.method)
+    return SweepRows(points, _finite(value).ravel(), pure.ravel())
 
 
 # Named dataset presets with panel-style ids, covering the standard

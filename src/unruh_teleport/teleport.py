@@ -11,9 +11,9 @@ to the outcome probability, identically 1/4 for unit-trace channels.
 
 ``teleport_analytic`` works from the channel coefficients, and
 ``teleport_closed_form`` from the affine Bloch action of the channel and the
-receiver's Kraus pair (``_branch_bloch``, which the Fisher kernel reads too);
-``teleport_circuit_oracle`` runs the full three-qubit circuit and is the
-independent reference for both.
+receiver's Kraus pair (``_branch_bloch``, whose one pass gives the Fisher kernel
+s and its partials); ``teleport_circuit_oracle`` runs the full three-qubit
+circuit and is the independent reference for both.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def _branch_bloch(
     r: ArrayLike,
     qr: ArrayLike,
     ql: ArrayLike,
-    wrt: str | None = None,
-) -> np.ndarray:
-    """Normalized Bloch vectors (last axis) of the branch state, or with ``wrt``
-    their partials in "theta", "phi" or "r"; broadcasts.
+    wrt: tuple[str, ...] = (),
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Normalized Bloch vectors of the branch state and then their partials in ``wrt``
+    ("theta", "phi" or "r"): (x, y, z) components from one set of sines and cosines; broadcasts.
 
     The Bell-diagonal channel scales the input's Bloch vector n by
     (c11, -c22, c33), and the receiver's Kraus pair maps the result affinely:
@@ -131,30 +131,32 @@ def _branch_bloch(
     """
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    cr, sr, c2r = np.cos(r), np.sin(r), np.cos(2.0 * r)
-    d = _abs2(ql) - _abs2(qr)
-    if wrt == "theta":
-        n = (ct * cp, ct * sp, -st)
-    elif wrt == "phi":
-        n = (-st * sp, st * cp, 0.0)
-    else:
-        n = (st * cp, st * sp, ct)
-    if wrt == "r":
-        cr, sr, c2r, d = -sr, cr, -2.0 * np.sin(2.0 * r), 0.0
-    x, y, z = c11 * n[0], -c22 * n[1], c33 * n[2]
-    u = qr.conjugate() * cr + ql * sr
-    w = qr.conjugate() * cr - ql * sr
-    offset = 0.0 if wrt in ("theta", "phi") else (c2r + d) / 2.0
-    sx = u.real * x + w.imag * y
-    sy = w.real * y - u.imag * x
-    sz = ((c2r - d) / 2.0) * z + offset
-    return np.stack(np.broadcast_arrays(sx, sy, sz), -1)
+    trig = np.cos(r), np.sin(r), np.cos(2.0 * r), _abs2(ql) - _abs2(qr)
+    vectors = []
+    for name in ("s", *wrt):
+        if name == "theta":
+            n = (ct * cp, ct * sp, -st)
+        elif name == "phi":
+            n = (-st * sp, st * cp, 0.0)
+        else:
+            n = (st * cp, st * sp, ct)
+        cr, sr, c2r, d = trig
+        if name == "r":  # the derivatives of cos r, sin r and cos 2r; d does not move
+            cr, sr, c2r, d = -sr, cr, -2.0 * np.sin(2.0 * r), 0.0
+        x, y, z = c11 * n[0], -c22 * n[1], c33 * n[2]
+        u = qr.conjugate() * cr + ql * sr
+        w = qr.conjugate() * cr - ql * sr
+        offset = 0.0 if name in ("theta", "phi") else (c2r + d) / 2.0
+        sx = u.real * x + w.imag * y
+        sy = w.real * y - u.imag * x
+        sz = ((c2r - d) / 2.0) * z + offset
+        vectors.append((sx, sy, sz))
+    return vectors
 
 
-def _bloch_matrix(s: np.ndarray) -> np.ndarray:
-    """Branch matrices (last two axes), of trace 1/4, of normalized Bloch vectors s
-    (last axis); broadcasts."""
-    sx, sy, sz = s[..., 0], s[..., 1], s[..., 2]
+def _bloch_matrix(sx: ArrayLike, sy: ArrayLike, sz: ArrayLike) -> np.ndarray:
+    """Branch matrices (last two axes), of trace 1/4, of normalized Bloch vectors given
+    as component columns; broadcasts."""
     return _branch_matrix(1.0 + sz, sx - 1.0j * sy, sx + 1.0j * sy, 1.0 - sz) / 8.0
 
 
@@ -165,22 +167,21 @@ def teleport_closed_form(state: InputState, d: CorrelationDyadic, u: UnruhParams
     one-point public form of ``_branch_bloch``, which verify and the Fisher kernel read.
     """
     p = {**check_fields(InputState, state), **check_fields(CorrelationDyadic, d)}
-    return _bob_state(_bloch_matrix(_branch_bloch(**p, **check_fields(UnruhParams, u))))
+    return _bob_state(_bloch_matrix(*_branch_bloch(**p, **check_fields(UnruhParams, u))[0]))
 
 
 def _teleport_circuit_oracle(
     theta: ArrayLike, phi: ArrayLike, channel_density: np.ndarray
 ) -> np.ndarray:
     """Branch matrices (last two axes) of :func:`teleport_circuit_oracle`, the |00>
-    block of the sender's qubits; broadcasts."""
+    block of the sender's qubits, from only the gate rows and columns that reach it; broadcasts."""
     beta = np.sin(theta / 2.0) * np.exp(1.0j * phi)
     amp = _matrices(2, 1, {(0, 0): np.cos(theta / 2.0), (1, 0): beta})
     input_density = amp * np.swapaxes(amp, -1, -2).conj()
-    evolved = (
-        _HADAMARD_GATE @ _CNOT_GATE @ _kron(input_density, channel_density)
-        @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T
+    return (
+        (_HADAMARD_GATE @ _CNOT_GATE)[:2] @ _kron(input_density, channel_density)
+        @ _CNOT_GATE.conj().T @ _HADAMARD_GATE.conj().T[:, :2]
     )
-    return evolved[..., :2, :2]
 
 
 def teleport_circuit_oracle(state: InputState, channel_density: np.ndarray) -> BobState:

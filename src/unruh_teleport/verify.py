@@ -9,19 +9,20 @@ measurement of how badly the swapped-b7 variant violates Hermiticity.
 ``sample_draws`` gives the seeded draws without rejection: each dyadic is a
 uniform point of the tetrahedron of physical channels, placed by its Bell
 eigenvalues, the closed form of ``validate_physical`` that [5] checks by ``eigvalsh``.
-Each check is one entry of a producer: its section, name and tolerance next to
-its errors. ``_fixed_errors`` covers the presets and a grid of channels.
-``_draw_errors`` runs each broadcasting form once per block of ``BLOCK`` seeded
-draws: the accelerated channel, both oracles, the two branch-state forms and the
-isometry, plus one more channel evaluation for the inertial counterpart.
-``_kernel_errors`` runs the Bloch and Fisher kernels once over all draws, then
-the Fisher anchors. The report orders sections by number and, within a section,
-keeps the order of the producers as listed here. No kernel raises: a fault is a
-non-finite error, a FAIL. One fold reduces each check's errors to its largest.
-Every check with per-draw errors (17 gated ones and the informational one) keeps
-the draw behind that error, which a failed check names; the fixed-input checks
-name none. The oracles stay independent: they share no code with the coefficient
-form or with the closed-form Bloch vector that [3] and the Fisher kernel read.
+Each check is one entry of a producer: its section, name and tolerance next to its
+errors. ``_fixed_errors`` covers the presets and a grid of channels. ``_draw_errors``
+runs each broadcasting form once per block of ``BLOCK`` seeded draws: the accelerated
+channel, both oracles, the two branch-state forms and the isometry, plus one more
+channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
+the closed form over all draws (s and its three partials in one, six s-only ones for the
+central differences), scaled to each norm as the Fisher kernel does, then runs the
+Fisher anchors. The report orders sections by number and, within a section, keeps the
+order of the producers as listed here. No kernel raises: a fault is a non-finite error,
+a FAIL. One fold reduces each check's errors to its largest. Every check with per-draw
+errors (17 gated ones and the informational one) keeps the draw behind that error, which
+a failed check names; the fixed-input checks name none. The oracles stay independent:
+they share no code with the coefficient form or with the closed-form Bloch vector that
+[3] and the Fisher kernel read.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .channels import (
 )
 from .errors import check_integer
 from .fisher import (
-    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _bloch, _dot, _fisher,
-    _fisher_from_bloch, _partial,
+    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _central, _dot, _fisher,
+    _fisher_from_bloch, _scaled, _vectors,
 )
 from .teleport import _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
 from .unruh import (
@@ -135,7 +136,7 @@ def _draw_errors(p: dict) -> dict[Entry, np.ndarray]:
     oracle = _bogoliubov_oracle(c11, c22, c33, r, qr, ql)
     rho = _teleport_analytic(theta, phi, *b)
     circuit = _teleport_circuit_oracle(theta, phi, oracle)
-    closed = _bloch_matrix(_branch_bloch(**p))
+    closed = _bloch_matrix(*_branch_bloch(**p)[0])
     channel = _dyadic_to_density(c11, c22, c33)
     identity = _accelerated_density(*inertial) - channel
     v = _bogoliubov_isometry(r, qr, ql)
@@ -171,35 +172,34 @@ def _draw_errors(p: dict) -> dict[Entry, np.ndarray]:
 def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
     """Errors of the checks that run the Bloch and Fisher kernels, under their entries: per
     draw over all draws at once (a non-finite value is an error), then the fixed anchors."""
-    combos = [(param, mode) for mode in NORM_NAMES for param in PARAM_NAMES]
-    analytic = {combo: _partial(p, *combo, "analytic") for combo in combos}
+    passes = _vectors(p, PARAM_NAMES, PARAM_NAMES)  # s, its three partials, the steps at +-h
+    bloch = {mode: _scaled(passes[:4], mode) for mode in NORM_NAMES}
     # [4] analytic partials against central differences: the relative error,
     # counted unless the derivative is degenerate (so a NaN one counts), worst
     # over every estimand and mode.
-    relative = 0.0
-    for (param, mode), partial in analytic.items():
-        scale = _norm(partial)
-        difference = _norm(partial - _partial(p, param, mode, "fd"))
-        kept = ~(scale <= DERIV_FLOOR)
-        relative = np.maximum(
-            relative, np.divide(difference, scale, out=np.zeros_like(scale), where=kept)
-        )
-    bloch = {mode: _bloch(p, mode) for mode in NORM_NAMES}
-    s_n, ds = bloch["normalized"], analytic["theta", "normalized"]
-    flip = np.array([1.0, -1.0, 1.0])
-    values = [_fisher_from_bloch(bloch[mode], d)[0] for (_, mode), d in analytic.items()]
+    relative, values = 0.0, []
+    for mode, (s, *analytic) in bloch.items():
+        for partial, plus, minus in zip(analytic, passes[4::2], passes[5::2]):
+            scale = _norm(partial)
+            difference = _norm(tuple(a - b for a, b in zip(partial, _central(plus, minus, mode))))
+            kept = ~(scale <= DERIV_FLOOR)
+            relative = np.maximum(
+                relative, np.divide(difference, scale, out=np.zeros_like(scale), where=kept)
+            )
+            values.append(_fisher_from_bloch(s, partial)[0])
+    s_n, ds = bloch["normalized"][:2]
+    flipped = [(x, -y, z) for x, y, z in (s_n, ds)]
     return {
         (4, "max relative difference", DERIV_TOL): relative,
         # Bloch vectors stay inside the physical ball in both modes.
         (5, "normalized bloch norm <= 1", EQUIV_TOL): _norm(s_n) - 1.0,
-        (5, "as-published bloch norm <= 1/4", EQUIV_TOL): _norm(bloch["as-published"]) - 0.25,
+        (5, "as-published bloch norm <= 1/4", EQUIV_TOL): _norm(bloch["as-published"][0]) - 0.25,
         # Fisher values from the passes above are finite (else an error of inf) and non-negative
         # for every estimand and mode; negating one fixed Bloch component leaves them unchanged.
         (5, "fisher finite and non-negative", FISHER_TOL):
             np.max([np.where(np.isfinite(f), -f, np.inf) for f in values], 0),
-        (5, "fisher invariant under s_y reflection", 1e-15): np.abs(
-            _fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(s_n * flip, ds * flip)[0]
-        ),
+        (5, "fisher invariant under s_y reflection", 1e-15):
+            np.abs(_fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(*flipped)[0]),
         (5, "anchor: weight information = cos(r)^2", FISHER_TOL): _anchor_error(),
         (5, "mode scaling 1/16 at r=0", FISHER_TOL): _mode_scaling_error(),
         (5, "continuity near the pure shell", 1e-3): _continuity_error(),
@@ -322,6 +322,6 @@ def _continuity_error() -> float:
     return abs(value - 1.0) if not pure else math.inf
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis."""
+def _norm(v: tuple) -> np.ndarray:
+    """Euclidean norms of vectors given as components."""
     return np.sqrt(_dot(v, v))

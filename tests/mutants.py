@@ -87,8 +87,8 @@ MUTANTS = [
     ("teleport.py", "sy = w.real * y - u.imag * x", "sy = w.real * y + u.imag * x"),
     ("channels.py", "(1, -1, 1), (1, 1, -1))", "(1, -1, 1), (1, 1, 1))"),
     ("unruh.py", "a3 * qr * cr + a4 * qlc * sr,", "a3 * qlc * sr + a4 * qr * cr,"),
-    ("fisher.py", "(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]",
-     "a[..., 0] * b[..., 0] + (a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])"),
+    ("fisher.py", "(a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]",
+     "a[0] * b[0] + (a[1] * b[1] + a[2] * b[2])"),
     ("_linalg.py", "np.real(z) * np.real(z) + np.imag(z) * np.imag(z)",
      "np.real(z) * np.real(z) - np.imag(z) * np.imag(z)"),
     ("unruh.py", 'np.einsum("...iaja->...ij", big.reshape(*big.shape[:-2], 4, 2, 4, 2))',
@@ -105,7 +105,7 @@ MUTANTS = [
     ("errors.py", "except (TypeError, ValueError) as exc:", "except TypeError as exc:"),
     # One fault path: the finite checks and the |s| refusal at the public boundary, the
     # kernel's NaN past the unit ball, the eigenvalue guard and verify's non-finite rule.
-    ("sweep.py", "for c in (_finite(value), pure))", "for c in (value, pure))"),
+    ("sweep.py", "SweepRows(points, _finite(value).ravel()", "SweepRows(points, value.ravel()"),
     ("fisher.py", "fd_step)\n    return FisherValue(value=float(_finite(value))",
      "fd_step)\n    return FisherValue(value=float(value)"),
     ("fisher.py", 'overflows")\n    return FisherValue(value=float(_finite(value))',
@@ -135,6 +135,17 @@ MUTANTS = [
      "zip(itertools.product(*reversed(rows.points)), rows.fisher.tolist())"),
     ("fisher.py", 'with np.errstate(over="ignore"):', 'with np.errstate(over="warn"):'),
     ("fisher.py", "if np.isinf(value):", "if False:"),
+    # One pass of the closed form: the partial in r keeps d and the signs of zero at r = 0;
+    # verify's central differences take their own norm's scale; the scaling is skipped at 1
+    # only; the circuit builds the |00> rows alone; a sweep fills its columns one kernel block
+    # at a time.
+    ("teleport.py", "-2.0 * np.sin(2.0 * r), 0.0\n", "-2.0 * np.sin(2.0 * r), d\n"),
+    ("teleport.py", "-2.0 * np.sin(2.0 * r), 0.0\n", "-2.0 * np.sin(2.0 * r), -0.0\n"),
+    ("verify.py", "_central(plus, minus, mode)", '_central(plus, minus, "normalized")'),
+    ("fisher.py", "vectors if scale == 1.0 else", "vectors if scale > 0.25 else"),
+    ("teleport.py", "(_HADAMARD_GATE @ _CNOT_GATE)[:2]", "(_HADAMARD_GATE @ _CNOT_GATE)[2:4]"),
+    ("sweep.py", "value[cut], pure[cut] = _fisher(",
+     "value[cut.start:], pure[cut.start:] = _fisher("),
 ]
 
 

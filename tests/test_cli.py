@@ -372,7 +372,7 @@ class TestExitCodes:
         original = fisher_module._branch_bloch
 
         def nan_bloch(**p):
-            return original(**p) * np.array([np.nan, 1.0, 1.0])
+            return [(np.nan * x, y, z) for x, y, z in original(**p)]
 
         monkeypatch.setattr(fisher_module, "_branch_bloch", nan_bloch)
         with np.errstate(invalid="ignore"):
@@ -390,7 +390,7 @@ class TestExitCodes:
         fisher_module = importlib.import_module("unruh_teleport.fisher")
         original = fisher_module._branch_bloch
         monkeypatch.setattr(fisher_module, "_branch_bloch",
-                            lambda **p: original(**p) * np.array([np.nan, 1.0, 1.0]))
+                            lambda **p: [(np.nan * x, y, z) for x, y, z in original(**p)])
         out = tmp_path / "F"
         with np.errstate(invalid="ignore"):
             code = main(["figures", "--id", "1a", "--grid", "4", "--out", str(out)])

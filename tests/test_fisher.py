@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +19,10 @@ from unruh_teleport import (
     preset_dyadic,
 )
 from unruh_teleport.fisher import (
-    DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, PARAM_NAMES, _bloch, _fisher,
-    _fisher_from_bloch, _partial,
+    DEFAULT_FD_STEP, MAX_FD_STEP, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _fisher,
+    _fisher_from_bloch, _pair, _scaled, _vectors,
 )
+from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.sweep import figure_spec
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX, UnruhParams
 from unruh_teleport.verify import sample_draws
@@ -30,6 +33,14 @@ PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
 X_STATE = preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)
 INERTIAL = mode_params(0.0, "wsma")
+# SHA-256 of the public Bloch vectors and partials at r = 0 and theta in {0, pi}, as
+# TestBlochPartial.test_vectors_at_the_edges_keep_their_bytes writes them.
+EDGE_VECTORS_SHA256 = "2a7567dd104334d26793db555d9cca8b47df8f5f1dbb116aa42eb96851c5038e"
+
+
+def stacked(vector):
+    """A vector's component columns, broadcast and stacked on a last axis of 3."""
+    return np.stack(np.broadcast_arrays(*vector), -1)
 
 
 def input_bloch(theta, phi):
@@ -82,11 +93,13 @@ class TestBlochTeleported:
             spec = figure_spec("1b", 64)
             p = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
                  **dict(zip(spec.axis_names, np.ix_(*(a.points() for a in spec.axes))))}
-        assert np.array_equal(_bloch(p, "as-published"), 0.25 * _bloch(p, "normalized"))
+        s = {mode: stacked(_scaled(_vectors(p), mode)[0]) for mode in NORM_NAMES}
+        assert np.array_equal(s["as-published"], 0.25 * s["normalized"])
         for param in PARAM_NAMES:
             for method in METHOD_NAMES:
-                ds_n = _partial(p, param, "normalized", method)
-                assert np.array_equal(_partial(p, param, "as-published", method), 0.25 * ds_n)
+                ds_n = stacked(_pair(p, param, "normalized", method)[1])
+                assert np.array_equal(stacked(_pair(p, param, "as-published", method)[1]),
+                                      0.25 * ds_n)
 
 
 class TestFisherFromBloch:
@@ -176,7 +189,7 @@ class TestFisherFromBloch:
         radius = np.concatenate([rng.uniform(0.0, 1.0, 2000),
                                  rng.uniform(1.0 - 2e-9, 1.0 + 0.99e-12, 2000)])
         s, ds = direction * radius[:, None], rng.uniform(-3.0, 3.0, (4000, 3))
-        value, pure = _fisher_from_bloch(s, ds)
+        value, pure = _fisher_from_bloch(s.T, ds.T)
         assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
         assert pure.any() and not pure.all()
         # The kernel raises nothing: a non-finite entry gives a non-finite value at its
@@ -184,7 +197,7 @@ class TestFisherFromBloch:
         for bad in (np.nan, np.inf, -np.inf):
             for vector in (s, ds):
                 original, vector[17, 1] = vector[17, 1], bad
-                assert not np.isfinite(_fisher_from_bloch(s, ds)[0][17])
+                assert not np.isfinite(_fisher_from_bloch(s.T, ds.T)[0][17])
                 with pytest.raises((ConsistencyError, DomainError)):
                     fisher_from_bloch(s[17], ds[17])
                 vector[17, 1] = original
@@ -250,18 +263,38 @@ class TestBlochPartial:
     @pytest.mark.parametrize("h", [DEFAULT_FD_STEP, MAX_FD_STEP])
     @pytest.mark.parametrize("r", [0.0, R_MAX])
     def test_fd_r_is_one_central_difference(self, r, h, monkeypatch):
-        # The closed form is smooth past both r edges, so F_r steps to r - h and r + h only.
+        # The closed form is smooth past both r edges, so F_r steps to r - h and r + h only,
+        # besides the s pass at r itself.
         fisher_module = importlib.import_module("unruh_teleport.fisher")
-        bloch, seen = fisher_module._bloch, []
+        branch_bloch, seen = fisher_module._branch_bloch, []
 
-        def recording_bloch(p, mode):
+        def recording_bloch(**p):
             seen.extend(np.ravel(p["r"]).tolist())
-            return bloch(p, mode)
+            return branch_bloch(**p)
 
-        monkeypatch.setattr(fisher_module, "_bloch", recording_bloch)
+        monkeypatch.setattr(fisher_module, "_branch_bloch", recording_bloch)
         u = UnruhParams(r, 0.6 + 0.0j, 0.48 + 0.64j)
         bloch_partial(InputState(1.1, 2.3), X_STATE, u, "r", method="fd", fd_step=h)
-        assert sorted(seen) == [r - h, r + h]
+        assert sorted(seen) == [r - h, r, r + h]
+
+    def test_vectors_at_the_edges_keep_their_bytes(self):
+        # At r = 0 and theta in {0, pi}, many components are zeros whose signs the closed
+        # form's operand order fixes (30 of them -0.0); the digest of every public vector
+        # there, in both norms and methods, pins those signs with the values.
+        digest, negative = hashlib.sha256(), 0
+        for name in ("bell-phi-plus", "bell-psi-minus", "werner", "x-state"):
+            d = preset_dyadic(name, fidelity=0.6, **X_STATE_EXAMPLE)
+            for theta, phi, mode, norm in itertools.product(
+                    (0.0, math.pi), (0.0, 1.0), ("wsma", "bsma"), NORM_NAMES):
+                state, u = InputState(theta, phi), mode_params(0.0, mode)
+                vectors = [bloch_teleported(state, d, u, norm)]
+                vectors += [bloch_partial(state, d, u, param, norm, method)
+                            for param, method in itertools.product(PARAM_NAMES, METHOD_NAMES)]
+                for v in vectors:
+                    digest.update(v.tobytes())
+                    negative += int(np.sum((v == 0.0) & np.signbit(v)))
+        assert negative == 30
+        assert digest.hexdigest() == EDGE_VECTORS_SHA256
 
     def test_unknown_method(self):
         with pytest.raises(DomainError, match="method"):

@@ -26,7 +26,7 @@ import pytest
 from unruh_teleport import preset_dyadic
 from unruh_teleport.channels import X_STATE_EXAMPLE
 from unruh_teleport.fisher import (
-    _MODE_SCALE, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _bloch, _fisher, _partial,
+    _MODE_SCALE, METHOD_NAMES, NORM_NAMES, PARAM_NAMES, _fisher, _vectors,
 )
 from unruh_teleport.sweep import FIGURE_IDS, figure_spec, run_sweep
 from unruh_teleport.unruh import MODE_WEIGHTS, R_MAX
@@ -170,8 +170,8 @@ def reference_points(seed: int) -> list[dict]:
 def test_bloch_and_analytic_partials_match_mpmath():
     points = reference_points(SEED)
     p = {key: np.array([q[key] for q in points]) for key in points[0]}
-    s = _bloch(p, "normalized")
-    partials = {param: _partial(p, param, "normalized", "analytic") for param in PARAM_NAMES}
+    vectors = [np.stack(np.broadcast_arrays(*v), -1) for v in _vectors(p, PARAM_NAMES)]
+    s, partials = vectors[0], dict(zip(PARAM_NAMES, vectors[1:]))
     for i, point in enumerate(points):
         s_ref, ds_ref = reference(point)
         assert np.max(np.abs(s[i] - s_ref)) <= TOL, point

@@ -240,6 +240,27 @@ class TestRunSweep:
                 assert column.ndim == 1 and column.flags.c_contiguous
                 assert not column.flags.writeable
 
+    @pytest.mark.parametrize("fig_id", ["1b", "2a", "4d", "6a"])
+    def test_kernel_blocks_equal_one_kernel_call(self, fig_id, monkeypatch):
+        # A 300 x 300 grid is two kernel blocks of whole outer rows (218 and 82), and 100
+        # with KERNEL_BLOCK at 1,000; 256 x 256 is one. Each equals one kernel call on the
+        # whole open mesh, bit for bit, in both methods.
+        kernel, calls, default = sweep._fisher, [], sweep.KERNEL_BLOCK
+        monkeypatch.setattr(sweep, "_fisher", lambda *args: calls.append(1) or kernel(*args))
+        for grid, block, blocks in ((300, default, 2), (300, 1000, 100), (256, default, 1)):
+            monkeypatch.setattr(sweep, "KERNEL_BLOCK", block)
+            for method in METHOD_NAMES:
+                spec = figure_spec(fig_id, grid, "normalized", method)
+                point = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
+                         **dict(zip(spec.axis_names, np.ix_(*(a.points() for a in spec.axes))))}
+                value, pure = (np.broadcast_to(c, (grid, grid)).ravel()
+                               for c in kernel(point, spec.estimand, spec.norm, method))
+                calls.clear()
+                rows = run_sweep(spec)
+                assert len(calls) == blocks, (grid, block, method)
+                assert rows.fisher.tobytes() == value.tobytes(), (grid, block, method)
+                assert rows.pure.tobytes() == pure.tobytes(), (grid, block, method)
+
     def test_kernel_gets_one_column_per_axis(self, monkeypatch):
         sweep_module = importlib.import_module("unruh_teleport.sweep")
         kernel, sizes = sweep_module._fisher, []

@@ -175,8 +175,8 @@ class TestCoefficientVsClosedForm:
                 u = mode_params(0.0, mode)
                 b = _accelerate(*d.as_tuple(), r, u.qr, u.ql)
                 a = teleport._teleport_analytic(theta, phi, *b)
-                closed = teleport._bloch_matrix(teleport._branch_bloch(theta, phi, *d.as_tuple(),
-                                                                       r, u.qr, u.ql))
+                closed = teleport._bloch_matrix(*teleport._branch_bloch(theta, phi, *d.as_tuple(),
+                                                                        r, u.qr, u.ql)[0])
                 worst = max(worst, float(np.max(np.abs(a - closed))))
                 state = InputState(float(theta[0, 5, 0]), float(phi[0, 0, 11]))
                 u = mode_params(float(r[6, 0, 0]), mode)
@@ -249,7 +249,7 @@ class TestBroadcastForms:
         oracles = np.array([bogoliubov_oracle(d, u) for _, d, u in draws])
         analytic = teleport._teleport_analytic(p["theta"], p["phi"], *b)
         circuit = teleport._teleport_circuit_oracle(p["theta"], p["phi"], oracles)
-        closed = teleport._bloch_matrix(teleport._branch_bloch(**p))
+        closed = teleport._bloch_matrix(*teleport._branch_bloch(**p)[0])
         for i, ((state, d, u), ch) in enumerate(zip(draws, channels)):
             assert np.max(np.abs(analytic[i] - teleport_analytic(state, ch).rho)) <= EPS
             assert np.array_equal(circuit[i], teleport_circuit_oracle(state, oracles[i]).rho)

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from unruh_teleport import DomainError, verify
+from unruh_teleport import (
+    CorrelationDyadic, DomainError, InputState, UnruhParams, bloch_partial, bloch_teleported,
+    verify,
+)
 from unruh_teleport.cli import main
 from unruh_teleport.verify import VerifyReport, sample_draws
 
@@ -232,7 +235,7 @@ def _nan_off_diagonal(monkeypatch):
     original = fisher_module._branch_bloch
 
     def nan_bloch(**p):
-        return original(**p) * np.array([np.nan, 1.0, 1.0])
+        return [(np.nan * x, y, z) for x, y, z in original(**p)]
 
     monkeypatch.setattr(fisher_module, "_branch_bloch", nan_bloch)
 
@@ -266,23 +269,16 @@ def test_non_finite_fisher_value_report_from_the_cli(monkeypatch, capsys):
     assert out.endswith("result: FAIL (24 gated checks)\n")
 
 
-def _nan_at_draw_two(monkeypatch, name, hit):
-    # verify's own name for a kernel function returns NaN at draw 2 on the calls
-    # that ``hit`` picks from the arguments after the point mapping.
-    original = getattr(VERIFY_MODULE, name)
-
-    def nan_at_two(p, *args):
-        out = original(p, *args)
-        if hit(*args):
-            out = out.copy()
-            out[2] = np.nan
-        return out
-
-    monkeypatch.setattr(VERIFY_MODULE, name, nan_at_two)
+def _nan_at_draw_two(vector):
+    """The components of ``vector``, over the draws, with a NaN at draw 2."""
+    return tuple(np.where(np.arange(len(c)) == 2, np.nan, c) for c in vector)
 
 
 def test_derivative_check_names_its_worst_draw(monkeypatch):
-    _nan_at_draw_two(monkeypatch, "_partial", lambda param, mode, method: method == "fd")
+    # verify's own name for the central difference returns NaN at draw 2, in both norms.
+    central = VERIFY_MODULE._central
+    monkeypatch.setattr(VERIFY_MODULE, "_central",
+                        lambda plus, minus, mode: _nan_at_draw_two(central(plus, minus, mode)))
     report = verify(trials=5, seed=1)
     failed = [c for c in report.checks if not c.passed]
     assert [(c.section, c.name, c.draw[0]) for c in failed] == [(4, "max relative difference", 2)]
@@ -291,7 +287,15 @@ def test_derivative_check_names_its_worst_draw(monkeypatch):
 
 
 def test_bloch_norm_check_names_its_worst_draw(monkeypatch):
-    _nan_at_draw_two(monkeypatch, "_bloch", lambda mode: mode == "as-published")
+    # verify's own name for the norm scaling returns NaN at draw 2 in the as-published
+    # Bloch vectors, the first of the vectors it scales, and nowhere else.
+    scaled = VERIFY_MODULE._scaled
+
+    def nan_in_s(vectors, mode):
+        s, *rest = scaled(vectors, mode)
+        return [_nan_at_draw_two(s) if mode == "as-published" else s, *rest]
+
+    monkeypatch.setattr(VERIFY_MODULE, "_scaled", nan_in_s)
     report = verify(trials=5, seed=1)
     failed = [c for c in report.checks if not c.passed]
     # The Fisher check reads the same Bloch pass, so it meets the NaN too: an
@@ -454,18 +458,61 @@ def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], block
 
 
+def test_kernel_vectors_equal_the_public_functions(monkeypatch):
+    # The as-published vectors verify's kernel checks read, captured at verify's own names
+    # for the norm scaling and the central difference, are the public functions' at each
+    # draw, bit for bit: s, and the analytic and fd partials in every estimand.
+    scaled, central, seen, differences = VERIFY_MODULE._scaled, VERIFY_MODULE._central, {}, []
+
+    def recording_scaled(vectors, mode):
+        seen[mode] = scaled(vectors, mode)
+        return seen[mode]
+
+    def recording_central(plus, minus, mode):
+        differences.append(central(plus, minus, mode))
+        return differences[-1]
+
+    monkeypatch.setattr(VERIFY_MODULE, "_scaled", recording_scaled)
+    monkeypatch.setattr(VERIFY_MODULE, "_central", recording_central)
+    trials, params = 40, VERIFY_MODULE.PARAM_NAMES
+    assert verify(trials, 9).passed
+    s, *analytic = seen["as-published"]
+    fd = differences[len(params):]  # the normalized norm's come first
+    draws = sample_draws(9, trials)
+    for i in range(trials):
+        p = {key: column[i].item() for key, column in draws.items()}
+        state = InputState(p["theta"], p["phi"])
+        d = CorrelationDyadic(p["c11"], p["c22"], p["c33"])
+        u = UnruhParams(p["r"], p["qr"], p["ql"])
+
+        def at_draw(vector):
+            return np.array([np.broadcast_to(c, trials)[i] for c in vector]).tobytes()
+
+        assert bloch_teleported(state, d, u, "as-published").tobytes() == at_draw(s), i
+        for param, partial, difference in zip(params, analytic, fd):
+            for method, vector in (("analytic", partial), ("fd", difference)):
+                got = bloch_partial(state, d, u, param, mode="as-published", method=method)
+                assert got.tobytes() == at_draw(vector), (i, param, method)
+
+
 def test_kernel_passes_are_pinned(monkeypatch):
-    # verify's own names for the kernel functions record the arguments after
-    # the point mapping of each call, and whether _mode_scaling_error made it.
-    calls = {"_bloch": [], "_partial": [], "_fisher": [], "_fisher_from_bloch": []}
-    scaling = []
+    # verify's own names for the kernel functions record the arguments after the first
+    # of each call, and whether _mode_scaling_error made it; the closed form behind
+    # them records the partials of each pass that verify's _vectors made.
+    calls = {"_vectors": [], "_scaled": [], "_central": [], "_fisher": [],
+             "_fisher_from_bloch": []}
+    scaling, within, passes = [], [], []
 
     def counted(name):
         original = getattr(VERIFY_MODULE, name)
 
-        def wrapper(p, *args):
+        def wrapper(first, *args, **kwargs):
             calls[name].append((bool(scaling), args))
-            return original(p, *args)
+            within.append(name)
+            try:
+                return original(first, *args, **kwargs)
+            finally:
+                within.pop()
 
         return wrapper
 
@@ -476,18 +523,28 @@ def test_kernel_passes_are_pinned(monkeypatch):
         finally:
             scaling.pop()
 
+    fisher_module = importlib.import_module("unruh_teleport.fisher")
+    branch_bloch = fisher_module._branch_bloch
+
+    def counted_pass(**p):
+        if within == ["_vectors"]:
+            passes.append(p.get("wrt", ()))
+        return branch_bloch(**p)
+
     for name in calls:
         monkeypatch.setattr(VERIFY_MODULE, name, counted(name))
     monkeypatch.setattr(VERIFY_MODULE, "_mode_scaling_error", mode_scaling)
+    monkeypatch.setattr(fisher_module, "_branch_bloch", counted_pass)
     assert verify(50, 1).passed
-    combos = sorted(itertools.product(VERIFY_MODULE.PARAM_NAMES, VERIFY_MODULE.NORM_NAMES))
-    # One Bloch pass per norm.
-    assert sorted(args for _, args in calls["_bloch"]) == [("as-published",), ("normalized",)]
-    # One analytic and one fd partial per (estimand, norm).
-    for method in ("analytic", "fd"):
-        made = [args[:2] for _, args in calls["_partial"] if args[2] == method]
-        assert sorted(made) == combos, method
-    assert len(calls["_partial"]) == 12
+    params, norms = VERIFY_MODULE.PARAM_NAMES, VERIFY_MODULE.NORM_NAMES
+    combos = sorted(itertools.product(params, norms))
+    # One shared pass: 7 evaluations of the closed form, one for s and its three
+    # analytic partials and an s-only one at each of +h and -h per estimand.
+    assert calls["_vectors"] == [(False, (params, params))]
+    assert sorted(passes) == [()] * 6 + [params]
+    # Each norm scales that pass once, and each (estimand, norm) takes one central difference.
+    assert sorted(args for _, args in calls["_scaled"]) == [("as-published",), ("normalized",)]
+    assert sorted(args[-1] for _, args in calls["_central"]) == sorted(norms * len(params))
     # One Fisher pass per (estimand, norm) for both Bell presets in the mode
     # scaling check, and two apart: the anchor's and the continuity check's.
     assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
