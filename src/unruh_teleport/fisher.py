@@ -13,8 +13,8 @@ of the trace-1 conditional state (the physically standard choice and the
 default); ``as-published`` keeps the 00-branch weight (trace 1/4) folded
 into the Bloch vector, a convention found in parts of the literature, so
 its vectors and their partials are exactly a quarter of the normalized ones.
-This module alone applies that quarter, exactly (a power of two), to the normalized
-vectors and partials of one closed form, ``teleport._branch_bloch`` (``_scaled``).
+This module alone applies that quarter, exactly (a power of two), once (``_scaled``), to the
+normalized s, analytic partials or central differences of ``_vectors``, which knows no norm.
 
 The private functions are one array kernel on (x, y, z) components that broadcasts over
 a point mapping (theta, phi, c11, c22, c33, r, qr, ql), with s and its analytic partials
@@ -94,6 +94,11 @@ def _dot(a: tuple, b: tuple) -> np.ndarray:
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
+def _norm(v: tuple) -> np.ndarray:
+    """Euclidean norms of vectors given as components."""
+    return np.sqrt(_dot(v, v))
+
+
 def _scaled(vectors: list[tuple], mode: str) -> list[tuple]:
     """The components of normalized vectors in ``mode``: as-published ones are a quarter.
     A scale of 1 leaves them as they are, the bits that multiplying by 1.0 gives."""
@@ -103,24 +108,19 @@ def _scaled(vectors: list[tuple], mode: str) -> list[tuple]:
 
 def _vectors(p: dict, wrt: tuple = (), stepped: tuple = (), h: float = DEFAULT_FD_STEP) -> list:
     """Components of the normalized Bloch vectors at raw angles and of their partials in
-    ``wrt``, from one pass of the closed form; then of the vectors at p + h and p - h in each
-    name of ``stepped``, from s-only passes that may step past a domain edge (no range checks)."""
-    points = [{**p, name: p[name] + step} for name in stepped for step in (h, -h)]
-    return [*_branch_bloch(**p, wrt=wrt), *(_branch_bloch(**q)[0] for q in points)]
-
-
-def _central(plus: tuple, minus: tuple, mode: str, h: float = DEFAULT_FD_STEP) -> tuple:
-    """Components, in ``mode``, of the central difference of normalized vectors at +-h."""
-    plus, minus = _scaled([plus, minus], mode)
-    return tuple((a - b) / (2.0 * h) for a, b in zip(plus, minus))
+    ``wrt``, from one pass of the closed form; then of the central difference in each name of
+    ``stepped``, from s-only passes at p + h and p - h that may step past a domain edge."""
+    vectors = _branch_bloch(**p, wrt=wrt)
+    for name in stepped:
+        plus, minus = (_branch_bloch(**{**p, name: p[name] + step})[0] for step in (h, -h))
+        vectors.append(tuple((a - b) / (2.0 * h) for a, b in zip(plus, minus)))
+    return vectors
 
 
 def _pair(p: dict, param: str, mode: str, method: str, h: float = DEFAULT_FD_STEP) -> list[tuple]:
     """Components of the Bloch vectors and of their partials in ``param``, in ``mode``."""
-    if method == "analytic":
-        return _scaled(_vectors(p, (param,)), mode)
-    s, plus, minus = _vectors(p, stepped=(param,), h=h)
-    return [*_scaled([s], mode), _central(plus, minus, mode, h)]
+    wrt, stepped = ((param,), ()) if method == "analytic" else ((), (param,))
+    return _scaled(_vectors(p, wrt, stepped, h), mode)
 
 
 def _fisher_from_bloch(s: tuple, ds: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +183,7 @@ def fisher_from_bloch(s: np.ndarray, ds: np.ndarray) -> FisherValue:
     s, ds = (check_array("s and ds must be 3-vectors", v, (3,)).astype(float) for v in (s, ds))
     if not np.isfinite([s, ds]).all():
         raise DomainError(f"s = {s.tolist()} or ds = {ds.tolist()} is not finite")
-    norm = float(np.sqrt(_dot(s, s)))
+    norm = float(_norm(s))
     if norm > 1.0 + BALL_SLACK:
         raise DomainError(f"|s| = {norm} exceeds 1, not a physical Bloch vector")
     with np.errstate(over="ignore"):

@@ -15,7 +15,7 @@ runs each broadcasting form once per block of ``BLOCK`` seeded draws: the accele
 channel, both oracles, the two branch-state forms and the isometry, plus one more
 channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
 the closed form over all draws (s and its three partials in one, six s-only ones for the
-central differences), scaled to each norm as the Fisher kernel does, then runs the
+central differences), scaled once per norm after both derivative methods, then runs the
 Fisher anchors. The report orders sections by number and, within a section, keeps the
 order of the producers as listed here. No kernel raises: a fault is a non-finite error,
 a FAIL. One fold reduces each check's errors to its largest. Every check with per-draw
@@ -38,8 +38,8 @@ from .channels import (
 )
 from .errors import check_integer
 from .fisher import (
-    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _central, _dot, _fisher,
-    _fisher_from_bloch, _scaled, _vectors,
+    MAX_POINTS, NORM_NAMES, PARAM_NAMES, VARIABLE_DOMAINS, _fisher, _fisher_from_bloch, _norm,
+    _scaled, _vectors,
 )
 from .teleport import _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
 from .unruh import (
@@ -172,16 +172,16 @@ def _draw_errors(p: dict) -> dict[Entry, np.ndarray]:
 def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
     """Errors of the checks that run the Bloch and Fisher kernels, under their entries: per
     draw over all draws at once (a non-finite value is an error), then the fixed anchors."""
-    passes = _vectors(p, PARAM_NAMES, PARAM_NAMES)  # s, its three partials, the steps at +-h
-    bloch = {mode: _scaled(passes[:4], mode) for mode in NORM_NAMES}
+    passes = _vectors(p, PARAM_NAMES, PARAM_NAMES)  # s, analytic partials, central differences
+    bloch = {mode: _scaled(passes, mode) for mode in NORM_NAMES}
     # [4] analytic partials against central differences: the relative error,
     # counted unless the derivative is degenerate (so a NaN one counts), worst
     # over every estimand and mode.
     relative, values = 0.0, []
-    for mode, (s, *analytic) in bloch.items():
-        for partial, plus, minus in zip(analytic, passes[4::2], passes[5::2]):
+    for mode, (s, *partials) in bloch.items():
+        for partial, central in zip(partials[:3], partials[3:]):
             scale = _norm(partial)
-            difference = _norm(tuple(a - b for a, b in zip(partial, _central(plus, minus, mode))))
+            difference = _norm(tuple(a - b for a, b in zip(partial, central)))
             kept = ~(scale <= DERIV_FLOOR)
             relative = np.maximum(
                 relative, np.divide(difference, scale, out=np.zeros_like(scale), where=kept)
@@ -320,8 +320,3 @@ def _continuity_error() -> float:
     near = {**vars(preset_dyadic("bell-phi-plus")), **vars(mode_params(1e-4, "wsma"))}
     value, pure = _fisher({**near, "theta": 1.0, "phi": 0.3}, "theta", "normalized", "analytic")
     return abs(value - 1.0) if not pure else math.inf
-
-
-def _norm(v: tuple) -> np.ndarray:
-    """Euclidean norms of vectors given as components."""
-    return np.sqrt(_dot(v, v))

@@ -141,11 +141,23 @@ MUTANTS = [
     # at a time.
     ("teleport.py", "-2.0 * np.sin(2.0 * r), 0.0\n", "-2.0 * np.sin(2.0 * r), d\n"),
     ("teleport.py", "-2.0 * np.sin(2.0 * r), 0.0\n", "-2.0 * np.sin(2.0 * r), -0.0\n"),
-    ("verify.py", "_central(plus, minus, mode)", '_central(plus, minus, "normalized")'),
+    ("verify.py", "zip(partials[:3], partials[3:])", "zip(partials[:3], passes[4:])"),
     ("fisher.py", "vectors if scale == 1.0 else", "vectors if scale > 0.25 else"),
     ("teleport.py", "(_HADAMARD_GATE @ _CNOT_GATE)[:2]", "(_HADAMARD_GATE @ _CNOT_GATE)[2:4]"),
     ("sweep.py", "value[cut], pure[cut] = _fisher(",
      "value[cut.start:], pure[cut.start:] = _fisher("),
+    # One derivative stage that knows no norm: the analytic partials in the order asked, then
+    # one central difference per stepped name at +-h with its operands in order; the method
+    # picks the one or the other, and the fd step reaches the stage.
+    ("fisher.py", "vectors = _branch_bloch(**p, wrt=wrt)",
+     "vectors = _branch_bloch(**p, wrt=wrt[::-1])"),
+    ("fisher.py", "    for name in stepped:\n", "    for name in stepped[1:]:\n"),
+    ("fisher.py", "for step in (h, -h))", "for step in (h, 0.0))"),
+    ("fisher.py", "tuple((a - b) / (2.0 * h)", "tuple((b - a) / (2.0 * h)"),
+    ("fisher.py", '((param,), ()) if method == "analytic" else ((), (param,))',
+     '((), (param,)) if method == "analytic" else ((param,), ())'),
+    ("fisher.py", "_scaled(_vectors(p, wrt, stepped, h), mode)",
+     "_scaled(_vectors(p, wrt, stepped), mode)"),
 ]
 
 

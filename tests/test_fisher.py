@@ -33,6 +33,10 @@ PHI_PLUS = preset_dyadic("bell-phi-plus")
 SINGLET = preset_dyadic("bell-psi-minus")
 X_STATE = preset_dyadic("x-state", c11=-0.9, c22=-0.8, c33=-0.7)
 INERTIAL = mode_params(0.0, "wsma")
+# The derivatives whose as-published values must be a quarter of the normalized ones: the
+# analytic and fd at the default step and at steps whose ±h ends reach the subnormal range.
+QUARTER_DERIVATIVES = [("analytic", DEFAULT_FD_STEP)] + [
+    ("fd", h) for h in (DEFAULT_FD_STEP, math.ulp(0.0), 1e-310, 1e-300)]
 # SHA-256 of the public Bloch vectors and partials at r = 0 and theta in {0, pi}, as
 # TestBlochPartial.test_vectors_at_the_edges_keep_their_bytes writes them.
 EDGE_VECTORS_SHA256 = "2a7567dd104334d26793db555d9cca8b47df8f5f1dbb116aa42eb96851c5038e"
@@ -84,22 +88,38 @@ class TestBlochTeleported:
         with pytest.raises(DomainError):
             bloch_teleported(InputState(1.0, 1.0), PHI_PLUS, INERTIAL, "raw")
 
-    @pytest.mark.parametrize("points", ["draws", "figure"])
+    @pytest.mark.parametrize("points", ["draws", "figure", "edges"])
     def test_as_published_is_exactly_a_quarter(self, points):
-        # Bit for bit, for the vectors and for both derivative methods.
+        # Bit for bit, for the vectors and for both derivative methods, fd at steps down to
+        # the least subnormal too, where the ends of a difference are subnormal at the edges.
         if points == "draws":
             p = sample_draws(8, 200)
-        else:
+        elif points == "figure":
             spec = figure_spec("1b", 64)
             p = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed),
                  **dict(zip(spec.axis_names, np.ix_(*(a.points() for a in spec.axes))))}
+        else:
+            # Both Bell presets by wsma and bsma by theta, phi and r at and next to the edges.
+            preset, branch, theta, phi, r = np.ix_(
+                [0, 1], [0, 1], [0.0, 1e-300, math.pi / 3, math.pi], [0.0, 1.0], [0.0, 0.3, R_MAX])
+            bell = np.array([PHI_PLUS.as_tuple(), SINGLET.as_tuple()])
+            weights = [mode_params(0.0, m) for m in ("wsma", "bsma")]
+            qr, ql = (np.array([getattr(u, key) for u in weights])[branch] for key in ("qr", "ql"))
+            p = {**dict(zip(("c11", "c22", "c33"), bell.T[:, preset])),
+                 "qr": qr, "ql": ql, "theta": theta, "phi": phi, "r": r}
         s = {mode: stacked(_scaled(_vectors(p), mode)[0]) for mode in NORM_NAMES}
         assert np.array_equal(s["as-published"], 0.25 * s["normalized"])
-        for param in PARAM_NAMES:
-            for method in METHOD_NAMES:
-                ds_n = stacked(_pair(p, param, "normalized", method)[1])
-                assert np.array_equal(stacked(_pair(p, param, "as-published", method)[1]),
-                                      0.25 * ds_n)
+        for param, (method, h) in itertools.product(PARAM_NAMES, QUARTER_DERIVATIVES):
+            ds_n = stacked(_pair(p, param, "normalized", method, h)[1])
+            ds_p = stacked(_pair(p, param, "as-published", method, h)[1])
+            assert np.array_equal(ds_p, 0.25 * ds_n), (param, method, h)
+        if points == "edges":
+            # The public functions at the first edge point with the least step: the
+            # as-published partial is [0.25, 0, 0] and its Fisher information 1/16.
+            args, least = (InputState(0.0, 0.0), PHI_PLUS, INERTIAL, "theta"), math.ulp(0.0)
+            fd = {mode: bloch_partial(*args, mode, "fd", least) for mode in NORM_NAMES}
+            assert fd["as-published"].tobytes() == (0.25 * fd["normalized"]).tobytes()
+            assert fisher(*args, mode="as-published", method="fd", fd_step=least).value == 0.0625
 
 
 class TestFisherFromBloch:

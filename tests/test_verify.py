@@ -275,10 +275,15 @@ def _nan_at_draw_two(vector):
 
 
 def test_derivative_check_names_its_worst_draw(monkeypatch):
-    # verify's own name for the central difference returns NaN at draw 2, in both norms.
-    central = VERIFY_MODULE._central
-    monkeypatch.setattr(VERIFY_MODULE, "_central",
-                        lambda plus, minus, mode: _nan_at_draw_two(central(plus, minus, mode)))
+    # verify's own name for the derivative stage returns NaN at draw 2 in its three central
+    # differences, the last vectors it returns, so in both norms.
+    vectors = VERIFY_MODULE._vectors
+
+    def nan_in_differences(p, wrt, stepped):
+        passes = vectors(p, wrt, stepped)
+        return [*passes[:-len(stepped)], *map(_nan_at_draw_two, passes[-len(stepped):])]
+
+    monkeypatch.setattr(VERIFY_MODULE, "_vectors", nan_in_differences)
     report = verify(trials=5, seed=1)
     failed = [c for c in report.checks if not c.passed]
     assert [(c.section, c.name, c.draw[0]) for c in failed] == [(4, "max relative difference", 2)]
@@ -459,25 +464,20 @@ def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
 
 
 def test_kernel_vectors_equal_the_public_functions(monkeypatch):
-    # The as-published vectors verify's kernel checks read, captured at verify's own names
-    # for the norm scaling and the central difference, are the public functions' at each
-    # draw, bit for bit: s, and the analytic and fd partials in every estimand.
-    scaled, central, seen, differences = VERIFY_MODULE._scaled, VERIFY_MODULE._central, {}, []
+    # The as-published vectors verify's kernel checks read, captured at verify's own name
+    # for the norm scaling, are the public functions' at each draw, bit for bit: s, and the
+    # analytic and fd partials in every estimand.
+    scaled, seen = VERIFY_MODULE._scaled, {}
 
     def recording_scaled(vectors, mode):
         seen[mode] = scaled(vectors, mode)
         return seen[mode]
 
-    def recording_central(plus, minus, mode):
-        differences.append(central(plus, minus, mode))
-        return differences[-1]
-
     monkeypatch.setattr(VERIFY_MODULE, "_scaled", recording_scaled)
-    monkeypatch.setattr(VERIFY_MODULE, "_central", recording_central)
     trials, params = 40, VERIFY_MODULE.PARAM_NAMES
     assert verify(trials, 9).passed
-    s, *analytic = seen["as-published"]
-    fd = differences[len(params):]  # the normalized norm's come first
+    s, *partials = seen["as-published"]
+    analytic, fd = partials[:len(params)], partials[len(params):]
     draws = sample_draws(9, trials)
     for i in range(trials):
         p = {key: column[i].item() for key, column in draws.items()}
@@ -499,8 +499,7 @@ def test_kernel_passes_are_pinned(monkeypatch):
     # verify's own names for the kernel functions record the arguments after the first
     # of each call, and whether _mode_scaling_error made it; the closed form behind
     # them records the partials of each pass that verify's _vectors made.
-    calls = {"_vectors": [], "_scaled": [], "_central": [], "_fisher": [],
-             "_fisher_from_bloch": []}
+    calls = {"_vectors": [], "_scaled": [], "_fisher": [], "_fisher_from_bloch": []}
     scaling, within, passes = [], [], []
 
     def counted(name):
@@ -542,9 +541,8 @@ def test_kernel_passes_are_pinned(monkeypatch):
     # analytic partials and an s-only one at each of +h and -h per estimand.
     assert calls["_vectors"] == [(False, (params, params))]
     assert sorted(passes) == [()] * 6 + [params]
-    # Each norm scales that pass once, and each (estimand, norm) takes one central difference.
+    # Each norm scales what that pass gave once: s, the partials and the central differences.
     assert sorted(args for _, args in calls["_scaled"]) == [("as-published",), ("normalized",)]
-    assert sorted(args[-1] for _, args in calls["_central"]) == sorted(norms * len(params))
     # One Fisher pass per (estimand, norm) for both Bell presets in the mode
     # scaling check, and two apart: the anchor's and the continuity check's.
     assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
