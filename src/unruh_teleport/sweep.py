@@ -164,17 +164,20 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
 
     Points iterate with the first axis outermost; the channel is rejected
     up front if its initial state is unphysical. The kernel runs on one column per
-    axis (the open mesh), a block of whole outer-axis rows of at most ``KERNEL_BLOCK``
-    points (or one row) at a time, so its temporaries do not grow with the grid.
+    axis (the open mesh), a block of at most ``KERNEL_BLOCK`` points at a time: whole
+    outer-axis rows, or slices of one row where a row is longer, so its temporaries do not
+    grow with the grid.
     """
     require_physical(check_fields(SweepSpec, spec)["dyadic"])
     points = [a.points() for a in spec.axes]
     shape = [len(axis) for axis in points]
     value, pure = np.empty(shape), np.empty(shape, bool)
-    rows = max(KERNEL_BLOCK // value[0].size, 1)  # whole outer-axis rows per kernel call
+    inner = value[0].size  # points per outer-axis row, 1 for one axis
+    rows, cols = max(KERNEL_BLOCK // inner, 1), min(KERNEL_BLOCK, inner)
     fixed = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
-    for cut in (slice(start, start + rows) for start in range(0, len(value), rows)):
-        mesh = dict(zip(spec.axis_names, np.ix_(points[0][cut], *points[1:])))
+    for row, col in itertools.product(range(0, len(value), rows), range(0, inner, cols)):
+        cut = (slice(row, row + rows), slice(col, col + cols))[:value.ndim]
+        mesh = dict(zip(spec.axis_names, np.ix_(*(axis[c] for axis, c in zip(points, cut)))))
         value[cut], pure[cut] = _fisher({**fixed, **mesh}, spec.estimand, spec.norm, spec.method)
     return SweepRows(points, _finite(value).ravel(), pure.ravel())
 

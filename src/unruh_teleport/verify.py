@@ -6,28 +6,29 @@ equivalence, agreement of the two branch-state forms, derivative
 cross-validation, the module invariant suite, and an informational
 measurement of how badly the swapped-b7 variant violates Hermiticity.
 
-``sample_draws`` gives the seeded draws without rejection: each dyadic is a
-uniform point of the tetrahedron of physical channels, placed by its Bell
-eigenvalues, the closed form of ``validate_physical`` that [5] checks by ``eigvalsh``.
-Each check is one entry of a producer: its section, name and tolerance next to its
-errors. ``_fixed_errors`` covers the presets and a grid of channels. ``_draw_errors``
-runs each broadcasting form once per block of ``BLOCK`` seeded draws: the accelerated
-channel, both oracles, the two branch-state forms and the isometry, plus one more
-channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
-the closed form over all draws (s and its three partials in one, six s-only ones for the
-central differences), scaled once per norm after both derivative methods, then runs the
-Fisher anchors. The report orders sections by number and, within a section, keeps the
-order of the producers as listed here. No kernel raises: a fault is a non-finite error,
-a FAIL. One fold reduces each check's errors to its largest. Every check with per-draw
-errors (17 gated ones and the informational one) keeps the draw behind that error, which
-a failed check names; the fixed-input checks name none. The oracles stay independent:
-they share no code with the coefficient form or with the closed-form Bloch vector that
-[3] and the Fisher kernel read.
+``sample_draws`` gives the seeded draws without rejection: each dyadic is a uniform point
+of the tetrahedron of physical channels, placed by its Bell eigenvalues, the closed form of
+``validate_physical`` that [5] checks by ``eigvalsh``. Each check is one entry of a
+producer: its section, name and tolerance next to its errors. ``_fixed_errors`` covers the
+presets and a grid of channels. The draws come in outer blocks of ``KERNEL_BLOCK``.
+``_draw_errors`` runs each broadcasting form once per ``BLOCK`` draws of each: the
+accelerated channel, both oracles, the two branch-state forms and the isometry, plus one
+more channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
+the closed form over the outer block (s and its three partials in one, six s-only ones for
+the central differences), scaled once per norm after both derivative methods. ``verify``
+runs the Fisher anchors last. The report orders sections by number and, within a section,
+keeps the order of the producers as listed here. No kernel raises: a fault is a non-finite
+error, a FAIL. A running fold keeps each check's largest error and the draw behind it over
+the blocks (17 gated checks and the informational one have per-draw errors), which a failed
+check names; the fixed-input checks name none. The oracles stay independent: they share no
+code with the coefficient form or with the closed-form Bloch vector that [3] and the Fisher
+kernel read.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,11 @@ DERIV_TOL = 1e-6
 DERIV_FLOOR = 1e-3
 FISHER_TOL = 1e-9
 # Draws per pass of the broadcasting forms; at 256 each stacked (draws, 8, 8)
-# array holds 256 KiB. verify(1000, 42) took a median 44 / 34 / 31 / 27 / 27 ms at
-# 32 / 64 / 128 / 256 / 1000 (2-core Xeon, numpy 2.4, 25 shuffled rounds), and
-# ru_maxrss after 6 runs read 38.5 MB at 32-256 and 41.2 MB at 1000.
+# array holds 256 KiB. verify(1000, 42) took a median 28 / 22 / 18 / 16 / 16 ms at
+# 32 / 64 / 128 / 256 / 1000 (2-core Xeon, Python 3.11, numpy 2.4, 25 shuffled rounds).
 BLOCK = 256
+# Draws per outer block, read from the stream, checked and folded before the next is read.
+KERNEL_BLOCK = 1 << 13
 
 # A draw's index and its (name, value) pairs of the kernel arguments.
 Draw = tuple[int, tuple[tuple[str, float | complex], ...]]
@@ -169,9 +171,9 @@ def _draw_errors(p: dict) -> dict[Entry, np.ndarray]:
     }
 
 
-def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
-    """Errors of the checks that run the Bloch and Fisher kernels, under their entries: per
-    draw over all draws at once (a non-finite value is an error), then the fixed anchors."""
+def _kernel_errors(p: dict) -> dict[Entry, np.ndarray]:
+    """Per-draw errors of the checks that run the Bloch and Fisher kernels over one block of
+    draws, under their entries (a non-finite value is an error)."""
     passes = _vectors(p, PARAM_NAMES, PARAM_NAMES)  # s, analytic partials, central differences
     bloch = {mode: _scaled(passes, mode) for mode in NORM_NAMES}
     # [4] analytic partials against central differences: the relative error,
@@ -200,9 +202,6 @@ def _kernel_errors(p: dict) -> dict[Entry, np.ndarray | float]:
             np.max([np.where(np.isfinite(f), -f, np.inf) for f in values], 0),
         (5, "fisher invariant under s_y reflection", 1e-15):
             np.abs(_fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(*flipped)[0]),
-        (5, "anchor: weight information = cos(r)^2", FISHER_TOL): _anchor_error(),
-        (5, "mode scaling 1/16 at r=0", FISHER_TOL): _mode_scaling_error(),
-        (5, "continuity near the pure shell", 1e-3): _continuity_error(),
     }
 
 
@@ -234,9 +233,17 @@ def _fixed_errors() -> dict[Entry, np.ndarray | float]:
 def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
     """``n >= 1`` seeded draws as one array per key of ``fisher._point``: uniform
     angles, a uniform physical dyadic, uniform r and weights on the normalization
-    circle. Draw i reads row i of the generator's (n, 9) doubles, so the first k
-    draws do not depend on n."""
-    u = np.random.default_rng(seed).random((n, 9))
+    circle. They come from one ``random.Random(seed)`` stream: draw i maps nine little-endian
+    64-bit words of ``randbytes`` to doubles, each word's top 53 bits times 2**-53, so draw i
+    does not depend on n or on how the stream is read in blocks. Python promises only the
+    sequence of ``random()`` across its versions; the report pins guard ``randbytes``."""
+    check_integer("seed", seed, 0)  # random.Random seeds with |seed|, and int() truncates a float
+    return _draws(random.Random(int(seed)), n)
+
+
+def _draws(stream: random.Random, n: int) -> dict[str, np.ndarray]:
+    """The next ``n`` draws of ``sample_draws`` from ``stream``."""
+    u = (np.frombuffer(stream.randbytes(72 * n), "<u8").reshape(n, 9) >> 11) * 2.0**-53
     # The spacings of three sorted uniforms are uniform on the simplex: as Bell
     # eigenvalues, a uniform point of the tetrahedron of physical dyadics whose
     # corners are the rows of _BELL_SIGNS. The doubles are multiples of 2**-53,
@@ -254,36 +261,45 @@ def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
     }
 
 
-def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
-    """Run every oracle cross-check and invariant check with seeded draws."""
-    # The batched Fisher checks hold arrays sized by the trials.
-    check_integer("trials", trials, 1, MAX_POINTS)
-    check_integer("seed", seed, 0)
-    batch = sample_draws(seed, trials)
-
-    # Each block of draws runs every broadcasting form once, the channel forms twice.
-    blocks = [
-        _draw_errors({key: column[start:start + BLOCK] for key, column in batch.items()})
-        for start in range(0, trials, BLOCK)
-    ]
-    produced = _fixed_errors()
-    produced.update({key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]})
-    produced.update(_kernel_errors(batch))
-
-    # One fold, in report order: by section, a stable sort of the merged order.
-    # An error array names its worst draw: the first NaN, else the first
-    # largest error. A scalar names none. An error at or below zero reads 0
-    # and names no draw.
-    checks = []
-    for (section, name, tolerance), errors in sorted(produced.items(), key=lambda e: e[0][0]):
+def _fold(worst: dict, produced: dict, draws: dict | None = None, start: int = 0) -> None:
+    """Fold each entry's errors into ``worst[entry]``, an (error, draw) pair: the first NaN, else
+    the first largest error so far (a tie keeps the earlier draw). An error array indexes
+    ``draws``, whose first draw is draw ``start``; a scalar names no draw."""
+    for entry, errors in produced.items():
         errors = np.asarray(errors)
         index = int(np.argmax(errors))
-        error = float(errors.flat[index])
-        draw = None
+        error, held = float(errors.flat[index]), worst.get(entry)
+        if held is None or not (math.isnan(held[0]) or error <= held[0]):
+            draw = None if not errors.ndim else (
+                start + index, tuple((key, column[index].item()) for key, column in draws.items()))
+            worst[entry] = (error, draw)
+
+
+def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
+    """Run every oracle cross-check and invariant check with seeded draws."""
+    check_integer("trials", trials, 1, MAX_POINTS)
+    check_integer("seed", seed, 0)
+    stream, worst = random.Random(int(seed)), {}
+    _fold(worst, _fixed_errors())
+    # Each outer block of draws runs the kernel checks once and every broadcasting form once
+    # per BLOCK draws, the channel forms twice; only each check's worst draw outlives it.
+    for start in range(0, trials, KERNEL_BLOCK):
+        draws = _draws(stream, min(KERNEL_BLOCK, trials - start))
+        blocks = [_draw_errors({key: column[at:at + BLOCK] for key, column in draws.items()})
+                  for at in range(0, len(draws["r"]), BLOCK)]
+        produced = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+        _fold(worst, {**produced, **_kernel_errors(draws)}, draws, start)
+    _fold(worst, {  # the Fisher anchors, at fixed inputs
+        (5, "anchor: weight information = cos(r)^2", FISHER_TOL): _anchor_error(),
+        (5, "mode scaling 1/16 at r=0", FISHER_TOL): _mode_scaling_error(),
+        (5, "continuity near the pure shell", 1e-3): _continuity_error(),
+    })
+
+    # Sections in ascending order, each in the fold's order; an error at most 0 reads 0.
+    checks = []
+    for (section, name, tolerance), (error, draw) in sorted(worst.items(), key=lambda e: e[0][0]):
         if not (error > 0.0 or math.isnan(error)):
-            error = 0.0
-        elif errors.ndim:
-            draw = (index, tuple((key, column[index].item()) for key, column in batch.items()))
+            error, draw = 0.0, None
         checks.append(Check(section, name, error, tolerance, draw))
     return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
 

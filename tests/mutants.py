@@ -145,7 +145,7 @@ MUTANTS = [
     ("fisher.py", "vectors if scale == 1.0 else", "vectors if scale > 0.25 else"),
     ("teleport.py", "(_HADAMARD_GATE @ _CNOT_GATE)[:2]", "(_HADAMARD_GATE @ _CNOT_GATE)[2:4]"),
     ("sweep.py", "value[cut], pure[cut] = _fisher(",
-     "value[cut.start:], pure[cut.start:] = _fisher("),
+     "value[cut[0].start:], pure[cut[0].start:] = _fisher("),
     # One derivative stage that knows no norm: the analytic partials in the order asked, then
     # one central difference per stepped name at +-h with its operands in order; the method
     # picks the one or the other, and the fd step reaches the stage.
@@ -158,6 +158,18 @@ MUTANTS = [
      '((), (param,)) if method == "analytic" else ((param,), ())'),
     ("fisher.py", "_scaled(_vectors(p, wrt, stepped, h), mode)",
      "_scaled(_vectors(p, wrt, stepped), mode)"),
+    # verify's draws streamed block by block: the running fold keeps the earlier draw of a tie
+    # and the first NaN, and names a draw by its index over all blocks; each draw reads
+    # little-endian words and keeps their top 53 bits, from a seed the stream reads as given. A
+    # sweep row past KERNEL_BLOCK is cut.
+    ("verify.py", "or error <= held[0])", "or error < held[0])"),
+    ("verify.py", "not (math.isnan(held[0]) or error <= held[0])", "not error <= held[0]"),
+    ("verify.py", "start + index, tuple(", "index, tuple("),
+    ("verify.py", ">> 11) * 2.0**-53", ">> 12) * 2.0**-53"),
+    ("verify.py", '"<u8"', '">u8"'),
+    ("verify.py", 'check_integer("seed", seed, 0)  # random.Random seeds', "pass  # random.Random seeds"),
+    ("sweep.py", "rows, cols = max(KERNEL_BLOCK // inner, 1), min(KERNEL_BLOCK, inner)",
+     "rows, cols = max(KERNEL_BLOCK // inner, 1), inner"),
 ]
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unruh_teleport.channels import EIGENVALUE_TOL, CorrelationDyadic, _bell_eigenvalues
+from unruh_teleport.errors import DomainError
 from unruh_teleport.teleport import InputState
 from unruh_teleport.unruh import UnruhParams
 from unruh_teleport.verify import sample_draws
@@ -19,6 +20,13 @@ def test_short_draws_are_the_first_rows_of_long_draws(seed):
         for key, column in long.items():
             assert short[key].dtype == column.dtype, key
             assert short[key].tobytes() == column[:k].tobytes(), key
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+def test_seeds_the_stream_would_misread_are_refused(seed):
+    # random.Random seeds -1 as 1 and 2.5 by its hash; the sampler takes integers >= 0 only.
+    with pytest.raises(DomainError, match="seed must"):
+        sample_draws(seed, 2)
 
 
 @pytest.fixture(scope="module")

@@ -243,11 +243,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("fig_id", ["1b", "2a", "4d", "6a"])
     def test_kernel_blocks_equal_one_kernel_call(self, fig_id, monkeypatch):
         # A 300 x 300 grid is two kernel blocks of whole outer rows (218 and 82), and 100
-        # with KERNEL_BLOCK at 1,000; 256 x 256 is one. Each equals one kernel call on the
-        # whole open mesh, bit for bit, in both methods.
+        # with KERNEL_BLOCK at 1,000; 256 x 256 is one. With KERNEL_BLOCK at 40, below one
+        # row, each row of 64 x 64 is two blocks (40 and 24 points). Each equals one kernel
+        # call on the whole open mesh, bit for bit, in both methods.
         kernel, calls, default = sweep._fisher, [], sweep.KERNEL_BLOCK
         monkeypatch.setattr(sweep, "_fisher", lambda *args: calls.append(1) or kernel(*args))
-        for grid, block, blocks in ((300, default, 2), (300, 1000, 100), (256, default, 1)):
+        cases = ((300, default, 2), (300, 1000, 100), (256, default, 1), (64, 40, 128))
+        for grid, block, blocks in cases:
             monkeypatch.setattr(sweep, "KERNEL_BLOCK", block)
             for method in METHOD_NAMES:
                 spec = figure_spec(fig_id, grid, "normalized", method)

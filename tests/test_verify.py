@@ -13,6 +13,8 @@ from unruh_teleport import (
 from unruh_teleport.cli import main
 from unruh_teleport.verify import VerifyReport, sample_draws
 
+from test_cli import _run_probe
+
 VERIFY_MODULE = importlib.import_module("unruh_teleport.verify")
 
 
@@ -389,7 +391,8 @@ def test_a_non_finite_channel_is_a_report(monkeypatch, capsys):
         report = verify(200, 3)
     failed = [c for c in report.checks if not c.passed]
     assert {c.section for c in failed} == {1, 2, 3, 5}
-    assert {c.draw[0] for c in failed} == {12}
+    first = int(np.flatnonzero(sample_draws(3, 200)["r"] > 0.7)[0])
+    assert {c.draw[0] for c in failed} == {first}
     assert {"accelerated channel positive", "branch state positive"} <= {c.name for c in failed}
     _assert_fault_report(report, ["verify", "--trials", "200", "--seed", "3"], capsys)
 
@@ -421,24 +424,24 @@ def test_numpy_integers_are_accepted():
     assert report.render().startswith("verification report: trials=2 seed=5\n")
 
 
-# SHA-256 of `verify` reports. The draws are those of sample_draws: row i of the
-# generator's doubles is draw i, and its Bell weights place the dyadic.
+# SHA-256 of `verify` reports. The draws are those of sample_draws: draw i reads the i-th
+# nine words of random.Random(seed).randbytes, and its Bell weights place the dyadic.
 REPORT_SHA256 = {
-    (1, 42): "ea21a4c1515928a9e08758d13b96738498144f944e2e86a2b14189631940996e",
-    (1, 7): "120c3aefefbe726725bdfcb0843a88625adb2906a3549b2ca62e7e12e9703876",
-    (1, 123): "4f39f98679b9eae45ec2de03bfab6479d8d63460fd9ad5cbf69e4f8e8784adfb",
-    (1, 1): "c17f80cc897cc620ff5aa68f6051351e53f83923ebb06d7d373f7769a5a88c0a",
-    (1, 2): "4172d6fe0bfa1b2ff79921cd448d155914d5e3138e39dbe1d7514b8e5497f112",
-    (7, 42): "b73485fb1ee3935448f6ba42aa84ee90f0d01f03eeb7ddc9226ed0fb77aafa9b",
-    (7, 7): "3a5894fb8edb4e656423e6e702cf900833a54aec93e72f1408332fa1ee2275bb",
-    (7, 123): "0593a37c035addab282b0038fe676d5ac5daaa92a793e7b71d0f1144ed658a74",
-    (7, 1): "1878d56421cddb6b9b20efd23972d9eef3dee63de5c4051da36e8296614d6e9b",
-    (7, 2): "0716e4005f7b6fc3009b5114fd261252804747f0895000e4371ad70ccb65b547",
-    (1000, 42): "4b02f6297d73ec5b1d332f25b1cb3ef9fffead314aa80487342b3d76ef8b74ac",
-    (1000, 7): "e566138605961f2e899b642c2166291ea23a57e3b9be907027cd87fa92bf174f",
-    (1000, 123): "4fee4b9d1b944fb7681427e1834c7d6fc08b074eabbbf162f63641cd8594a509",
-    (1000, 1): "ae6d39223f978bdbf8f8e4eb2dfb49b1af4ca894304823b98a49c3ed5ea17190",
-    (1000, 2): "defbcc2b942b24b46f9ceb46adf8250d13e6b09877b0160406416fe23f4d10fc",
+    (1, 42): "70ae32f759b966041dbb92e3e990df3e56edb69cff7e1a1d5aed3d0630e60ea7",
+    (1, 7): "9f668078fe4952fd06e7cdcc6edbdd79ad8fa518308c3928fe2fc1539074bc57",
+    (1, 123): "73827a126626e89133d17f664ef7bf32f0f0bc823d7253e9835b9f1cbd9b079a",
+    (1, 1): "7201bc329497f2c582675ba1411204174d06ab2cb973f3eb5d03cde48d2fbf32",
+    (1, 2): "928bc452f5e504462b52cde6ebbf098779099628226f6a3147692ccc0d69aef2",
+    (7, 42): "3c60167f41ce354e33f8497bcb3ebb8cf50c4bfbf06df868e15380146c4aa27a",
+    (7, 7): "eedbe38109af1cd44176c5878d647387b1adc16fa7f9c9d8e993293c99be1566",
+    (7, 123): "edc863a588c879b38fa96b7657212a883a261c55d9ac51792c79670cc750c0cb",
+    (7, 1): "8bffab8c808faf6e05f0bcbaefba80c9bb443d39e7116dac5291d309a33ccb1e",
+    (7, 2): "9f98930e25425919586656c119bd72f5ffcb3af5699298a36399c3377b59edd9",
+    (1000, 42): "bc0e04c84ecf793f2123b0aaff30b80de069ef06267c659f5eee3aaae7841ac7",
+    (1000, 7): "5e2710e4d599e16b9cc97399a454bc81aedb81b537c2ee15908330f463df73b2",
+    (1000, 123): "70823480ff20ebe25e8d9f40dd2bb68f9aa6135b86cdaa04e4cd8ffafc456ac2",
+    (1000, 1): "4e6ce241fc36644e75339b4870ee66e16014982d57e72950a3ebe1d756ee267f",
+    (1000, 2): "0113e77828f6ab28f4c48a57d62c26847d402b86eceeb31b8268c6b86f66dd38",
 }
 
 
@@ -456,11 +459,68 @@ def test_report_defaults_are_1000_trials_seed_42(capsys):
 
 
 def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
-    # The old block of 64, the default and one block of all 1000 draws.
-    for block in (64, VERIFY_MODULE.BLOCK, 1000):
+    # The old block of 64, the default and one block of all 1000 draws, each within outer
+    # blocks of 64, of 1000 and of the default 8,192 draws.
+    for block, outer in itertools.product((64, VERIFY_MODULE.BLOCK, 1000), (64, 1000, 8192)):
         monkeypatch.setattr(VERIFY_MODULE, "BLOCK", block)
+        monkeypatch.setattr(VERIFY_MODULE, "KERNEL_BLOCK", outer)
         text = verify(1000, 42).render()
-        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], block
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], (block, outer)
+
+
+def _faults_at(monkeypatch, seed, trials, faults):
+    """Patch verify's isometry oracle and central differences: at each draw i of ``faults``,
+    found by its r among the draws of (seed, trials), every entry of the oracle's matrix and of
+    the three differences is ``faults[i]``."""
+    r_of = sample_draws(seed, trials)["r"]
+    oracle, vectors = VERIFY_MODULE._bogoliubov_oracle, VERIFY_MODULE._vectors
+
+    def faulty_oracle(c11, c22, c33, r, qr, ql):
+        m = oracle(c11, c22, c33, r, qr, ql)
+        for i, value in faults.items():
+            m[r == r_of[i]] = value
+        return m
+
+    def faulty_vectors(p, wrt, stepped):
+        passes = vectors(p, wrt, stepped)
+        for i, value in faults.items():
+            at = p["r"] == r_of[i]
+            passes[-3:] = [tuple(np.where(at, value, c) for c in v) for v in passes[-3:]]
+        return passes
+
+    monkeypatch.setattr(VERIFY_MODULE, "_bogoliubov_oracle", faulty_oracle)
+    monkeypatch.setattr(VERIFY_MODULE, "_vectors", faulty_vectors)
+
+
+# Faults at draws 20 and 150, in outer blocks 0 and 2 when those hold 64 draws, and the draw
+# that sections [1] and [4] (one check each) then name: the first NaN, else the first largest
+# error. 1e20 less any entry it meets is 1e20, so the two draws tie exactly in [1], not in [4].
+FOLD_CASES = {
+    "largest, then NaN": ({20: 1e20, 150: np.nan}, {1: 150, 4: 150}),
+    "NaN, then largest": ({20: np.nan, 150: 1e20}, {1: 20, 4: 20}),
+    "equal errors": ({20: 1e20, 150: 1e20}, {1: 20}),
+}
+
+
+@pytest.mark.parametrize("faults,named", FOLD_CASES.values(), ids=list(FOLD_CASES))
+def test_the_blockwise_fold_names_the_draw_of_one_block(monkeypatch, faults, named):
+    # Blocks of 16 within outer blocks of 64 give the report of one block of all 200 draws.
+    _faults_at(monkeypatch, 5, 200, faults)
+    with np.errstate(invalid="ignore"):
+        whole = verify(200, 5)
+        monkeypatch.setattr(VERIFY_MODULE, "BLOCK", 16)
+        monkeypatch.setattr(VERIFY_MODULE, "KERNEL_BLOCK", 64)
+        blocked = verify(200, 5)
+    assert {c.section: c.draw[0] for c in whole.checks if c.section in named} == named
+    assert [(c.name, c.draw) for c in blocked.checks] == [(c.name, c.draw) for c in whole.checks]
+    assert blocked.render() == whole.render()
+
+
+def test_verify_never_loads_numpy_random():
+    # The draws come from Python's own generator, so numpy.random is never imported.
+    probe = "import sys; from unruh_teleport import verify; verify(10, 1); print(*sys.modules)"
+    modules = _run_probe(probe).split()
+    assert "numpy.linalg" in modules and "numpy.random" not in modules
 
 
 def test_kernel_vectors_equal_the_public_functions(monkeypatch):
