@@ -60,6 +60,10 @@ _ANGLE_RE = re.compile(
 )
 
 
+class _ParseError(DomainError, argparse.ArgumentTypeError):
+    """Bad text for a number: argparse prints an ArgumentTypeError's message unchanged."""
+
+
 def parse_angle(text: str) -> float:
     """Radians, given either as a decimal or as a fraction of pi.
 
@@ -72,12 +76,12 @@ def parse_angle(text: str) -> float:
         coefficient = float(match.group(2)) if match.group(2) else 1.0
         denominator = float(match.group(3)) if match.group(3) else 1.0
         if denominator == 0.0:
-            raise DomainError(f"cannot parse angle {text!r}: zero denominator")
+            raise _ParseError(f"cannot parse angle {text!r}: zero denominator")
         return sign * coefficient * math.pi / denominator
     try:
         return float(text)
     except ValueError:
-        raise DomainError(
+        raise _ParseError(
             f"cannot parse angle {text!r}; use radians or fractions like pi/4, 3pi/2"
         ) from None
 
@@ -88,7 +92,7 @@ def parse_complex(text: str) -> complex:
     try:
         return complex(value[:-1] + "j" if value.endswith("i") else value)
     except ValueError:
-        raise DomainError(
+        raise _ParseError(
             f"cannot parse complex number {text!r}; use forms like 0.6+0.8i"
         ) from None
 

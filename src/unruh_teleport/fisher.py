@@ -37,15 +37,10 @@ from .channels import CorrelationDyadic, require_physical
 from .errors import (
     ConsistencyError, DomainError, check_array, check_choice, check_fields, check_real
 )
-from .teleport import InputState, _branch_bloch
+from .teleport import VARIABLE_DOMAINS, InputState, _branch_bloch
 from .unruh import R_MAX, UnruhParams
 
-PARAM_NAMES = ("theta", "phi", "r")
-VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
-    "theta": (0.0, math.pi),
-    "phi": (0.0, 2.0 * math.pi),
-    "r": (0.0, R_MAX),
-}
+PARAM_NAMES = tuple(VARIABLE_DOMAINS)
 # Largest number of sweep points, or of verify draws, one run may ask for (1024 x 1024).
 MAX_POINTS = 2**20
 NORM_NAMES = ("normalized", "as-published")

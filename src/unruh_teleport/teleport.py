@@ -28,8 +28,13 @@ from numpy.typing import ArrayLike
 from ._linalg import CNOT, HADAMARD, IDENTITY_2, _abs2, _kron, _matrices
 from .channels import CorrelationDyadic
 from .errors import DegenerateBranchError, DomainError, check_array, check_fields, check_real
-from .unruh import AcceleratedChannel, UnruhParams
+from .unruh import R_MAX, AcceleratedChannel, UnruhParams
 
+VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
+    "theta": (0.0, math.pi),
+    "phi": (0.0, 2.0 * math.pi),
+    "r": (0.0, R_MAX),
+}
 DEGENERATE_PROB = 1e-15
 # Constant factors of the circuit on (unknown, sender, receiver): CNOT from the
 # unknown qubit onto the sender's, and Hadamard on the unknown qubit.
@@ -45,8 +50,9 @@ class InputState:
     phi: float
 
     def __post_init__(self) -> None:
-        for name, hi in (("theta", math.pi), ("phi", 2.0 * math.pi)):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, hi))
+        for name in ("theta", "phi"):
+            value = check_real(name, getattr(self, name), *VARIABLE_DOMAINS[name])
+            object.__setattr__(self, name, value)
 
     @property
     def alpha(self) -> float:

@@ -15,14 +15,14 @@ presets and a grid of channels. The draws come in outer blocks of ``KERNEL_BLOCK
 accelerated channel, both oracles, the two branch-state forms and the isometry, plus one
 more channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
 the closed form over the outer block (s and its three partials in one, six s-only ones for
-the central differences), scaled once per norm after both derivative methods. ``verify``
-runs the Fisher anchors last. The report orders sections by number and, within a section,
-keeps the order of the producers as listed here. No kernel raises: a fault is a non-finite
-error, a FAIL. A running fold keeps each check's largest error and the draw behind it over
-the blocks (17 gated checks and the informational one have per-draw errors), which a failed
-check names; the fixed-input checks name none. The oracles stay independent: they share no
-code with the coefficient form or with the closed-form Bloch vector that [3] and the Fisher
-kernel read.
+the central differences), scaled once per norm after both derivative methods.
+``_anchor_errors`` covers the Fisher anchors at fixed inputs. ``verify`` states no check
+itself: the report orders sections by number and, within a section, keeps the order of the
+four producers as listed here. No kernel raises: a fault is a non-finite error, a FAIL. A
+running fold keeps each check's largest error and the draw behind it over the blocks (17
+gated checks and the informational one have per-draw errors), which a failed check names;
+the fixed-input checks name none. The oracles stay independent: they share no code with the
+coefficient form or with the closed-form Bloch vector that [3] and the Fisher kernel read.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .fisher import (
 )
 from .teleport import _bloch_matrix, _branch_bloch, _teleport_analytic, _teleport_circuit_oracle
 from .unruh import (
-    R_MAX, _accelerate, _accelerated_density, _bogoliubov_isometry, _bogoliubov_oracle,
-    mode_params,
+    _accelerate, _accelerated_density, _bogoliubov_isometry, _bogoliubov_oracle, mode_params
 )
 
 EQUIV_TOL = 1e-12
@@ -201,7 +200,7 @@ def _kernel_errors(p: dict) -> dict[Entry, np.ndarray]:
         (5, "fisher finite and non-negative", FISHER_TOL):
             np.max([np.where(np.isfinite(f), -f, np.inf) for f in values], 0),
         (5, "fisher invariant under s_y reflection", 1e-15):
-            np.abs(_fisher_from_bloch(s_n, ds)[0] - _fisher_from_bloch(*flipped)[0]),
+            np.abs(values[0] - _fisher_from_bloch(*flipped)[0]),
     }
 
 
@@ -230,6 +229,33 @@ def _fixed_errors() -> dict[Entry, np.ndarray | float]:
     }
 
 
+def _anchor_errors() -> dict[Entry, np.ndarray | float]:
+    """Errors of the Fisher anchors at fixed inputs, each reduced to one number."""
+    bell, inertial = vars(preset_dyadic("bell-phi-plus")), vars(mode_params(0.0, "wsma"))
+    # Weight-angle information equals cos(r)^2 for the (1,-1,1) Bell channel in the
+    # single-mode limit, over a grid of the three variables.
+    grid = np.ix_(*(np.linspace(*VARIABLE_DOMAINS[name], 7) for name in PARAM_NAMES))
+    anchor = {**bell, **inertial, **dict(zip(PARAM_NAMES, grid))}
+    cr = np.cos(anchor["r"])
+    # At r=0 for maximally entangled channels the as-published value is exactly 1/16 of
+    # the normalized one: the two Bell presets as rows, the three input states as columns.
+    both = np.array([preset_dyadic(n).as_tuple() for n in ("bell-phi-plus", "bell-psi-minus")])
+    p = {**dict(zip(("c11", "c22", "c33"), both.T[..., None])), **inertial}
+    p.update(theta=np.array([0.3, 1.2, 2.4]), phi=np.array([0.7, 2.5, 4.9]))
+    f_n, f_p = np.array(
+        [[_fisher(p, param, mode, "analytic")[0] for param in PARAM_NAMES] for mode in NORM_NAMES]
+    )
+    # The mixed-branch value stays continuous as the pure shell is approached.
+    near = {**bell, **vars(mode_params(1e-4, "wsma")), "theta": 1.0, "phi": 0.3}
+    value, pure = _fisher(near, "theta", "normalized", "analytic")
+    return {
+        (5, "anchor: weight information = cos(r)^2", FISHER_TOL):
+            np.max(np.abs(_fisher(anchor, "theta", "normalized", "analytic")[0] - cr * cr)),
+        (5, "mode scaling 1/16 at r=0", FISHER_TOL): np.max(np.abs(f_p - f_n / 16.0)),
+        (5, "continuity near the pure shell", 1e-3): abs(value - 1.0) if not pure else math.inf,
+    }
+
+
 def sample_draws(seed: int, n: int) -> dict[str, np.ndarray]:
     """``n >= 1`` seeded draws as one array per key of ``fisher._point``: uniform
     angles, a uniform physical dyadic, uniform r and weights on the normalization
@@ -251,11 +277,12 @@ def _draws(stream: random.Random, n: int) -> dict[str, np.ndarray]:
     w = np.diff(np.sort(u[:, 6:], axis=1), axis=1, prepend=0.0, append=1.0)
     dyadic = dict(zip(("c11", "c22", "c33"), (w @ _BELL_SIGNS).T))
     mu = np.pi / 2.0 * u[:, 3]
+    theta, phi, r = (lo + (hi - lo) * x for (lo, hi), x in zip(VARIABLE_DOMAINS.values(), u.T))
     return {
-        "theta": np.pi * u[:, 0],
-        "phi": 2.0 * np.pi * u[:, 1],
+        "theta": theta,
+        "phi": phi,
         **dyadic,
-        "r": R_MAX * u[:, 2],
+        "r": r,
         "qr": np.cos(mu) * np.exp(2.0j * np.pi * u[:, 4]),
         "ql": np.sin(mu) * np.exp(2.0j * np.pi * u[:, 5]),
     }
@@ -281,19 +308,15 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     check_integer("seed", seed, 0)
     stream, worst = random.Random(int(seed)), {}
     _fold(worst, _fixed_errors())
-    # Each outer block of draws runs the kernel checks once and every broadcasting form once
-    # per BLOCK draws, the channel forms twice; only each check's worst draw outlives it.
+    # Each outer block of draws runs every broadcasting form once per BLOCK draws, the channel
+    # forms twice, then the kernel checks once; only each check's worst draw outlives it.
     for start in range(0, trials, KERNEL_BLOCK):
         draws = _draws(stream, min(KERNEL_BLOCK, trials - start))
-        blocks = [_draw_errors({key: column[at:at + BLOCK] for key, column in draws.items()})
-                  for at in range(0, len(draws["r"]), BLOCK)]
-        produced = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
-        _fold(worst, {**produced, **_kernel_errors(draws)}, draws, start)
-    _fold(worst, {  # the Fisher anchors, at fixed inputs
-        (5, "anchor: weight information = cos(r)^2", FISHER_TOL): _anchor_error(),
-        (5, "mode scaling 1/16 at r=0", FISHER_TOL): _mode_scaling_error(),
-        (5, "continuity near the pure shell", 1e-3): _continuity_error(),
-    })
+        for at in range(0, len(draws["r"]), BLOCK):
+            block = {key: column[at:at + BLOCK] for key, column in draws.items()}
+            _fold(worst, _draw_errors(block), block, start + at)
+        _fold(worst, _kernel_errors(draws), draws, start)
+    _fold(worst, _anchor_errors())
 
     # Sections in ascending order, each in the fold's order; an error at most 0 reads 0.
     checks = []
@@ -302,37 +325,3 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
             error, draw = 0.0, None
         checks.append(Check(section, name, error, tolerance, draw))
     return VerifyReport(trials=trials, seed=seed, checks=tuple(checks))
-
-
-def _anchor_error() -> float:
-    """Weight-angle information equals cos(r)^2 for the (1,-1,1) Bell channel in
-    the single-mode limit."""
-    grid = np.ix_(*(np.linspace(*VARIABLE_DOMAINS[name], 7) for name in PARAM_NAMES))
-    anchor = {
-        **vars(preset_dyadic("bell-phi-plus")),
-        **vars(mode_params(0.0, "wsma")),
-        **dict(zip(PARAM_NAMES, grid)),
-    }
-    value = _fisher(anchor, "theta", "normalized", "analytic")[0]
-    cr = np.cos(anchor["r"])
-    return np.max(np.abs(value - cr * cr))
-
-
-def _mode_scaling_error() -> float:
-    """At r=0 for maximally entangled channels the as-published value is
-    exactly 1/16 of the normalized one."""
-    # The two Bell presets as rows, the three input states as columns.
-    bell = np.array([preset_dyadic(n).as_tuple() for n in ("bell-phi-plus", "bell-psi-minus")])
-    p = {**dict(zip(("c11", "c22", "c33"), bell.T[..., None])), **vars(mode_params(0.0, "wsma"))}
-    p.update(theta=np.array([0.3, 1.2, 2.4]), phi=np.array([0.7, 2.5, 4.9]))
-    f_n, f_p = np.array(
-        [[_fisher(p, param, mode, "analytic")[0] for param in PARAM_NAMES] for mode in NORM_NAMES]
-    )
-    return np.max(np.abs(f_p - f_n / 16.0))
-
-
-def _continuity_error() -> float:
-    """The mixed-branch value stays continuous as the pure shell is approached."""
-    near = {**vars(preset_dyadic("bell-phi-plus")), **vars(mode_params(1e-4, "wsma"))}
-    value, pure = _fisher({**near, "theta": 1.0, "phi": 0.3}, "theta", "normalized", "analytic")
-    return abs(value - 1.0) if not pure else math.inf

@@ -170,6 +170,13 @@ MUTANTS = [
     ("verify.py", 'check_integer("seed", seed, 0)  # random.Random seeds', "pass  # random.Random seeds"),
     ("sweep.py", "rows, cols = max(KERNEL_BLOCK // inner, 1), min(KERNEL_BLOCK, inner)",
      "rows, cols = max(KERNEL_BLOCK // inner, 1), inner"),
+    # Each sub-block folds at its own offset, the anchors fold last, the reflection check
+    # reads the normalized theta value and a pure value near the shell fails continuity.
+    ("verify.py", "_fold(worst, _draw_errors(block), block, start + at)",
+     "_fold(worst, _draw_errors(block), block, start)"),
+    ("verify.py", "    _fold(worst, _anchor_errors())\n", "\n"),
+    ("verify.py", "np.abs(values[0] - _fisher_from_bloch", "np.abs(values[1] - _fisher_from_bloch"),
+    ("verify.py", "if not pure else math.inf", "if not pure else 0.0"),
 ]
 
 

@@ -1459,6 +1459,24 @@ def test_parser_text_is_pinned(argv, monkeypatch, capsys):
     assert (code, digest, captured.err) == PARSER_TEXT[argv]
 
 
+# argparse prints a converter's ArgumentTypeError as its message, and any other ValueError
+# as "invalid parse_angle value: '1/2'", which drops the hint.
+BAD_NUMBERS = {
+    ("--theta", "1/2"): "cannot parse angle '1/2'; use radians or fractions like pi/4, 3pi/2",
+    ("--theta", "pi/0"): "cannot parse angle 'pi/0': zero denominator",
+    ("--qr", "abc"): "cannot parse complex number 'abc'; use forms like 0.6+0.8i",
+}
+
+
+@pytest.mark.parametrize("flag,text", list(BAD_NUMBERS))
+def test_a_bad_number_is_refused_with_its_hint(flag, text, capsys):
+    argv = ["fisher", "--param", "theta", "--theta", "1", "--phi", "0",
+            "--preset", "bell-phi-plus", "--r", "0", "--ql", "0", flag, text]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: argument {flag}: {BAD_NUMBERS[flag, text]}\n")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["figures", "-h"], ["-h", "figures"]])
 def test_help_returns_zero(argv, capsys):
     assert main(argv) == 0

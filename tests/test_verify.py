@@ -557,16 +557,16 @@ def test_kernel_vectors_equal_the_public_functions(monkeypatch):
 
 def test_kernel_passes_are_pinned(monkeypatch):
     # verify's own names for the kernel functions record the arguments after the first
-    # of each call, and whether _mode_scaling_error made it; the closed form behind
-    # them records the partials of each pass that verify's _vectors made.
+    # of each call; the closed form behind them records the partials of each pass that
+    # verify's _vectors made.
     calls = {"_vectors": [], "_scaled": [], "_fisher": [], "_fisher_from_bloch": []}
-    scaling, within, passes = [], [], []
+    within, passes = [], []
 
     def counted(name):
         original = getattr(VERIFY_MODULE, name)
 
         def wrapper(first, *args, **kwargs):
-            calls[name].append((bool(scaling), args))
+            calls[name].append(args)
             within.append(name)
             try:
                 return original(first, *args, **kwargs)
@@ -574,13 +574,6 @@ def test_kernel_passes_are_pinned(monkeypatch):
                 within.pop()
 
         return wrapper
-
-    def mode_scaling(original=VERIFY_MODULE._mode_scaling_error):
-        scaling.append(True)
-        try:
-            return original()
-        finally:
-            scaling.pop()
 
     fisher_module = importlib.import_module("unruh_teleport.fisher")
     branch_bloch = fisher_module._branch_bloch
@@ -592,21 +585,34 @@ def test_kernel_passes_are_pinned(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(VERIFY_MODULE, name, counted(name))
-    monkeypatch.setattr(VERIFY_MODULE, "_mode_scaling_error", mode_scaling)
     monkeypatch.setattr(fisher_module, "_branch_bloch", counted_pass)
     assert verify(50, 1).passed
     params, norms = VERIFY_MODULE.PARAM_NAMES, VERIFY_MODULE.NORM_NAMES
     combos = sorted(itertools.product(params, norms))
     # One shared pass: 7 evaluations of the closed form, one for s and its three
     # analytic partials and an s-only one at each of +h and -h per estimand.
-    assert calls["_vectors"] == [(False, (params, params))]
+    assert calls["_vectors"] == [(params, params)]
     assert sorted(passes) == [()] * 6 + [params]
     # Each norm scales what that pass gave once: s, the partials and the central differences.
-    assert sorted(args for _, args in calls["_scaled"]) == [("as-published",), ("normalized",)]
-    # One Fisher pass per (estimand, norm) for both Bell presets in the mode
-    # scaling check, and two apart: the anchor's and the continuity check's.
-    assert sorted(args[:2] for inside, args in calls["_fisher"] if inside) == combos
-    assert sum(not inside for inside, _ in calls["_fisher"]) == 2
-    # The finite check's six Fisher values and the reflection check's two come
-    # from the Bloch passes and analytic partials above.
-    assert len(calls["_fisher_from_bloch"]) == 8
+    assert sorted(calls["_scaled"]) == [("as-published",), ("normalized",)]
+    # The anchors: one Fisher pass per (estimand, norm) for both Bell presets in the mode
+    # scaling check, and the weight anchor's and the continuity check's, both in theta.
+    theta_normalized = [("theta", "normalized")] * 2
+    assert sorted(args[:2] for args in calls["_fisher"]) == sorted(combos + theta_normalized)
+    # The finite check's six Fisher values come from the Bloch passes and analytic partials
+    # above, and the reflection check reads the normalized theta one of them, adding one pass.
+    assert len(calls["_fisher_from_bloch"]) == 7
+
+
+def test_each_check_is_one_entry_of_one_producer():
+    # The fold merges by entry, so an entry two producers stated would read as one check.
+    draws = sample_draws(3, 5)
+    producers = [VERIFY_MODULE._fixed_errors(), VERIFY_MODULE._draw_errors(draws),
+                 VERIFY_MODULE._kernel_errors(draws), VERIFY_MODULE._anchor_errors()]
+    for a, b in itertools.combinations(producers, 2):
+        assert not a.keys() & b.keys()
+    entries = sorted(itertools.chain(*producers), key=lambda entry: entry[0])
+    checks = verify(5, 3).checks
+    assert [(c.section, c.name, c.tolerance) for c in checks] == entries
+    assert len(checks) == 25 and sum(c.tolerance is None for c in checks) == 1
+
