@@ -43,7 +43,9 @@ def check_real(kind: str, value: object, lo: float = -math.inf, hi: float = math
     refuses what ``check_complex`` refuses, and a complex number too."""
     z = check_complex(kind, value)
     if not (isinstance(value, Real) and lo <= z.real <= hi):
-        raise DomainError(f"{kind} must be a real number in [{lo}, {hi}], got {value!r}")
+        from .teleport import _RANGE_TEXTS  # at a refusal only: teleport imports this module
+        shown = _RANGE_TEXTS.get((lo, hi), f"[{lo}, {hi}]")
+        raise DomainError(f"{kind} must be a real number in {shown}, got {value!r}")
     return z.real
 
 

@@ -1,7 +1,8 @@
 """Parameter-grid sweeps, figure dataset presets and CSV/JSON emission.
 
 A sweep stays in the Fisher kernel's columns (``SweepRows``) from evaluation to the
-emitted bytes, rendered a piece at a time; a non-finite value is refused before writing.
+emitted bytes, cut by one rule (``_blocks``) into kernel blocks and rendered pieces; a
+non-finite value is refused before writing.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ class SweepSpec:
 class SweepRows:
     """A sweep as the kernel's read-only columns.
 
-    ``points`` holds each axis's grid values, outer axis first, as a tuple of Python floats
-    (given as a column of real numbers); ``fisher`` and ``pure`` hold one entry per point of
-    their product, outer axis slowest, as read-only 1-d float64 and bool arrays made from such
-    columns. The rows are ``zip(itertools.product(*points), fisher, pure)``.
+    ``points`` holds each axis's grid values, outer axis first, and ``fisher`` and ``pure`` one
+    entry per point of their product, outer axis slowest: read-only 1-d float64 arrays, and
+    bool for ``pure``, each made from a column of real numbers (a view where its dtype fits).
+    The rows are ``zip(itertools.product(*points), fisher, pure)``.
     """
 
-    points: tuple[tuple[float, ...], ...]
+    points: tuple[np.ndarray, ...]
     fisher: np.ndarray
     pure: np.ndarray
 
@@ -148,15 +149,23 @@ class SweepRows:
         points = check_container("sweep points must be a sequence of axes", self.points, tuple)
         columns = [check_array("sweep columns must be 1-d arrays", column, (None,))
                    for column in (self.fisher, self.pure, *points)]
-        axes = (tuple(axis.astype(float, copy=False).tolist()) for axis in columns[2:])
-        object.__setattr__(self, "points", tuple(axes))
-        for name, column, dtype in zip(("fisher", "pure"), columns, (np.float64, np.bool_)):
-            object.__setattr__(self, name, column.astype(dtype, copy=False).view())
-            getattr(self, name).flags.writeable = False
+        dtypes = [np.float64, np.bool_] + [np.float64] * len(points)
+        views = [c.astype(t, copy=False).view() for c, t in zip(columns, dtypes)]
+        for view in views:
+            view.flags.writeable = False
+        for name, value in zip(("fisher", "pure", "points"), (*views[:2], tuple(views[2:]))):
+            object.__setattr__(self, name, value)
         shape = [len(axis) for axis in self.points]
         if not len(self.fisher) == len(self.pure) == math.prod(shape):
             raise DomainError(f"sweep columns of {len(self.fisher)} Fisher values and "
                               f"{len(self.pure)} pure flags do not fit axes of {shape} points")
+
+
+def _blocks(rows: int, columns: int, size: int) -> Iterator[tuple[slice, slice]]:
+    """Row-major blocks of at most ``size`` points: runs of whole rows, or slices of a long row."""
+    height, width = max(size // columns, 1), min(size, columns)
+    for row, column in itertools.product(range(0, rows, height), range(0, columns, width)):
+        yield slice(row, row + height), slice(column, column + width)
 
 
 def run_sweep(spec: SweepSpec) -> SweepRows:
@@ -164,20 +173,16 @@ def run_sweep(spec: SweepSpec) -> SweepRows:
 
     Points iterate with the first axis outermost; the channel is rejected
     up front if its initial state is unphysical. The kernel runs on one column per
-    axis (the open mesh), a block of at most ``KERNEL_BLOCK`` points at a time: whole
-    outer-axis rows, or slices of one row where a row is longer, so its temporaries do not
-    grow with the grid.
+    axis (the open mesh), one ``_blocks`` block of at most ``KERNEL_BLOCK`` points at a time,
+    so its temporaries do not grow with the grid; a one-axis sweep is one row.
     """
     require_physical(check_fields(SweepSpec, spec)["dyadic"])
     points = [a.points() for a in spec.axes]
-    shape = [len(axis) for axis in points]
+    shape = (1, *map(len, points))[-2:]
     value, pure = np.empty(shape), np.empty(shape, bool)
-    inner = value[0].size  # points per outer-axis row, 1 for one axis
-    rows, cols = max(KERNEL_BLOCK // inner, 1), min(KERNEL_BLOCK, inner)
     fixed = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
-    for row, col in itertools.product(range(0, len(value), rows), range(0, inner, cols)):
-        cut = (slice(row, row + rows), slice(col, col + cols))[:value.ndim]
-        mesh = dict(zip(spec.axis_names, np.ix_(*(axis[c] for axis, c in zip(points, cut)))))
+    for cut in _blocks(*shape, KERNEL_BLOCK):
+        mesh = dict(zip(spec.axis_names, np.ix_(*(a[c] for a, c in zip(points, cut[-len(points):])))))
         value[cut], pure[cut] = _fisher({**fixed, **mesh}, spec.estimand, spec.norm, spec.method)
     return SweepRows(points, _finite(value).ravel(), pure.ravel())
 
@@ -409,8 +414,9 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     ``json.dumps({"spec": ..., "rows": [...]}, indent=2)`` and a newline, as ASCII bytes.
     The first ``next()`` makes every check: the rows are a non-empty ``SweepRows`` whose axis
     lengths are the spec's counts, with no non-finite coordinate or Fisher value (JSON has
-    no spelling for one). It yields the head, then pieces of 8,192 points (the last shorter):
-    a template, one join per outer text of its stretch of inner texts and tails, filled."""
+    no spelling for one). It yields the head, then a piece per ``_blocks`` block of at most
+    8,192 points (a one-axis sweep is one row): a template, one join per outer text of its
+    column slice's inner texts and tails, filled. A piece formats only its own axis values."""
     check_fields(SweepSpec, spec)
     if not isinstance(rows, SweepRows):
         raise DomainError(f"emit takes a sweep's SweepRows columns, got {type(rows).__name__}")
@@ -420,9 +426,9 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
     if shape != counts:
         raise DomainError(f"sweep columns on axes of {shape} points do not fit the spec's {counts}")
     check_choice("output format", fmt, FORMATS)
-    if not (np.isfinite(rows.fisher).all() and all(map(math.isfinite, itertools.chain(*rows.points)))):
-        f, at = next((f, c) for c, f in zip(itertools.product(*rows.points), rows.fisher.tolist())
-                     if not all(map(math.isfinite, (f, *c))))
+    if not all(np.isfinite(column).all() for column in (rows.fisher, *rows.points)):
+        pairs = zip(itertools.product(*map(np.ndarray.tolist, rows.points)), rows.fisher.tolist())
+        f, at = next((f, c) for c, f in pairs if not all(map(math.isfinite, (f, *c))))
         value = next(x for x in (f, *at) if not math.isfinite(x))
         kind = "Fisher value" if not math.isfinite(f) else "coordinate"
         raise DomainError(f"refusing to render the non-finite {kind} {value} at {at}")
@@ -437,26 +443,23 @@ def _pieces(spec: SweepSpec, rows: SweepRows, fmt: str) -> Iterator[bytes]:
         axis_fmts = [b"    {\n" + keys[0], *keys[1:]]
         off, on = value + b"false\n    },\n", value + b"true\n    },\n"
     yield (head + "\n").encode()
-    # A line is outer + inner + tail; a one-axis sweep's outer text is b"".
-    outer, inner = [[b""], *(list(map(f.__mod__, a)) for f, a in zip(axis_fmts, rows.points))][-2:]
-    texts, n = _g17 if fmt == "csv" else _shortest, len(inner)
-    cuts = [*range(0, len(rows.fisher), 1 << 13), len(rows.fisher)]
-    for start, stop in itertools.pairwise(cuts):
-        pure, part, touched = {}, [], range(start // n, -(-stop // n))  # the outer texts here
-        for k in (np.flatnonzero(rows.pure[start:stop]) + start).tolist():
-            pure.setdefault(k // n, []).append(k % n)
-        bounds = [(max(start - i * n, 0), min(stop - i * n, n)) for i in touched]
-        stretches = {(j0, j1): [text + off for text in inner[j0:j1]] for j0, j1 in set(bounds)}
-        for i, (j0, j1) in zip(touched, bounds):  # one join per outer text, tails shared by bounds
-            row = stretches[j0, j1] if i not in pure else stretches[j0, j1].copy()
-            for j in pure.get(i, ()):
-                row[j - j0] = inner[j] + on
-            part.append(outer[i] + outer[i].join(row))
-        if fmt == "json" and stop == len(rows.fisher):
-            part[-1] = part[-1][: -len(b",\n")] + b"\n  ]\n}\n"
-        template = b"".join(part)
-        del part, stretches, row  # before the fill, which makes one bytes object per value
-        yield template % tuple(texts(rows.fisher[start:stop]))
+    # A line is outer + inner + tail; a one-axis sweep's one outer text is b"".
+    grid, texts, last = (1, *shape)[-2:], _g17 if fmt == "csv" else _shortest, None
+    fisher, flags = rows.fisher.reshape(grid), rows.pure.reshape(grid)
+    for r, c in _blocks(*grid, 1 << 13):
+        if c != last:  # pieces of whole rows share one column slice, and so its texts
+            last, inner = c, [axis_fmts[-1] % x for x in rows.points[-1][c].tolist()]
+            stretch = [text + off for text in inner]
+        outer = [axis_fmts[0] % x for x in rows.points[0][r].tolist()] if len(shape) == 2 else [b""]
+        lines = [stretch] * len(outer)
+        for i, j in zip(*(index.tolist() for index in np.nonzero(flags[r, c]))):
+            if lines[i] is stretch:  # a row with a pure point patches its own copy
+                lines[i] = stretch.copy()
+            lines[i][j] = inner[j] + on
+        if fmt == "json" and r.stop >= grid[0] and c.stop >= grid[1]:  # the last line closes the JSON
+            lines[-1] = [*lines[-1][:-1], lines[-1][-1][: -len(b",\n")] + b"\n  ]\n}\n"]
+        template = b"".join(text + text.join(line) for text, line in zip(outer, lines))
+        yield template % tuple(texts(fisher[r, c].ravel()))
 
 
 def write_output(pieces: Iterable[bytes], destination: str | Path | None) -> None:

@@ -289,3 +289,40 @@ def test_fisher_and_verify_attributes_are_the_functions():
         function = getattr(unruh_teleport, name)
         assert inspect.ismodule(module) and inspect.isfunction(function)
         assert function is getattr(module, name) is namespace[name[0]]
+
+
+# Each refusal of a real number out of range, with the range as written: the angles', r's, the
+# fd step's (whose 0 is open) and omega's and c's, at each site that checks one. A range
+# without a written form keeps its floats.
+BOUND_REFUSALS = {
+    "InputState.theta": (lambda: InputState(4.0, 0.5),
+                         "theta must be a real number in [0, pi], got 4.0"),
+    "InputState.phi": (lambda: InputState(1.0, 7),
+                       "phi must be a real number in [0, 2pi], got 7"),
+    "UnruhParams.r": (lambda: UnruhParams(1.0), "r must be a real number in [0, pi/4], got 1.0"),
+    "fisher.fd_step": (lambda: fisher(STATE, PHI_PLUS, WSMA, "r", method="fd", fd_step=0.0),
+                       "fd_step must be a real number in (0, pi/12], got 0.0"),
+    "fisher.fd_step-high": (lambda: fisher(STATE, PHI_PLUS, WSMA, "r", method="fd", fd_step=0.3),
+                            "fd_step must be a real number in (0, pi/12], got 0.3"),
+    "r_from_acceleration.omega": (lambda: r_from_acceleration(0.0, 1.0, 1.0),
+                                  "omega must be a real number in (0, inf], got 0.0"),
+    "r_from_acceleration.c": (lambda: r_from_acceleration(1.0, 1.0, -1.0),
+                              "c must be a real number in (0, inf], got -1.0"),
+    "Axis.stop": (lambda: Axis("theta", 0.0, 4.0, 3),
+                  "axis theta stop must be a real number in [0, pi], got 4.0"),
+    "Axis.start": (lambda: Axis("r", -1.0, 0.5, 3),
+                   "axis r start must be a real number in [0, pi/4], got -1.0"),
+    "SweepSpec.fixed": (lambda: _spec(fixed={"phi": 9.0}),
+                        "fixed phi must be a real number in [0, 2pi], got 9.0"),
+    "CorrelationDyadic.c11": (lambda: CorrelationDyadic(2.0, 0.0, 0.0),
+                              "c11 must be a real number in [-1.0, 1.0], got 2.0"),
+    "r_from_acceleration.accel": (lambda: r_from_acceleration(1.0, -1.0, 1.0),
+                                  "accel must be a real number in [0.0, inf], got -1.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", BOUND_REFUSALS.values(), ids=BOUND_REFUSALS)
+def test_a_refusal_writes_its_range_as_written(call, message):
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert str(refusal.value) == message

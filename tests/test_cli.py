@@ -1477,6 +1477,38 @@ def test_a_bad_number_is_refused_with_its_hint(flag, text, capsys):
     assert (captured.out, captured.err) == ("", f"error: argument {flag}: {BAD_NUMBERS[flag, text]}\n")
 
 
+# A refusal of a number out of its range writes the range as the library does: pi and its
+# fractions by name, and an open end as "(".
+BOUND_REFUSALS = {
+    "theta": (["fisher", "--param", "theta", "--theta", "4", "--phi", "1", "--r", "0"],
+              "theta must be a real number in [0, pi], got 4.0"),
+    "phi": (["fisher", "--param", "theta", "--theta", "1", "--phi", "7", "--r", "0"],
+            "phi must be a real number in [0, 2pi], got 7.0"),
+    "r": (["fisher", "--param", "theta", "--theta", "1", "--phi", "1", "--r", "1"],
+          "r must be a real number in [0, pi/4], got 1.0"),
+    "fd-step": (["fisher", "--param", "r", "--theta", "1", "--phi", "1", "--r", "0.5",
+                 "--method", "fd", "--fd-step", "0"],
+                "fd_step must be a real number in (0, pi/12], got 0.0"),
+    "omega": (["fisher", "--param", "theta", "--theta", "1", "--phi", "1", "--omega", "0",
+               "--accel", "1", "--c", "1"], "omega must be a real number in (0, inf], got 0.0"),
+    "c": (["fisher", "--param", "theta", "--theta", "1", "--phi", "1", "--omega", "1",
+           "--accel", "1", "--c", "-1"], "c must be a real number in (0, inf], got -1.0"),
+    "axis-stop": (["sweep", "--param", "theta", "--grid", "theta=0:4:3", "--phi", "1", "--r", "0"],
+                  "axis theta stop must be a real number in [0, pi], got 4.0"),
+    "axis-start": (["sweep", "--param", "theta", "--grid", "r=-1:0.5:3", "--theta", "1",
+                    "--phi", "1"], "axis r start must be a real number in [0, pi/4], got -1.0"),
+    "fixed": (["sweep", "--param", "theta", "--grid", "theta=0:3:3", "--phi", "9", "--r", "0"],
+              "fixed phi must be a real number in [0, 2pi], got 9.0"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BOUND_REFUSALS.values(), ids=BOUND_REFUSALS)
+def test_a_refusal_writes_its_range_as_written(argv, message, capsys):
+    assert main([*argv, "--preset", "bell-phi-plus"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["figures", "-h"], ["-h", "figures"]])
 def test_help_returns_zero(argv, capsys):
     assert main(argv) == 0

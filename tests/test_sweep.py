@@ -542,11 +542,13 @@ class TestRenderContract:
             emit(spec, rows, fmt)
             assert capsys.readouterr().out == reference, fmt
 
-    # Pieces are 8,192 points of the flat row stream, whatever the axes. 4 x 4096 ends on
-    # a full piece, 150 x 100 on a short one (6,808 points) after a cut inside row 81,
-    # 8,195 points on one axis end on 3 points, 2 x 9000 cuts inside both rows, and the
-    # second piece of 3 x 5000 starts inside row 1. Each row is one join of its stretch of
-    # inner texts: "row-ends" flags the first and last line of every row, "all-pure" all.
+    # Pieces are runs of whole rows of at most 8,192 points, or 1-row slices of 8,192 where
+    # a row is longer; one axis is one row. 4 x 4096 is 2 pieces of 2 rows, 150 x 100 is 81
+    # rows and then 69, 8,195 points on one axis end on 3 points, 2 x 9000 cuts both rows
+    # (4 pieces), and 3 x 5000 is a piece per row (3). Flags sit on both sides of every
+    # piece edge and of every multiple of 8,192 points. Each row is one join of its column
+    # slice's inner texts: "row-ends" flags the first and last line of every row, "all-pure"
+    # all.
     PIECES = {"last-full": (4, 4096), "last-short": (150, 100), "one-axis": (8195,),
               "long-inner": (2, 9000), "inside-rows": (3, 5000), "row-ends": (150, 100),
               "all-pure": (150, 100)}
@@ -564,11 +566,15 @@ class TestRenderContract:
         pure = np.full(counts, name == "all-pure")
         pure[..., [0, -1]] |= name == "row-ends"
         pure = pure.ravel()
-        pure[[0, size - 1, *(b + k for b in range(8192, size, 8192) for k in (-1, 0))]] = True
+        height, columns = max(8192 // counts[-1], 1), min(8192, counts[-1])
+        edges = [i * counts[-1] + j for i in range(0, size // counts[-1], height)
+                 for j in range(0, counts[-1], columns)]  # each piece's first point
+        flat = range(8192, size, 8192)
+        pure[[0, size - 1, *(b + k for b in (*flat, *edges[1:]) for k in (-1, 0))]] = True
         rows = SweepRows(points, fisher, pure)
         for fmt, reference in (("csv", _reference_csv), ("json", _reference_json)):
             pieces = list(sweep._pieces(spec, rows, fmt))
-            assert len(pieces) == 1 + -(-size // 8192), fmt  # the head and the pieces
+            assert len(pieces) == 1 + len(edges), fmt  # the head and the pieces
             assert b"".join(pieces).decode() == reference(spec, rows), fmt
 
     def test_no_piece_holds_more_than_8192_rows(self):
@@ -706,6 +712,9 @@ class TestSweepRows:
             rows.fisher[0] = 1.0
         with pytest.raises(ValueError):
             rows.pure[0] = True
+        for axis in rows.points:
+            with pytest.raises(ValueError):
+                axis[0] = 1.0
         with pytest.raises(TypeError):
             rows[0] = SweepRow((0.0, 0.0), 1.0, False)
 
@@ -749,7 +758,9 @@ class TestSweepRows:
         spec = basic_spec(axes=(Axis("r", 0.0, math.pi / 4, 2),), fixed={"theta": 1.0, "phi": 0.5})
         rows = SweepRows((axis,), [1.0, 2.0], [False, True])
         floats = [float(x) for x in axis]
-        assert rows.points == (tuple(floats),) and all(type(x) is float for x in rows.points[0])
+        (stored,) = rows.points
+        assert (stored.dtype, stored.ndim, stored.flags.writeable) == (np.float64, 1, False)
+        assert stored.tolist() == floats
         written = [entry["r"] for entry in json.loads(rows_to_json(spec, rows))["rows"]]
         assert written == floats and all(type(x) is float for x in written)
         from_csv = [row.coords[0] for row in parse_csv_rows(rows_to_csv(spec, rows))]
