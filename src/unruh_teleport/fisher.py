@@ -37,8 +37,8 @@ from .channels import CorrelationDyadic, require_physical
 from .errors import (
     ConsistencyError, DomainError, check_array, check_choice, check_fields, check_real
 )
-from .teleport import VARIABLE_DOMAINS, InputState, _branch_bloch
-from .unruh import R_MAX, UnruhParams
+from .teleport import MAX_FD_STEP, VARIABLE_DOMAINS, InputState, _branch_bloch
+from .unruh import UnruhParams
 
 PARAM_NAMES = tuple(VARIABLE_DOMAINS)
 # Largest number of sweep points, or of verify draws, one run may ask for (1024 x 1024).
@@ -51,8 +51,6 @@ METHOD_NAMES = ("analytic", "fd")
 PURE_BRANCH_EPS = 1e-9
 BALL_SLACK = 1e-12
 DEFAULT_FD_STEP = 1e-5
-# Largest fd step accepted: pi/12, a third of the r range.
-MAX_FD_STEP = R_MAX / 3.0
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,11 @@ VARIABLE_DOMAINS: dict[str, tuple[float, float]] = {
     "phi": (0.0, 2.0 * math.pi),
     "r": (0.0, R_MAX),
 }
-# How refusals write those ranges, the fd step's (fisher.MAX_FD_STEP) and omega's and c's.
+# Largest fd step accepted: pi/12, a third of the r range.
+MAX_FD_STEP = R_MAX / 3.0
+# How refusals write those ranges, the fd step's and omega's and c's.
 _RANGE_TEXTS = {**dict(zip(VARIABLE_DOMAINS.values(), ("[0, pi]", "[0, 2pi]", "[0, pi/4]"))),
-                (math.ulp(0.0), R_MAX / 3.0): "(0, pi/12]", (math.ulp(0.0), math.inf): "(0, inf]"}
+                (math.ulp(0.0), MAX_FD_STEP): "(0, pi/12]", (math.ulp(0.0), math.inf): "(0, inf]"}
 DEGENERATE_PROB = 1e-15
 # Constant factors of the circuit on (unknown, sender, receiver): CNOT from the
 # unknown qubit onto the sender's, and Hadamard on the unknown qubit.

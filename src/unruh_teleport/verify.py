@@ -10,12 +10,12 @@ measurement of how badly the swapped-b7 variant violates Hermiticity.
 of the tetrahedron of physical channels, placed by its Bell eigenvalues, the closed form of
 ``validate_physical`` that [5] checks by ``eigvalsh``. Each check is one entry of a
 producer: its section, name and tolerance next to its errors. ``_fixed_errors`` covers the
-presets and a grid of channels. The draws come in outer blocks of ``KERNEL_BLOCK``.
-``_draw_errors`` runs each broadcasting form once per ``BLOCK`` draws of each: the
-accelerated channel, both oracles, the two branch-state forms and the isometry, plus one
+presets and a grid of channels. The draws come in blocks of ``BLOCK``, and each block is
+checked once by each of two producers. ``_draw_errors`` runs each broadcasting form once:
+the accelerated channel, both oracles, the two branch-state forms and the isometry, plus one
 more channel evaluation for the inertial counterpart. ``_kernel_errors`` makes 7 passes of
-the closed form over the outer block (s and its three partials in one, six s-only ones for
-the central differences), scaled once per norm after both derivative methods.
+the closed form (s and its three partials in one, six s-only ones for the central
+differences), scaled once per norm after both derivative methods.
 ``_anchor_errors`` covers the Fisher anchors at fixed inputs. ``verify`` states no check
 itself: the report orders sections by number and, within a section, keeps the order of the
 four producers as listed here. No kernel raises: a fault is a non-finite error, a FAIL. A
@@ -51,12 +51,12 @@ EQUIV_TOL = 1e-12
 DERIV_TOL = 1e-6
 DERIV_FLOOR = 1e-3
 FISHER_TOL = 1e-9
-# Draws per pass of the broadcasting forms; at 256 each stacked (draws, 8, 8)
-# array holds 256 KiB. verify(1000, 42) took a median 28 / 22 / 18 / 16 / 16 ms at
-# 32 / 64 / 128 / 256 / 1000 (2-core Xeon, Python 3.11, numpy 2.4, 25 shuffled rounds).
-BLOCK = 256
-# Draws per outer block, read from the stream, checked and folded before the next is read.
-KERNEL_BLOCK = 1 << 13
+# Draws per block, read from the stream, checked once by each producer and folded before the
+# next is read: the least power of two at or above the default 1,000 trials, so the default
+# run makes one pass. Each stacked (draws, 8, 8) array then holds 1 MiB. verify(1000, 42)
+# took a median 47 / 33 / 26 / 22 / 21 ms at 64 / 128 / 256 / 512 / 1,024 (2-core Xeon,
+# Python 3.11, numpy 2.4, 25 shuffled rounds).
+BLOCK = 1 << 10
 
 # A draw's index and its (name, value) pairs of the kernel arguments.
 Draw = tuple[int, tuple[tuple[str, float | complex], ...]]
@@ -308,13 +308,11 @@ def verify(trials: int = 1000, seed: int = 42) -> VerifyReport:
     check_integer("seed", seed, 0)
     stream, worst = random.Random(int(seed)), {}
     _fold(worst, _fixed_errors())
-    # Each outer block of draws runs every broadcasting form once per BLOCK draws, the channel
-    # forms twice, then the kernel checks once; only each check's worst draw outlives it.
-    for start in range(0, trials, KERNEL_BLOCK):
-        draws = _draws(stream, min(KERNEL_BLOCK, trials - start))
-        for at in range(0, len(draws["r"]), BLOCK):
-            block = {key: column[at:at + BLOCK] for key, column in draws.items()}
-            _fold(worst, _draw_errors(block), block, start + at)
+    # Each block of draws runs every broadcasting form once, the channel forms twice, then the
+    # kernel checks once; only each check's worst draw outlives it.
+    for start in range(0, trials, BLOCK):
+        draws = _draws(stream, min(BLOCK, trials - start))
+        _fold(worst, _draw_errors(draws), draws, start)
         _fold(worst, _kernel_errors(draws), draws, start)
     _fold(worst, _anchor_errors())
 

@@ -47,8 +47,8 @@ MUTANTS = [
      "tests/test_unruh.py::TestUnruhParams::test_weight_norm_edge_is_1e_14[2e-14-False]"),
     ("unruh.py", "CHANNEL_TOL = 1e-12", "CHANNEL_TOL = 1e-9",
      "tests/test_unruh.py::TestChannelValidation::test_coefficients_just_past_the_tolerance_rejected"),
-    ("fisher.py", "MAX_FD_STEP = R_MAX / 3.0", "MAX_FD_STEP = R_MAX / 2.0",
-     "tests/test_api.py::test_a_refusal_writes_its_range_as_written[fisher.fd_step]"),
+    ("teleport.py", "MAX_FD_STEP = R_MAX / 3.0", "MAX_FD_STEP = R_MAX / 2.0",
+     "tests/test_api.py::test_a_refusal_writes_its_range_as_written[fisher.fd_step-high]"),
     ("fisher.py", "MAX_POINTS = 2**20", "MAX_POINTS = 2**21",
      "tests/test_cli.py::TestInputBoundary::test_one_line_error[trials-too-many]"),
     ("verify.py", "EQUIV_TOL = 1e-12", "EQUIV_TOL = 1e-9",
@@ -258,10 +258,10 @@ MUTANTS = [
      "tests/test_sampling.py::test_seeds_the_stream_would_misread_are_refused[-1]"),
     ("sweep.py", "for cut in _blocks(*shape, KERNEL_BLOCK):", "for cut in [(slice(None),) * 2]:",
      "tests/test_sweep.py::TestRunSweep::test_kernel_blocks_equal_one_kernel_call[1b]"),
-    # Each sub-block folds at its own offset, the anchors fold last, the reflection check
+    # Each block's oracle checks fold at its offset, the anchors fold last, the reflection check
     # reads the normalized theta value and a pure value near the shell fails continuity.
-    ("verify.py", "_fold(worst, _draw_errors(block), block, start + at)",
-     "_fold(worst, _draw_errors(block), block, start)",
+    ("verify.py", "_fold(worst, _draw_errors(draws), draws, start)",
+     "_fold(worst, _draw_errors(draws), draws, 0)",
      "tests/test_verify.py::test_worst_draw_names_the_draw_in_a_later_block"),
     ("verify.py", "    _fold(worst, _anchor_errors())\n", "\n",
      "tests/test_verify.py::test_check_sequence_is_pinned"),

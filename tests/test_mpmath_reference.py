@@ -11,8 +11,9 @@ The Fisher values of every figure at grid 9, both norms, are compared with
 ``mp_fisher``; a seeded sample of them is recomputed here. The same script writes
 ``fisher_band_reference.json``: normalized points of every figure at 256 and 1024
 points per axis on the lines next to theta = 0, theta = pi and r = 0, where the
-branch state nears the pure shell. The package misses it there (ROADMAP item 1),
-so that comparison is a strict xfail.
+branch state nears the pure shell, and every point of the phi = 0 line at 256 of
+the six figures that cross the interior pure curve. The package misses both (ROADMAP
+item 1), so those comparisons are strict xfails.
 """
 
 import json
@@ -49,6 +50,12 @@ REFERENCE_GRID = 9
 BAND_FILE = Path(__file__).with_name("fisher_band_reference.json")
 BAND_STRIDES = {256: 16, 1024: 64}
 BAND_LINES = {"theta": (1, 2, 3, -4, -3, -2), "r": (1, 2, 3)}
+# The interior lines, in the same file: every point of the phi = 0 line at this grid of each
+# figure whose phi = 0 line crosses the interior pure curve (ROADMAP item 1: bsma,
+# tan^2(theta/2) = sin 2r); 1,536 normalized values. The baseline point of the defect is on
+# them: 6d at theta = pi/4, r = (pi/4)*28/255.
+INTERIOR_FIGURES = ("2c", "3a", "4b", "4d", "5a", "6d")
+INTERIOR_GRID = 256
 # Below this 40-digit gap 1 - |s|^2 the state counts as pure and F = |ds|^2.
 PURE_GAP = mpmath.mpf("1e-30")
 # Error bounds relative to max(1, |F|), by derivative method.
@@ -113,19 +120,31 @@ def band_indices(fig_id: str, grid: int) -> list[tuple[int, int]]:
     return indices
 
 
-def band_points(fig_id: str, grid: int) -> list[dict]:
-    """The kernel arguments of a figure's band points, in ``band_indices`` order."""
+def grid_points(fig_id: str, grid: int, indices: list[tuple[int, int]]) -> list[dict]:
+    """The kernel arguments of a figure's points at the (outer, inner) grid ``indices``."""
     spec = figure_spec(fig_id, grid)
     base = {**vars(spec.dyadic), "qr": spec.qr, "ql": spec.ql, **dict(spec.fixed)}
     axes = [axis.points().tolist() for axis in spec.axes]
     return [{**base, **{name: axis[i] for name, axis, i in zip(spec.axis_names, axes, ij)}}
-            for ij in band_indices(fig_id, grid)]
+            for ij in indices]
 
 
-def band_reference(fig_id: str, grid: int) -> list[float]:
-    """The 40-digit normalized Fisher values of a figure's band points, as doubles."""
+def band_points(fig_id: str, grid: int) -> list[dict]:
+    """The kernel arguments of a figure's band points, in ``band_indices`` order."""
+    return grid_points(fig_id, grid, band_indices(fig_id, grid))
+
+
+def interior_points(fig_id: str) -> list[dict]:
+    """The kernel arguments of every point of a figure's phi = 0 line at ``INTERIOR_GRID``."""
+    outer = figure_spec(fig_id).axis_names[0] == "phi"
+    line = [(0, j) if outer else (j, 0) for j in range(INTERIOR_GRID)]
+    return grid_points(fig_id, INTERIOR_GRID, line)
+
+
+def normalized_reference(fig_id: str, points: list[dict]) -> list[float]:
+    """The 40-digit normalized Fisher values of a figure's ``points``, as doubles."""
     param = figure_spec(fig_id).estimand
-    return [float(mp_fisher(p, param)) for p in band_points(fig_id, grid)]
+    return [float(mp_fisher(p, param)) for p in points]
 
 
 def figure_reference(fig_id: str, norm: str) -> list[float]:
@@ -251,3 +270,37 @@ def test_pure_shell_band_matches_the_fine_grid_reference(method):
             error = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
             worst = int(np.argmax(error))
             assert error[worst] <= FISHER_TOL[method], (fig_id, grid, method, worst, error[worst])
+
+
+def test_interior_reference_holds_the_baseline_point():
+    table = load_band_reference()["interior"]
+    assert table["grid"] == INTERIOR_GRID and list(table["fisher"]) == list(INTERIOR_FIGURES)
+    assert all(len(values) == INTERIOR_GRID for values in table["fisher"].values())
+    # 6d at r = 0.08624, the value the baseline quotes, to its last digit.
+    assert abs(interior_points("6d")[28]["r"] - 0.08624) <= 5e-6
+    assert abs(table["fisher"]["6d"][28] - 3.121307143) <= 5e-10
+
+
+def test_interior_reference_is_reproduced_live():
+    table = load_band_reference()["interior"]["fisher"]
+    rng = np.random.default_rng(SEED)
+    for _ in range(12):
+        fig_id = INTERIOR_FIGURES[rng.integers(len(INTERIOR_FIGURES))]
+        index = int(rng.integers(INTERIOR_GRID))
+        value = float(mp_fisher(interior_points(fig_id)[index], figure_spec(fig_id).estimand))
+        assert value == table[fig_id][index], (fig_id, index)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the gap and s . ds cancel next to the interior pure curve")
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_interior_lines_match_the_fine_grid_reference(method):
+    table = load_band_reference()["interior"]["fisher"]
+    for fig_id in INTERIOR_FIGURES:
+        expected = np.array(table[fig_id])
+        points = interior_points(fig_id)
+        p = {key: np.array([q[key] for q in points]) for key in points[0]}
+        got, _ = _fisher(p, figure_spec(fig_id).estimand, "normalized", method)
+        error = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+        worst = int(np.argmax(error))
+        assert error[worst] <= FISHER_TOL[method], (fig_id, method, worst, error[worst])

@@ -106,6 +106,15 @@ def test_each_form_runs_once_per_block(monkeypatch):
     assert calls == _per_block_calls(3)
 
 
+@pytest.mark.parametrize("trials,blocks", [(1000, 1), (1025, 2)])
+def test_the_default_run_checks_its_draws_in_one_block(monkeypatch, trials, blocks):
+    # Blocks of 1,024 draws: the default 1,000 trials are one pass of each form, and 1,025
+    # are two.
+    calls = _count_block_forms(monkeypatch)
+    assert verify(trials).passed
+    assert calls == _per_block_calls(blocks)
+
+
 def test_nan_error_fails_the_check(monkeypatch):
     # A running maximum must not drop a NaN error: max(worst, nan) keeps worst.
     original = VERIFY_MODULE._bogoliubov_oracle
@@ -459,13 +468,11 @@ def test_report_defaults_are_1000_trials_seed_42(capsys):
 
 
 def test_block_size_up_to_one_block_keeps_the_pinned_report(monkeypatch):
-    # The old block of 64, the default and one block of all 1000 draws, each within outer
-    # blocks of 64, of 1000 and of the default 8,192 draws.
-    for block, outer in itertools.product((64, VERIFY_MODULE.BLOCK, 1000), (64, 1000, 8192)):
+    # Blocks of 64, one block of exactly the 1000 draws, the default 1,024 and 8,192.
+    for block in (64, 1000, VERIFY_MODULE.BLOCK, 8192):
         monkeypatch.setattr(VERIFY_MODULE, "BLOCK", block)
-        monkeypatch.setattr(VERIFY_MODULE, "KERNEL_BLOCK", outer)
         text = verify(1000, 42).render()
-        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], (block, outer)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[1000, 42], block
 
 
 def _faults_at(monkeypatch, seed, trials, faults):
@@ -492,7 +499,7 @@ def _faults_at(monkeypatch, seed, trials, faults):
     monkeypatch.setattr(VERIFY_MODULE, "_vectors", faulty_vectors)
 
 
-# Faults at draws 20 and 150, in outer blocks 0 and 2 when those hold 64 draws, and the draw
+# Faults at draws 20 and 150, in blocks 0 and 2 when those hold 64 draws, and the draw
 # that sections [1] and [4] (one check each) then name: the first NaN, else the first largest
 # error. 1e20 less any entry it meets is 1e20, so the two draws tie exactly in [1], not in [4].
 FOLD_CASES = {
@@ -504,12 +511,11 @@ FOLD_CASES = {
 
 @pytest.mark.parametrize("faults,named", FOLD_CASES.values(), ids=list(FOLD_CASES))
 def test_the_blockwise_fold_names_the_draw_of_one_block(monkeypatch, faults, named):
-    # Blocks of 16 within outer blocks of 64 give the report of one block of all 200 draws.
+    # Blocks of 64 give the report of one block of all 200 draws.
     _faults_at(monkeypatch, 5, 200, faults)
     with np.errstate(invalid="ignore"):
         whole = verify(200, 5)
-        monkeypatch.setattr(VERIFY_MODULE, "BLOCK", 16)
-        monkeypatch.setattr(VERIFY_MODULE, "KERNEL_BLOCK", 64)
+        monkeypatch.setattr(VERIFY_MODULE, "BLOCK", 64)
         blocked = verify(200, 5)
     assert {c.section: c.draw[0] for c in whole.checks if c.section in named} == named
     assert [(c.name, c.draw) for c in blocked.checks] == [(c.name, c.draw) for c in whole.checks]
